@@ -8,24 +8,18 @@ and minimax under bounded local misspecification among linear adjustments.
 """
 
 from .core import (
-    CovarianceDiagnostics,
     JointCovariance,
     MisspecBounds,
     OrthogonalityCheck,
     ResidualizationResult,
     adjusted_variance,
-    compute_lambda,
-    diagnostics,
-    full_residualization,
-    informativeness,
     misspec_bounds,
     orthogonality_stat,
     residualize,
     worst_case_bias,
 )
-from .covariance import InfluenceContributions, joint_covariance, se_of
+from .covariance import InfluenceContributions, joint_covariance
 from .rct import (
-    EstimatorTriple,
     RctDataset,
     balance_stats,
     long_regression,
@@ -36,8 +30,6 @@ from .rct import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CovarianceDiagnostics",
-    "EstimatorTriple",
     "InfluenceContributions",
     "JointCovariance",
     "MisspecBounds",
@@ -46,17 +38,12 @@ __all__ = [
     "ResidualizationResult",
     "adjusted_variance",
     "balance_stats",
-    "compute_lambda",
-    "diagnostics",
-    "full_residualization",
-    "informativeness",
     "joint_covariance",
     "long_regression",
     "misspec_bounds",
     "orthogonality_stat",
     "residualize",
     "residualized_estimator",
-    "se_of",
     "short_estimator",
     "worst_case_bias",
 ]

@@ -14,12 +14,18 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
+from .errors import ConfigError
+
 T = TypeVar("T")
 
 
 def resolve_threads(threads: int | None = None) -> int:
     if threads is None:
-        threads = int(os.environ.get("RESID_THREADS", "1"))
+        raw = os.environ.get("RESID_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ConfigError(f"RESID_THREADS must be an integer, got {raw!r}") from None
     return max(1, threads)
 
 

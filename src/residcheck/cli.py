@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-from .errors import EstimationError, InputDataError, ResidcheckError
+from .errors import ConfigError, EstimationError, InputDataError, ResidcheckError
 from .io import (
     AnalyzeConfig,
     GaussianDgpSpec,
@@ -140,7 +141,14 @@ def _cmd_simulate(args) -> None:
         )
     lam = args.lam
     if lam not in ("optimal", "zero"):
-        lam = float(lam)
+        try:
+            lam = float(lam)
+        except ValueError:
+            lam = math.nan
+        if not math.isfinite(lam):
+            raise ConfigError(
+                f"--lambda must be 'optimal', 'zero' or a finite number, got {args.lam!r}"
+            )
     config = SimulateConfig(
         lab=args.lab,
         n=args.n,

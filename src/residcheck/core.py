@@ -29,9 +29,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
 
 from . import _fixed_order
+from ._distributions import chi2_sf
 from .errors import (
     DegenerateResidualVariance,
     DimensionMismatch,
@@ -63,12 +63,15 @@ def _as_row(x, name: str) -> np.ndarray:
 class JointCovariance:
     """Joint per-observation covariance of (c_hat, gamma_hat) plus sample size.
 
-    Validation enforces: symmetric strictly positive definite check block,
-    strictly positive residual variance (Schur complement), and positive
-    semidefiniteness of the assembled (1+p) x (1+p) matrix. Validation
-    computes the Cholesky factor of the check block, the coefficient row
-    Lambda and the explained variance once, in the fixed summation order of
-    :mod:`residcheck._fixed_order`, and keeps them.
+    Validation enforces a symmetric check block with a Cholesky factor and a
+    reciprocal condition number of at least RCOND_MIN, and a residual
+    variance (the Schur complement of the check block) above RCOND_MIN of
+    sigma_c^2; together these make the assembled (1+p) x (1+p) matrix
+    positive definite. Validation computes the Cholesky factor of the check
+    block, the coefficient row Lambda and the explained variance once, in
+    the fixed summation order of :mod:`residcheck._fixed_order`, and keeps
+    them; the properties below read the variance side of residualization
+    off them.
     """
 
     sigma_c_sq: float
@@ -122,15 +125,12 @@ class JointCovariance:
                 "itself; residual variance would not be positive"
             )
 
-        full = self.full_matrix_of(scc, scg, sgg)
-        if np.linalg.eigvalsh(full)[0] < -1e-10 * np.abs(full).max():
-            raise InvalidCovariance("assembled joint covariance is not positive semidefinite")
-
         object.__setattr__(self, "sigma_c_gamma", scg)
         object.__setattr__(self, "sigma_gamma_gamma", sgg)
         object.__setattr__(self, "sigma_c_sq", scc)
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "_chol_gg", chol)
+        lam.flags.writeable = False
         object.__setattr__(self, "_lambda", lam)
         object.__setattr__(self, "_explained", explained)
 
@@ -155,14 +155,54 @@ class JointCovariance:
         """Solve Sigma_gg x = rhs for a p-vector through the cached Cholesky factor."""
         return _fixed_order.cho_solve(self._chol_gg, rhs)
 
+    @property
+    def lam(self) -> np.ndarray:
+        """Coefficient row Lambda solving Sigma_gg Lambda' = Sigma_gc (read-only)."""
+        return self._lambda
+
+    @property
+    def informativeness(self) -> float:
+        """Share I of sigma_c^2 explained by the checks, clipped to [0, 1 - 1e-15]."""
+        raw = self._explained / self.sigma_c_sq
+        return float(min(max(raw, 0.0), INFORMATIVENESS_CAP))
+
+    @property
+    def sigma_r_sq(self) -> float:
+        """Residual variance sigma_c^2 (1 - I), per observation."""
+        return self.sigma_c_sq * (1.0 - self.informativeness)
+
+    @property
+    def se_c(self) -> float:
+        """Standard error of c_hat, sqrt(sigma_c^2 / n)."""
+        return math.sqrt(self.sigma_c_sq / self.n)
+
+    @property
+    def se_r(self) -> float:
+        """Standard error of c_r, sqrt(sigma_c^2 (1 - I) / n)."""
+        return math.sqrt(self.sigma_r_sq / self.n)
+
+    @property
+    def bias_reduction_factor(self) -> float:
+        """sqrt(1 - I), the ratio se_r / se_c."""
+        return math.sqrt(1.0 - self.informativeness)
+
+    @property
+    def variance_reduction_pct(self) -> float:
+        return 100.0 * self.informativeness
+
+    @property
+    def equiv_sample_increase(self) -> float:
+        """Equivalent relative increase in sample size, 1 / (1 - I) - 1."""
+        return 1.0 / (1.0 - self.informativeness) - 1.0
+
 
 @dataclass(frozen=True)
 class ResidualizationResult:
-    """Point estimates and (optionally) the variance-side summary.
+    """Point side of residualization.
 
     ``c_r = c_hat - correction`` holds exactly and ``decomposition`` sums to
-    ``correction``; the standard-error fields are populated only when the
-    result was built from a full joint covariance.
+    ``correction``. Standard errors and the other variance-side numbers are
+    properties of the :class:`JointCovariance` that supplied ``lam``.
     """
 
     lam: np.ndarray
@@ -171,18 +211,6 @@ class ResidualizationResult:
     c_r: float
     correction: float
     decomposition: np.ndarray
-    se_c: float | None = None
-    se_r: float | None = None
-    informativeness: float | None = None
-
-
-@dataclass(frozen=True)
-class CovarianceDiagnostics:
-    sigma_r_sq: float
-    informativeness: float
-    bias_reduction_factor: float
-    variance_reduction_pct: float
-    equiv_sample_increase: float
 
 
 @dataclass(frozen=True)
@@ -212,35 +240,11 @@ class OrthogonalityCheck:
     note: str
 
 
-def compute_lambda(sigma: JointCovariance) -> np.ndarray:
-    """Sensitivity row Lambda solving Sigma_gg Lambda' = Sigma_gc.
-
-    Solved once, through the Cholesky factor of the check block, when the
-    covariance is validated; no explicit inverse is formed.
-    """
-    return sigma._lambda.copy()
-
-
-def explained_variance(sigma: JointCovariance) -> float:
-    """Quadratic form Sigma_cg Sigma_gg^{-1} Sigma_gc."""
-    return sigma._explained
-
-
-def informativeness(sigma: JointCovariance) -> float:
-    """Share of the baseline sampling variance predictable from the checks.
-
-    Clipped to [0, 1 - 1e-15] so that sqrt(1 - I) stays well defined
-    downstream.
-    """
-    raw = explained_variance(sigma) / sigma.sigma_c_sq
-    return float(min(max(raw, 0.0), INFORMATIVENESS_CAP))
-
-
 def residualize(c_hat: float, gamma_hat, lam) -> ResidualizationResult:
     """Subtract the linear adjustment lam . gamma_hat from c_hat.
 
-    Returns the point-estimate fields only; combine with a covariance via
-    :func:`full_residualization` for standard errors.
+    The standard errors belong to the covariance that ``lam`` came from:
+    :attr:`JointCovariance.se_c` and :attr:`JointCovariance.se_r`.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     gamma_hat = np.atleast_1d(np.asarray(gamma_hat, dtype=float))
@@ -257,23 +261,6 @@ def residualize(c_hat: float, gamma_hat, lam) -> ResidualizationResult:
         c_r=float(c_hat) - correction,
         correction=correction,
         decomposition=decomposition,
-    )
-
-
-def diagnostics(sigma: JointCovariance) -> CovarianceDiagnostics:
-    """Variance-side summary of what residualization buys.
-
-    sigma_r_sq = sigma_c^2 (1 - I), bias_reduction_factor = sqrt(1 - I),
-    variance_reduction_pct = 100 I, and the equivalent relative increase in
-    sample size 1 / (1 - I) - 1.
-    """
-    info = informativeness(sigma)
-    return CovarianceDiagnostics(
-        sigma_r_sq=sigma.sigma_c_sq * (1.0 - info),
-        informativeness=info,
-        bias_reduction_factor=float(np.sqrt(1.0 - info)),
-        variance_reduction_pct=100.0 * info,
-        equiv_sample_increase=1.0 / (1.0 - info) - 1.0,
     )
 
 
@@ -311,18 +298,15 @@ def misspec_bounds(sigma: JointCovariance, mu: float, lambdas=None) -> MisspecBo
     """
     if mu < 0:
         raise NegativeMu(f"misspecification bound must be nonnegative, got {mu}")
-    lam_opt = compute_lambda(sigma)
     rows = [np.atleast_1d(np.asarray(l, dtype=float)) for l in (lambdas or [])]
-    rows.append(lam_opt)
+    rows.append(sigma.lam)
     biases = np.array([worst_case_bias(sigma, l, mu) for l in rows])
-    info = informativeness(sigma)
-    sigma_r_sq = sigma.sigma_c_sq * (1.0 - info)
     return MisspecBounds(
         mu=float(mu),
         lambdas=tuple(rows),
         worst_case_bias=biases,
-        minimax_bias=float(mu) * float(np.sqrt(sigma.sigma_c_sq)) * float(np.sqrt(1.0 - info)),
-        minimax_mse=(1.0 + mu * mu) * sigma_r_sq,
+        minimax_bias=float(mu) * math.sqrt(sigma.sigma_c_sq) * sigma.bias_reduction_factor,
+        minimax_mse=(1.0 + mu * mu) * sigma.sigma_r_sq,
         argmin_lambda=rows[int(np.argmin(biases))],
     )
 
@@ -347,7 +331,7 @@ def orthogonality_stat(
         )
     wald = sigma_hat.n * _fixed_order.dot(gamma_hat, sigma_hat.solve_gg(gamma_hat))
     dof = sigma_hat.p_gamma
-    info = informativeness(sigma_hat)
+    info = sigma_hat.informativeness
     flagged = info > flag_threshold
     if flagged:
         note = (
@@ -359,7 +343,7 @@ def orthogonality_stat(
     return OrthogonalityCheck(
         wald_stat=wald,
         dof=dof,
-        p_value=float(chi2.sf(wald, dof)),
+        p_value=chi2_sf(wald, dof),
         sigma_c_gamma_norm=math.sqrt(
             _fixed_order.dot(sigma_hat.sigma_c_gamma, sigma_hat.sigma_c_gamma)
         ),
@@ -368,23 +352,3 @@ def orthogonality_stat(
         note=note,
     )
 
-
-def full_residualization(
-    sigma: JointCovariance, c_hat: float, gamma_hat
-) -> ResidualizationResult:
-    """Residualize and attach standard errors implied by the covariance."""
-    lam = compute_lambda(sigma)
-    point = residualize(c_hat, gamma_hat, lam)
-    diag = diagnostics(sigma)
-    se_c = float(np.sqrt(sigma.sigma_c_sq / sigma.n))
-    return ResidualizationResult(
-        lam=point.lam,
-        c_hat=point.c_hat,
-        gamma_hat=point.gamma_hat,
-        c_r=point.c_r,
-        correction=point.correction,
-        decomposition=point.decomposition,
-        se_c=se_c,
-        se_r=se_c * diag.bias_reduction_factor,
-        informativeness=diag.informativeness,
-    )

@@ -16,12 +16,11 @@ so the estimate does not depend on the BLAS kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from ._fixed_order import gram
-from .core import JointCovariance, informativeness
+from .core import JointCovariance
 from .errors import DegenerateResidualVariance, DimensionMismatch, TooFewClusters
 
 
@@ -103,13 +102,3 @@ def joint_covariance(contrib: InfluenceContributions) -> JointCovariance:
         n=n,
     )
 
-
-def se_of(sigma: JointCovariance, which: Literal["baseline", "residualized"]) -> float:
-    """Standard error sqrt(variance / n) for the chosen estimator."""
-    if which == "baseline":
-        var = sigma.sigma_c_sq
-    elif which == "residualized":
-        var = sigma.sigma_c_sq * (1.0 - informativeness(sigma))
-    else:
-        raise ValueError(f"which must be 'baseline' or 'residualized', got {which!r}")
-    return float(np.sqrt(var / sigma.n))

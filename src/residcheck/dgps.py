@@ -24,9 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import JointCovariance, compute_lambda, informativeness
+from .core import JointCovariance, adjusted_variance
 from .errors import ConfigError
-from .rct import RctDataset, residualized_estimator
+from .rct import RctDataset, long_regression, residualized_estimator
 
 # Cap on reps * n * dims simulated inside a single chunk; keeps per-chunk
 # arrays around 30 MB while leaving the random stream independent of the
@@ -97,15 +97,7 @@ class GaussianPairDGP:
 
     @property
     def lambda_opt(self) -> np.ndarray:
-        return compute_lambda(self.population_covariance(2))
-
-    @property
-    def informativeness(self) -> float:
-        return informativeness(self.population_covariance(2))
-
-    @property
-    def sigma_r_sq(self) -> float:
-        return self.sigma_c_sq * (1.0 - self.informativeness)
+        return self.population_covariance(2).lam
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n draws of the per-observation vector (d_c, d_g) under the base model.
@@ -306,7 +298,7 @@ class RctLinearDGP:
         return score
 
     def estimate_plugin_residualized(self, data: np.ndarray) -> float:
-        return residualized_estimator(self.to_dataset(data)).c_resid
+        return residualized_estimator(self.to_dataset(data))[0].c_r
 
     def replicate_batch(self, rng: np.random.Generator, n: int, size: int) -> BatchReplications:
         """size end-to-end replications through the adapter (loop per rep)."""
@@ -320,15 +312,16 @@ class RctLinearDGP:
         gamma_hat = np.empty((size, p))
         sigma_gg = np.empty((size, p, p))
         for i in range(size):
-            triple = residualized_estimator(self.draw_dataset(rng, n))
-            c_short[i] = triple.c_short
-            c_long[i] = triple.c_long
-            c_resid[i] = triple.c_resid
-            se_short[i] = triple.se_short
-            se_long[i] = triple.se_long
-            se_resid[i] = triple.se_resid
-            gamma_hat[i] = triple.gamma_hat
-            sigma_gg[i] = triple.sigma.sigma_gamma_gamma
+            data = self.draw_dataset(rng, n)
+            point, sigma = residualized_estimator(data)
+            c_long[i], beta_long = long_regression(data)
+            c_short[i] = point.c_hat
+            c_resid[i] = point.c_r
+            se_short[i] = sigma.se_c
+            se_long[i] = np.sqrt(adjusted_variance(sigma, beta_long) / sigma.n)
+            se_resid[i] = sigma.se_r
+            gamma_hat[i] = point.gamma_hat
+            sigma_gg[i] = sigma.sigma_gamma_gamma
         return BatchReplications(
             c_short=c_short,
             c_resid=c_resid,

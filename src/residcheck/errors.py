@@ -33,6 +33,16 @@ class NonFiniteValue(InputDataError):
         self.column = column
 
 
+class WrongFieldCount(InputDataError):
+    def __init__(self, row: int, expected: int, actual: int):
+        super().__init__(
+            f"row {row} has {actual} fields but the header has {expected} columns"
+        )
+        self.row = row
+        self.expected = expected
+        self.actual = actual
+
+
 class EmptyFile(InputDataError):
     pass
 
@@ -50,7 +60,7 @@ class EstimationError(ResidcheckError):
 
 
 class InvalidCovariance(EstimationError):
-    """Joint covariance blocks violate symmetry or positive semidefiniteness."""
+    """Joint covariance blocks are non-finite, asymmetric, misshapen or non-positive."""
 
 
 class SingularCheckCovariance(EstimationError):

@@ -15,6 +15,7 @@ from .errors import (
     MissingColumn,
     NonBinaryTreatment,
     NonFiniteValue,
+    WrongFieldCount,
 )
 from .rct import RctDataset
 
@@ -106,7 +107,7 @@ def load_dataset(config: AnalyzeConfig) -> LoadedDataset:
     strata = [] if config.strata is not None else None
     for i, record in enumerate(records, start=1):
         if len(record) != len(header):
-            raise NonFiniteValue(i, "<row>", ",".join(record))
+            raise WrongFieldCount(i, len(header), len(record))
         outcome[i - 1] = _parse_numeric(record[index[config.outcome]], i, config.outcome)
         t_tok = record[index[config.treatment]].strip()
         t_val = _parse_numeric(t_tok, i, config.treatment)
@@ -188,5 +189,9 @@ class SimulateConfig:
             raise ConfigError(f"reps must be at least 1000, got {self.reps}")
         if self.seed is None:
             raise ConfigError("a seed is required for reproducibility")
+        if self.lab == "misspec" and not isinstance(self.dgp, GaussianDgpSpec):
+            raise ConfigError("the misspec lab runs on the gaussian DGP only")
+        if self.oversample < 1:
+            raise ConfigError(f"oversample must be at least 1, got {self.oversample}")
         if self.report_format not in ("json", "csv"):
             raise ConfigError(f"simulate output format must be json or csv, got {self.report_format!r}")

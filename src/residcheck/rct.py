@@ -21,7 +21,8 @@ at the realized treated share pi.
 
 The short, balance and residualized estimators sum in the fixed order of
 :mod:`residcheck._fixed_order`, so their bits do not depend on the BLAS
-kernel; the long regression, which ``analyze`` does not report, uses LAPACK.
+kernel. The long regression uses LAPACK; it is not part of the residualized
+pipeline, and only the RCT selection lab runs it.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from ._fixed_order import dot
-from .core import JointCovariance, adjusted_variance, compute_lambda
-from .covariance import InfluenceContributions, joint_covariance, se_of
+from .core import JointCovariance, ResidualizationResult, residualize
+from .covariance import InfluenceContributions, joint_covariance
 from .errors import DimensionMismatch, EmptyArm, RankDeficientDesign
 
 # Relative threshold on the R factor diagonal below which the design is
@@ -86,31 +86,6 @@ class RctDataset:
     @property
     def p_gamma(self) -> int:
         return self.covariates.shape[1]
-
-
-@dataclass(frozen=True)
-class EstimatorTriple:
-    """Short, long, and residualized estimates with their shared ingredients."""
-
-    c_short: float
-    c_long: float
-    c_resid: float
-    beta_long: np.ndarray
-    beta_resid: np.ndarray
-    gamma_hat: np.ndarray
-    sigma: JointCovariance
-
-    @property
-    def se_short(self) -> float:
-        return se_of(self.sigma, "baseline")
-
-    @property
-    def se_resid(self) -> float:
-        return se_of(self.sigma, "residualized")
-
-    @property
-    def se_long(self) -> float:
-        return float(np.sqrt(adjusted_variance(self.sigma, self.beta_long) / self.sigma.n))
 
 
 def _demean(values: np.ndarray, strata: np.ndarray | None) -> np.ndarray:
@@ -166,13 +141,11 @@ def balance_stats(data: RctDataset) -> tuple[np.ndarray, np.ndarray]:
     return gamma, contribs.T
 
 
-def long_regression(data: RctDataset) -> tuple[float, np.ndarray, np.ndarray]:
+def long_regression(data: RctDataset) -> tuple[float, np.ndarray]:
     """Coefficient on treatment from the regression on treatment and covariates.
 
-    Returns ``(c_long, beta_long, contributions)`` where contributions are
-    the OLS influence rows for the treatment coefficient. The design is
-    factored by QR; a rank-deficient design is an error, never repaired by
-    dropping columns.
+    Returns ``(c_long, beta_long)``. The design is factored by QR; a
+    rank-deficient design is an error, never repaired by dropping columns.
     """
     t_c = _demean(data.treatment, data.strata)
     x_c = _demean(data.covariates, data.strata)
@@ -184,21 +157,21 @@ def long_regression(data: RctDataset) -> tuple[float, np.ndarray, np.ndarray]:
         raise RankDeficientDesign(
             "design matrix [treatment, covariates] is rank deficient"
         )
-    coef = sla.solve_triangular(r, q.T @ y_c)
-    resid = y_c - design @ coef
-    gram = design.T @ design / data.n
-    weights = design @ np.linalg.solve(gram, np.eye(gram.shape[0])[:, 0])
-    return float(coef[0]), coef[1:], weights * resid
+    coef = np.linalg.solve(r, q.T @ y_c)
+    return float(coef[0]), coef[1:]
 
 
 def residualized_estimator(
     data: RctDataset, cluster_ids: np.ndarray | None = None
-) -> EstimatorTriple:
-    """Full pipeline: short, long, and covariance-residualized estimators.
+) -> tuple[ResidualizationResult, JointCovariance]:
+    """Difference in means residualized on the balance vector.
 
-    The adjustment coefficient beta_resid solves the check-covariance system
-    from the stacked influence contributions of the difference in means and
-    the balance statistics; covariance-validation errors propagate.
+    The adjustment row Lambda solves the check-covariance system from the
+    stacked influence contributions of the difference in means and the
+    balance statistics; covariance-validation errors propagate. Returns the
+    point side (``c_hat`` is the difference in means, ``c_r`` the
+    residualized estimate) and the validated covariance, which carries the
+    standard errors.
     """
     c_short, contrib_c = short_estimator(data)
     gamma_hat, contrib_g = balance_stats(data)
@@ -206,14 +179,4 @@ def residualized_estimator(
         np.column_stack([contrib_c, contrib_g]), cluster_ids=cluster_ids
     )
     sigma = joint_covariance(stacked)
-    beta_resid = compute_lambda(sigma)
-    c_long, beta_long, _ = long_regression(data)
-    return EstimatorTriple(
-        c_short=c_short,
-        c_long=c_long,
-        c_resid=c_short - dot(beta_resid, gamma_hat),
-        beta_long=beta_long,
-        beta_resid=beta_resid,
-        gamma_hat=gamma_hat,
-        sigma=sigma,
-    )
+    return residualize(c_short, gamma_hat, sigma.lam), sigma

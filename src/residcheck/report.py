@@ -8,6 +8,8 @@ reference distribution throughout.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
 import io as _io
 import json
@@ -15,10 +17,10 @@ import math
 from typing import Any
 
 import numpy as np
-from scipy.stats import norm
 
 from . import core
-from .covariance import se_of
+from ._distributions import Z975, two_sided_p
+from ._threads import resolve_threads
 from .dgps import GaussianPairDGP, RctLinearDGP
 from .errors import ConfigError
 from .io import AnalyzeConfig, GaussianDgpSpec, RctDgpSpec, SimulateConfig, load_dataset
@@ -36,8 +38,6 @@ from .selection import (
     run_conditional_experiment,
     truncated_oracle,
 )
-
-Z975 = float(norm.ppf(0.975))
 
 
 def to_jsonable(obj: Any) -> Any:
@@ -71,7 +71,7 @@ def _estimate_block(estimate: float, se: float) -> dict:
         "estimate": estimate,
         "std_error": se,
         "t_stat": t_stat,
-        "p_value": float(2.0 * norm.sf(abs(t_stat))),
+        "p_value": two_sided_p(t_stat),
         "ci_lower": estimate - Z975 * se,
         "ci_upper": estimate + Z975 * se,
     }
@@ -81,18 +81,15 @@ def build_analyze_report(config: AnalyzeConfig) -> dict:
     """Point estimates, diagnostics, and the covariate decomposition table."""
     loaded = load_dataset(config)
     cluster_ids = loaded.cluster_ids if config.covariance_mode == "cluster" else None
-    triple = residualized_estimator(loaded.data, cluster_ids=cluster_ids)
-    sigma = triple.sigma
-    diag = core.diagnostics(sigma)
-    ortho = core.orthogonality_stat(sigma, triple.c_short, triple.gamma_hat)
-    result = core.residualize(triple.c_short, triple.gamma_hat, triple.beta_resid)
+    point, sigma = residualized_estimator(loaded.data, cluster_ids=cluster_ids)
+    ortho = core.orthogonality_stat(sigma, point.c_hat, point.gamma_hat)
 
     decomposition = [
         {
             "covariate": name,
-            "lambda_k": float(triple.beta_resid[k]),
-            "gamma_k": float(triple.gamma_hat[k]),
-            "contribution": float(result.decomposition[k]),
+            "lambda_k": float(point.lam[k]),
+            "gamma_k": float(point.gamma_hat[k]),
+            "contribution": float(point.decomposition[k]),
         }
         for k, name in enumerate(loaded.covariate_names)
     ]
@@ -108,15 +105,15 @@ def build_analyze_report(config: AnalyzeConfig) -> dict:
         },
         "covariance_mode": config.covariance_mode,
         "estimates": {
-            "baseline": _estimate_block(triple.c_short, se_of(sigma, "baseline")),
-            "residualized": _estimate_block(triple.c_resid, se_of(sigma, "residualized")),
+            "baseline": _estimate_block(point.c_hat, sigma.se_c),
+            "residualized": _estimate_block(point.c_r, sigma.se_r),
         },
         "diagnostics": {
-            "informativeness": diag.informativeness,
-            "bias_reduction_factor": diag.bias_reduction_factor,
-            "variance_reduction_pct": diag.variance_reduction_pct,
-            "correction": result.correction,
-            "equiv_sample_increase_pct": 100.0 * diag.equiv_sample_increase,
+            "informativeness": sigma.informativeness,
+            "bias_reduction_factor": sigma.bias_reduction_factor,
+            "variance_reduction_pct": sigma.variance_reduction_pct,
+            "correction": point.correction,
+            "equiv_sample_increase_pct": 100.0 * sigma.equiv_sample_increase,
             "orthogonality": to_jsonable(ortho),
         },
         "decomposition": decomposition,
@@ -211,6 +208,13 @@ def _dgp_from_spec(spec):
 
 def run_simulate(config: SimulateConfig, threads: int | None = None) -> dict:
     """Dispatch to the requested lab; output embeds the full config and seed."""
+    threads = resolve_threads(threads)  # a bad RESID_THREADS fails before any draw
+    # Keep freed heap pages: with glibc's 128 KiB default trim threshold, RCT
+    # replications fault their arrays back in (up to 50,000 per 3,000 reps).
+    with contextlib.suppress(AttributeError, OSError, TypeError):  # no mallopt
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's dynamic maximum
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD, twice that, as glibc sets it
     dgp = _dgp_from_spec(config.dgp)
     payload: dict = {"config": to_jsonable(config)}
     if config.lab == "selection":

@@ -23,13 +23,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import chi2, norm
 
+from ._distributions import Z975, chi2_cdf, normal_cdf, normal_pdf
 from ._threads import batch_sizes, concat_field, map_batches
 from .dgps import BatchReplications, GaussianPairDGP, RctLinearDGP
 from .errors import ConfigError, DegenerateRule, DomainError
-
-Z975 = float(norm.ppf(0.975))
 
 PILOT_REPS = 1000
 PASS_RATE_FLOOR = 0.02
@@ -82,11 +80,11 @@ class ReportingRule:
         """Exact pass probability under a N(0, I) limit; None for custom."""
         a = self.threshold
         if self.kind == "two_sided_t":
-            return float(2.0 * norm.cdf(a) - 1.0)
+            return 2.0 * normal_cdf(a) - 1.0
         if self.kind == "wald":
-            return float(chi2.cdf(a, p_gamma))
+            return chi2_cdf(a, p_gamma)
         if self.kind == "max_abs":
-            return float((2.0 * norm.cdf(a) - 1.0) ** p_gamma)
+            return (2.0 * normal_cdf(a) - 1.0) ** p_gamma
         return None
 
 
@@ -119,8 +117,8 @@ def truncated_oracle(rho: float, t: float) -> TruncatedOracle:
         raise DomainError(f"rho must lie strictly inside (-1, 1), got {rho}")
     if not t > 0.0 or not math.isfinite(t):
         raise DomainError(f"truncation point must be positive and finite, got {t}")
-    mass = 2.0 * norm.cdf(t) - 1.0
-    var_zg = 1.0 - 2.0 * t * norm.pdf(t) / mass
+    mass = 2.0 * normal_cdf(t) - 1.0
+    var_zg = 1.0 - 2.0 * t * normal_pdf(t) / mass
     return TruncatedOracle(
         cond_var_zgamma=float(var_zg),
         cond_var_zs=float((1.0 - rho**2) + rho**2 * var_zg),
@@ -145,6 +143,11 @@ class SelectionConfig:
             raise ConfigError(f"reps must be at least {PILOT_REPS}, got {self.reps}")
         if self.n < self.dgp.p_gamma + 2:
             raise ConfigError(f"n = {self.n} too small for p = {self.dgp.p_gamma}")
+        if self.rule.kind == "two_sided_t" and not 0 <= self.rule.coord < self.dgp.p_gamma:
+            raise ConfigError(
+                f"rule coordinate {self.rule.coord} is not one of the "
+                f"{self.dgp.p_gamma} checks"
+            )
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,10 @@ import pytest
 from residcheck import (
     InfluenceContributions,
     JointCovariance,
-    diagnostics,
     joint_covariance,
+    long_regression,
     residualize,
     residualized_estimator,
-    se_of,
 )
 from residcheck.dgps import GaussianPairDGP, RctLinearDGP
 from residcheck.misspec import (
@@ -73,20 +72,19 @@ def test_criterion_1_table2_internal_consistency():
     sigma = JointCovariance(
         sigma_c_sq, np.array([math.sqrt(info * sigma_c_sq)]), np.eye(1), n
     )
-    diag = diagnostics(sigma)
-    se_c = se_of(sigma, "baseline")
-    se_r = se_of(sigma, "residualized")
+    se_c = sigma.se_c
+    se_r = sigma.se_r
     ok = (
-        abs(diag.bias_reduction_factor - 0.9582) <= 0.0001
+        abs(sigma.bias_reduction_factor - 0.9582) <= 0.0001
         and abs(se_r - 0.0446) <= 0.0005
-        and abs(diag.variance_reduction_pct - 8.19) <= 1e-9
+        and abs(sigma.variance_reduction_pct - 8.19) <= 1e-9
     )
     criterion(
         1,
         ok,
-        f"sqrt(1-I) = {diag.bias_reduction_factor:.4f} (0.9582 +- 0.0001), "
+        f"sqrt(1-I) = {sigma.bias_reduction_factor:.4f} (0.9582 +- 0.0001), "
         f"se_r = {se_r:.4f} (0.0446 +- 0.0005; 0.0445 after rounding), "
-        f"variance reduction = {diag.variance_reduction_pct:.2f}%",
+        f"variance reduction = {sigma.variance_reduction_pct:.2f}%",
     )
     assert se_c == pytest.approx(0.0465, rel=1e-12)
 
@@ -186,8 +184,9 @@ def test_criterion_5_variance_ordering():
         rng = np.random.default_rng(children[b])
         out = np.empty((sizes[b], 3))
         for i in range(sizes[b]):
-            triple = residualized_estimator(dgp.draw_dataset(rng, n))
-            out[i] = (triple.c_short, triple.c_long, triple.c_resid)
+            data = dgp.draw_dataset(rng, n)
+            point, _ = residualized_estimator(data)
+            out[i] = (point.c_hat, long_regression(data)[0], point.c_r)
         return out
 
     ests = np.concatenate(map_batches(run_batch, n_batches, THREADS))

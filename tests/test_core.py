@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 from residcheck import (
     JointCovariance,
     adjusted_variance,
-    compute_lambda,
-    diagnostics,
-    full_residualization,
     misspec_bounds,
     orthogonality_stat,
     residualize,
@@ -66,20 +63,20 @@ class TestJointCovarianceValidation:
 class TestComputeLambda:
     def test_zero_covariance_gives_zero(self):
         sigma = JointCovariance(1.0, np.zeros(2), np.array([[2.0, 0.3], [0.3, 1.0]]), 50)
-        assert np.allclose(compute_lambda(sigma), 0.0)
+        assert np.allclose(sigma.lam, 0.0)
 
     def test_scalar_hand_value(self, scalar_sigma):
-        assert compute_lambda(scalar_sigma) == pytest.approx([0.5], rel=1e-14)
+        assert scalar_sigma.lam == pytest.approx([0.5], rel=1e-14)
 
     def test_identity_check_covariance(self):
         sigma = JointCovariance(1.0, np.array([0.2, 0.4]), np.eye(2), 50)
-        assert np.allclose(compute_lambda(sigma), [0.2, 0.4])
+        assert np.allclose(sigma.lam, [0.2, 0.4])
 
     @given(st.integers(0, 10_000), st.integers(1, 5))
     @settings(max_examples=100, deadline=None)
     def test_normal_equation_residual(self, seed, p):
         sigma = random_joint_covariance(seed, p)
-        lam = compute_lambda(sigma)
+        lam = sigma.lam
         lhs = sigma.sigma_gamma_gamma @ lam
         rhs = sigma.sigma_c_gamma
         if np.linalg.norm(rhs) > 0:
@@ -121,10 +118,9 @@ class TestResidualize:
 class TestDiagnostics:
     def test_zero_covariance(self):
         sigma = JointCovariance(2.0, np.zeros(1), np.eye(1), 50)
-        d = diagnostics(sigma)
-        assert d.informativeness == 0.0
-        assert d.sigma_r_sq == 2.0
-        assert d.bias_reduction_factor == 1.0
+        assert sigma.informativeness == 0.0
+        assert sigma.sigma_r_sq == 2.0
+        assert sigma.bias_reduction_factor == 1.0
 
     def test_benchmark_informativeness_row(self):
         # I = 0.0819 implies factor 0.9582, 8.19% variance reduction, and an
@@ -133,29 +129,26 @@ class TestDiagnostics:
         sigma_c_sq = 0.0465**2 * n
         sigma_cg = math.sqrt(0.0819 * sigma_c_sq)
         sigma = JointCovariance(sigma_c_sq, np.array([sigma_cg]), np.eye(1), n)
-        d = diagnostics(sigma)
-        assert d.informativeness == pytest.approx(0.0819, abs=1e-12)
-        assert d.bias_reduction_factor == pytest.approx(0.9582, abs=1e-4)
-        assert d.variance_reduction_pct == pytest.approx(8.19, abs=1e-9)
-        assert d.equiv_sample_increase == pytest.approx(0.0892, abs=1e-4)
+        assert sigma.informativeness == pytest.approx(0.0819, abs=1e-12)
+        assert sigma.bias_reduction_factor == pytest.approx(0.9582, abs=1e-4)
+        assert sigma.variance_reduction_pct == pytest.approx(8.19, abs=1e-9)
+        assert sigma.equiv_sample_increase == pytest.approx(0.0892, abs=1e-4)
 
     def test_scalar_correlation_squared(self):
         rho = 0.5
         sigma = JointCovariance(1.0, np.array([rho]), np.eye(1), 50)
-        d = diagnostics(sigma)
-        assert d.informativeness == pytest.approx(rho**2, rel=1e-14)
-        assert d.sigma_r_sq == pytest.approx(0.75, rel=1e-14)
+        assert sigma.informativeness == pytest.approx(rho**2, rel=1e-14)
+        assert sigma.sigma_r_sq == pytest.approx(0.75, rel=1e-14)
 
     @given(st.integers(0, 10_000), st.integers(1, 5))
     @settings(max_examples=50, deadline=None)
     def test_se_ratio_identity(self, seed, p):
         sigma = random_joint_covariance(seed, p)
-        d = diagnostics(sigma)
-        assert d.bias_reduction_factor == math.sqrt(1.0 - d.informativeness)
-        assert math.sqrt(d.sigma_r_sq / sigma.sigma_c_sq) == pytest.approx(
-            d.bias_reduction_factor, rel=1e-14
+        assert sigma.bias_reduction_factor == math.sqrt(1.0 - sigma.informativeness)
+        assert math.sqrt(sigma.sigma_r_sq / sigma.sigma_c_sq) == pytest.approx(
+            sigma.bias_reduction_factor, rel=1e-14
         )
-        assert 0.0 <= d.informativeness < 1.0
+        assert 0.0 <= sigma.informativeness < 1.0
 
 
 class TestAdjustedVariancePenaltyIdentity:
@@ -166,8 +159,8 @@ class TestAdjustedVariancePenaltyIdentity:
         sigma = random_joint_covariance(seed, p)
         rng = np.random.default_rng(seed + 1)
         lam = rng.standard_normal(p)
-        lam_opt = compute_lambda(sigma)
-        sigma_r_sq = diagnostics(sigma).sigma_r_sq
+        lam_opt = sigma.lam
+        sigma_r_sq = sigma.sigma_r_sq
         gap = adjusted_variance(sigma, lam) - sigma_r_sq
         delta = lam - lam_opt
         penalty = float(delta @ sigma.sigma_gamma_gamma @ delta)
@@ -178,8 +171,8 @@ class TestAdjustedVariancePenaltyIdentity:
     @settings(max_examples=50, deadline=None)
     def test_equality_only_at_optimum(self, seed, p):
         sigma = random_joint_covariance(seed, p)
-        lam_opt = compute_lambda(sigma)
-        sigma_r_sq = diagnostics(sigma).sigma_r_sq
+        lam_opt = sigma.lam
+        sigma_r_sq = sigma.sigma_r_sq
         assert adjusted_variance(sigma, lam_opt) == pytest.approx(sigma_r_sq, rel=1e-12)
         bumped = lam_opt + 0.1
         assert adjusted_variance(sigma, bumped) > sigma_r_sq
@@ -190,7 +183,7 @@ class TestMisspecBounds:
         b = misspec_bounds(scalar_sigma, 0.0)
         assert np.all(b.worst_case_bias == 0.0)
         assert b.minimax_bias == 0.0
-        assert b.minimax_mse == pytest.approx(diagnostics(scalar_sigma).sigma_r_sq, rel=1e-14)
+        assert b.minimax_mse == pytest.approx(scalar_sigma.sigma_r_sq, rel=1e-14)
 
     def test_unadjusted_gets_full_influence_length(self, scalar_sigma):
         mu = 1.5
@@ -216,12 +209,12 @@ class TestMisspecBounds:
         grid = [rng.standard_normal(p) for _ in range(4)]
         b = misspec_bounds(sigma, 1.0, lambdas=grid)
         assert np.all(b.worst_case_bias >= b.minimax_bias - 1e-12)
-        assert np.allclose(b.argmin_lambda, compute_lambda(sigma))
+        assert np.allclose(b.argmin_lambda, sigma.lam)
 
     @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 2.0, 10.0])
     def test_mse_factorization_on_mu_grid(self, mu):
         sigma = random_joint_covariance(17, 3)
-        sigma_r_sq = diagnostics(sigma).sigma_r_sq
+        sigma_r_sq = sigma.sigma_r_sq
         b = misspec_bounds(sigma, mu)
         assert b.minimax_mse / sigma_r_sq == pytest.approx(1.0 + mu**2, rel=1e-12)
 
@@ -241,11 +234,11 @@ class TestScaleEquivariance:
             a @ sigma.sigma_gamma_gamma @ a.T,
             sigma.n,
         )
-        base = full_residualization(sigma, c_hat, gamma)
-        alt = full_residualization(transformed, c_hat, a @ gamma)
+        base = residualize(c_hat, gamma, sigma.lam)
+        alt = residualize(c_hat, a @ gamma, transformed.lam)
         assert alt.c_r == pytest.approx(base.c_r, rel=1e-10, abs=1e-10)
-        assert alt.informativeness == pytest.approx(base.informativeness, rel=1e-10)
-        assert alt.se_r == pytest.approx(base.se_r, rel=1e-10)
+        assert transformed.informativeness == pytest.approx(sigma.informativeness, rel=1e-10)
+        assert transformed.se_r == pytest.approx(sigma.se_r, rel=1e-10)
 
 
 class TestOrthogonalityStat:
@@ -271,7 +264,6 @@ class TestOrthogonalityStat:
 
 class TestFullResidualization:
     def test_se_relation(self, scalar_sigma):
-        result = full_residualization(scalar_sigma, 1.0, np.array([0.2]))
-        assert result.se_r <= result.se_c
-        expected = result.se_c * math.sqrt(1.0 - result.informativeness)
-        assert abs(result.se_r - expected) <= 1e-12 * expected
+        assert scalar_sigma.se_r <= scalar_sigma.se_c
+        expected = scalar_sigma.se_c * math.sqrt(1.0 - scalar_sigma.informativeness)
+        assert abs(scalar_sigma.se_r - expected) <= 1e-12 * expected

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from residcheck import InfluenceContributions, compute_lambda, diagnostics, joint_covariance, se_of
+from residcheck import InfluenceContributions, joint_covariance
 from residcheck import JointCovariance
 from residcheck.errors import (
     DegenerateResidualVariance,
@@ -19,8 +19,8 @@ class TestJointCovarianceEstimation:
         assert sigma.sigma_c_sq == pytest.approx(2 / 3, rel=1e-14)
         assert sigma.sigma_c_gamma[0] == pytest.approx(1 / 3, rel=1e-14)
         assert sigma.sigma_gamma_gamma[0, 0] == pytest.approx(2 / 3, rel=1e-14)
-        assert compute_lambda(sigma)[0] == pytest.approx(0.5, rel=1e-14)
-        assert diagnostics(sigma).sigma_r_sq == pytest.approx(0.5, rel=1e-14)
+        assert sigma.lam[0] == pytest.approx(0.5, rel=1e-14)
+        assert sigma.sigma_r_sq == pytest.approx(0.5, rel=1e-14)
 
     def test_singleton_clusters_match_iid(self):
         rng = np.random.default_rng(4)
@@ -116,23 +116,19 @@ class TestJointCovarianceEstimation:
 class TestStandardErrors:
     def test_baseline_hand_value(self):
         sigma = JointCovariance(1.0, np.array([0.0]), np.eye(1), 100)
-        assert se_of(sigma, "baseline") == pytest.approx(0.1, rel=1e-14)
+        assert sigma.se_c == pytest.approx(0.1, rel=1e-14)
 
     def test_benchmark_se_consistency(self):
         n = 408
         sigma_c_sq = 0.0465**2 * n
         sigma_cg = np.sqrt(0.0819 * sigma_c_sq)
         sigma = JointCovariance(sigma_c_sq, np.array([sigma_cg]), np.eye(1), n)
-        assert se_of(sigma, "baseline") == pytest.approx(0.0465, rel=1e-12)
+        assert sigma.se_c == pytest.approx(0.0465, rel=1e-12)
         # 0.0445 after 4-decimal rounding.
-        assert se_of(sigma, "residualized") == pytest.approx(0.0445, abs=0.0005)
+        assert sigma.se_r == pytest.approx(0.0445, abs=0.0005)
 
     def test_hand_example_residual_se(self):
         contrib = InfluenceContributions(np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
         sigma = joint_covariance(contrib)
-        assert se_of(sigma, "residualized") == pytest.approx(np.sqrt(1 / 6), rel=1e-12)
+        assert sigma.se_r == pytest.approx(np.sqrt(1 / 6), rel=1e-12)
 
-    def test_unknown_kind_rejected(self):
-        sigma = JointCovariance(1.0, np.array([0.0]), np.eye(1), 100)
-        with pytest.raises(ValueError):
-            se_of(sigma, "something")

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import pathlib
+import platform
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ from residcheck.errors import (
     MissingColumn,
     NonBinaryTreatment,
     NonFiniteValue,
+    WrongFieldCount,
 )
 from residcheck.io import AnalyzeConfig, load_dataset
 from residcheck.report import build_analyze_report, json_bytes
@@ -77,6 +79,13 @@ class TestLoadDataset:
         bad = WELL_FORMED.replace("2.0,0,0.3,0.1", "abc,0,0.3,0.1")
         with pytest.raises(NonFiniteValue):
             load_dataset(config_for(write(tmp_path, bad)))
+
+    def test_wrong_field_count(self, tmp_path):
+        bad = WELL_FORMED.replace("2.0,0,0.3,0.1", "2.0,0,0.3")
+        with pytest.raises(WrongFieldCount) as err:
+            load_dataset(config_for(write(tmp_path, bad)))
+        assert (err.value.row, err.value.expected, err.value.actual) == (2, 4, 3)
+        assert "row 2" in str(err.value)
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(EmptyFile):
@@ -384,6 +393,58 @@ class TestCli:
             "simulate", "--lab", "selection", "--n", "200", "--reps", "10", "--seed", "1"
         )
         assert result.returncode == 2
+
+    @pytest.mark.parametrize(
+        "args, env",
+        [
+            (("--lab", "misspec", "--dgp", "rct"), None),
+            (("--lab", "misspec", "--lambda", "abc"), None),
+            (("--lab", "selection", "--coord", "3"), None),
+            (("--lab", "selection"), {"RESID_THREADS": "x"}),
+            (("--lab", "misspec", "--oversample", "0"), None),
+        ],
+        ids=["misspec-rct", "lambda-abc", "coord-out-of-range", "threads-x", "oversample-0"],
+    )
+    def test_simulate_config_errors_are_json(self, args, env):
+        result = run_cli(
+            "simulate", *args, "--n", "100", "--reps", "1000", "--seed", "1", env_extra=env
+        )
+        assert result.returncode == 2, result.stderr
+        lines = result.stderr.decode().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
+
+    def test_import_leaves_scipy_unloaded(self):
+        code = (
+            "import sys, residcheck.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
+    def test_simulate_keeps_freed_heap_pages(self):
+        # After a lab run, arrays of the size the RCT lab allocates per
+        # replication (64 KiB) reuse freed pages instead of faulting them in.
+        code = """
+import resource
+import numpy as np
+from residcheck.io import RctDgpSpec, SimulateConfig
+from residcheck.report import run_simulate
+
+run_simulate(SimulateConfig(lab="selection", dgp=RctDgpSpec(), n=100, reps=1000, seed=1))
+def churn():
+    return [np.ones(8192) for _ in range(20)]
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(100):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) < 100
 
     def test_simulate_csv_format(self):
         result = run_cli(

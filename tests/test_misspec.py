@@ -264,4 +264,4 @@ class TestBiasDecomposition:
             )
             results[lam_val] = check.net_bias
         ratio = results[float(PAIR.lambda_opt[0])] / results[0.0]
-        assert ratio == pytest.approx(math.sqrt(1.0 - PAIR.informativeness), rel=0.02)
+        assert ratio == pytest.approx(math.sqrt(1.0 - PAIR.population_covariance(2).informativeness), rel=0.02)

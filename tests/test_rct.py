@@ -110,7 +110,7 @@ class TestLongRegression:
         t[:2], t[2:4] = 1.0, 0.0
         x = rng.standard_normal(n)
         y = 1.0 + 2.0 * t + 3.0 * x
-        c_long, beta_long, _ = long_regression(make_dataset(y, t, x[:, None]))
+        c_long, beta_long = long_regression(make_dataset(y, t, x[:, None]))
         assert c_long == pytest.approx(2.0, rel=1e-10)
         assert beta_long[0] == pytest.approx(3.0, rel=1e-10)
 
@@ -124,12 +124,12 @@ class TestLongRegression:
         x = raw - design @ np.linalg.lstsq(design, raw, rcond=None)[0]
         data = make_dataset(y, t, x[:, None])
         c_short, _ = short_estimator(data)
-        c_long, _, _ = long_regression(data)
+        c_long, _ = long_regression(data)
         assert c_long == pytest.approx(c_short, abs=1e-10)
 
     def test_four_point_normal_equations(self):
         data = make_dataset([0, 1, 1, 2], [0, 0, 1, 1], [[0.0], [1.0], [0.0], [1.0]])
-        c_long, beta_long, _ = long_regression(data)
+        c_long, beta_long = long_regression(data)
         assert c_long == pytest.approx(1.0, rel=1e-12)
         assert beta_long[0] == pytest.approx(1.0, rel=1e-12)
 
@@ -150,15 +150,13 @@ class TestResidualizedEstimator:
         t[:2], t[2:4] = 1.0, 0.0
         x = rng.standard_normal((n, 2))
         y = t + x @ np.array([0.5, -1.0]) + rng.standard_normal(n)
-        triple = residualized_estimator(make_dataset(y, t, x))
-        assert triple.c_long == pytest.approx(
-            triple.c_short - float(triple.beta_long @ triple.gamma_hat), abs=1e-10
-        )
+        data = make_dataset(y, t, x)
+        point, _ = residualized_estimator(data)
+        c_long, beta_long = long_regression(data)
+        assert c_long == pytest.approx(point.c_hat - float(beta_long @ point.gamma_hat), abs=1e-10)
         # c_r = c_hat - sum_k Lambda_k gamma_k, with the sum in numpy's order
         # rather than a BLAS dot, whose last bit depends on the CPU kernel.
-        assert triple.c_resid == triple.c_short - float(
-            np.sum(triple.beta_resid * triple.gamma_hat)
-        )
+        assert point.c_r == point.c_hat - float(np.sum(point.lam * point.gamma_hat))
 
     def test_memory_layout_leaves_bits_unchanged(self):
         rng = np.random.default_rng(12)
@@ -166,21 +164,18 @@ class TestResidualizedEstimator:
         t = (rng.random(n) < 0.4).astype(float)
         x = rng.standard_normal((n, 3)) + 2.0
         y = t + x @ np.array([0.5, -0.2, 0.1]) + rng.standard_normal(n)
-        a = residualized_estimator(make_dataset(y, t, x))
-        b = residualized_estimator(make_dataset(y, t, np.asfortranarray(x)))
+        a, a_sigma = residualized_estimator(make_dataset(y, t, x))
+        b, b_sigma = residualized_estimator(make_dataset(y, t, np.asfortranarray(x)))
         assert np.array_equal(a.gamma_hat, b.gamma_hat)
-        assert np.array_equal(a.sigma.full_matrix(), b.sigma.full_matrix())
-        assert a.c_resid == b.c_resid
+        assert np.array_equal(a_sigma.full_matrix(), b_sigma.full_matrix())
+        assert a.c_r == b.c_r
 
     def test_independent_covariate_leaves_estimate_alone(self):
         rng = np.random.default_rng(11)
         dgp = RctLinearDGP(tau=1.0, beta=np.array([0.0]), interaction=np.array([0.0]))
-        triple = residualized_estimator(dgp.draw_dataset(rng, 4000))
-        correction = triple.c_short - triple.c_resid
-        corr_se = np.sqrt(
-            float(triple.beta_resid @ triple.sigma.sigma_gamma_gamma @ triple.beta_resid)
-            / triple.sigma.n
-        )
+        point, sigma = residualized_estimator(dgp.draw_dataset(rng, 4000))
+        correction = point.c_hat - point.c_r
+        corr_se = np.sqrt(float(point.lam @ sigma.sigma_gamma_gamma @ point.lam) / sigma.n)
         assert abs(correction) <= 3.0 * max(corr_se, 1e-12)
 
     def test_linear_homoskedastic_coefficients_converge(self):
@@ -189,14 +184,11 @@ class TestResidualizedEstimator:
         gaps = []
         for n, seed in ((1000, 21), (10_000, 22)):
             rng = np.random.default_rng(seed)
-            diffs = [
-                np.linalg.norm(
-                    (lambda tr: tr.beta_long - tr.beta_resid)(
-                        residualized_estimator(dgp.draw_dataset(rng, n))
-                    )
-                )
-                for _ in range(30)
-            ]
+            diffs = []
+            for _ in range(30):
+                data = dgp.draw_dataset(rng, n)
+                beta_long = long_regression(data)[1]
+                diffs.append(np.linalg.norm(beta_long - residualized_estimator(data)[0].lam))
             gaps.append(np.mean(diffs))
         assert gaps[1] < gaps[0] / 2.0
 
@@ -209,8 +201,9 @@ class TestResidualizedEstimator:
         reps, n = 2000, 500
         ests = np.empty((reps, 3))
         for r in range(reps):
-            triple = residualized_estimator(dgp.draw_dataset(rng, n))
-            ests[r] = (triple.c_short, triple.c_long, triple.c_resid)
+            data = dgp.draw_dataset(rng, n)
+            point, _ = residualized_estimator(data)
+            ests[r] = (point.c_hat, long_regression(data)[0], point.c_r)
         var_s, var_l, var_r = ests.var(axis=0, ddof=1)
         assert var_r < var_l < var_s
         delta = dgp.beta_long_limit - dgp.beta_resid_limit
@@ -228,10 +221,14 @@ class TestResidualizedEstimator:
         y = t + x @ np.array([1.0, 0.5]) + rng.standard_normal(n)
         a = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
         b = rng.standard_normal(2)
-        base = residualized_estimator(make_dataset(y, t, x))
-        moved = residualized_estimator(make_dataset(y, t, x @ a.T + b))
-        assert moved.c_resid == pytest.approx(base.c_resid, rel=1e-8, abs=1e-8)
-        assert moved.c_long == pytest.approx(base.c_long, rel=1e-8, abs=1e-8)
+        base_data = make_dataset(y, t, x)
+        moved_data = make_dataset(y, t, x @ a.T + b)
+        base, _ = residualized_estimator(base_data)
+        moved, _ = residualized_estimator(moved_data)
+        assert moved.c_r == pytest.approx(base.c_r, rel=1e-8, abs=1e-8)
+        assert long_regression(moved_data)[0] == pytest.approx(
+            long_regression(base_data)[0], rel=1e-8, abs=1e-8
+        )
 
 
 class TestStrata:
@@ -241,10 +238,10 @@ class TestStrata:
         t = np.repeat([1.0, 0.0], 50)
         x = rng.standard_normal((n, 2))
         y = t + x @ np.array([1.0, -1.0]) + rng.standard_normal(n)
-        plain = residualized_estimator(make_dataset(y, t, x))
-        strat = residualized_estimator(make_dataset(y, t, x, strata=np.zeros(n, dtype=int)))
-        assert strat.c_short == pytest.approx(plain.c_short, rel=1e-12)
-        assert strat.c_resid == pytest.approx(plain.c_resid, rel=1e-12)
+        plain, _ = residualized_estimator(make_dataset(y, t, x))
+        strat, _ = residualized_estimator(make_dataset(y, t, x, strata=np.zeros(n, dtype=int)))
+        assert strat.c_hat == pytest.approx(plain.c_hat, rel=1e-12)
+        assert strat.c_r == pytest.approx(plain.c_r, rel=1e-12)
 
     def test_strata_absorb_block_shifts(self):
         # Outcome shifts common to a stratum should not contaminate the
