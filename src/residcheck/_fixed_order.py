@@ -10,6 +10,8 @@ which makes the report bytes independent of the BLAS kernel:
   each row with ``np.add.reduce``, numpy's pairwise summation, whose order
   depends on the row length alone. ``gram(cols)[i, j]`` and
   ``dot(cols[i], cols[j])`` give the same bits.
+* ``group_sums`` adds each row up within groups in row order
+  (``np.bincount``), as ``np.add.at`` would, at a fraction of its cost.
 * ``cholesky`` and ``cho_solve`` factor and solve the p x p check block (p is
   the number of checks, so small) over Python floats, each inner product
   summed left to right.
@@ -39,6 +41,14 @@ def gram(cols: np.ndarray) -> np.ndarray:
         out[i, i:] = row
         out[i:, i] = row
     return out
+
+
+def group_sums(codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(k, G) sums over the groups 0..G-1 in ``codes`` of k rows of length n.
+
+    ``rows`` is a (k, n) array or any iterable of its rows.
+    """
+    return np.stack([np.bincount(codes, weights=row) for row in rows])
 
 
 def _sum_products(xs, ys) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fixed_order import gram
+from ._fixed_order import gram, group_sums
 from .core import JointCovariance
 from .errors import DegenerateResidualVariance, DimensionMismatch, TooFewClusters
 
@@ -82,9 +82,9 @@ def joint_covariance(contrib: InfluenceContributions) -> JointCovariance:
     # are summed in the same order whatever the memory layout of the input.
     cols = np.ascontiguousarray(contrib.values.T)
     n = contrib.n
-    psi = cols - (np.add.reduce(cols, axis=1) / n)[:, None]
+    means = np.add.reduce(cols, axis=1) / n
     if contrib.cluster_ids is None:
-        sigma = gram(psi) / n
+        sigma = gram(cols - means[:, None]) / n
     else:
         _, inverse = np.unique(contrib.cluster_ids, return_inverse=True)
         n_clusters = int(inverse.max()) + 1
@@ -92,9 +92,9 @@ def joint_covariance(contrib: InfluenceContributions) -> JointCovariance:
             raise TooFewClusters(
                 f"need at least p + 2 = {contrib.p_gamma + 2} clusters, got {n_clusters}"
             )
-        sums = np.zeros((n_clusters, psi.shape[0]))
-        np.add.at(sums, inverse, psi.T)
-        sigma = gram(sums.T) / n
+        # Demeaned one row at a time: the cluster sums need no n x (1 + p) copy.
+        psi = (col - mean for col, mean in zip(cols, means))
+        sigma = gram(group_sums(inverse, psi)) / n
     return JointCovariance(
         sigma_c_sq=sigma[0, 0],
         sigma_c_gamma=sigma[0, 1:],

@@ -6,12 +6,14 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
 from .errors import (
     ConfigError,
     EmptyFile,
+    InputDataError,
     MissingColumn,
     NonBinaryTreatment,
     NonFiniteValue,
@@ -59,14 +61,24 @@ class AnalyzeConfig:
 
 @dataclass(frozen=True)
 class LoadedDataset:
+    """A loaded CSV; stratum and cluster labels are integer codes in sorted label order."""
+
     data: RctDataset
     covariate_names: tuple[str, ...]
     cluster_ids: np.ndarray | None = None
 
 
 def _parse_numeric(token: str, row: int, column: str) -> float:
+    """A numeric cell as numpy's parser reads it, or NonFiniteValue.
+
+    The grammar is that of ``float`` on the stripped token, restricted to
+    ASCII and without digit-separating underscores, which numpy rejects.
+    """
+    text = token.strip()
     try:
-        value = float(token)
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
+        value = float(text)
     except ValueError:
         raise NonFiniteValue(row, column, token) from None
     if not math.isfinite(value):
@@ -74,63 +86,110 @@ def _parse_numeric(token: str, row: int, column: str) -> float:
     return value
 
 
+def _read_header(path: str) -> tuple[list[str], int]:
+    """Stripped header cells and the number of lines up to and including them."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        header = next((row for row in reader if row), None)
+        if header is None:
+            raise EmptyFile(f"{path!r} has no header row")
+        header_lines = reader.line_num
+        if next((row for row in reader if row), None) is None:
+            raise EmptyFile(f"{path!r} has a header but no data rows")
+    return [cell.strip() for cell in header], header_lines
+
+
+def _raise_first_error(
+    config: AnalyzeConfig, width: int, index: dict[str, int], reason: str
+) -> NoReturn:
+    """Raise the error of the first bad cell, scanning rows as ``csv`` splits them.
+
+    Runs only after the one-pass parse or its checks failed, and returns no
+    data. Rows are numbered over non-empty data rows; within a row the
+    outcome is checked first, then the treatment, then the covariates in
+    config order. Should the scan find nothing (``csv`` and numpy split the
+    file differently), ``reason`` is reported instead.
+    """
+    with open(config.input_path, newline="", encoding="utf-8-sig") as handle:
+        records = (row for row in csv.reader(handle) if row)
+        next(records)  # the header
+        for i, record in enumerate(records, start=1):
+            if len(record) != width:
+                raise WrongFieldCount(i, width, len(record))
+            _parse_numeric(record[index[config.outcome]], i, config.outcome)
+            t_tok = record[index[config.treatment]].strip()
+            if _parse_numeric(t_tok, i, config.treatment) not in (0.0, 1.0):
+                raise NonBinaryTreatment(i, t_tok)
+            for cov in config.covariates:
+                _parse_numeric(record[index[cov]], i, cov)
+    raise InputDataError(f"{config.input_path!r} could not be parsed: {reason}")
+
+
 def load_dataset(config: AnalyzeConfig) -> LoadedDataset:
-    """Read the CSV named in the config into a validated RctDataset."""
+    """Read the CSV named in the config into a validated RctDataset.
+
+    One ``np.loadtxt`` pass parses the file: RFC-4180 quoting, no comment
+    lines, float columns for the outcome, treatment and covariates, and
+    strings for the rest. Stratum and cluster labels come back as integer
+    codes in sorted label order. Any parse or value error is located by
+    :func:`_raise_first_error`.
+    """
     if not os.path.exists(config.input_path):
         raise EmptyFile(f"input file {config.input_path!r} does not exist")
-    with open(config.input_path, newline="", encoding="utf-8-sig") as handle:
-        rows = list(csv.reader(handle))
-    rows = [r for r in rows if r]
-    if not rows:
-        raise EmptyFile(f"{config.input_path!r} has no header row")
-    header = [cell.strip() for cell in rows[0]]
-    records = rows[1:]
-    if not records:
-        raise EmptyFile(f"{config.input_path!r} has a header but no data rows")
+    header, header_lines = _read_header(config.input_path)
 
     index: dict[str, int] = {}
-    for name in (config.outcome, config.treatment, *config.covariates):
-        if name not in header:
-            raise MissingColumn(name)
-        index[name] = header.index(name)
-    for name in (config.cluster, config.strata):
+    roles = (config.outcome, config.treatment, *config.covariates, config.cluster, config.strata)
+    for name in roles:
         if name is not None:
             if name not in header:
                 raise MissingColumn(name)
             index[name] = header.index(name)
 
-    n = len(records)
-    outcome = np.empty(n)
-    treatment = np.empty(n)
-    covariates = np.empty((n, len(config.covariates)))
-    cluster = [] if config.cluster is not None else None
-    strata = [] if config.strata is not None else None
-    for i, record in enumerate(records, start=1):
-        if len(record) != len(header):
-            raise WrongFieldCount(i, len(header), len(record))
-        outcome[i - 1] = _parse_numeric(record[index[config.outcome]], i, config.outcome)
-        t_tok = record[index[config.treatment]].strip()
-        t_val = _parse_numeric(t_tok, i, config.treatment)
-        if t_val not in (0.0, 1.0):
-            raise NonBinaryTreatment(i, t_tok)
-        treatment[i - 1] = t_val
-        for k, cov in enumerate(config.covariates):
-            covariates[i - 1, k] = _parse_numeric(record[index[cov]], i, cov)
-        if cluster is not None:
-            cluster.append(record[index[config.cluster]])
-        if strata is not None:
-            strata.append(record[index[config.strata]])
+    numeric = [index[name] for name in (config.outcome, config.treatment, *config.covariates)]
+    dtype = np.dtype(
+        [(f"c{j}", "f8" if j in numeric else "O") for j in range(len(header))]
+    )
+    try:
+        table = np.loadtxt(
+            config.input_path,
+            dtype=dtype,
+            delimiter=",",
+            quotechar='"',
+            comments=None,
+            skiprows=header_lines,
+            encoding="utf-8-sig",
+            ndmin=1,
+        )
+    except ValueError as err:
+        _raise_first_error(config, len(header), index, str(err))
+    # Label codes in sorted label order, as np.unique numbers them.
+    codes = {
+        name: np.unique(table[f"c{index[name]}"].astype(str), return_inverse=True)[1]
+        for name in (config.strata, config.cluster)
+        if name is not None
+    }
+    for j in set(range(len(header))) - set(numeric):
+        table[f"c{j}"] = None  # free the label strings before the numbers are copied
+    # Rows y, t, x_1..x_p: the covariates are a view of one contiguous block.
+    columns = np.empty((len(numeric), table.shape[0]))
+    for row, j in zip(columns, numeric):
+        row[:] = table[f"c{j}"]
+    del table
+    t = columns[1]
+    if not (np.isfinite(columns).all() and ((t == 0.0) | (t == 1.0)).all()):
+        _raise_first_error(config, len(header), index, "a non-finite or non-binary value")
 
     data = RctDataset(
-        outcome=outcome,
-        treatment=treatment,
-        covariates=covariates,
-        strata=np.asarray(strata) if strata is not None else None,
+        outcome=columns[0],
+        treatment=t,
+        covariates=columns[2:].T,
+        strata=codes.get(config.strata),
     )
     return LoadedDataset(
         data=data,
         covariate_names=config.covariates,
-        cluster_ids=np.asarray(cluster) if cluster is not None else None,
+        cluster_ids=codes.get(config.cluster),
     )
 
 
@@ -189,6 +248,10 @@ class SimulateConfig:
             raise ConfigError(f"reps must be at least 1000, got {self.reps}")
         if self.seed is None:
             raise ConfigError("a seed is required for reproducibility")
+        threshold = float(self.rule.threshold)
+        if self.lab == "selection" and not (math.isfinite(threshold) and threshold > 0.0):
+            # A built-in rule with such a threshold passes always or never.
+            raise ConfigError(f"rule threshold must be positive and finite, got {threshold}")
         if self.lab == "misspec" and not isinstance(self.dgp, GaussianDgpSpec):
             raise ConfigError("the misspec lab runs on the gaussian DGP only")
         if self.oversample < 1:

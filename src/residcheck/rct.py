@@ -10,8 +10,11 @@ the joint covariance of estimate and checks.
 
 All estimators are computed on within-stratum demeaned data when stratum
 labels are supplied (mirroring block-randomized designs with fixed effects)
-and on the raw data otherwise; without strata the regression forms reduce
-exactly to the textbook formulas
+and on globally demeaned data otherwise. Each dataset demeans [t, y, X]
+once (``RctDataset.centered``) and computes the slopes and influence
+contributions of y and X on t once (``RctDataset.influence``): the short,
+balance, residualized and long estimators of one dataset all read these.
+Without strata the regression forms reduce exactly to the textbook formulas
 
     c_short = mean(Y | T=1) - mean(Y | T=0)
     gamma_k = mean(X_k | T=1) - mean(X_k | T=0)
@@ -28,10 +31,11 @@ pipeline, and only the RCT selection lab runs it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._fixed_order import dot
+from ._fixed_order import dot, group_sums
 from .core import JointCovariance, ResidualizationResult, residualize
 from .covariance import InfluenceContributions, joint_covariance
 from .errors import DimensionMismatch, EmptyArm, RankDeficientDesign
@@ -87,45 +91,71 @@ class RctDataset:
     def p_gamma(self) -> int:
         return self.covariates.shape[1]
 
+    @cached_property
+    def centered(self) -> np.ndarray:
+        """Rows t, y, x_1..x_p demeaned (within strata when given), shape (2 + p, n).
 
-def _demean(values: np.ndarray, strata: np.ndarray | None) -> np.ndarray:
-    """Subtract global or within-stratum means (columnwise for 2-d input).
+        Computed on first use and shared by every estimator of the dataset;
+        read-only.
+        """
+        rows = np.empty((2 + self.p_gamma, self.n))  # C order, one row per column
+        rows[0], rows[1], rows[2:] = self.treatment, self.outcome, self.covariates.T
+        _demean(rows, self.strata)
+        rows.flags.writeable = False
+        return rows
 
-    Global means are summed pairwise over each column copied to a contiguous
-    row, so their bits do not depend on the memory layout of ``values``.
+    @cached_property
+    def influence(self) -> tuple[np.ndarray, np.ndarray]:
+        """Slopes of y, x_1..x_p on t and their (1 + p, n) influence contributions.
+
+        Row 0 belongs to the difference in means, rows 1..p to the balance
+        vector. Computed on first use; the contributions are read-only.
+        """
+        slopes, contribs = _slopes_and_influence(self.centered[0], self.centered[1:])
+        contribs.flags.writeable = False
+        return slopes, contribs
+
+
+def _demean(rows: np.ndarray, strata: np.ndarray | None) -> None:
+    """Subtract in place from each row of a C-order (k, n) array its global or within-stratum mean.
+
+    Global means are summed pairwise over each row and stratum sums in row
+    order (:func:`_fixed_order.group_sums`), so the bits do not depend on the
+    memory layout of the data the rows were copied from.
     """
     if strata is None:
-        columns = np.ascontiguousarray(values.T)
-        return values - np.add.reduce(columns, axis=-1) / values.shape[0]
+        rows -= (np.add.reduce(rows, axis=1) / rows.shape[1])[:, None]
+        return
     _, inverse = np.unique(strata, return_inverse=True)
-    counts = np.bincount(inverse).astype(float)
-    flat = values if values.ndim == 2 else values[:, None]
-    sums = np.zeros((counts.shape[0], flat.shape[1]))
-    np.add.at(sums, inverse, flat)
-    centered = flat - (sums / counts[:, None])[inverse]
-    return centered if values.ndim == 2 else centered[:, 0]
+    means = group_sums(inverse, rows) / np.bincount(inverse)
+    for row, mean in zip(rows, means):
+        row -= mean[inverse]
 
 
 def _slopes_and_influence(t_c: np.ndarray, rows: np.ndarray):
-    """Slopes of each demeaned row of ``rows`` (k x n) on demeaned t.
+    """Slopes of each demeaned row of a C-order (k, n) array on demeaned t.
 
-    Returns the k slopes and their k x n influence contributions. Each slope
-    is summed pairwise over a contiguous row, like :func:`_fixed_order.dot`.
+    Returns the k slopes and their k x n influence contributions
+    t_c (row - slope t_c) / (t_c't_c / n), built in one k x n buffer. Each
+    slope is summed pairwise over a contiguous row, like
+    :func:`_fixed_order.dot`.
     """
-    rows = np.ascontiguousarray(rows)
     t_sq = dot(t_c, t_c)
     denom = t_sq / t_c.shape[0]
     if denom <= 0.0:
         raise EmptyArm("treatment indicator has no within-stratum variation")
-    slopes = np.add.reduce(t_c * rows, axis=1) / t_sq
-    return slopes, t_c * (rows - slopes[:, None] * t_c) / denom
+    out = t_c * rows
+    slopes = np.add.reduce(out, axis=1) / t_sq
+    np.multiply(slopes[:, None], t_c, out=out)
+    np.subtract(rows, out, out=out)
+    out *= t_c
+    out /= denom
+    return slopes, out
 
 
 def short_estimator(data: RctDataset) -> tuple[float, np.ndarray]:
     """Difference in mean outcomes and its influence contributions."""
-    t_c = _demean(data.treatment, data.strata)
-    y_c = _demean(data.outcome, data.strata)
-    slopes, contribs = _slopes_and_influence(t_c, y_c[None, :])
+    slopes, contribs = data.influence
     return float(slopes[0]), contribs[0]
 
 
@@ -135,10 +165,8 @@ def balance_stats(data: RctDataset) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(gamma_hat, contributions)`` with contributions of shape
     (n, p).
     """
-    t_c = _demean(data.treatment, data.strata)
-    x_c = _demean(data.covariates, data.strata)
-    gamma, contribs = _slopes_and_influence(t_c, x_c.T)
-    return gamma, contribs.T
+    slopes, contribs = data.influence
+    return slopes[1:], contribs[1:].T
 
 
 def long_regression(data: RctDataset) -> tuple[float, np.ndarray]:
@@ -147,10 +175,8 @@ def long_regression(data: RctDataset) -> tuple[float, np.ndarray]:
     Returns ``(c_long, beta_long)``. The design is factored by QR; a
     rank-deficient design is an error, never repaired by dropping columns.
     """
-    t_c = _demean(data.treatment, data.strata)
-    x_c = _demean(data.covariates, data.strata)
-    y_c = _demean(data.outcome, data.strata)
-    design = np.column_stack([t_c, x_c])
+    t_c, y_c, x_c = data.centered[0], data.centered[1], data.centered[2:]
+    design = np.column_stack([t_c, x_c.T])
     q, r = np.linalg.qr(design)
     diag = np.abs(np.diag(r))
     if diag.min() <= _RANK_RTOL * diag.max():
@@ -173,10 +199,11 @@ def residualized_estimator(
     residualized estimate) and the validated covariance, which carries the
     standard errors.
     """
-    c_short, contrib_c = short_estimator(data)
-    gamma_hat, contrib_g = balance_stats(data)
-    stacked = InfluenceContributions(
-        np.column_stack([contrib_c, contrib_g]), cluster_ids=cluster_ids
-    )
+    c_short, _ = short_estimator(data)
+    gamma_hat, _ = balance_stats(data)
+    # Both are read from the dataset's one (1 + p, n) contribution array;
+    # transposed, it is the n x (1 + p) matrix joint_covariance reads
+    # without a copy.
+    stacked = InfluenceContributions(data.influence[1].T, cluster_ids=cluster_ids)
     sigma = joint_covariance(stacked)
     return residualize(c_short, gamma_hat, sigma.lam), sigma

@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from residcheck.errors import (
@@ -47,6 +49,17 @@ def config_for(path, **kwargs):
     )
     defaults.update(kwargs)
     return AnalyzeConfig(**defaults)
+
+
+def labelled_csv(labels, quote=False):
+    """WELL_FORMED plus a cluster column g holding one label per row."""
+    head, *rows = WELL_FORMED.splitlines()
+    cells = [f'"{lab.replace(chr(34), 2 * chr(34))}"' if quote else lab for lab in labels]
+    return "\n".join([head + ",g"] + [f"{r},{c}" for r, c in zip(rows, cells)]) + "\n"
+
+
+def cluster_codes(tmp_path, text):
+    return load_dataset(config_for(write(tmp_path, text), cluster="g")).cluster_ids.tolist()
 
 
 class TestLoadDataset:
@@ -124,6 +137,102 @@ class TestLoadDataset:
         loaded = load_dataset(config)
         assert loaded.cluster_ids is not None and len(loaded.cluster_ids) == 8
         assert loaded.data.strata is not None
+
+    def test_hash_inside_label_is_data(self, tmp_path):
+        # A comment character would cut "g#1" and "g#2" down to one label "g".
+        text = labelled_csv(["g#1", "g#2", "g#1", "g#2", "g#1", "g#2"])
+        assert cluster_codes(tmp_path, text) == [0, 1, 0, 1, 0, 1]
+
+    def test_quoted_comma_and_doubled_quote(self, tmp_path):
+        labels = ["a,b", 'a"b', "a,b", 'a"b', "a", "a,b"]
+        codes = cluster_codes(tmp_path, labelled_csv(labels, quote=True))
+        # Sorted label order: 'a' < 'a"b' < 'a,b'.
+        assert codes == [2, 1, 2, 1, 0, 2]
+
+    def test_crlf_and_byte_order_mark(self, tmp_path):
+        plain = load_dataset(config_for(write(tmp_path, WELL_FORMED, "lf.csv"))).data
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + WELL_FORMED.replace("\n", "\r\n").encode())
+        crlf = load_dataset(config_for(str(path))).data
+        assert crlf.outcome.tobytes() == plain.outcome.tobytes()
+        assert crlf.covariates.tobytes() == plain.covariates.tobytes()
+
+    def test_blank_lines_do_not_count_as_rows(self, tmp_path):
+        text = WELL_FORMED.replace("2.0,0,0.3,0.1\n", "2.0,0,0.3,0.1\n\n\n")
+        assert load_dataset(config_for(write(tmp_path, text))).data.n == 6
+        bad = text.replace("1.5,1,0.0,0.4", "1.5,1,inf,0.4")
+        with pytest.raises(NonFiniteValue) as err:
+            load_dataset(config_for(write(tmp_path, bad)))
+        assert err.value.row == 3
+
+    def test_extra_field_is_wrong_field_count(self, tmp_path):
+        bad = WELL_FORMED.replace("1.5,1,0.0,0.4", "1.5,1,0.0,0.4,9")
+        with pytest.raises(WrongFieldCount) as err:
+            load_dataset(config_for(write(tmp_path, bad)))
+        assert (err.value.row, err.value.expected, err.value.actual) == (3, 4, 5)
+
+    def test_labels_are_compared_as_written(self, tmp_path):
+        text = labelled_csv(["01", "1", " a", "a", "01", "a"])
+        # Sorted label order: ' a' < '01' < '1' < 'a'.
+        assert cluster_codes(tmp_path, text) == [1, 2, 0, 3, 1, 3]
+
+    @pytest.mark.parametrize(
+        "row, covariates, error, column",
+        [
+            ("abc,2,nan,0.4", ("x1", "x2"), NonFiniteValue, "y"),
+            ("1.5,2,nan,0.4", ("x1", "x2"), NonBinaryTreatment, None),
+            ("1.5,x,nan,0.4", ("x1", "x2"), NonFiniteValue, "t"),
+            ("1.5,1,nan,inf", ("x1", "x2"), NonFiniteValue, "x1"),
+            ("1.5,1,nan,inf", ("x2", "x1"), NonFiniteValue, "x2"),
+        ],
+    )
+    def test_first_bad_cell_in_row_is_reported(self, tmp_path, row, covariates, error, column):
+        bad = WELL_FORMED.replace("1.5,1,0.0,0.4", row).replace("2.5,1,0.5,0.0", "2.5,9,0.5,0.0")
+        with pytest.raises(error) as err:
+            load_dataset(config_for(write(tmp_path, bad), covariates=covariates))
+        assert err.value.row == 3
+        if column is not None:
+            assert err.value.column == column
+
+    @pytest.mark.parametrize("token", ["1_000", "\uff11", "1\u0663", "0x10"])
+    def test_tokens_outside_numpy_grammar(self, tmp_path, token):
+        # float() reads the first three, numpy's parser none of them.
+        bad = WELL_FORMED.replace("0.5,0,0.2,0.3", f"0.5,0,0.2,{token}")
+        with pytest.raises(NonFiniteValue) as err:
+            load_dataset(config_for(write(tmp_path, bad)))
+        assert (err.value.row, err.value.column) == (4, "x2")
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(allow_nan=False, allow_infinity=False),
+                # No CR: numpy reads with universal newlines, so a CR inside
+                # quotes comes back as LF, where csv keeps it.
+                st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r")),
+            ),
+            min_size=4,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_csv_module_reference(self, tmp_path_factory, rows):
+        lines = ["y,t,x1,g"]
+        for i, (y, x, label) in enumerate(rows):
+            quoted = label.replace('"', '""')
+            lines.append(f'{y!r},{i % 2},{x!r},"{quoted}"')
+        path = tmp_path_factory.mktemp("prop") / "data.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+        loaded = load_dataset(config_for(str(path), covariates=("x1",), cluster="g"))
+
+        with open(path, newline="", encoding="utf-8") as handle:
+            records = [r for r in csv.reader(handle) if r][1:]
+        want = np.array([[float(c) for c in r[:3]] for r in records])
+        assert loaded.data.outcome.tobytes() == want[:, 0].tobytes()
+        assert loaded.data.treatment.tobytes() == want[:, 1].tobytes()
+        assert loaded.data.covariates.tobytes() == want[:, 2:].tobytes()
+        want_codes = np.unique(np.array([r[3] for r in records]), return_inverse=True)[1]
+        assert loaded.cluster_ids.tolist() == want_codes.tolist()
 
 
 class TestAnalyzeReport:
@@ -333,6 +442,17 @@ class TestCli:
         error = json.loads(result.stderr.decode())
         assert error["error"] == "MissingColumn"
 
+    def test_token_numpy_rejects_is_an_input_error(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(WELL_FORMED.replace("0.5,0,0.2,0.3", "0.5,0,1_000,0.3"))
+        result = run_cli("analyze", "--input", str(path), "--covariates", "x1,x2")
+        assert result.returncode == 2
+        lines = result.stderr.decode().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "NonFiniteValue"
+        assert "'x1' on row 4" in error["message"]
+
     def test_validation_error_exit_code(self, tmp_path):
         # A covariate identical to the outcome makes the residual variance zero.
         rows = ["y,t,x1"]
@@ -402,8 +522,16 @@ class TestCli:
             (("--lab", "selection", "--coord", "3"), None),
             (("--lab", "selection"), {"RESID_THREADS": "x"}),
             (("--lab", "misspec", "--oversample", "0"), None),
+            (("--lab", "selection", "--threshold", "-1"), None),
         ],
-        ids=["misspec-rct", "lambda-abc", "coord-out-of-range", "threads-x", "oversample-0"],
+        ids=[
+            "misspec-rct",
+            "lambda-abc",
+            "coord-out-of-range",
+            "threads-x",
+            "oversample-0",
+            "threshold-neg",
+        ],
     )
     def test_simulate_config_errors_are_json(self, args, env):
         result = run_cli(
