@@ -36,10 +36,10 @@ def gram(cols: np.ndarray) -> np.ndarray:
     cols = np.ascontiguousarray(cols, dtype=float)
     k = cols.shape[0]
     out = np.empty((k, k))
+    product = np.empty(cols.shape[1])  # reused by every pair: no (k, m) temporary
     for i in range(k):
-        row = np.add.reduce(cols[i] * cols[i:], axis=1)
-        out[i, i:] = row
-        out[i:, i] = row
+        for j in range(i, k):
+            out[i, j] = out[j, i] = np.add.reduce(np.multiply(cols[i], cols[j], out=product))
     return out
 
 

@@ -42,8 +42,13 @@ def _csv_floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors end as one-line JSON with exit 2
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="residcheck",
         description="Residualize an estimator on its diagnostic checks.",
     )
@@ -79,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--n", type=int, required=True)
     simulate.add_argument("--reps", type=int, required=True)
     simulate.add_argument("--seed", type=int, required=True)
-    simulate.add_argument("--oversample", type=int, default=20)
     simulate.add_argument("--output", default=None)
     simulate.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -157,7 +161,6 @@ def _cmd_simulate(args) -> None:
         dgp=dgp,
         rule=RuleSpec(kind=args.rule, threshold=args.threshold, coord=args.coord),
         score=ScoreSpec(lam=lam, mu=args.mu),
-        oversample=args.oversample,
         output_path=args.output,
         report_format=args.format,
     )
@@ -199,7 +202,6 @@ def _cmd_decompose(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {
         "analyze": _cmd_analyze,
         "simulate": _cmd_simulate,
@@ -207,6 +209,7 @@ def main(argv=None) -> int:
         "decompose": _cmd_decompose,
     }
     try:
+        args = build_parser().parse_args(argv)
         handlers[args.command](args)
     except ResidcheckError as err:
         error = {"error": type(err).__name__, "message": str(err)}

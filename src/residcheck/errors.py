@@ -113,4 +113,4 @@ class ZeroInfluence(EstimationError):
 
 
 class WeightUnderflow(EstimationError):
-    """Perturbation weights 1 + s/sqrt(n) would go negative at this n."""
+    """Perturbation weights 1 + s/sqrt(n) fall outside [0, 2] at this n."""

@@ -233,7 +233,6 @@ class SimulateConfig:
     dgp: GaussianDgpSpec | RctDgpSpec = field(default_factory=GaussianDgpSpec)
     rule: RuleSpec = field(default_factory=RuleSpec)
     score: ScoreSpec = field(default_factory=ScoreSpec)
-    oversample: int = 20
     output_path: str | None = None
     report_format: str = "json"
 
@@ -254,7 +253,5 @@ class SimulateConfig:
             raise ConfigError(f"rule threshold must be positive and finite, got {threshold}")
         if self.lab == "misspec" and not isinstance(self.dgp, GaussianDgpSpec):
             raise ConfigError("the misspec lab runs on the gaussian DGP only")
-        if self.oversample < 1:
-            raise ConfigError(f"oversample must be at least 1, got {self.oversample}")
         if self.report_format not in ("json", "csv"):
             raise ConfigError(f"simulate output format must be json or csv, got {self.report_format!r}")

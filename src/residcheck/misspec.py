@@ -8,14 +8,14 @@ the score ball by s* = mu psi_lambda / ||psi_lambda||, so the worst-case
 bias equals mu ||psi_lambda|| and is minimized at the residualizing
 coefficient.
 
-Sampling from the perturbed law uses sampling-importance-resampling with the
-linear weights 1 + s/sqrt(n): a pool of ``oversample * n`` base draws is
-resampled with replacement proportionally to the weights. The linear weights
-are the object of interest here, so instead of switching to an exponential
-tilt we require the weights to stay positive, checked on a large pilot
-sample before any data are produced (WeightUnderflow otherwise); weights
-that still come out negative in the far tail are clipped to zero, an event
-of vanishing probability once the pilot bound holds.
+Sampling from the perturbed law is exact rejection sampling with the
+envelope 2 dP0: a base draw d with acceptance uniform u is kept when
+2 u < 1 + s(d)/sqrt(n). The linear weights are the object of interest here,
+so instead of switching to an exponential tilt we require them to lie in
+[0, 2]: a proposal whose weight falls outside raises WeightUnderflow, and
+weights are never clipped. The bias runners first check sup |s|/sqrt(n) < 1
+on a pilot sample, so that a bad n fails before any replication. Half of
+all proposals are accepted on average, and no row is repeated.
 
 Norms and inner products ("predicted" biases) are always estimated on a
 calibration sample drawn independently of the evaluation replications.
@@ -37,7 +37,6 @@ ScoreFn = Callable[[np.ndarray], np.ndarray]
 
 DEFAULT_CALIBRATION_DRAWS = 1_000_000
 DEFAULT_PILOT_DRAWS = 1_000_000
-DEFAULT_OVERSAMPLE = 20
 # Budget guard on reps * n for a bias measurement run.
 MAX_TOTAL_DRAWS = 500_000_000
 
@@ -170,39 +169,43 @@ def check_weight_bound(
     return sup
 
 
-def _resample(
-    pool: np.ndarray, weights: np.ndarray, n: int, uniforms: np.ndarray
-) -> np.ndarray:
-    cdf = np.cumsum(weights)
-    idx = np.searchsorted(cdf, uniforms * cdf[-1], side="right")
-    return pool[np.minimum(idx, pool.shape[0] - 1)]
+def _draw_accepted(
+    rng: np.random.Generator, p0_sampler: Sampler, scores: list[ScoreFn], n: int
+) -> list[np.ndarray]:
+    """For each score, n exact draws from (1 + s/sqrt(n)) dP0 by rejection.
 
-
-def _draw_perturbed(
-    rng: np.random.Generator,
-    p0_sampler: Sampler,
-    score: MisspecScore,
-    n: int,
-    oversample: int,
-) -> np.ndarray:
-    pool = p0_sampler(rng, oversample * n)
-    weights = np.clip(1.0 + score(pool) / math.sqrt(n), 0.0, None)
-    return _resample(pool, weights, n, rng.random(n))
+    Proposals and acceptance uniforms are drawn in chunks of 2n + 4 sqrt(n)
+    rows, so one chunk nearly always suffices (half of all proposals are
+    accepted on average). Every score reads the same stream and keeps its
+    first n accepted rows: one score's sample does not depend on the others.
+    """
+    root_n = math.sqrt(n)
+    chunk = 2 * n + 4 * math.isqrt(n)
+    kept: list[list[np.ndarray]] = [[] for _ in scores]
+    missing = [n] * len(scores)
+    while max(missing) > 0:
+        pool = p0_sampler(rng, chunk)
+        twice_u = 2.0 * rng.random(chunk)
+        for k, score in enumerate(scores):
+            if missing[k] == 0:
+                continue
+            weights = 1.0 + score(pool) / root_n
+            if not np.all((weights >= 0.0) & (weights <= 2.0)):
+                raise WeightUnderflow(
+                    f"a weight 1 + s/sqrt(n) falls outside [0, 2] at n = {n}; "
+                    "n is too small for this mu and score shape"
+                )
+            kept[k].append(pool[twice_u < weights][: missing[k]])
+            missing[k] -= kept[k][-1].shape[0]
+    return [np.concatenate(parts) for parts in kept]
 
 
 def sample_perturbed(
-    p0_sampler: Sampler,
-    score: MisspecScore,
-    n: int,
-    seed: int,
-    oversample: int = DEFAULT_OVERSAMPLE,
-    skip_pilot: bool = False,
+    p0_sampler: Sampler, score: MisspecScore, n: int, seed: int
 ) -> np.ndarray:
     """Draw n observations from the locally perturbed law (1 + s/sqrt(n)) dP0."""
-    if not skip_pilot:
-        check_weight_bound(score, p0_sampler, n, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(904,)))
-    return _draw_perturbed(rng, p0_sampler, score, n, oversample)
+    return _draw_accepted(rng, p0_sampler, [score], n)[0]
 
 
 def measure_bias(
@@ -212,7 +215,6 @@ def measure_bias(
     n: int,
     reps: int,
     seed: int,
-    oversample: int = DEFAULT_OVERSAMPLE,
     calibration_draws: int = DEFAULT_CALIBRATION_DRAWS,
     threads: int | None = None,
     max_total_draws: int = MAX_TOTAL_DRAWS,
@@ -220,8 +222,8 @@ def measure_bias(
     """Measured sqrt(n)-scale bias under the perturbed law vs its prediction.
 
     sqrt_n_bias averages sqrt(n) (estimate - c_true) over independent
-    replications drawn through the resampler; predicted is the calibration
-    estimate of E0[psi s]. Both carry MC standard errors.
+    replications, each n exact draws from the perturbed law; predicted is the
+    calibration estimate of E0[psi s]. Both carry MC standard errors.
     """
     if reps * n > max_total_draws:
         raise ConfigError(
@@ -245,7 +247,7 @@ def measure_bias(
         rng = np.random.default_rng(children[b])
         vals = np.empty(sizes[b])
         for i in range(sizes[b]):
-            data = _draw_perturbed(rng, p0_sampler, score, n, oversample)
+            data = _draw_accepted(rng, p0_sampler, [score], n)[0]
             vals[i] = root_n * (estimator.estimate(data) - estimator.c_true)
         return vals
 
@@ -287,15 +289,15 @@ def worst_case_bias_profile(
     n: int,
     reps: int,
     seed: int,
-    oversample: int = DEFAULT_OVERSAMPLE,
     calibration_draws: int = DEFAULT_CALIBRATION_DRAWS,
     threads: int | None = None,
 ) -> BiasProfile:
     """Measure bias of the fixed-lambda adjustment under its own worst case.
 
-    All (mu, lambda) combinations share the base-model pool and resampling
-    uniforms within a replication (common random numbers), which is what
-    makes the argmin over the lambda grid detectable at moderate rep counts.
+    All (mu, lambda) combinations read one stream of proposals and acceptance
+    uniforms per replication (common random numbers, which make the argmin
+    over the lambda grid detectable at moderate rep counts), so a
+    combination's result does not depend on the rest of the grid.
     Scalar-check DGPs only.
     """
     if dgp.p_gamma != 1:
@@ -310,46 +312,44 @@ def worst_case_bias_profile(
     children = ss.spawn(len(sizes) + 2)
 
     calib = dgp.draw(np.random.default_rng(children[-1]), calibration_draws)
-    psis = [np.asarray(dgp.influence_adjusted(lam)(calib), dtype=float) for lam in lambdas]
+    psi_fns = [dgp.influence_adjusted(lam) for lam in lambdas]
+    psis = [np.asarray(psi(calib), dtype=float) for psi in psi_fns]
     norms = np.array([math.sqrt(float(np.mean(v**2))) for v in psis])
     if norms.min() < 1e-12:
         raise ZeroInfluence("an adjusted influence function is numerically zero")
 
-    # Pilot weight bound across all combinations on a shared pilot sample.
+    # Pilot weight bound across all combinations, so that a bad n fails fast.
     pilot = dgp.draw(np.random.default_rng(children[-2]), DEFAULT_PILOT_DRAWS)
     root_n = math.sqrt(n)
     for j, lam in enumerate(lambdas):
-        sup = float(np.abs(dgp.influence_adjusted(lam)(pilot)).max()) / norms[j]
+        sup = float(np.abs(psi_fns[j](pilot)).max()) / norms[j]
         if mus.max() * sup / root_n >= 1.0:
             raise WeightUnderflow(
-                f"lambda = {lam:.4g}, mu = {mus.max():.4g}: pilot weights reach zero at n = {n}"
+                f"lambda = {lam:.4g}, mu = {mus.max():.4g}: pilot weights leave (0, 2) at n = {n}"
             )
 
     n_mu, n_lam = mus.shape[0], lambdas.shape[0]
+    # One score per (mu, lambda), mu-major: s* = mu psi_lambda / ||psi_lambda||.
+    scores = [
+        lambda data, scale=mu / norm, psi=psi: scale * psi(data)
+        for mu in mus
+        for psi, norm in zip(psi_fns, norms)
+    ]
 
     def run_batch(b: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = np.random.default_rng(children[b])
-        sums = np.zeros((2, n_mu, n_lam, sizes[b]))
-        m = oversample * n
-        for i in range(sizes[b]):
-            pool = dgp.draw(rng, m)
-            uniforms = rng.random(n)
-            psi_pool = [dgp.influence_adjusted(lam)(pool) for lam in lambdas]
-            for a, mu in enumerate(mus):
-                for j, lam in enumerate(lambdas):
-                    s_vals = mu / norms[j] * psi_pool[j]
-                    weights = np.clip(1.0 + s_vals / root_n, 0.0, None)
-                    data = _resample(pool, weights, n, uniforms)
-                    est = dgp.estimate_fixed(data, lam)
-                    scaled = root_n * (est - dgp.c_true)
-                    sums[0, a, j, i] = scaled
-                    sums[1, a, j, i] = scaled**2
-            del pool, psi_pool
+        sums = np.zeros((2, n_mu * n_lam, sizes[b]))
+        for i, rep_seed in enumerate(children[b].spawn(sizes[b])):
+            samples = _draw_accepted(np.random.default_rng(rep_seed), dgp.draw, scores, n)
+            for k, data in enumerate(samples):
+                est = dgp.estimate_fixed(data, lambdas[k % n_lam])
+                scaled = root_n * (est - dgp.c_true)
+                sums[0, k, i] = scaled
+                sums[1, k, i] = scaled**2
         return sums[0], sums[1]
 
     parts = map_batches(run_batch, len(sizes), threads)
-    scaled = np.concatenate([p[0] for p in parts], axis=-1)
-    squared = np.concatenate([p[1] for p in parts], axis=-1)
+    scaled = np.concatenate([p[0] for p in parts], axis=-1).reshape(n_mu, n_lam, reps)
+    squared = np.concatenate([p[1] for p in parts], axis=-1).reshape(n_mu, n_lam, reps)
     return BiasProfile(
         lambdas=lambdas,
         mus=mus,

@@ -250,7 +250,6 @@ def run_simulate(config: SimulateConfig, threads: int | None = None) -> dict:
             n=config.n,
             reps=config.reps,
             seed=config.seed,
-            oversample=config.oversample,
             threads=threads,
         )
         payload["results"] = to_jsonable(measurement)

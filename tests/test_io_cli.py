@@ -26,6 +26,7 @@ from residcheck.report import build_analyze_report, json_bytes
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 FIXTURE_CSV = DATA_DIR / "rct_fixture.csv"
 GOLDEN_JSON = DATA_DIR / "rct_fixture_report.json"
+SIZES = ("--n", "100", "--reps", "1000", "--seed", "1")
 
 WELL_FORMED = """y,t,x1,x2
 1.0,1,0.1,0.2
@@ -517,12 +518,14 @@ class TestCli:
     @pytest.mark.parametrize(
         "args, env",
         [
-            (("--lab", "misspec", "--dgp", "rct"), None),
-            (("--lab", "misspec", "--lambda", "abc"), None),
-            (("--lab", "selection", "--coord", "3"), None),
-            (("--lab", "selection"), {"RESID_THREADS": "x"}),
-            (("--lab", "misspec", "--oversample", "0"), None),
-            (("--lab", "selection", "--threshold", "-1"), None),
+            (("--lab", "misspec", "--dgp", "rct", *SIZES), None),
+            (("--lab", "misspec", "--lambda", "abc", *SIZES), None),
+            (("--lab", "selection", "--coord", "3", *SIZES), None),
+            (("--lab", "selection", *SIZES), {"RESID_THREADS": "x"}),
+            (("--lab", "misspec", "--oversample", "0", *SIZES), None),
+            (("--lab", "selection", "--threshold", "-1", *SIZES), None),
+            (("--lab", "selection", "--n", "abc", "--reps", "1000", "--seed", "1"), None),
+            (("--lab", "selection", "--n", "100", "--reps", "1000"), None),
         ],
         ids=[
             "misspec-rct",
@@ -531,16 +534,21 @@ class TestCli:
             "threads-x",
             "oversample-0",
             "threshold-neg",
+            "n-abc",
+            "missing-seed",
         ],
     )
     def test_simulate_config_errors_are_json(self, args, env):
-        result = run_cli(
-            "simulate", *args, "--n", "100", "--reps", "1000", "--seed", "1", env_extra=env
-        )
+        result = run_cli("simulate", *args, env_extra=env)
         assert result.returncode == 2, result.stderr
         lines = result.stderr.decode().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ConfigError"
+
+    def test_help_exits_zero(self):
+        result = run_cli("simulate", "--help")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith(b"usage: residcheck simulate")
 
     def test_import_leaves_scipy_unloaded(self):
         code = (

@@ -80,13 +80,10 @@ class TestSamplePerturbed:
         n, reps = 10_000, 300
         score = MisspecScore(fn=lambda d: d[:, 0], mu=1.0)
         check_weight_bound(score, scalar_normal_sampler, n)
-        rng = np.random.default_rng(4)
         means = []
-        for _ in range(reps):
-            pool = scalar_normal_sampler(rng, 20 * n)
-            w = np.clip(1.0 + score(pool) / math.sqrt(n), 0.0, None)
-            idx = np.searchsorted(np.cumsum(w), rng.random(n) * w.sum(), side="right")
-            means.append(pool[np.minimum(idx, pool.shape[0] - 1), 0].mean())
+        for rep in range(reps):
+            data = sample_perturbed(scalar_normal_sampler, score, n, seed=4_000 + rep)
+            means.append(data[:, 0].mean())
         grand = np.mean(means)
         mc_se = np.std(means, ddof=1) / math.sqrt(reps)
         assert grand == pytest.approx(1.0 / math.sqrt(n), abs=3 * mc_se)
@@ -96,13 +93,9 @@ class TestSamplePerturbed:
         # E0[D^2 (D^2-1)] / sqrt(n) = 2 / sqrt(n).
         n, reps = 10_000, 300
         score = MisspecScore(fn=lambda d: d[:, 0] ** 2 - 1.0, mu=2.0)
-        rng = np.random.default_rng(5)
         means, seconds = [], []
-        for _ in range(reps):
-            pool = scalar_normal_sampler(rng, 20 * n)
-            w = np.clip(1.0 + score(pool) / math.sqrt(n), 0.0, None)
-            idx = np.searchsorted(np.cumsum(w), rng.random(n) * w.sum(), side="right")
-            draw = pool[np.minimum(idx, pool.shape[0] - 1), 0]
+        for rep in range(reps):
+            draw = sample_perturbed(scalar_normal_sampler, score, n, seed=5_000 + rep)[:, 0]
             means.append(draw.mean())
             seconds.append(np.mean(draw**2))
         mean_se = np.std(means, ddof=1) / math.sqrt(reps)
@@ -115,6 +108,13 @@ class TestSamplePerturbed:
         with pytest.raises(WeightUnderflow):
             sample_perturbed(scalar_normal_sampler, score, 16, seed=6)
 
+    def test_no_repeated_rows(self):
+        # Rejection keeps distinct proposals; resampling a finite pool repeats them.
+        score = worst_case_score(PAIR.influence_adjusted(PAIR.lambda_opt), 1.0, PAIR.draw)
+        data = sample_perturbed(PAIR.draw, score, 2000, seed=15)
+        assert data.shape == (2000, 2)
+        assert np.unique(data, axis=0).shape[0] == 2000
+
     def test_reweighted_expectations_match_first_order(self):
         # E_{P_n}[g] = E0[g] + E0[g s] / sqrt(n) for bounded g.
         n = 2500
@@ -125,7 +125,7 @@ class TestSamplePerturbed:
             predicted = g(calib).mean() + (g(calib) * score(calib)).mean() / math.sqrt(n)
             samples = []
             for rep in range(200):
-                data = sample_perturbed(PAIR.draw, score, n, seed=100 + rep, skip_pilot=True)
+                data = sample_perturbed(PAIR.draw, score, n, seed=100 + rep)
                 samples.append(g(data).mean())
             mc_se = np.std(samples, ddof=1) / math.sqrt(len(samples))
             assert np.mean(samples) == pytest.approx(predicted, abs=3 * mc_se)
@@ -208,6 +208,20 @@ class TestBiasProfile:
             # sqrt(n)-scale MSE factorizes as (1 + mu^2) ||psi_lambda||^2.
             predicted_mse = (1 + mu**2) * (profile.predicted_bias[a] / mu) ** 2
             assert np.allclose(profile.mse[a], predicted_mse, rtol=0.05)
+
+    def test_single_cell_matches_full_grid(self):
+        # Common random numbers per replication: a (mu, lambda) cell's draws
+        # do not depend on which other cells are in the grid. About 1% of the
+        # grid's replications need a second chunk of proposals that the
+        # single cell does not, so 1,000 reps exercise that case.
+        lam = float(PAIR.lambda_opt[0])
+        lambdas = [0.0, lam / 2, lam, 1.5 * lam, 2 * lam]
+        mus = [0.5, 1.0, 2.0]
+        kwargs = dict(n=200, reps=1000, seed=16, calibration_draws=50_000)
+        full = worst_case_bias_profile(PAIR, lambdas, mus, **kwargs)
+        single = worst_case_bias_profile(PAIR, [lambdas[3]], [mus[1]], **kwargs)
+        for name in ("bias", "bias_se", "mse", "mse_se", "predicted_bias"):
+            assert getattr(single, name)[0, 0] == getattr(full, name)[1, 3], name
 
 
 class TestBiasDecomposition:
