@@ -13,33 +13,43 @@ which makes the report bytes independent of the BLAS kernel:
 * ``group_sums`` adds each row up within groups in row order
   (``np.bincount``), as ``np.add.at`` would, at a fraction of its cost.
 * ``cholesky`` and ``cho_solve`` factor and solve the p x p check block (p is
-  the number of checks, so small) over Python floats, each inner product
-  summed left to right.
+  the number of checks, so small), each inner product summed left to right.
+
+Every routine but ``group_sums`` works over the last axis (or last two) and
+takes any leading batch axes, so a stack of B problems is one call whose
+member b has the bits of a call on member b alone: the loops above run over
+the p or k entries of one member, each step elementwise over the stack.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .errors import SingularCheckCovariance
 
 
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    """sum_i a[i] b[i] of two 1-d arrays, summed pairwise."""
-    return float(np.add.reduce(np.multiply(a, b)))
+def scalar_or_stack(x):
+    """A Python float for a 0-d result, the array itself for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def dot(a: np.ndarray, b: np.ndarray):
+    """sum_k a[..., k] b[..., k], summed pairwise; a float for 1-d input."""
+    return scalar_or_stack(np.add.reduce(np.multiply(a, b), axis=-1))
 
 
 def gram(cols: np.ndarray) -> np.ndarray:
-    """k x k matrix of row inner products of a (k, m) array."""
+    """(..., k, k) matrix of row inner products of a (..., k, m) array."""
     cols = np.ascontiguousarray(cols, dtype=float)
-    k = cols.shape[0]
-    out = np.empty((k, k))
-    product = np.empty(cols.shape[1])  # reused by every pair: no (k, m) temporary
+    k = cols.shape[-2]
+    out = np.empty(cols.shape[:-1] + (k,))
+    # Reused by every pair: no (..., k, m) temporary.
+    product = np.empty(cols.shape[:-2] + cols.shape[-1:])
+    rows = [cols[..., i, :] for i in range(k)]
     for i in range(k):
         for j in range(i, k):
-            out[i, j] = out[j, i] = np.add.reduce(np.multiply(cols[i], cols[j], out=product))
+            np.multiply(rows[i], rows[j], out=product)
+            out[..., i, j] = out[..., j, i] = np.add.reduce(product, axis=-1)
     return out
 
 
@@ -51,46 +61,55 @@ def group_sums(codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.stack([np.bincount(codes, weights=row) for row in rows])
 
 
-def _sum_products(xs, ys) -> float:
-    """sum_i xs[i] ys[i] over Python floats, left to right."""
+def _sum_products(xs, ys):
+    """sum_k xs[k] ys[k] over floats or stacks, left to right."""
     acc = 0.0
     for x, y in zip(xs, ys):
-        acc += x * y
+        acc = acc + x * y
     return acc
 
 
+def _lower_entries(a: np.ndarray) -> list[list]:
+    """Entries a[..., i, j], j <= i, of a (..., p, p) array as nested lists of stacks."""
+    return [[a[..., i, j] for j in range(i + 1)] for i in range(a.shape[-1])]
+
+
 def cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower factor L with L L' = a of a small symmetric matrix.
+    """Lower factors L with L L' = a of a (stack of) small symmetric matrices.
 
     Raises :class:`SingularCheckCovariance` at the first pivot that is not
-    strictly positive.
+    strictly positive in any member of the stack.
     """
-    rows = np.asarray(a, dtype=float).tolist()
-    p = len(rows)
-    low = [[0.0] * p for _ in range(p)]
-    for j in range(p):
-        lj = low[j]
-        pivot = rows[j][j] - _sum_products(lj[:j], lj[:j])
-        if not pivot > 0.0:
+    a = np.asarray(a, dtype=float)
+    rows = _lower_entries(a)
+    low = [[] for _ in rows]
+    for j, lj in enumerate(low):
+        pivot = rows[j][j] - _sum_products(lj, lj)
+        if not (pivot > 0.0).all():
             raise SingularCheckCovariance(
                 "check covariance is not positive definite (Cholesky failed)"
             )
-        lj[j] = math.sqrt(pivot)
-        for i in range(j + 1, p):
-            low[i][j] = (rows[i][j] - _sum_products(low[i][:j], lj[:j])) / lj[j]
-    return np.array(low)
+        diag = np.sqrt(pivot)
+        for i in range(j + 1, len(rows)):
+            low[i].append((rows[i][j] - _sum_products(low[i], lj)) / diag)
+        lj.append(diag)
+    out = np.zeros(a.shape)
+    for i, li in enumerate(low):
+        for j, entry in enumerate(li):
+            out[..., i, j] = entry
+    return out
 
 
 def cho_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (L L') x = rhs for a vector rhs: forward, then back substitution."""
-    lows = np.asarray(low, dtype=float).tolist()
-    ups = [list(col) for col in zip(*lows)]
-    b = np.asarray(rhs, dtype=float).tolist()
+    """Solve (L L') x = rhs for vectors rhs: forward, then back substitution."""
+    lows = _lower_entries(np.asarray(low, dtype=float))
+    b = np.asarray(rhs, dtype=float)
     p = len(lows)
-    z = [0.0] * p
+    z = []
     for i in range(p):
-        z[i] = (b[i] - _sum_products(lows[i][:i], z[:i])) / lows[i][i]
-    x = [0.0] * p
+        z.append((b[..., i] - _sum_products(lows[i][:i], z)) / lows[i][i])
+    x = [None] * p
     for i in range(p - 1, -1, -1):
-        x[i] = (z[i] - _sum_products(ups[i][i + 1 :], x[i + 1 :])) / ups[i][i]
-    return np.array(x)
+        column = [lows[k][i] for k in range(i + 1, p)]
+        x[i] = (z[i] - _sum_products(column, x[i + 1 :])) / lows[i][i]
+    return np.stack(x, axis=-1)

@@ -50,13 +50,14 @@ RCOND_MIN = 1e-12
 INFORMATIVENESS_CAP = 1.0 - 1e-15
 
 
-def _as_row(x, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidCovariance(f"{name} contains non-finite entries")
-    return arr
+def _first(values, bad) -> float:
+    """The value of the first failing member, for an error message."""
+    return float(np.asarray(values)[bad].flat[0])
+
+
+def _sqrt(x):
+    """Square root of a float or of a stack, correctly rounded either way."""
+    return _fixed_order.scalar_or_stack(np.sqrt(x))
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,12 @@ class JointCovariance:
     the fixed summation order of :mod:`residcheck._fixed_order`, and keeps
     them; the properties below read the variance side of residualization
     off them.
+
+    A stack of B covariances with a common n and p is one object: then
+    ``sigma_c_sq`` has shape (B,), ``sigma_c_gamma`` (B, p) and
+    ``sigma_gamma_gamma`` (B, p, p), every gate runs over the stack and
+    raises its error if any member fails, and the properties are arrays
+    whose member b has the bits of the covariance built from member b alone.
     """
 
     sigma_c_sq: float
@@ -83,51 +90,64 @@ class JointCovariance:
     _explained: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        scg = _as_row(self.sigma_c_gamma, "sigma_c_gamma")
+        scc = np.asarray(self.sigma_c_sq, dtype=float)
+        batch = scc.shape
+        scg = np.asarray(self.sigma_c_gamma, dtype=float)
+        if not batch:
+            scg = scg.reshape(-1)  # one row, given in any shape
+        if not np.isfinite(scg).all():
+            raise InvalidCovariance("sigma_c_gamma contains non-finite entries")
         sgg = np.asarray(self.sigma_gamma_gamma, dtype=float)
-        if sgg.ndim != 2 or sgg.shape[0] != sgg.shape[1]:
+        if sgg.ndim != scc.ndim + 2 or sgg.shape[-2] != sgg.shape[-1]:
             raise InvalidCovariance("sigma_gamma_gamma must be a square matrix")
-        if sgg.shape[0] != scg.shape[0]:
+        if scg.shape != batch + sgg.shape[-1:] or sgg.shape[:-2] != batch:
             raise DimensionMismatch(
-                f"sigma_c_gamma has length {scg.shape[0]} but "
-                f"sigma_gamma_gamma is {sgg.shape[0]}x{sgg.shape[1]}"
+                f"sigma_c_gamma has shape {scg.shape} but "
+                f"sigma_gamma_gamma has shape {sgg.shape}"
             )
-        if not np.all(np.isfinite(sgg)):
+        if not np.isfinite(sgg).all():
             raise InvalidCovariance("sigma_gamma_gamma contains non-finite entries")
-        scc = float(self.sigma_c_sq)
-        if not np.isfinite(scc) or scc <= 0.0:
-            raise InvalidCovariance(f"sigma_c_sq must be finite and positive, got {scc}")
+        bad = ~(np.isfinite(scc) & (scc > 0.0))
+        if bad.any():
+            raise InvalidCovariance(
+                f"sigma_c_sq must be finite and positive, got {_first(scc, bad)}"
+            )
         if int(self.n) < 1:
             raise InvalidCovariance(f"sample size must be positive, got {self.n}")
 
-        scale = np.abs(sgg).max()
-        if np.abs(sgg - sgg.T).max() > SYMMETRY_RTOL * max(scale, 1e-300):
+        sgg_t = np.swapaxes(sgg, -1, -2)
+        scale = np.abs(sgg).max(axis=(-2, -1))
+        asymmetry = np.abs(sgg - sgg_t).max(axis=(-2, -1))
+        if (asymmetry > SYMMETRY_RTOL * np.maximum(scale, 1e-300)).any():
             raise InvalidCovariance("sigma_gamma_gamma is not symmetric")
-        sgg = 0.5 * (sgg + sgg.T)
+        sgg = 0.5 * (sgg + sgg_t)
 
         # Strict positive definiteness of the check block: Cholesky must
         # succeed and the eigenvalue-based reciprocal condition number must
         # clear RCOND_MIN (collinear checks are a hard error).
         chol = _fixed_order.cholesky(sgg)
         eigs = np.linalg.eigvalsh(sgg)
-        if eigs[0] <= 0.0 or eigs[0] / eigs[-1] < RCOND_MIN:
+        rcond = eigs[..., 0] / eigs[..., -1]
+        bad = (eigs[..., 0] <= 0.0) | (rcond < RCOND_MIN)
+        if bad.any():
             raise SingularCheckCovariance(
-                f"check covariance reciprocal condition {eigs[0] / eigs[-1]:.3e} "
+                f"check covariance reciprocal condition {_first(rcond, bad):.3e} "
                 f"below {RCOND_MIN:g}; diagnostic checks are collinear"
             )
 
         lam = _fixed_order.cho_solve(chol, scg)
         explained = _fixed_order.dot(scg, lam)
-        if not scc - explained > RCOND_MIN * scc:
+        bad = ~(scc - explained > RCOND_MIN * scc)
+        if bad.any():
             raise DegenerateResidualVariance(
-                f"sigma_c_sq = {scc:.6g} does not exceed the part explained by "
-                f"the checks ({explained:.6g}) by more than {RCOND_MIN:g} of "
-                "itself; residual variance would not be positive"
+                f"sigma_c_sq = {_first(scc, bad):.6g} does not exceed the part explained "
+                f"by the checks ({_first(explained, bad):.6g}) by more than {RCOND_MIN:g} "
+                "of itself; residual variance would not be positive"
             )
 
         object.__setattr__(self, "sigma_c_gamma", scg)
         object.__setattr__(self, "sigma_gamma_gamma", sgg)
-        object.__setattr__(self, "sigma_c_sq", scc)
+        object.__setattr__(self, "sigma_c_sq", _fixed_order.scalar_or_stack(scc))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "_chol_gg", chol)
         lam.flags.writeable = False
@@ -136,23 +156,23 @@ class JointCovariance:
 
     @staticmethod
     def full_matrix_of(scc: float, scg: np.ndarray, sgg: np.ndarray) -> np.ndarray:
-        p = scg.shape[0]
-        full = np.empty((1 + p, 1 + p))
-        full[0, 0] = scc
-        full[0, 1:] = scg
-        full[1:, 0] = scg
-        full[1:, 1:] = sgg
+        p = scg.shape[-1]
+        full = np.empty(scg.shape[:-1] + (1 + p, 1 + p))
+        full[..., 0, 0] = scc
+        full[..., 0, 1:] = scg
+        full[..., 1:, 0] = scg
+        full[..., 1:, 1:] = sgg
         return full
 
     @property
     def p_gamma(self) -> int:
-        return self.sigma_c_gamma.shape[0]
+        return self.sigma_c_gamma.shape[-1]
 
     def full_matrix(self) -> np.ndarray:
         return self.full_matrix_of(self.sigma_c_sq, self.sigma_c_gamma, self.sigma_gamma_gamma)
 
     def solve_gg(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve Sigma_gg x = rhs for a p-vector through the cached Cholesky factor."""
+        """Solve Sigma_gg x = rhs for p-vectors through the cached Cholesky factor."""
         return _fixed_order.cho_solve(self._chol_gg, rhs)
 
     @property
@@ -164,7 +184,7 @@ class JointCovariance:
     def informativeness(self) -> float:
         """Share I of sigma_c^2 explained by the checks, clipped to [0, 1 - 1e-15]."""
         raw = self._explained / self.sigma_c_sq
-        return float(min(max(raw, 0.0), INFORMATIVENESS_CAP))
+        return _fixed_order.scalar_or_stack(np.clip(raw, 0.0, INFORMATIVENESS_CAP))
 
     @property
     def sigma_r_sq(self) -> float:
@@ -174,17 +194,17 @@ class JointCovariance:
     @property
     def se_c(self) -> float:
         """Standard error of c_hat, sqrt(sigma_c^2 / n)."""
-        return math.sqrt(self.sigma_c_sq / self.n)
+        return _sqrt(self.sigma_c_sq / self.n)
 
     @property
     def se_r(self) -> float:
         """Standard error of c_r, sqrt(sigma_c^2 (1 - I) / n)."""
-        return math.sqrt(self.sigma_r_sq / self.n)
+        return _sqrt(self.sigma_r_sq / self.n)
 
     @property
     def bias_reduction_factor(self) -> float:
         """sqrt(1 - I), the ratio se_r / se_c."""
-        return math.sqrt(1.0 - self.informativeness)
+        return _sqrt(1.0 - self.informativeness)
 
     @property
     def variance_reduction_pct(self) -> float:
@@ -244,21 +264,24 @@ def residualize(c_hat: float, gamma_hat, lam) -> ResidualizationResult:
     """Subtract the linear adjustment lam . gamma_hat from c_hat.
 
     The standard errors belong to the covariance that ``lam`` came from:
-    :attr:`JointCovariance.se_c` and :attr:`JointCovariance.se_r`.
+    :attr:`JointCovariance.se_c` and :attr:`JointCovariance.se_r`. Leading
+    axes of ``c_hat`` and of the (..., p) rows are a stack.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     gamma_hat = np.atleast_1d(np.asarray(gamma_hat, dtype=float))
-    if lam.shape != gamma_hat.shape:
+    c_hat = _fixed_order.scalar_or_stack(np.asarray(c_hat, dtype=float))
+    if lam.shape != gamma_hat.shape or np.shape(c_hat) != lam.shape[:-1]:
         raise DimensionMismatch(
-            f"coefficient row has shape {lam.shape} but checks have shape {gamma_hat.shape}"
+            f"coefficient row has shape {lam.shape} but checks have shape "
+            f"{gamma_hat.shape} and estimate {np.shape(c_hat)}"
         )
     decomposition = lam * gamma_hat
-    correction = float(decomposition.sum())
+    correction = _fixed_order.scalar_or_stack(np.add.reduce(decomposition, axis=-1))
     return ResidualizationResult(
         lam=lam,
-        c_hat=float(c_hat),
+        c_hat=c_hat,
         gamma_hat=gamma_hat,
-        c_r=float(c_hat) - correction,
+        c_r=c_hat - correction,
         correction=correction,
         decomposition=decomposition,
     )
@@ -268,18 +291,20 @@ def adjusted_variance(sigma: JointCovariance, lam) -> float:
     """Asymptotic variance of the adjustment c_hat - lam . gamma_hat.
 
     Equals sigma_c^2 - 2 lam Sigma_gc + lam Sigma_gg lam', the squared L2
-    length of the adjusted influence function psi_lambda.
+    length of the adjusted influence function psi_lambda. A (..., p) stack
+    of rows goes with a stack of covariances.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lam.shape[0] != sigma.p_gamma:
+    if lam.shape[-1] != sigma.p_gamma:
         raise DimensionMismatch(
-            f"coefficient row has length {lam.shape[0]}, expected {sigma.p_gamma}"
+            f"coefficient row has length {lam.shape[-1]}, expected {sigma.p_gamma}"
         )
-    return float(
-        sigma.sigma_c_sq
-        - 2.0 * lam @ sigma.sigma_c_gamma
-        + lam @ sigma.sigma_gamma_gamma @ lam
-    )
+    # As (1, p) rows and (p, 1) columns, matmul makes the same BLAS call for
+    # each member of a stack as for one 1-d row, so the bits agree.
+    row, col = lam[..., None, :], lam[..., :, None]
+    cross = (2.0 * row @ sigma.sigma_c_gamma[..., :, None])[..., 0, 0]
+    quad = (row @ sigma.sigma_gamma_gamma @ col)[..., 0, 0]
+    return _fixed_order.scalar_or_stack(sigma.sigma_c_sq - cross + quad)
 
 
 def worst_case_bias(sigma: JointCovariance, lam, mu: float) -> float:

@@ -10,7 +10,9 @@ demeaning removes the O_p(n^{-1/2}) mean without changing the limit.
 Conventions: divide by n (not n - 1), matching the population definitions;
 the cluster-robust variant sums contributions within clusters first. The
 outer products are summed in the fixed order of :func:`_fixed_order.gram`,
-so the estimate does not depend on the BLAS kernel.
+so the estimate does not depend on the BLAS kernel. Leading axes before the
+n rows make a stack of B contribution matrices, estimated in one call into a
+stacked :class:`JointCovariance`.
 """
 
 from __future__ import annotations
@@ -26,21 +28,24 @@ from .errors import DegenerateResidualVariance, DimensionMismatch, TooFewCluster
 
 @dataclass(frozen=True)
 class InfluenceContributions:
-    """n x (1 + p) matrix of influence values, with optional cluster labels."""
+    """(..., n, 1 + p) matrix of influence values, with optional cluster labels.
+
+    Cluster labels have length n and are shared by every member of a stack.
+    """
 
     values: np.ndarray
     cluster_ids: np.ndarray | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[1] < 2:
+        if values.ndim < 2 or values.shape[-1] < 2:
             raise DimensionMismatch(
                 "contributions must be a 2-d array with at least two columns "
                 "(estimator plus one check)"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise DimensionMismatch("contributions contain non-finite values")
-        n, k = values.shape
+        n, k = values.shape[-2:]
         p = k - 1
         if n < p + 2:
             # With n < p + 2 the assembled (1+p)-block covariance cannot be
@@ -60,11 +65,11 @@ class InfluenceContributions:
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     @property
     def p_gamma(self) -> int:
-        return self.values.shape[1] - 1
+        return self.values.shape[-1] - 1
 
 
 def joint_covariance(contrib: InfluenceContributions) -> JointCovariance:
@@ -80,11 +85,11 @@ def joint_covariance(contrib: InfluenceContributions) -> JointCovariance:
     """
     # One contiguous row per column, so that the means and the Gram matrix
     # are summed in the same order whatever the memory layout of the input.
-    cols = np.ascontiguousarray(contrib.values.T)
+    cols = np.ascontiguousarray(np.swapaxes(contrib.values, -1, -2))
     n = contrib.n
-    means = np.add.reduce(cols, axis=1) / n
+    means = np.add.reduce(cols, axis=-1) / n
     if contrib.cluster_ids is None:
-        sigma = gram(cols - means[:, None]) / n
+        sigma = gram(cols - means[..., None]) / n
     else:
         _, inverse = np.unique(contrib.cluster_ids, return_inverse=True)
         n_clusters = int(inverse.max()) + 1
@@ -93,12 +98,13 @@ def joint_covariance(contrib: InfluenceContributions) -> JointCovariance:
                 f"need at least p + 2 = {contrib.p_gamma + 2} clusters, got {n_clusters}"
             )
         # Demeaned one row at a time: the cluster sums need no n x (1 + p) copy.
-        psi = (col - mean for col, mean in zip(cols, means))
-        sigma = gram(group_sums(inverse, psi)) / n
+        psi = (col - mean for col, mean in zip(cols.reshape(-1, n), means.reshape(-1)))
+        sums = group_sums(inverse, psi).reshape(cols.shape[:-1] + (n_clusters,))
+        sigma = gram(sums) / n
     return JointCovariance(
-        sigma_c_sq=sigma[0, 0],
-        sigma_c_gamma=sigma[0, 1:],
-        sigma_gamma_gamma=sigma[1:, 1:],
+        sigma_c_sq=sigma[..., 0, 0],
+        sigma_c_gamma=sigma[..., 0, 1:],
+        sigma_gamma_gamma=sigma[..., 1:, 1:],
         n=n,
     )
 

@@ -8,9 +8,10 @@ Two families:
   exact asymptotic joint law at every n. This is the fast path with known
   population covariance.
 * :class:`RctLinearDGP` simulates outcome, treatment, and covariates from a
-  (possibly treatment-interacted) linear model and pushes each replication
-  through the full adapter in :mod:`residcheck.rct`. This is the slow
-  end-to-end path.
+  (possibly treatment-interacted) linear model and pushes every replication
+  through the full adapter in :mod:`residcheck.rct`: the end-to-end path.
+  Replications are drawn a chunk at a time into reused buffers, and each
+  chunk goes through the adapter as one stack of datasets.
 
 Both expose the population covariance blocks, influence evaluators on raw
 data points, and a batched replication method returning aligned arrays so
@@ -32,6 +33,12 @@ from .rct import RctDataset, long_regression, residualized_estimator
 # arrays around 30 MB while leaving the random stream independent of the
 # chunking (consecutive standard_normal calls consume the stream in order).
 _CHUNK_BUDGET = 4_000_000
+# Bytes of demeaned [t, y, X] rows per chunk of RCT replications (8 n (2 + p)
+# per replication). The adapter's temporaries grow with the chunk, so this
+# caps the lab's extra memory; at n = 2,000 and p = 3 a chunk holds 4
+# replications. Each replication's draws come from the stream in the same
+# order whatever the chunk size.
+_RCT_CHUNK_BYTES = 320_000
 
 
 @dataclass(frozen=True)
@@ -249,18 +256,45 @@ class RctLinearDGP:
     def beta_long_limit(self) -> np.ndarray:
         return self.beta + self.pi * self.interaction
 
-    def draw_matrix(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n rows of (y, t, x_1..x_p)."""
-        t = (rng.random(n) < self.pi).astype(float)
-        x = rng.standard_normal((n, self.p_gamma))
-        y = (
-            self.alpha
-            + self.tau * t
-            + x @ self.beta
-            + (x @ self.interaction) * t
-            + self.noise_sd * rng.standard_normal(n)
+    def chunk_buffers(self, n: int, size: int) -> tuple[np.ndarray, ...]:
+        """Empty (size, n) treatment, (size, n, p) covariate, (size, n) noise and outcome arrays."""
+        return (
+            np.empty((size, n)),
+            np.empty((size, n, self.p_gamma)),
+            np.empty((size, n)),
+            np.empty((size, n)),
         )
-        return np.column_stack([y, t, x])
+
+    def draw_chunk(self, rng: np.random.Generator, t, x, noise, y) -> None:
+        """Fill buffers from :meth:`chunk_buffers` (or leading slices of them) with datasets.
+
+        Member after member, each draws ``random(n)`` for treatment,
+        ``standard_normal((n, p))`` for the covariates and
+        ``standard_normal(n)`` for the noise, so a chunk of B consumes the
+        stream as B single draws do, and member b is the b-th of them.
+        """
+        for t_b, x_b, noise_b in zip(t, x, noise):
+            rng.random(out=t_b)
+            rng.standard_normal(out=x_b)
+            rng.standard_normal(out=noise_b)
+        np.less(t, self.pi, out=t)
+        # y = alpha + tau t + x beta + (x interaction) t + noise_sd noise, summed
+        # left to right in place. x @ beta is one matrix-vector product per
+        # member, as for a single draw.
+        np.multiply(self.tau, t, out=y)
+        y += self.alpha
+        y += x @ self.beta
+        shift = x @ self.interaction
+        shift *= t
+        y += shift
+        noise *= self.noise_sd
+        y += noise
+
+    def draw_matrix(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n rows of (y, t, x_1..x_p): a chunk of one."""
+        t, x, noise, y = self.chunk_buffers(n, 1)
+        self.draw_chunk(rng, t, x, noise, y)
+        return np.column_stack([y[0], t[0], x[0]])
 
     def to_dataset(self, matrix: np.ndarray) -> RctDataset:
         return RctDataset(outcome=matrix[:, 0], treatment=matrix[:, 1], covariates=matrix[:, 2:])
@@ -297,38 +331,42 @@ class RctLinearDGP:
 
         return score
 
-    def estimate_plugin_residualized(self, data: np.ndarray) -> float:
-        return residualized_estimator(self.to_dataset(data))[0].c_r
-
     def replicate_batch(self, rng: np.random.Generator, n: int, size: int) -> BatchReplications:
-        """size end-to-end replications through the adapter (loop per rep)."""
+        """size end-to-end replications through the adapter, one call per chunk.
+
+        Chunks hold at most ``_RCT_CHUNK_BYTES`` of demeaned rows and are
+        drawn into one set of buffers. Replication i has the bits it would
+        have if drawn and estimated alone.
+        """
         p = self.p_gamma
-        c_short = np.empty(size)
-        c_long = np.empty(size)
-        c_resid = np.empty(size)
-        se_short = np.empty(size)
-        se_long = np.empty(size)
-        se_resid = np.empty(size)
-        gamma_hat = np.empty((size, p))
-        sigma_gg = np.empty((size, p, p))
-        for i in range(size):
-            data = self.draw_dataset(rng, n)
+        chunk = max(1, min(size, _RCT_CHUNK_BYTES // (8 * n * (2 + p))))
+        buffers = self.chunk_buffers(n, chunk)
+        out = {
+            name: np.empty((size,) + shape)
+            for name, shape in (
+                ("c_short", ()),
+                ("c_resid", ()),
+                ("se_short", ()),
+                ("se_resid", ()),
+                ("gamma_hat", (p,)),
+                ("sigma_gg", (p, p)),
+                ("c_long", ()),
+                ("se_long", ()),
+            )
+        }
+        for start in range(0, size, chunk):
+            sl = slice(start, min(start + chunk, size))
+            t, x, noise, y = (buf[: sl.stop - sl.start] for buf in buffers)
+            self.draw_chunk(rng, t, x, noise, y)
+            data = RctDataset(outcome=y, treatment=t, covariates=x)
             point, sigma = residualized_estimator(data)
-            c_long[i], beta_long = long_regression(data)
-            c_short[i] = point.c_hat
-            c_resid[i] = point.c_r
-            se_short[i] = sigma.se_c
-            se_long[i] = np.sqrt(adjusted_variance(sigma, beta_long) / sigma.n)
-            se_resid[i] = sigma.se_r
-            gamma_hat[i] = point.gamma_hat
-            sigma_gg[i] = sigma.sigma_gamma_gamma
-        return BatchReplications(
-            c_short=c_short,
-            c_resid=c_resid,
-            se_short=se_short,
-            se_resid=se_resid,
-            gamma_hat=gamma_hat,
-            sigma_gg=sigma_gg,
-            c_long=c_long,
-            se_long=se_long,
-        )
+            c_long, beta_long = long_regression(data)
+            out["c_short"][sl] = point.c_hat
+            out["c_resid"][sl] = point.c_r
+            out["se_short"][sl] = sigma.se_c
+            out["se_resid"][sl] = sigma.se_r
+            out["gamma_hat"][sl] = point.gamma_hat
+            out["sigma_gg"][sl] = sigma.sigma_gamma_gamma
+            out["c_long"][sl] = c_long
+            out["se_long"][sl] = np.sqrt(adjusted_variance(sigma, beta_long) / n)
+        return BatchReplications(**out)

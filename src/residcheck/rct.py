@@ -10,11 +10,18 @@ the joint covariance of estimate and checks.
 
 All estimators are computed on within-stratum demeaned data when stratum
 labels are supplied (mirroring block-randomized designs with fixed effects)
-and on globally demeaned data otherwise. Each dataset demeans [t, y, X]
-once (``RctDataset.centered``) and computes the slopes and influence
+and on globally demeaned data otherwise. A dataset demeans [t, y, X] once
+(``RctDataset.centered``) and computes the slopes and influence
 contributions of y and X on t once (``RctDataset.influence``): the short,
-balance, residualized and long estimators of one dataset all read these.
-Without strata the regression forms reduce exactly to the textbook formulas
+balance, residualized and long estimators all read these.
+
+A dataset may be a stack of B datasets of equal n and p, given as (B, n)
+outcome and treatment and (B, n, p) covariates. Every estimator then
+returns arrays with a leading axis of B, in one call, and member b has the
+bits that member b alone gives; the RCT selection lab runs its
+replications this way, a chunk at a time, and ``analyze`` runs the same
+code on one dataset. Without strata the regression forms reduce exactly to
+the textbook formulas
 
     c_short = mean(Y | T=1) - mean(Y | T=0)
     gamma_k = mean(X_k | T=1) - mean(X_k | T=0)
@@ -24,8 +31,9 @@ at the realized treated share pi.
 
 The short, balance and residualized estimators sum in the fixed order of
 :mod:`residcheck._fixed_order`, so their bits do not depend on the BLAS
-kernel. The long regression uses LAPACK; it is not part of the residualized
-pipeline, and only the RCT selection lab runs it.
+kernel. The long regression uses LAPACK (stacked ``qr`` and ``solve``); it
+is not part of the residualized pipeline, and only the RCT selection lab
+runs it.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._fixed_order import dot, group_sums
+from ._fixed_order import dot, group_sums, scalar_or_stack
 from .core import JointCovariance, ResidualizationResult, residualize
 from .covariance import InfluenceContributions, joint_covariance
 from .errors import DimensionMismatch, EmptyArm, RankDeficientDesign
@@ -47,7 +55,11 @@ _RANK_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class RctDataset:
-    """Outcome vector, binary treatment, covariate matrix, optional strata."""
+    """Outcome vector, binary treatment, covariate matrix, optional strata.
+
+    Leading axes before the n observations make a stack of datasets; strata
+    labels, when given, have length n and are shared by every member.
+    """
 
     outcome: np.ndarray
     treatment: np.ndarray
@@ -58,22 +70,25 @@ class RctDataset:
         y = np.asarray(self.outcome, dtype=float)
         t = np.asarray(self.treatment)
         x = np.asarray(self.covariates, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(-1, 1)
-        n = y.shape[0]
-        if y.ndim != 1 or t.shape != (n,) or x.shape[0] != n:
+        if x.ndim == y.ndim:
+            x = x[..., None]
+        if y.ndim < 1 or t.shape != y.shape or x.shape[:-1] != y.shape:
             raise DimensionMismatch(
                 f"outcome ({y.shape}), treatment ({t.shape}) and covariates "
                 f"({x.shape}) do not align"
             )
-        if not np.all(np.isfinite(y)) or not np.all(np.isfinite(x)):
+        n = y.shape[-1]
+        if not np.isfinite(y).all() or not np.isfinite(x).all():
             raise DimensionMismatch("outcome or covariates contain non-finite values")
-        t_float = t.astype(float)
-        if not np.all((t_float == 0.0) | (t_float == 1.0)):
+        t_float = np.asarray(t, dtype=float)
+        if not ((t_float == 0.0) | (t_float == 1.0)).all():
             raise DimensionMismatch("treatment values must be 0 or 1")
-        n1 = int(t_float.sum())
-        if n1 < 2 or n - n1 < 2:
-            raise EmptyArm(f"each arm needs at least 2 units, got {n1} treated of {n}")
+        n1 = t_float.sum(axis=-1)
+        small = (n1 < 2) | (n - n1 < 2)
+        if small.any():
+            raise EmptyArm(
+                f"each arm needs at least 2 units, got {int(n1[small].flat[0])} treated of {n}"
+            )
         if self.strata is not None:
             strata = np.asarray(self.strata)
             if strata.shape != (n,):
@@ -85,88 +100,92 @@ class RctDataset:
 
     @property
     def n(self) -> int:
-        return self.outcome.shape[0]
+        return self.outcome.shape[-1]
 
     @property
     def p_gamma(self) -> int:
-        return self.covariates.shape[1]
+        return self.covariates.shape[-1]
 
     @cached_property
     def centered(self) -> np.ndarray:
-        """Rows t, y, x_1..x_p demeaned (within strata when given), shape (2 + p, n).
+        """Rows t, y, x_1..x_p demeaned (within strata when given), shape (..., 2 + p, n).
 
         Computed on first use and shared by every estimator of the dataset;
         read-only.
         """
-        rows = np.empty((2 + self.p_gamma, self.n))  # C order, one row per column
-        rows[0], rows[1], rows[2:] = self.treatment, self.outcome, self.covariates.T
+        rows = np.empty(self.outcome.shape[:-1] + (2 + self.p_gamma, self.n))  # C order
+        rows[..., 0, :], rows[..., 1, :] = self.treatment, self.outcome
+        rows[..., 2:, :] = np.swapaxes(self.covariates, -1, -2)
         _demean(rows, self.strata)
         rows.flags.writeable = False
         return rows
 
     @cached_property
     def influence(self) -> tuple[np.ndarray, np.ndarray]:
-        """Slopes of y, x_1..x_p on t and their (1 + p, n) influence contributions.
+        """Slopes of y, x_1..x_p on t and their (..., 1 + p, n) influence contributions.
 
         Row 0 belongs to the difference in means, rows 1..p to the balance
         vector. Computed on first use; the contributions are read-only.
         """
-        slopes, contribs = _slopes_and_influence(self.centered[0], self.centered[1:])
+        centered = self.centered
+        slopes, contribs = _slopes_and_influence(centered[..., 0, :], centered[..., 1:, :])
         contribs.flags.writeable = False
         return slopes, contribs
 
 
 def _demean(rows: np.ndarray, strata: np.ndarray | None) -> None:
-    """Subtract in place from each row of a C-order (k, n) array its global or within-stratum mean.
+    """Subtract in place from each row of a C-order (..., k, n) array its global or within-stratum mean.
 
     Global means are summed pairwise over each row and stratum sums in row
     order (:func:`_fixed_order.group_sums`), so the bits do not depend on the
     memory layout of the data the rows were copied from.
     """
+    n = rows.shape[-1]
     if strata is None:
-        rows -= (np.add.reduce(rows, axis=1) / rows.shape[1])[:, None]
+        rows -= (np.add.reduce(rows, axis=-1) / n)[..., None]
         return
     _, inverse = np.unique(strata, return_inverse=True)
-    means = group_sums(inverse, rows) / np.bincount(inverse)
-    for row, mean in zip(rows, means):
+    flat = rows.reshape(-1, n)  # a view: every row of every member
+    means = group_sums(inverse, flat) / np.bincount(inverse)
+    for row, mean in zip(flat, means):
         row -= mean[inverse]
 
 
 def _slopes_and_influence(t_c: np.ndarray, rows: np.ndarray):
-    """Slopes of each demeaned row of a C-order (k, n) array on demeaned t.
+    """Slopes of each demeaned row of a C-order (..., k, n) array on demeaned t.
 
-    Returns the k slopes and their k x n influence contributions
-    t_c (row - slope t_c) / (t_c't_c / n), built in one k x n buffer. Each
-    slope is summed pairwise over a contiguous row, like
-    :func:`_fixed_order.dot`.
+    Returns the (..., k) slopes and their (..., k, n) influence contributions
+    t_c (row - slope t_c) / (t_c't_c / n), built in one buffer. Each slope
+    is summed pairwise over a contiguous row, like :func:`_fixed_order.dot`.
     """
-    t_sq = dot(t_c, t_c)
-    denom = t_sq / t_c.shape[0]
-    if denom <= 0.0:
+    t_sq = np.expand_dims(dot(t_c, t_c), -1)
+    denom = t_sq / t_c.shape[-1]
+    if (denom <= 0.0).any():
         raise EmptyArm("treatment indicator has no within-stratum variation")
+    t_c = t_c[..., None, :]
     out = t_c * rows
-    slopes = np.add.reduce(out, axis=1) / t_sq
-    np.multiply(slopes[:, None], t_c, out=out)
+    slopes = np.add.reduce(out, axis=-1) / t_sq
+    np.multiply(slopes[..., None], t_c, out=out)
     np.subtract(rows, out, out=out)
     out *= t_c
-    out /= denom
+    out /= denom[..., None]
     return slopes, out
 
 
 def short_estimator(data: RctDataset) -> tuple[float, np.ndarray]:
     """Difference in mean outcomes and its influence contributions."""
     slopes, contribs = data.influence
-    return float(slopes[0]), contribs[0]
+    return scalar_or_stack(slopes[..., 0]), contribs[..., 0, :]
 
 
 def balance_stats(data: RctDataset) -> tuple[np.ndarray, np.ndarray]:
     """Covariate mean differences across arms and their contributions.
 
     Returns ``(gamma_hat, contributions)`` with contributions of shape
-    (n, p).
+    (..., n, p).
     """
     slopes, contribs = data.influence
-    return slopes[1:], contribs[1:].T
+    return slopes[..., 1:], np.swapaxes(contribs[..., 1:, :], -1, -2)
 
 
 def long_regression(data: RctDataset) -> tuple[float, np.ndarray]:
@@ -174,17 +193,20 @@ def long_regression(data: RctDataset) -> tuple[float, np.ndarray]:
 
     Returns ``(c_long, beta_long)``. The design is factored by QR; a
     rank-deficient design is an error, never repaired by dropping columns.
+    A stack is factored and solved by numpy's stacked ``qr`` and ``solve``,
+    which run the LAPACK routines of a single dataset on each member.
     """
-    t_c, y_c, x_c = data.centered[0], data.centered[1], data.centered[2:]
-    design = np.column_stack([t_c, x_c.T])
-    q, r = np.linalg.qr(design)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= _RANK_RTOL * diag.max():
+    centered = data.centered
+    design = np.delete(centered, 1, axis=-2)  # rows t, x_1..x_p
+    q, r = np.linalg.qr(np.swapaxes(design, -1, -2))
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    if (diag.min(axis=-1) <= _RANK_RTOL * diag.max(axis=-1)).any():
         raise RankDeficientDesign(
             "design matrix [treatment, covariates] is rank deficient"
         )
-    coef = np.linalg.solve(r, q.T @ y_c)
-    return float(coef[0]), coef[1:]
+    qty = np.swapaxes(q, -1, -2) @ centered[..., 1, :, None]
+    coef = np.linalg.solve(r, qty)[..., 0]
+    return scalar_or_stack(coef[..., 0]), coef[..., 1:]
 
 
 def residualized_estimator(
@@ -201,9 +223,11 @@ def residualized_estimator(
     """
     c_short, _ = short_estimator(data)
     gamma_hat, _ = balance_stats(data)
-    # Both are read from the dataset's one (1 + p, n) contribution array;
-    # transposed, it is the n x (1 + p) matrix joint_covariance reads
-    # without a copy.
-    stacked = InfluenceContributions(data.influence[1].T, cluster_ids=cluster_ids)
+    # Both are read from the dataset's one (..., 1 + p, n) contribution
+    # array; transposed, it is the (..., n, 1 + p) matrix joint_covariance
+    # reads without a copy.
+    stacked = InfluenceContributions(
+        np.swapaxes(data.influence[1], -1, -2), cluster_ids=cluster_ids
+    )
     sigma = joint_covariance(stacked)
     return residualize(c_short, gamma_hat, sigma.lam), sigma

@@ -19,9 +19,7 @@ from residcheck import (
     InfluenceContributions,
     JointCovariance,
     joint_covariance,
-    long_regression,
     residualize,
-    residualized_estimator,
 )
 from residcheck.dgps import GaussianPairDGP, RctLinearDGP
 from residcheck.misspec import (
@@ -181,13 +179,8 @@ def test_criterion_5_variance_ordering():
     children = np.random.SeedSequence(411200).spawn(n_batches)
 
     def run_batch(b):
-        rng = np.random.default_rng(children[b])
-        out = np.empty((sizes[b], 3))
-        for i in range(sizes[b]):
-            data = dgp.draw_dataset(rng, n)
-            point, _ = residualized_estimator(data)
-            out[i] = (point.c_hat, long_regression(data)[0], point.c_r)
-        return out
+        reps = dgp.replicate_batch(np.random.default_rng(children[b]), n, sizes[b])
+        return np.column_stack([reps.c_short, reps.c_long, reps.c_resid])
 
     ests = np.concatenate(map_batches(run_batch, n_batches, THREADS))
     var_s, var_l, var_r = ests.var(axis=0, ddof=1)

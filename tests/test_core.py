@@ -52,6 +52,26 @@ class TestJointCovarianceValidation:
         with pytest.raises(DimensionMismatch):
             JointCovariance(1.0, np.array([0.1, 0.2]), np.eye(3), 50)
 
+    @pytest.mark.parametrize(
+        "scc, scg, sgg, error",
+        [
+            (1.0, [0.0, 0.0], [[1.0, 0.3], [0.2, 1.0]], InvalidCovariance),
+            (1.0, [0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], SingularCheckCovariance),
+            (1.0, [0.0, 0.0], [[1.0, 0.0], [0.0, 1e-14]], SingularCheckCovariance),
+            (1.0, [1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], DegenerateResidualVariance),
+            (-1.0, [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], InvalidCovariance),
+        ],
+        ids=["asymmetric", "cholesky-pivot", "rcond", "schur-margin", "negative-sigma-c"],
+    )
+    def test_stack_with_one_bad_member(self, scc, scg, sgg, error):
+        bad = (scc, np.array(scg), np.array(sgg))
+        good = (2.0, np.array([0.3, -0.2]), np.array([[1.5, 0.4], [0.4, 1.0]]))
+        JointCovariance(*good, 50)
+        with pytest.raises(error):
+            JointCovariance(*bad, 50)
+        with pytest.raises(error):
+            JointCovariance(*(np.stack(field) for field in zip(good, good, bad, good)), 50)
+
     @given(st.integers(0, 10_000), st.integers(1, 4))
     @settings(max_examples=50, deadline=None)
     def test_random_covariances_validate_and_are_psd(self, seed, p):

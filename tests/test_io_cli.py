@@ -491,6 +491,21 @@ class TestCli:
         assert payload["config"]["seed"] == 7
         assert payload["oracle"]["cond_var_zs"] == pytest.approx(0.9398, abs=2e-4)
 
+    def test_simulate_rct_selection_same_at_any_thread_count(self):
+        # 1,003 replications in 50 batches of 20 or 21, each drawn and
+        # estimated in chunks; criterion 9 covers the Gaussian labs only.
+        args = (
+            "simulate", "--lab", "selection", "--dgp", "rct",
+            "--beta", "1.0,-0.5", "--interaction", "0.5,0.0", "--pi", "0.3",
+            "--rule", "wald", "--threshold", "5.99",
+            "--n", "200", "--reps", "1003", "--seed", "11",
+        )
+        one = run_cli(*args, env_extra={"RESID_THREADS": "1"})
+        four = run_cli(*args, env_extra={"RESID_THREADS": "4"})
+        assert one.returncode == 0, one.stderr
+        assert one.stdout == four.stdout
+        assert json.loads(one.stdout.decode())["results"]["n_reps"] == 1003
+
     def test_simulate_misspec_zero_mu(self):
         result = run_cli(
             "simulate", "--lab", "misspec", "--rho", "0.5", "--mu", "0",

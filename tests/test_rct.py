@@ -4,14 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from residcheck import (
+    InfluenceContributions,
     RctDataset,
+    adjusted_variance,
     balance_stats,
+    joint_covariance,
     long_regression,
     residualized_estimator,
     short_estimator,
 )
+from residcheck import _fixed_order, dgps
 from residcheck.dgps import RctLinearDGP
-from residcheck.errors import DimensionMismatch, EmptyArm, RankDeficientDesign
+from residcheck.errors import (
+    DimensionMismatch,
+    EmptyArm,
+    RankDeficientDesign,
+    SingularCheckCovariance,
+)
 
 
 def make_dataset(y, t, x, strata=None):
@@ -260,3 +269,164 @@ class TestStrata:
         naive, _ = short_estimator(make_dataset(y, t, x))
         assert abs(stratified - 1.0) < 0.5
         assert abs(naive - 1.0) > 1.0
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def random_members(seed, size, n, p):
+    """size datasets of n rows and p covariates, as (y, t, x) arrays stacked on axis 0."""
+    rng = np.random.default_rng(seed)
+    t = (rng.random((size, n)) < 0.4).astype(float)
+    t[:, :2], t[:, 2:4] = 1.0, 0.0
+    x = rng.standard_normal((size, n, p)) + 1.5
+    y = t + x @ rng.standard_normal(p) + 0.5 * t * x[..., 0] + rng.standard_normal((size, n))
+    return y, t, x
+
+
+def reference_draw_matrix(dgp, rng, n):
+    """One dataset drawn as a single replication: random(n), standard_normal((n, p)), standard_normal(n)."""
+    t = (rng.random(n) < dgp.pi).astype(float)
+    x = rng.standard_normal((n, dgp.p_gamma))
+    y = (
+        dgp.alpha
+        + dgp.tau * t
+        + x @ dgp.beta
+        + (x @ dgp.interaction) * t
+        + dgp.noise_sd * rng.standard_normal(n)
+    )
+    return np.column_stack([y, t, x])
+
+
+def reference_replications(dgp, rng, n, size):
+    """The lab's fields replication by replication, each dataset through the adapter alone."""
+    rows = []
+    for _ in range(size):
+        data = dgp.to_dataset(reference_draw_matrix(dgp, rng, n))
+        point, sigma = residualized_estimator(data)
+        c_long, beta_long = long_regression(data)
+        se_long = np.sqrt(adjusted_variance(sigma, beta_long) / n)
+        rows.append(
+            (point.c_hat, point.c_r, sigma.se_c, sigma.se_r, point.gamma_hat,
+             sigma.sigma_gamma_gamma, c_long, se_long)
+        )
+    return [np.array(column) for column in zip(*rows)]
+
+
+class TestStackedDatasets:
+    """A stack of datasets gives, member by member, the bits of each dataset alone."""
+
+    @pytest.mark.parametrize("size", [1, 5])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_stack_matches_single_calls(self, size, p):
+        y, t, x = random_members(40 + p, size, 150, p)
+        stack = RctDataset(outcome=y, treatment=t, covariates=x)
+        singles = [RctDataset(outcome=y[b], treatment=t[b], covariates=x[b]) for b in range(size)]
+        stack_sigma = joint_covariance(
+            InfluenceContributions(np.swapaxes(stack.influence[1], -1, -2))
+        )
+        stack_point, _ = residualized_estimator(stack)
+        stack_long = long_regression(stack)
+        for b, single in enumerate(singles):
+            assert_same_bits(stack.centered[b], single.centered)
+            assert_same_bits(stack.influence[0][b], single.influence[0])
+            assert_same_bits(stack.influence[1][b], single.influence[1])
+            sigma = joint_covariance(InfluenceContributions(single.influence[1].T))
+            assert_same_bits(stack_sigma.full_matrix()[b], sigma.full_matrix())
+            assert_same_bits(stack_sigma.lam[b], sigma.lam)
+            assert_same_bits(stack_sigma.se_r[b], sigma.se_r)
+            point, _ = residualized_estimator(single)
+            assert_same_bits(stack_point.c_r[b], point.c_r)
+            c_long, beta_long = long_regression(single)
+            assert_same_bits(stack_long[0][b], c_long)
+            assert_same_bits(stack_long[1][b], beta_long)
+            assert_same_bits(
+                adjusted_variance(stack_sigma, stack_long[1])[b],
+                adjusted_variance(sigma, beta_long),
+            )
+
+    @pytest.mark.parametrize(
+        "p, size", [(1, 1), (1, 150), (3, 1), (3, 97)]
+    )
+    def test_replicate_batch_matches_one_replication_at_a_time(self, p, size):
+        # At n = 200 a chunk holds 66 replications for p = 1 and 40 for p = 3,
+        # so 150 and 97 end on a partial chunk.
+        n = 200
+        chunk = dgps._RCT_CHUNK_BYTES // (8 * n * (2 + p))
+        assert size == 1 or size % chunk != 0
+        dgp = RctLinearDGP(
+            tau=0.7,
+            beta=np.linspace(1.0, -0.5, p),
+            interaction=np.linspace(0.5, 0.0, p),
+            pi=0.3,
+            noise_sd=1.2,
+            alpha=0.1,
+        )
+        batch = dgp.replicate_batch(np.random.default_rng(8), n, size)
+        expected = reference_replications(dgp, np.random.default_rng(8), n, size)
+        fields = ("c_short", "c_resid", "se_short", "se_resid", "gamma_hat", "sigma_gg",
+                  "c_long", "se_long")
+        for name, want in zip(fields, expected):
+            assert_same_bits(getattr(batch, name), want)
+
+    def test_chunk_draw_keeps_the_single_draw_stream(self):
+        dgp = RctLinearDGP(tau=1.0, beta=np.array([1.0, -0.5, 0.2]),
+                           interaction=np.array([0.5, 0.0, 0.1]), pi=0.3)
+        n, size = 50, 3
+        single = np.random.default_rng(6)
+        matrices = [dgp.draw_matrix(single, n) for _ in range(size)]
+        chunked = np.random.default_rng(6)
+        t, x, noise, y = dgp.chunk_buffers(n, size)
+        dgp.draw_chunk(chunked, t, x, noise, y)
+        reference = np.random.default_rng(6)
+        for b, matrix in enumerate(matrices):
+            assert_same_bits(matrix, np.column_stack([y[b], t[b], x[b]]))
+            assert_same_bits(matrix, reference_draw_matrix(dgp, reference, n))
+        assert single.bit_generator.state == chunked.bit_generator.state
+        assert single.bit_generator.state == reference.bit_generator.state
+
+
+def _one_treated(y, t, x):
+    t[:] = 0.0
+    t[0] = 1.0
+
+
+def _duplicated_covariate(y, t, x):
+    x[:, 1] = x[:, 0]
+
+
+class TestStackWithOneBadMember:
+    """A stack fails with the error its one bad member raises alone."""
+
+    @pytest.mark.parametrize(
+        "corrupt, estimate, error",
+        [
+            (_one_treated, lambda data: data, EmptyArm),
+            (_duplicated_covariate, long_regression, RankDeficientDesign),
+        ],
+    )
+    def test_dataset_stack(self, corrupt, estimate, error):
+        y, t, x = random_members(7, 4, 60, 3)
+        bad = 2
+        corrupt(y[bad], t[bad], x[bad])  # views: member 2 of the stack changes too
+        for b in range(4):
+            single = lambda: estimate(RctDataset(outcome=y[b], treatment=t[b], covariates=x[b]))
+            if b == bad:
+                with pytest.raises(error):
+                    single()
+            else:
+                single()
+        with pytest.raises(error):
+            estimate(RctDataset(outcome=y, treatment=t, covariates=x))
+
+    def test_cholesky_stack_with_one_non_positive_pivot(self):
+        good = np.array([[2.0, 0.5], [0.5, 1.0]])
+        bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # second pivot 1 - 4 < 0
+        _fixed_order.cholesky(good)
+        with pytest.raises(SingularCheckCovariance):
+            _fixed_order.cholesky(bad)
+        with pytest.raises(SingularCheckCovariance):
+            _fixed_order.cholesky(np.stack([good, good, bad, good]))
