@@ -12,8 +12,9 @@ which makes the report bytes independent of the BLAS kernel:
   ``dot(cols[i], cols[j])`` give the same bits.
 * ``group_sums`` adds each row up within groups in row order
   (``np.bincount``), as ``np.add.at`` would, at a fraction of its cost.
-* ``cholesky`` and ``cho_solve`` factor and solve the p x p check block (p is
-  the number of checks, so small), each inner product summed left to right.
+* ``cholesky``, ``solve_lower`` and ``cho_solve`` factor and solve the
+  p x p check block (p is the number of checks, so small), each inner
+  product summed left to right.
 
 Every routine but ``group_sums`` works over the last axis (or last two) and
 takes any leading batch axes, so a stack of B problems is one call whose
@@ -100,16 +101,23 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def cho_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (L L') x = rhs for vectors rhs: forward, then back substitution."""
+def solve_lower(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L z = rhs for vectors rhs by forward substitution."""
     lows = _lower_entries(np.asarray(low, dtype=float))
     b = np.asarray(rhs, dtype=float)
-    p = len(lows)
     z = []
-    for i in range(p):
-        z.append((b[..., i] - _sum_products(lows[i][:i], z)) / lows[i][i])
+    for i, li in enumerate(lows):
+        z.append((b[..., i] - _sum_products(li[:i], z)) / li[i])
+    return np.stack(z, axis=-1)
+
+
+def cho_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (L L') x = rhs for vectors rhs: forward, then back substitution."""
+    z = solve_lower(low, rhs)
+    lows = _lower_entries(np.asarray(low, dtype=float))
+    p = len(lows)
     x = [None] * p
     for i in range(p - 1, -1, -1):
         column = [lows[k][i] for k in range(i + 1, p)]
-        x[i] = (z[i] - _sum_products(column, x[i + 1 :])) / lows[i][i]
+        x[i] = (z[..., i] - _sum_products(column, x[i + 1 :])) / lows[i][i]
     return np.stack(x, axis=-1)

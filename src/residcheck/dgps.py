@@ -2,11 +2,11 @@
 
 Two families:
 
-* :class:`GaussianPairDGP` draws the per-observation influence vector
-  (d_c, d_g) directly from its joint normal limit, so the estimator
-  c_hat = c_true + mean(d_c) and checks gamma_hat = mean(d_g) have their
-  exact asymptotic joint law at every n. This is the fast path with known
-  population covariance.
+* :class:`GaussianPairDGP` makes the per-observation influence vector
+  (d_c, d_g) joint normal, so c_hat = c_true + mean(d_c) and gamma_hat =
+  mean(d_g) have their asymptotic joint law exactly at every n. Replications
+  draw the sample mean and covariance from their exact laws, not n rows;
+  ``draw`` still draws rows, for the misspecification lab.
 * :class:`RctLinearDGP` simulates outcome, treatment, and covariates from a
   (possibly treatment-interacted) linear model and pushes every replication
   through the full adapter in :mod:`residcheck.rct`: the end-to-end path.
@@ -20,19 +20,17 @@ the labs can aggregate without caring which family produced them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .core import JointCovariance, adjusted_variance
+from . import _fixed_order
+from .core import JointCovariance, adjusted_variance, residualize
 from .errors import ConfigError
 from .rct import RctDataset, long_regression, residualized_estimator
 
-# Cap on reps * n * dims simulated inside a single chunk; keeps per-chunk
-# arrays around 30 MB while leaving the random stream independent of the
-# chunking (consecutive standard_normal calls consume the stream in order).
-_CHUNK_BUDGET = 4_000_000
 # Bytes of demeaned [t, y, X] rows per chunk of RCT replications (8 n (2 + p)
 # per replication). The adapter's temporaries grow with the chunk, so this
 # caps the lab's extra memory; at n = 2,000 and p = 3 a chunk holds 4
@@ -55,35 +53,47 @@ class BatchReplications:
     se_long: np.ndarray | None = None
 
 
+def _times_lower_t(z: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """z <- z L' over the last axis, in place and without BLAS, L lower triangular.
+
+    Descends over j, so entry j reads only entries not yet overwritten.
+    """
+    for j in range(low.shape[0] - 1, -1, -1):
+        col = z[..., j]
+        col *= low[j, j]
+        for i in range(j):
+            col += low[j, i] * z[..., i]
+    return z
+
+
 @dataclass(frozen=True)
 class GaussianPairDGP:
-    """Direct simulation of the joint normal limit of (c_hat, gamma_hat).
+    """Joint normal influence vector (d_c, d_g) with covariance Sigma = L L'.
 
-    ``lambda_long`` optionally defines a fixed-coefficient analogue of the
-    conventional adjusted estimator, c_long = c_hat - lambda_long . gamma_hat;
-    when absent no long estimator is reported.
+    A replication at sample size n needs only the sample mean, which is
+    N(0, Sigma / n), and the 1/n sample covariance S, independent of it, with
+    n S ~ Wishart_{n-1}(Sigma). :meth:`replicate_batch` draws both directly:
+    the mean as L z / sqrt(n) for z ~ N(0, I), and n S as (L A)(L A)' with
+    the Bartlett factor A, lower triangular with A_ii^2 ~ chi^2(n - 1 - i)
+    and A_ij ~ N(0, 1) below the diagonal (Bartlett 1933; Odell & Feiveson
+    1966). That is O(p^2) work per replication, whatever n.
     """
 
     sigma_c_sq: float = 1.0
     sigma_c_gamma: np.ndarray = field(default_factory=lambda: np.array([0.5]))
     sigma_gamma_gamma: np.ndarray = field(default_factory=lambda: np.eye(1))
     c_true: float = 0.0
-    lambda_long: np.ndarray | None = None
 
     def __post_init__(self):
         scg = np.atleast_1d(np.asarray(self.sigma_c_gamma, dtype=float))
         sgg = np.atleast_2d(np.asarray(self.sigma_gamma_gamma, dtype=float))
         object.__setattr__(self, "sigma_c_gamma", scg)
         object.__setattr__(self, "sigma_gamma_gamma", sgg)
-        if self.lambda_long is not None:
-            object.__setattr__(
-                self, "lambda_long", np.atleast_1d(np.asarray(self.lambda_long, dtype=float))
-            )
         full = JointCovariance.full_matrix_of(float(self.sigma_c_sq), scg, sgg)
-        object.__setattr__(self, "_chol_full", np.linalg.cholesky(full))
+        object.__setattr__(self, "_chol_full", _fixed_order.cholesky(full))
 
     @classmethod
-    def from_rho(cls, rho: float, c_true: float = 0.0, lambda_long=None) -> "GaussianPairDGP":
+    def from_rho(cls, rho: float, c_true: float = 0.0) -> "GaussianPairDGP":
         """Scalar check with unit variances and correlation rho."""
         if not -1.0 < rho < 1.0:
             raise ConfigError(f"rho must lie strictly inside (-1, 1), got {rho}")
@@ -92,7 +102,6 @@ class GaussianPairDGP:
             sigma_c_gamma=np.array([float(rho)]),
             sigma_gamma_gamma=np.eye(1),
             c_true=c_true,
-            lambda_long=lambda_long,
         )
 
     @property
@@ -107,20 +116,8 @@ class GaussianPairDGP:
         return self.population_covariance(2).lam
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n draws of the per-observation vector (d_c, d_g) under the base model.
-
-        The Cholesky transform is applied in place, descending over columns
-        so each output column only reads not-yet-overwritten inputs; this
-        avoids a second large allocation in the labs' hot loops.
-        """
-        z = rng.standard_normal((n, 1 + self.p_gamma))
-        chol = self._chol_full
-        for j in range(chol.shape[0] - 1, -1, -1):
-            col = z[:, j]
-            col *= chol[j, j]
-            for i in range(j):
-                col += chol[j, i] * z[:, i]
-        return z
+        """n draws of the per-observation vector (d_c, d_g) under the base model."""
+        return _times_lower_t(rng.standard_normal((n, 1 + self.p_gamma)), self._chol_full)
 
     # Influence evaluators on raw data points (population scale, mean zero).
     def influence_c(self, data: np.ndarray) -> np.ndarray:
@@ -147,53 +144,33 @@ class GaussianPairDGP:
         return self.c_true + float(data[:, 0].mean() - data[:, 1:].mean(axis=0) @ lam_hat)
 
     def replicate_batch(self, rng: np.random.Generator, n: int, size: int) -> BatchReplications:
-        """size independent replications at sample size n, vectorized."""
-        p = self.p_gamma
-        out = {
-            "c_short": np.empty(size),
-            "c_resid": np.empty(size),
-            "se_short": np.empty(size),
-            "se_resid": np.empty(size),
-            "gamma_hat": np.empty((size, p)),
-            "sigma_gg": np.empty((size, p, p)),
-        }
-        with_long = self.lambda_long is not None
-        if with_long:
-            out["c_long"] = np.empty(size)
-            out["se_long"] = np.empty(size)
-        chunk = max(1, _CHUNK_BUDGET // (n * (1 + p)))
-        start = 0
-        while start < size:
-            b = min(chunk, size - start)
-            sl = slice(start, start + b)
-            d = rng.standard_normal((b, n, 1 + p)) @ self._chol_full.T
-            means = d.mean(axis=1)
-            centered = d - means[:, None, :]
-            cov = np.einsum("bij,bik->bjk", centered, centered) / n
-            gamma = means[:, 1:]
-            sigma_cg = cov[:, 0, 1:]
-            sigma_gg = cov[:, 1:, 1:]
-            lam_hat = np.linalg.solve(sigma_gg, sigma_cg[..., None])[..., 0]
-            var_r = cov[:, 0, 0] - np.einsum("bj,bj->b", sigma_cg, lam_hat)
-            out["c_short"][sl] = self.c_true + means[:, 0]
-            out["c_resid"][sl] = (
-                self.c_true + means[:, 0] - np.einsum("bj,bj->b", lam_hat, gamma)
-            )
-            out["se_short"][sl] = np.sqrt(cov[:, 0, 0] / n)
-            out["se_resid"][sl] = np.sqrt(np.clip(var_r, 0.0, None) / n)
-            out["gamma_hat"][sl] = gamma
-            out["sigma_gg"][sl] = sigma_gg
-            if with_long:
-                lam_l = self.lambda_long
-                var_l = (
-                    cov[:, 0, 0]
-                    - 2.0 * sigma_cg @ lam_l
-                    + np.einsum("j,bjk,k->b", lam_l, sigma_gg, lam_l)
-                )
-                out["c_long"][sl] = self.c_true + means[:, 0] - gamma @ lam_l
-                out["se_long"][sl] = np.sqrt(np.clip(var_l, 0.0, None) / n)
-            start += b
-        return BatchReplications(**out)
+        """size independent replications at sample size n, through :class:`JointCovariance`.
+
+        A degenerate replication (reachable only near n = p + 2) raises
+        :class:`DegenerateResidualVariance`.
+        """
+        k = 1 + self.p_gamma
+        means = _times_lower_t(rng.standard_normal((size, k)), self._chol_full)
+        means /= math.sqrt(n)
+        # A' L' = (L A)', so n S = L A A' L' is the Gram matrix of its columns.
+        a_t = np.zeros((size, k, k))
+        diag = np.arange(k)
+        a_t[:, diag, diag] = np.sqrt(rng.chisquare(n - 1 - diag, size=(size, k)))
+        upper = np.triu_indices(k, 1)
+        a_t[:, upper[0], upper[1]] = rng.standard_normal((size, upper[0].size))
+        la_t = _times_lower_t(a_t, self._chol_full)
+        cov = _fixed_order.gram(np.swapaxes(la_t, -1, -2)) / n
+        sigma = JointCovariance(cov[:, 0, 0], cov[:, 0, 1:], cov[:, 1:, 1:], n)
+        c_short = self.c_true + means[:, 0]
+        gamma = means[:, 1:]
+        return BatchReplications(
+            c_short=c_short,
+            c_resid=residualize(c_short, gamma, sigma.lam).c_r,
+            se_short=sigma.se_c,
+            se_resid=sigma.se_r,
+            gamma_hat=gamma,
+            sigma_gg=sigma.sigma_gamma_gamma,
+        )
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _fixed_order
 from ._distributions import Z975, chi2_cdf, normal_cdf, normal_pdf
 from ._threads import batch_sizes, concat_field, map_batches
 from .dgps import BatchReplications, GaussianPairDGP, RctLinearDGP
@@ -202,15 +203,15 @@ class ConditionalStats:
 
 
 def _standardize_checks(batch: BatchReplications, n: int, oracle_gg: np.ndarray | None):
-    """T_n = sqrt(n) L^{-1} gamma_hat with L the Cholesky factor of Sigma_gg."""
-    gamma = batch.gamma_hat
+    """T_n = sqrt(n) L^{-1} gamma_hat with L the Cholesky factor of Sigma_gg.
+
+    Sigma_gg is each replication's estimate, or ``oracle_gg`` for all of them.
+    """
+    sigma_gg = batch.sigma_gg
     if oracle_gg is not None:
-        chol = np.linalg.cholesky(oracle_gg)
-        t = np.linalg.solve(chol[None, :, :], gamma[..., None])[..., 0]
-    else:
-        chol = np.linalg.cholesky(batch.sigma_gg)
-        t = np.linalg.solve(chol, gamma[..., None])[..., 0]
-    return math.sqrt(n) * t
+        sigma_gg = np.broadcast_to(oracle_gg, sigma_gg.shape)
+    chol = _fixed_order.cholesky(sigma_gg)
+    return math.sqrt(n) * _fixed_order.solve_lower(chol, batch.gamma_hat)
 
 
 def simulate_replications(config: SelectionConfig, threads: int | None = None) -> ReplicationDraws:

@@ -379,9 +379,12 @@ def stratified_cluster_csv(tmp_path):
 
 
 class TestBlasKernelIndependence:
-    """analyze bytes do not depend on the BLAS kernel OpenBLAS dispatches to.
+    """analyze bytes, and the Gaussian selection and misspec lab bytes, do not
+    depend on the BLAS kernel OpenBLAS dispatches to.
 
-    OPENBLAS_CORETYPE is set only in the environment of each child process.
+    The simulate cases are the two thread-count determinism commands of the
+    acceptance suite (criterion 9). OPENBLAS_CORETYPE is set only in the
+    environment of each child process.
     """
 
     def assert_same_bytes_across_kernels(self, *args):
@@ -404,6 +407,18 @@ class TestBlasKernelIndependence:
         self.assert_same_bytes_across_kernels(
             "analyze", "--input", str(stratified_cluster_csv(tmp_path)),
             "--covariates", "x1,x2,x3", "--cluster-col", "g", "--strata-col", "s",
+        )
+
+    def test_gaussian_selection_lab(self):
+        self.assert_same_bytes_across_kernels(
+            "simulate", "--lab", "selection", "--rho", "0.5", "--rule", "wald",
+            "--threshold", "3.841", "--n", "200", "--reps", "1000", "--seed", "7",
+        )
+
+    def test_misspec_lab(self):
+        self.assert_same_bytes_across_kernels(
+            "simulate", "--lab", "misspec", "--rho", "0.5", "--mu", "0.5",
+            "--lambda", "optimal", "--n", "400", "--reps", "1000", "--seed", "3",
         )
 
 

@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import chi2, ks_2samp, kstest, norm
 
 from residcheck.dgps import GaussianPairDGP, RctLinearDGP
 from residcheck.errors import ConfigError, DegenerateRule, DomainError
 from residcheck.selection import (
     ReportingRule,
     SelectionConfig,
+    _standardize_checks,
     max_abs_rule,
     run_conditional_experiment,
     simulate_replications,
@@ -175,3 +178,84 @@ class TestConditionalExperiment:
         assert s.mean.value == pytest.approx(0.5, abs=4 * s.mean.mc_se)
         cov = stats.estimators["residualized"]["all"].coverage
         assert cov.value == pytest.approx(0.95, abs=0.025)
+
+
+CORRELATED_PAIR = GaussianPairDGP(
+    sigma_c_sq=2.0,
+    sigma_c_gamma=np.array([0.6, -0.4]),
+    sigma_gamma_gamma=np.array([[1.0, 0.3], [0.3, 0.5]]),
+    c_true=0.25,
+)
+
+
+def full_data_replications(dgp, rng, n, reps, chunk=2000):
+    """(c_resid, se_resid, t_stats) from n drawn rows per replication.
+
+    The reference for the lab's sufficient-statistic draws: rows from
+    N(0, Sigma), then their mean, 1/n covariance and plug-in residualization.
+    """
+    chol = np.linalg.cholesky(dgp.population_covariance(n).full_matrix())
+    parts = []
+    for start in range(0, reps, chunk):
+        d = rng.standard_normal((min(chunk, reps - start), n, chol.shape[0])) @ chol.T
+        means = d.mean(axis=1)
+        centered = d - means[:, None, :]
+        cov = np.einsum("bij,bik->bjk", centered, centered) / n
+        gamma, sigma_cg, sigma_gg = means[:, 1:], cov[:, 0, 1:], cov[:, 1:, 1:]
+        lam = np.linalg.solve(sigma_gg, sigma_cg[..., None])[..., 0]
+        c_resid = dgp.c_true + means[:, 0] - (lam * gamma).sum(axis=1)
+        se_resid = np.sqrt((cov[:, 0, 0] - (lam * sigma_cg).sum(axis=1)) / n)
+        t = np.linalg.solve(np.linalg.cholesky(sigma_gg), gamma[..., None])[..., 0]
+        parts.append(np.column_stack([c_resid, se_resid, np.sqrt(n) * t]))
+    return np.concatenate(parts)
+
+
+class TestSufficientStatisticDraws:
+    """The Gaussian lab draws the mean and covariance, not rows; check their laws."""
+
+    @pytest.mark.parametrize("n, reps, seed", [(50, 40_000, 21), (400, 20_000, 22)])
+    def test_matches_full_data_path(self, n, reps, seed):
+        config = SelectionConfig(
+            dgp=CORRELATED_PAIR, rule=wald_rule(5.99), n=n, reps=reps, seed=seed
+        )
+        draws = simulate_replications(config)
+        lab = np.column_stack([draws.c_resid, draws.se_resid, draws.t_stats])
+        reference = full_data_replications(
+            CORRELATED_PAIR, np.random.default_rng(seed + 100), n, reps
+        )
+        for name, a, b in zip(("c_resid", "se_resid", "t_0", "t_1"), lab.T, reference.T):
+            assert ks_2samp(a, b).pvalue > 1e-3, name
+
+    @pytest.mark.parametrize("n, seed", [(50, 31), (400, 32)])
+    def test_exact_laws(self, n, seed):
+        p = CORRELATED_PAIR.p_gamma
+        batch = CORRELATED_PAIR.replicate_batch(np.random.default_rng(seed), n, 100_000)
+        sigma = CORRELATED_PAIR.population_covariance(n)
+        laws = {
+            "c_short": (batch.c_short - CORRELATED_PAIR.c_true, norm(scale=sigma.se_c).cdf),
+            "se_short": (n * n * batch.se_short**2 / sigma.sigma_c_sq, chi2(n - 1).cdf),
+            "se_resid": (n * n * batch.se_resid**2 / sigma.sigma_r_sq, chi2(n - 1 - p).cdf),
+        }
+        for name, (values, cdf) in laws.items():
+            assert kstest(values, cdf).pvalue > 1e-3, name
+        # KS misses a 1% error in the scale of c_short at this size (sqrt(n - 1)
+        # for sqrt(n) at n = 50); its second moment about the known mean does not.
+        c_short = laws["c_short"][0]
+        second = np.mean(c_short**2) / sigma.se_c**2
+        assert abs(second - 1.0) <= 4.0 * np.sqrt(2.0 / c_short.size)
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_standardized_checks_match_lapack_member_by_member(oracle):
+    n = 60
+    batch = CORRELATED_PAIR.replicate_batch(np.random.default_rng(5), n, 200)
+    oracle_gg = CORRELATED_PAIR.sigma_gamma_gamma if oracle else None
+    t = _standardize_checks(batch, n, oracle_gg)
+    sigma_gg = batch.sigma_gg
+    if oracle:
+        sigma_gg = np.broadcast_to(oracle_gg, sigma_gg.shape)
+    chol = np.linalg.cholesky(sigma_gg)
+    reference = np.sqrt(n) * np.linalg.solve(chol, batch.gamma_hat[..., None])[..., 0]
+    np.testing.assert_allclose(t, reference, rtol=1e-12, atol=1e-12)
+    one = dataclasses.replace(batch, gamma_hat=batch.gamma_hat[7:8], sigma_gg=batch.sigma_gg[7:8])
+    assert np.array_equal(_standardize_checks(one, n, oracle_gg), t[7:8])
