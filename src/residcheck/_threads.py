@@ -39,7 +39,7 @@ def batch_sizes(total: int, n_batches: int) -> list[int]:
 def map_batches(fn: Callable[[int], T], n_batches: int, threads: int | None = None) -> list[T]:
     """Apply fn to batch indices 0..n_batches-1, results in index order."""
     workers = resolve_threads(threads)
-    if workers == 1 or n_batches == 1:
+    if workers == 1 or n_batches <= 1:
         return [fn(i) for i in range(n_batches)]
     with ThreadPoolExecutor(max_workers=min(workers, n_batches)) as pool:
         return list(pool.map(fn, range(n_batches)))

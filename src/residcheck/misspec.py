@@ -14,8 +14,9 @@ envelope 2 dP0: a base draw d with acceptance uniform u is kept when
 so instead of switching to an exponential tilt we require them to lie in
 [0, 2]: a proposal whose weight falls outside raises WeightUnderflow, and
 weights are never clipped. The bias runners first check sup |s|/sqrt(n) < 1
-on a pilot sample, so that a bad n fails before any replication. Half of
-all proposals are accepted on average, and no row is repeated.
+on the calibration sample they already score, so that a bad n fails before
+any replication. Half of all proposals are accepted on average, and no row
+is repeated.
 
 Norms and inner products ("predicted" biases) are always estimated on a
 calibration sample drawn independently of the evaluation replications.
@@ -36,7 +37,6 @@ Sampler = Callable[[np.random.Generator, int], np.ndarray]
 ScoreFn = Callable[[np.ndarray], np.ndarray]
 
 DEFAULT_CALIBRATION_DRAWS = 1_000_000
-DEFAULT_PILOT_DRAWS = 1_000_000
 # Budget guard on reps * n for a bias measurement run.
 MAX_TOTAL_DRAWS = 500_000_000
 
@@ -146,24 +146,15 @@ def validate_score(
         )
 
 
-def check_weight_bound(
-    score: MisspecScore,
-    p0_sampler: Sampler,
-    n: int,
-    seed: int = 2,
-    pilot_draws: int = DEFAULT_PILOT_DRAWS,
-) -> float:
-    """Pilot bound sup |s| / sqrt(n) < 1; returns the pilot maximum of |s|."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(903,)))
-    sup = 0.0
-    remaining = pilot_draws
-    while remaining > 0:
-        m = min(remaining, 500_000)
-        sup = max(sup, float(np.abs(score(p0_sampler(rng, m))).max()))
-        remaining -= m
+def check_weight_bound(score_values: np.ndarray, n: int) -> float:
+    """Require sup |s| / sqrt(n) < 1 over scores already evaluated on a sample.
+
+    Returns the sample maximum of |s|.
+    """
+    sup = float(np.abs(score_values).max())
     if sup / math.sqrt(n) >= 1.0:
         raise WeightUnderflow(
-            f"pilot sup |s| = {sup:.4g} reaches sqrt(n) = {math.sqrt(n):.4g}; "
+            f"calibration sup |s| = {sup:.4g} reaches sqrt(n) = {math.sqrt(n):.4g}; "
             "n is too small for this mu and score shape"
         )
     return sup
@@ -229,15 +220,15 @@ def measure_bias(
         raise ConfigError(
             f"reps * n = {reps * n:.3g} exceeds the configured budget {max_total_draws:.3g}"
         )
-    check_weight_bound(score, p0_sampler, n, seed=seed)
-
     ss = np.random.SeedSequence(seed)
     sizes = batch_sizes(reps, _N_BATCHES)
     children = ss.spawn(len(sizes) + 1)
 
     calib_rng = np.random.default_rng(children[-1])
     calib = p0_sampler(calib_rng, calibration_draws)
-    products = np.asarray(estimator.influence(calib), dtype=float) * score(calib)
+    calib_scores = score(calib)
+    check_weight_bound(calib_scores, n)
+    products = np.asarray(estimator.influence(calib), dtype=float) * calib_scores
     predicted = float(products.mean())
     predicted_se = float(products.std(ddof=1) / math.sqrt(calibration_draws))
 
@@ -309,6 +300,8 @@ def worst_case_bias_profile(
 
     ss = np.random.SeedSequence(seed)
     sizes = batch_sizes(reps, _N_BATCHES)
+    # children[-2] is spare: spawning one fewer would move the calibration
+    # stream, and with it every profile a seed gives.
     children = ss.spawn(len(sizes) + 2)
 
     calib = dgp.draw(np.random.default_rng(children[-1]), calibration_draws)
@@ -317,16 +310,10 @@ def worst_case_bias_profile(
     norms = np.array([math.sqrt(float(np.mean(v**2))) for v in psis])
     if norms.min() < 1e-12:
         raise ZeroInfluence("an adjusted influence function is numerically zero")
-
-    # Pilot weight bound across all combinations, so that a bad n fails fast.
-    pilot = dgp.draw(np.random.default_rng(children[-2]), DEFAULT_PILOT_DRAWS)
+    # The largest mu gives each lambda its largest weights; fail before any replication.
+    for psi, norm in zip(psis, norms):
+        check_weight_bound(mus.max() / norm * psi, n)
     root_n = math.sqrt(n)
-    for j, lam in enumerate(lambdas):
-        sup = float(np.abs(psi_fns[j](pilot)).max()) / norms[j]
-        if mus.max() * sup / root_n >= 1.0:
-            raise WeightUnderflow(
-                f"lambda = {lam:.4g}, mu = {mus.max():.4g}: pilot weights leave (0, 2) at n = {n}"
-            )
 
     n_mu, n_lam = mus.shape[0], lambdas.shape[0]
     # One score per (mu, lambda), mu-major: s* = mu psi_lambda / ||psi_lambda||.

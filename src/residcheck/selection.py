@@ -13,7 +13,9 @@ truncated-normal oracle available in the scalar Gaussian case:
 Monte Carlo standard errors come from splitting the replications into
 contiguous batches (50 by default); the batches double as the unit of
 deterministic parallelism, so results are byte-identical at any thread
-count.
+count. The first batches that hold at least 1,000 replications also gate the
+run: output is emitted only when their pass rate lies in [0.02, 0.98], and
+they are reported with the rest, so no replication is drawn only to gate.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from ._threads import batch_sizes, concat_field, map_batches
 from .dgps import BatchReplications, GaussianPairDGP, RctLinearDGP
 from .errors import ConfigError, DegenerateRule, DomainError
 
+# The DegenerateRule gate reads the pass rate of the first batches whose sizes
+# sum to at least this many replications; it is also the smallest allowed reps.
 PILOT_REPS = 1000
 PASS_RATE_FLOOR = 0.02
 PASS_RATE_CEILING = 0.98
@@ -218,51 +222,46 @@ def simulate_replications(config: SelectionConfig, threads: int | None = None) -
     """Run the experiment and return per-replication arrays.
 
     Batch b draws its generator from SeedSequence(seed).spawn, so results do
-    not depend on the worker count; the pilot (last spawned child) estimates
-    the pass rate and aborts with DegenerateRule when it is outside
-    [0.02, 0.98].
+    not depend on the worker count. The head batches, the fewest from the
+    start that hold at least PILOT_REPS replications, run first: when their
+    pass rate is outside [0.02, 0.98] the run aborts with DegenerateRule
+    before the remaining batches are drawn. Otherwise they are reported
+    with the rest, so every replication drawn is reported.
     """
     sizes = batch_sizes(config.reps, config.n_batches)
-    children = np.random.SeedSequence(config.seed).spawn(len(sizes) + 1)
+    children = np.random.SeedSequence(config.seed).spawn(len(sizes))
     oracle_gg = None
     if config.oracle_sigma:
         oracle_gg = config.dgp.population_covariance(config.n).sigma_gamma_gamma
 
-    pilot_rng = np.random.default_rng(children[-1])
-    pilot = config.dgp.replicate_batch(pilot_rng, config.n, PILOT_REPS)
-    pilot_rate = float(
-        config.rule.passes(_standardize_checks(pilot, config.n, oracle_gg)).mean()
-    )
-    if not PASS_RATE_FLOOR <= pilot_rate <= PASS_RATE_CEILING:
+    def run_batch(b: int) -> tuple[BatchReplications, np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(children[b])
+        batch = config.dgp.replicate_batch(rng, config.n, sizes[b])
+        t_stats = _standardize_checks(batch, config.n, oracle_gg)
+        return batch, t_stats, config.rule.passes(t_stats)
+
+    head = int(np.searchsorted(np.cumsum(sizes), PILOT_REPS)) + 1
+    parts = map_batches(run_batch, head, threads)
+    head_rate = float(np.concatenate([passed for _, _, passed in parts]).mean())
+    if not PASS_RATE_FLOOR <= head_rate <= PASS_RATE_CEILING:
         raise DegenerateRule(
-            f"pilot pass rate {pilot_rate:.4f} outside "
+            f"pilot pass rate {head_rate:.4f} outside "
             f"[{PASS_RATE_FLOOR}, {PASS_RATE_CEILING}]; the rule is degenerate under this DGP"
         )
+    parts += map_batches(lambda i: run_batch(head + i), len(sizes) - head, threads)
 
-    def run_batch(b: int) -> BatchReplications:
-        rng = np.random.default_rng(children[b])
-        return config.dgp.replicate_batch(rng, config.n, sizes[b])
-
-    parts = map_batches(run_batch, len(sizes), threads)
-    merged = {
-        name: concat_field(parts, name)
-        for name in ("c_short", "c_resid", "se_short", "se_resid", "gamma_hat", "sigma_gg")
-    }
-    c_long = concat_field(parts, "c_long")
-    se_long = concat_field(parts, "se_long")
-    full = BatchReplications(c_long=c_long, se_long=se_long, **merged)
-    t_stats = _standardize_checks(full, config.n, oracle_gg)
+    batches, t_parts, passed_parts = zip(*parts)
     return ReplicationDraws(
         config=config,
-        c_short=full.c_short,
-        c_resid=full.c_resid,
-        se_short=full.se_short,
-        se_resid=full.se_resid,
-        gamma_hat=full.gamma_hat,
-        t_stats=t_stats,
-        passed=config.rule.passes(t_stats),
-        c_long=c_long,
-        se_long=se_long,
+        c_short=concat_field(batches, "c_short"),
+        c_resid=concat_field(batches, "c_resid"),
+        se_short=concat_field(batches, "se_short"),
+        se_resid=concat_field(batches, "se_resid"),
+        gamma_hat=concat_field(batches, "gamma_hat"),
+        t_stats=np.concatenate(t_parts),
+        passed=np.concatenate(passed_parts),
+        c_long=concat_field(batches, "c_long"),
+        se_long=concat_field(batches, "se_long"),
     )
 
 

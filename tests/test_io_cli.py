@@ -539,6 +539,18 @@ class TestCli:
         assert result.returncode == 2
         assert json.loads(result.stderr.decode())["error"] == "UnknownLab"
 
+    def test_simulate_degenerate_rule_exit_code(self):
+        result = run_cli(
+            "simulate", "--lab", "selection", "--rho", "0.5",
+            "--rule", "two_sided_t", "--threshold", "20",
+            "--n", "200", "--reps", "1000", "--seed", "7",
+        )
+        assert result.returncode == 3
+        assert result.stdout == b""
+        lines = result.stderr.decode().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "DegenerateRule"
+
     def test_simulate_config_floor_enforced(self):
         result = run_cli(
             "simulate", "--lab", "selection", "--n", "200", "--reps", "10", "--seed", "1"

@@ -79,7 +79,7 @@ class TestSamplePerturbed:
         # E_{P_n}[D] = E0[D s] / sqrt(n) = 1 / sqrt(n) for s(d) = d.
         n, reps = 10_000, 300
         score = MisspecScore(fn=lambda d: d[:, 0], mu=1.0)
-        check_weight_bound(score, scalar_normal_sampler, n)
+        check_weight_bound(score(scalar_normal_sampler(np.random.default_rng(2), 1_000_000)), n)
         means = []
         for rep in range(reps):
             data = sample_perturbed(scalar_normal_sampler, score, n, seed=4_000 + rep)
@@ -186,6 +186,49 @@ class TestMeasureBias:
         a = measure_bias(short_estimator_of(PAIR), PAIR.draw, score, threads=1, **kwargs)
         b = measure_bias(short_estimator_of(PAIR), PAIR.draw, score, threads=4, **kwargs)
         assert a == b
+
+
+class CountingSampler:
+    """Delegates to a DGP and records the size of every base-model draw."""
+
+    def __init__(self, dgp):
+        self.dgp = dgp
+        self.sizes = []
+
+    def draw(self, rng, size):
+        self.sizes.append(size)
+        return self.dgp.draw(rng, size)
+
+    def __getattr__(self, name):
+        return getattr(self.dgp, name)
+
+
+class TestWeightGate:
+    """Both runners gate on the calibration sample they score anyway."""
+
+    def test_measure_bias_fails_before_any_replication(self):
+        counting = CountingSampler(PAIR)
+        score = worst_case_score(PAIR.influence_c, 2.0, PAIR.draw)
+        with pytest.raises(WeightUnderflow):
+            measure_bias(
+                short_estimator_of(PAIR), counting.draw, score, n=16, reps=100,
+                seed=1, calibration_draws=50_000,
+            )
+        assert counting.sizes == [50_000]
+
+    def test_profile_fails_before_any_replication(self):
+        counting = CountingSampler(PAIR)
+        with pytest.raises(WeightUnderflow):
+            worst_case_bias_profile(
+                counting, [0.0, float(PAIR.lambda_opt[0])], [0.5, 2.0], n=16, reps=100,
+                seed=1, calibration_draws=50_000,
+            )
+        assert counting.sizes == [50_000]
+
+    def test_bound_reads_the_values_it_is_given(self):
+        assert check_weight_bound(np.array([-1.5, 0.5]), 4) == 1.5
+        with pytest.raises(WeightUnderflow):
+            check_weight_bound(np.array([0.0, -2.0]), 4)
 
 
 class TestBiasProfile:

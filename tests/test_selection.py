@@ -13,6 +13,7 @@ from residcheck.selection import (
     max_abs_rule,
     run_conditional_experiment,
     simulate_replications,
+    summarize,
     truncated_oracle,
     two_sided_t_rule,
     wald_rule,
@@ -259,3 +260,55 @@ def test_standardized_checks_match_lapack_member_by_member(oracle):
     np.testing.assert_allclose(t, reference, rtol=1e-12, atol=1e-12)
     one = dataclasses.replace(batch, gamma_hat=batch.gamma_hat[7:8], sigma_gg=batch.sigma_gg[7:8])
     assert np.array_equal(_standardize_checks(one, n, oracle_gg), t[7:8])
+
+
+class CountingDGP:
+    """Delegates to a DGP and records the size of every replicate_batch call."""
+
+    def __init__(self, dgp):
+        self.dgp = dgp
+        self.sizes = []
+
+    def replicate_batch(self, rng, n, size):
+        self.sizes.append(size)
+        return self.dgp.replicate_batch(rng, n, size)
+
+    def __getattr__(self, name):
+        return getattr(self.dgp, name)
+
+
+ALWAYS_PASSES = ReportingRule(kind="custom", threshold=0.0, q=lambda t: np.zeros(t.shape[0]))
+
+
+class TestPassRateGate:
+    """The gate reads the first reported replications; nothing is drawn only to gate."""
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_draws_exactly_reps(self, threads):
+        dgp = CountingDGP(GaussianPairDGP.from_rho(0.5))
+        config = SelectionConfig(dgp=dgp, rule=two_sided_t_rule(1.96), n=100, reps=2050, seed=3)
+        draws = simulate_replications(config, threads=threads)
+        assert sum(dgp.sizes) == 2050 == draws.c_short.shape[0]
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize(
+        "reps, head_reps",
+        # 50 batches: 1003 -> 21 * 3 + 20 * 47, and 1000 lands inside the
+        # last batch; 2000 -> 40 each, 25 batches; 2050 -> 41 each, 25 batches
+        # hold 1025.
+        [(1003, 1003), (2000, 1000), (2050, 1025)],
+    )
+    def test_degenerate_rule_stops_after_the_head_batches(self, reps, head_reps, threads):
+        dgp = CountingDGP(GaussianPairDGP.from_rho(0.5))
+        config = SelectionConfig(dgp=dgp, rule=ALWAYS_PASSES, n=100, reps=reps, seed=3)
+        with pytest.raises(DegenerateRule, match="pass rate 1.0000"):
+            simulate_replications(config, threads=threads)
+        assert sum(dgp.sizes) == head_reps
+
+    def test_same_at_any_thread_count_when_the_gate_ends_inside_a_batch(self):
+        config = scalar_config(0.5, reps=1003, n=200, seed=19)
+        one = simulate_replications(config, threads=1)
+        four = simulate_replications(config, threads=4)
+        for name in ("c_short", "c_resid", "se_short", "se_resid", "gamma_hat", "t_stats", "passed"):
+            assert np.array_equal(getattr(one, name), getattr(four, name)), name
+        assert summarize(one) == summarize(four)
