@@ -3,11 +3,12 @@
 
 The fixture dataset is a seeded draw from an interacted linear RCT model, so
 the residualized and long-regression coefficients genuinely differ. The draw
-multiplies through BLAS, whose last bits depend on the CPU kernel, so an
-existing ``rct_fixture.csv`` is kept as it is and the report is built from
-it; the CSV is drawn only when it is absent. The golden report is produced
-by the library itself and frozen; test_io_cli.py verifies the frozen bytes
-and independently recomputes the adjustment coefficient from the raw CSV.
+no longer goes through BLAS, but the committed CSV was drawn when it did, so
+its last bits need not match a fresh draw: an existing ``rct_fixture.csv`` is
+kept as it is and the report is built from it; the CSV is drawn only when it
+is absent. The golden report is produced by the library itself and frozen;
+test_io_cli.py verifies the frozen bytes and independently recomputes the
+adjustment coefficient from the raw CSV.
 """
 
 import argparse

@@ -1,10 +1,10 @@
 """Dot products, Gram matrices and a small Cholesky solve in a fixed order.
 
 BLAS and LAPACK choose their summation order per CPU kernel, so a plain
-``a @ b`` or ``np.linalg.cholesky`` can differ in the last bit between
+``a @ b`` or a LAPACK Cholesky factor can differ in the last bit between
 machines, or between ``OPENBLAS_CORETYPE`` settings on one machine. Every
-number that ``analyze`` reports goes through the routines below instead,
-which makes the report bytes independent of the BLAS kernel:
+number that ``analyze`` or ``simulate`` reports goes through the routines
+below instead, which makes the output bytes independent of the BLAS kernel:
 
 * ``dot`` and ``gram`` multiply element-wise into a contiguous array and sum
   each row with ``np.add.reduce``, numpy's pairwise summation, whose order
@@ -12,9 +12,9 @@ which makes the report bytes independent of the BLAS kernel:
   ``dot(cols[i], cols[j])`` give the same bits.
 * ``group_sums`` adds each row up within groups in row order
   (``np.bincount``), as ``np.add.at`` would, at a fraction of its cost.
-* ``cholesky``, ``solve_lower`` and ``cho_solve`` factor and solve the
-  p x p check block (p is the number of checks, so small), each inner
-  product summed left to right.
+* ``cholesky``, ``solve_lower`` and ``cho_solve`` factor and solve small
+  p x p systems (the check block, the long regression's normal equations),
+  each inner product summed left to right.
 
 Every routine but ``group_sums`` works over the last axis (or last two) and
 takes any leading batch axes, so a stack of B problems is one call whose

@@ -120,8 +120,6 @@ def _cmd_analyze(args) -> None:
         cluster=args.cluster_col,
         strata=args.strata_col,
         covariance_mode=mode,
-        output_path=args.output,
-        report_format=args.format,
     )
     report = build_analyze_report(config)
     if args.format == "json":
@@ -161,8 +159,6 @@ def _cmd_simulate(args) -> None:
         dgp=dgp,
         rule=RuleSpec(kind=args.rule, threshold=args.threshold, coord=args.coord),
         score=ScoreSpec(lam=lam, mu=args.mu),
-        output_path=args.output,
-        report_format=args.format,
     )
     payload = run_simulate(config)
     if args.format == "json":

@@ -299,11 +299,8 @@ def adjusted_variance(sigma: JointCovariance, lam) -> float:
         raise DimensionMismatch(
             f"coefficient row has length {lam.shape[-1]}, expected {sigma.p_gamma}"
         )
-    # As (1, p) rows and (p, 1) columns, matmul makes the same BLAS call for
-    # each member of a stack as for one 1-d row, so the bits agree.
-    row, col = lam[..., None, :], lam[..., :, None]
-    cross = (2.0 * row @ sigma.sigma_c_gamma[..., :, None])[..., 0, 0]
-    quad = (row @ sigma.sigma_gamma_gamma @ col)[..., 0, 0]
+    cross = 2.0 * _fixed_order.dot(lam, sigma.sigma_c_gamma)
+    quad = _fixed_order.dot(lam, _fixed_order.dot(sigma.sigma_gamma_gamma, lam[..., None, :]))
     return _fixed_order.scalar_or_stack(sigma.sigma_c_sq - cross + quad)
 
 

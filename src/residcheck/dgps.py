@@ -66,6 +66,14 @@ def _times_lower_t(z: np.ndarray, low: np.ndarray) -> np.ndarray:
     return z
 
 
+def _times_columns(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """x coef over the last axis of x, summed column by column, left to right, without BLAS."""
+    out = x[..., 0] * coef[0]
+    for k in range(1, coef.shape[0]):
+        out += x[..., k] * coef[k]
+    return out
+
+
 @dataclass(frozen=True)
 class GaussianPairDGP:
     """Joint normal influence vector (d_c, d_g) with covariance Sigma = L L'.
@@ -128,20 +136,23 @@ class GaussianPairDGP:
 
     def influence_adjusted(self, lam) -> Callable[[np.ndarray], np.ndarray]:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        return lambda data: data[:, 0] - data[:, 1:] @ lam
+        return lambda data: data[:, 0] - _fixed_order.dot(data[:, 1:], lam)
 
     def estimate_short(self, data: np.ndarray) -> float:
         return self.c_true + float(data[:, 0].mean())
 
     def estimate_fixed(self, data: np.ndarray, lam) -> float:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        return self.c_true + float(data[:, 0].mean() - data[:, 1:].mean(axis=0) @ lam)
+        gamma = data[:, 1:].mean(axis=0)
+        return self.c_true + float(data[:, 0].mean() - _fixed_order.dot(gamma, lam))
 
     def estimate_plugin_residualized(self, data: np.ndarray) -> float:
-        centered = data - data.mean(axis=0)
-        cov = centered.T @ centered / data.shape[0]
-        lam_hat = np.linalg.solve(cov[1:, 1:], cov[0, 1:])
-        return self.c_true + float(data[:, 0].mean() - data[:, 1:].mean(axis=0) @ lam_hat)
+        rows = np.ascontiguousarray(data.T)
+        means = np.add.reduce(rows, axis=-1) / len(data)
+        rows -= means[:, None]
+        cov = _fixed_order.gram(rows) / len(data)
+        lam_hat = _fixed_order.cho_solve(_fixed_order.cholesky(cov[1:, 1:]), cov[0, 1:])
+        return self.c_true + residualize(means[0], means[1:], lam_hat).c_r
 
     def replicate_batch(self, rng: np.random.Generator, n: int, size: int) -> BatchReplications:
         """size independent replications at sample size n, through :class:`JointCovariance`.
@@ -214,8 +225,8 @@ class RctLinearDGP:
         pi = self.pi
         b1 = self.beta + self.interaction
         b0 = self.beta
-        var1 = float(b1 @ b1) + self.noise_sd**2
-        var0 = float(b0 @ b0) + self.noise_sd**2
+        var1 = _fixed_order.dot(b1, b1) + self.noise_sd**2
+        var0 = _fixed_order.dot(b0, b0) + self.noise_sd**2
         sigma_c_sq = var1 / pi + var0 / (1.0 - pi)
         sigma_cg = b1 / pi + b0 / (1.0 - pi)
         sigma_gg = (1.0 / pi + 1.0 / (1.0 - pi)) * np.eye(self.p_gamma)
@@ -256,12 +267,11 @@ class RctLinearDGP:
             rng.standard_normal(out=noise_b)
         np.less(t, self.pi, out=t)
         # y = alpha + tau t + x beta + (x interaction) t + noise_sd noise, summed
-        # left to right in place. x @ beta is one matrix-vector product per
-        # member, as for a single draw.
+        # left to right in place, x beta and x interaction over the columns.
         np.multiply(self.tau, t, out=y)
         y += self.alpha
-        y += x @ self.beta
-        shift = x @ self.interaction
+        y += _times_columns(x, self.beta)
+        shift = _times_columns(x, self.interaction)
         shift *= t
         y += shift
         noise *= self.noise_sd
@@ -295,7 +305,9 @@ class RctLinearDGP:
 
     def influence_adjusted(self, lam) -> Callable[[np.ndarray], np.ndarray]:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        return lambda data: self.influence_c(data) - self.influence_gamma(data) @ lam
+        return lambda data: (
+            self.influence_c(data) - _fixed_order.dot(self.influence_gamma(data), lam)
+        )
 
     def structural_mean_shift_score(self) -> Callable[[np.ndarray], np.ndarray]:
         """Score of an equal outcome-mean shift in both arms (within-model)."""
@@ -303,7 +315,8 @@ class RctLinearDGP:
         def score(data: np.ndarray) -> np.ndarray:
             y, t = data[:, 0], data[:, 1]
             x = data[:, 2:]
-            resid = y - self.alpha - self.tau * t - x @ self.beta - (x @ self.interaction) * t
+            fitted = self.alpha + self.tau * t + _times_columns(x, self.beta)
+            resid = y - fitted - _times_columns(x, self.interaction) * t
             return resid / self.noise_sd**2
 
         return score

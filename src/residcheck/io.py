@@ -24,7 +24,7 @@ from .rct import RctDataset
 
 @dataclass(frozen=True)
 class AnalyzeConfig:
-    """Column roles and output options for the analyze workflow.
+    """Input file, column roles and covariance mode for the analyze workflow.
 
     Row indices in error messages are 1-based over data rows (the header is
     row 0).
@@ -37,8 +37,6 @@ class AnalyzeConfig:
     cluster: str | None = None
     strata: str | None = None
     covariance_mode: str = "iid"
-    output_path: str | None = None
-    report_format: str = "json"
 
     def __post_init__(self):
         object.__setattr__(self, "covariates", tuple(self.covariates))
@@ -55,8 +53,6 @@ class AnalyzeConfig:
             raise ConfigError(f"covariance mode must be iid or cluster, got {self.covariance_mode!r}")
         if self.covariance_mode == "cluster" and self.cluster is None:
             raise ConfigError("cluster covariance mode requires a cluster column")
-        if self.report_format not in ("json", "csv", "text"):
-            raise ConfigError(f"unknown report format {self.report_format!r}")
 
 
 @dataclass(frozen=True)
@@ -233,8 +229,6 @@ class SimulateConfig:
     dgp: GaussianDgpSpec | RctDgpSpec = field(default_factory=GaussianDgpSpec)
     rule: RuleSpec = field(default_factory=RuleSpec)
     score: ScoreSpec = field(default_factory=ScoreSpec)
-    output_path: str | None = None
-    report_format: str = "json"
 
     def __post_init__(self):
         if self.lab not in ("selection", "misspec"):
@@ -253,5 +247,3 @@ class SimulateConfig:
             raise ConfigError(f"rule threshold must be positive and finite, got {threshold}")
         if self.lab == "misspec" and not isinstance(self.dgp, GaussianDgpSpec):
             raise ConfigError("the misspec lab runs on the gaussian DGP only")
-        if self.report_format not in ("json", "csv"):
-            raise ConfigError(f"simulate output format must be json or csv, got {self.report_format!r}")

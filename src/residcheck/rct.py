@@ -29,11 +29,11 @@ the textbook formulas
 with influence contributions T (Y - avg1) / pi - (1 - T)(Y - avg0) / (1 - pi)
 at the realized treated share pi.
 
-The short, balance and residualized estimators sum in the fixed order of
-:mod:`residcheck._fixed_order`, so their bits do not depend on the BLAS
-kernel. The long regression uses LAPACK (stacked ``qr`` and ``solve``); it
-is not part of the residualized pipeline, and only the RCT selection lab
-runs it.
+Every estimator sums in the fixed order of :mod:`residcheck._fixed_order`,
+so its bits do not depend on the BLAS kernel. The long regression is the
+linear adjustment of the difference in means at beta_long (Lovell 1963),
+solved from normal equations on the same demeaned rows; it is not part of
+the residualized pipeline, and only the RCT selection lab runs it.
 """
 
 from __future__ import annotations
@@ -43,12 +43,13 @@ from functools import cached_property
 
 import numpy as np
 
-from ._fixed_order import dot, group_sums, scalar_or_stack
+from ._fixed_order import cho_solve, cholesky, dot, gram, group_sums, scalar_or_stack
 from .core import JointCovariance, ResidualizationResult, residualize
 from .covariance import InfluenceContributions, joint_covariance
-from .errors import DimensionMismatch, EmptyArm, RankDeficientDesign
+from .errors import DimensionMismatch, EmptyArm, RankDeficientDesign, SingularCheckCovariance
 
-# Relative threshold on the R factor diagonal below which the design is
+# Share of a covariate's sum of squares that t and the earlier covariates
+# may leave unexplained (a squared Cholesky pivot) before the design is
 # treated as rank deficient rather than silently dropping columns.
 _RANK_RTOL = 1e-10
 
@@ -191,22 +192,32 @@ def balance_stats(data: RctDataset) -> tuple[np.ndarray, np.ndarray]:
 def long_regression(data: RctDataset) -> tuple[float, np.ndarray]:
     """Coefficient on treatment from the regression on treatment and covariates.
 
-    Returns ``(c_long, beta_long)``. The design is factored by QR; a
-    rank-deficient design is an error, never repaired by dropping columns.
-    A stack is factored and solved by numpy's stacked ``qr`` and ``solve``,
-    which run the LAPACK routines of a single dataset on each member.
+    Returns ``(c_long, beta_long)``. By Frisch-Waugh-Lovell, c_long is the
+    difference in means adjusted at beta_long, which solves the normal
+    equations of the covariates with t partialled out: S = G - t't s s' for
+    the Gram matrix G of the demeaned y, x and their slopes s on t. Squaring
+    the condition number of the design this way is harmless for random
+    covariates (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 20). A covariate whose squared Cholesky pivot, its sum of squares
+    left unexplained by t and the covariates before it, is at most
+    ``_RANK_RTOL`` of its sum of squares makes the design rank deficient: an
+    error, never repaired by dropping columns. The gate reads squared pivots,
+    not |R_ii| as a QR gate would: an exactly duplicated covariate leaves a
+    relative pivot of about +-2e-16, too coarse to take a root of at 1e-10.
     """
-    centered = data.centered
-    design = np.delete(centered, 1, axis=-2)  # rows t, x_1..x_p
-    q, r = np.linalg.qr(np.swapaxes(design, -1, -2))
-    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    if (diag.min(axis=-1) <= _RANK_RTOL * diag.max(axis=-1)).any():
-        raise RankDeficientDesign(
-            "design matrix [treatment, covariates] is rank deficient"
-        )
-    qty = np.swapaxes(q, -1, -2) @ centered[..., 1, :, None]
-    coef = np.linalg.solve(r, qty)[..., 0]
-    return scalar_or_stack(coef[..., 0]), coef[..., 1:]
+    slopes, centered = data.influence[0], data.centered
+    sums = gram(centered[..., 1:, :])  # rows y, x_1..x_p
+    t_sq = np.expand_dims(dot(centered[..., 0, :], centered[..., 0, :]), -1)
+    partialled = sums - (t_sq * slopes)[..., :, None] * slopes[..., None, :]
+    try:
+        low = cholesky(partialled[..., 1:, 1:])
+    except SingularCheckCovariance:  # a pivot not above zero
+        low = None
+    x_sq = np.diagonal(sums, axis1=-2, axis2=-1)[..., 1:]
+    if low is None or (np.diagonal(low, axis1=-2, axis2=-1) ** 2 <= _RANK_RTOL * x_sq).any():
+        raise RankDeficientDesign("design matrix [treatment, covariates] is rank deficient")
+    beta = cho_solve(low, partialled[..., 1:, 0])
+    return residualize(slopes[..., 0], slopes[..., 1:], beta).c_r, beta
 
 
 def residualized_estimator(

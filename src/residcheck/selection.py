@@ -38,6 +38,9 @@ PILOT_REPS = 1000
 PASS_RATE_FLOOR = 0.02
 PASS_RATE_CEILING = 0.98
 
+# Seeded batches of replications, which also give the Monte Carlo SEs.
+_N_BATCHES = 50
+
 
 @dataclass(frozen=True)
 class ReportingRule:
@@ -141,7 +144,6 @@ class SelectionConfig:
     reps: int
     seed: int
     oracle_sigma: bool = False
-    n_batches: int = 50
 
     def __post_init__(self):
         if self.reps < PILOT_REPS:
@@ -228,7 +230,7 @@ def simulate_replications(config: SelectionConfig, threads: int | None = None) -
     before the remaining batches are drawn. Otherwise they are reported
     with the rest, so every replication drawn is reported.
     """
-    sizes = batch_sizes(config.reps, config.n_batches)
+    sizes = batch_sizes(config.reps, _N_BATCHES)
     children = np.random.SeedSequence(config.seed).spawn(len(sizes))
     oracle_gg = None
     if config.oracle_sigma:
@@ -266,59 +268,43 @@ def simulate_replications(config: SelectionConfig, threads: int | None = None) -
 
 
 def _metric_with_batch_se(
-    per_rep: Callable[[slice], float], slices: list[slice], pooled: float
+    values: np.ndarray, mask: np.ndarray, stat: Callable, slices: list[slice], least: int = 1
 ) -> MetricWithSE:
-    vals = np.array([per_rep(s) for s in slices])
+    """stat of the masked values, with an MC SE from its spread over the batches.
+
+    A batch holding fewer than ``least`` masked values does not count.
+    """
+    vals = np.array([stat(values[s][mask[s]]) for s in slices if mask[s].sum() >= least])
     vals = vals[np.isfinite(vals)]
     if vals.size >= 2:
         se = float(vals.std(ddof=1) / math.sqrt(vals.size))
     else:
         se = float("nan")
+    pooled = float(stat(values[mask])) if mask.sum() >= least else float("nan")
     return MetricWithSE(value=pooled, mc_se=se)
 
 
 def _condition_summary(
     est: np.ndarray, se: np.ndarray, mask: np.ndarray, c_true: float, slices: list[slice]
 ) -> ConditionSummary:
-    sel_est = est[mask]
     count = int(mask.sum())
-    err = np.abs(est - c_true)
-    covered = err <= Z975 * se
-    rejected = err > Z975 * se
-
-    def mean_of(s):
-        m = mask[s]
-        return est[s][m].mean() if m.sum() >= 1 else np.nan
-
-    def var_of(s):
-        m = mask[s]
-        return est[s][m].var(ddof=1) if m.sum() >= 2 else np.nan
-
-    def cov_of(s):
-        m = mask[s]
-        return covered[s][m].mean() if m.sum() >= 1 else np.nan
-
-    def rej_of(s):
-        m = mask[s]
-        return rejected[s][m].mean() if m.sum() >= 1 else np.nan
-
     if count == 0:
         nan = MetricWithSE(float("nan"), float("nan"))
         return ConditionSummary(count=0, mean=nan, variance=nan, coverage=nan, rejection_rate=nan)
-    pooled_var = float(sel_est.var(ddof=1)) if count >= 2 else float("nan")
+    err = np.abs(est - c_true)
     return ConditionSummary(
         count=count,
-        mean=_metric_with_batch_se(mean_of, slices, float(sel_est.mean())),
-        variance=_metric_with_batch_se(var_of, slices, pooled_var),
-        coverage=_metric_with_batch_se(cov_of, slices, float(covered[mask].mean())),
-        rejection_rate=_metric_with_batch_se(rej_of, slices, float(rejected[mask].mean())),
+        mean=_metric_with_batch_se(est, mask, np.mean, slices),
+        variance=_metric_with_batch_se(est, mask, lambda v: v.var(ddof=1), slices, least=2),
+        coverage=_metric_with_batch_se(err <= Z975 * se, mask, np.mean, slices),
+        rejection_rate=_metric_with_batch_se(err > Z975 * se, mask, np.mean, slices),
     )
 
 
 def summarize(draws: ReplicationDraws) -> ConditionalStats:
     """Pool conditional moments, coverage, and test size with batch MC SEs."""
     config = draws.config
-    sizes = batch_sizes(config.reps, config.n_batches)
+    sizes = batch_sizes(config.reps, _N_BATCHES)
     slices = []
     start = 0
     for s in sizes:

@@ -379,12 +379,13 @@ def stratified_cluster_csv(tmp_path):
 
 
 class TestBlasKernelIndependence:
-    """analyze bytes, and the Gaussian selection and misspec lab bytes, do not
-    depend on the BLAS kernel OpenBLAS dispatches to.
+    """analyze bytes, and the bytes of every simulate lab, do not depend on
+    the BLAS kernel OpenBLAS dispatches to.
 
-    The simulate cases are the two thread-count determinism commands of the
-    acceptance suite (criterion 9). OPENBLAS_CORETYPE is set only in the
-    environment of each child process.
+    The Gaussian simulate cases are the two thread-count determinism
+    commands of the acceptance suite (criterion 9); the RCT case draws,
+    estimates and runs the long regression end to end. OPENBLAS_CORETYPE is
+    set only in the environment of each child process.
     """
 
     def assert_same_bytes_across_kernels(self, *args):
@@ -419,6 +420,14 @@ class TestBlasKernelIndependence:
         self.assert_same_bytes_across_kernels(
             "simulate", "--lab", "misspec", "--rho", "0.5", "--mu", "0.5",
             "--lambda", "optimal", "--n", "400", "--reps", "1000", "--seed", "3",
+        )
+
+    def test_rct_selection_lab(self):
+        self.assert_same_bytes_across_kernels(
+            "simulate", "--lab", "selection", "--dgp", "rct",
+            "--beta", "0.5,-0.25,0.1", "--interaction", "0.4,0,-0.2", "--pi", "0.4",
+            "--rule", "wald", "--threshold", "7.815",
+            "--n", "60", "--reps", "1000", "--seed", "5",
         )
 
 
@@ -505,6 +514,18 @@ class TestCli:
         payload = json.loads(a.stdout.decode())
         assert payload["config"]["seed"] == 7
         assert payload["oracle"]["cond_var_zs"] == pytest.approx(0.9398, abs=2e-4)
+
+    def test_simulate_output_file_matches_stdout(self, tmp_path):
+        args = (
+            "simulate", "--lab", "selection", "--rho", "0.5", "--rule", "wald",
+            "--threshold", "3.841", "--n", "200", "--reps", "1000", "--seed", "7",
+        )
+        out = tmp_path / "simulate.json"
+        to_file = run_cli(*args, "--output", str(out))
+        to_stdout = run_cli(*args)
+        assert to_file.returncode == 0, to_file.stderr
+        assert to_file.stdout == b""
+        assert out.read_bytes() == to_stdout.stdout
 
     def test_simulate_rct_selection_same_at_any_thread_count(self):
         # 1,003 replications in 50 batches of 20 or 21, each drawn and

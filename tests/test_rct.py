@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +151,29 @@ class TestLongRegression:
         with pytest.raises(RankDeficientDesign):
             long_regression(data)
 
+    def test_near_collinear_covariate_rejected(self):
+        y, t, x = random_members(13, 1, 200, 2)
+        x[0, :, 1] = x[0, :, 0] + 1e-7 * np.random.default_rng(14).standard_normal(200)
+        with pytest.raises(RankDeficientDesign):
+            long_regression(make_dataset(y[0], t[0], x[0]))
+
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_matches_least_squares(self, stratified):
+        y, t, x = random_members(15, 1, 400, 3)
+        strata = np.arange(400) % 5 if stratified else None
+        c_long, beta_long = long_regression(make_dataset(y[0], t[0], x[0], strata=strata))
+        want = lstsq_long(y[0], t[0], x[0], strata)
+        assert c_long == pytest.approx(want[0], rel=1e-9)
+        np.testing.assert_allclose(beta_long, want[1:], rtol=1e-9)
+
+    def test_stack_matches_least_squares(self):
+        y, t, x = random_members(16, 6, 120, 2)
+        c_long, beta_long = long_regression(RctDataset(outcome=y, treatment=t, covariates=x))
+        for b in range(6):
+            want = lstsq_long(y[b], t[b], x[b])
+            assert c_long[b] == pytest.approx(want[0], rel=1e-9)
+            np.testing.assert_allclose(beta_long[b], want[1:], rtol=1e-9)
+
 
 class TestResidualizedEstimator:
     @given(st.integers(0, 10_000))
@@ -287,15 +313,30 @@ def random_members(seed, size, n, p):
     return y, t, x
 
 
+def lstsq_long(y, t, x, strata=None):
+    """Coefficients on t and x from numpy's least squares with one intercept per stratum."""
+    labels = np.zeros(len(y)) if strata is None else np.asarray(strata)
+    intercepts = (labels[:, None] == np.unique(labels)[None, :]).astype(float)
+    coef = np.linalg.lstsq(np.column_stack([t, x, intercepts]), y, rcond=None)[0]
+    return coef[: 1 + x.shape[1]]
+
+
 def reference_draw_matrix(dgp, rng, n):
-    """One dataset drawn as a single replication: random(n), standard_normal((n, p)), standard_normal(n)."""
+    """One dataset drawn as a single replication: random(n), standard_normal((n, p)), standard_normal(n).
+
+    x beta and x interaction are summed column by column, left to right.
+    """
     t = (rng.random(n) < dgp.pi).astype(float)
     x = rng.standard_normal((n, dgp.p_gamma))
+
+    def times_columns(coef):
+        return functools.reduce(operator.add, [x[:, k] * c for k, c in enumerate(coef)])
+
     y = (
         dgp.alpha
         + dgp.tau * t
-        + x @ dgp.beta
-        + (x @ dgp.interaction) * t
+        + times_columns(dgp.beta)
+        + times_columns(dgp.interaction) * t
         + dgp.noise_sd * rng.standard_normal(n)
     )
     return np.column_stack([y, t, x])
