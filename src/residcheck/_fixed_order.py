@@ -40,8 +40,14 @@ def dot(a: np.ndarray, b: np.ndarray):
 
 
 def gram(cols: np.ndarray) -> np.ndarray:
-    """(..., k, k) matrix of row inner products of a (..., k, m) array."""
-    cols = np.ascontiguousarray(cols, dtype=float)
+    """(..., k, k) matrix of row inner products of a (..., k, m) array.
+
+    Rows are read in place when their entries are adjacent in memory, as in
+    a stack of row slices; only a strided last axis is copied first.
+    """
+    cols = np.asarray(cols, dtype=float)
+    if cols.strides[-1] != cols.itemsize:
+        cols = np.ascontiguousarray(cols)
     k = cols.shape[-2]
     out = np.empty(cols.shape[:-1] + (k,))
     # Reused by every pair: no (..., k, m) temporary.
@@ -101,23 +107,27 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_lower(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L z = rhs for vectors rhs by forward substitution."""
-    lows = _lower_entries(np.asarray(low, dtype=float))
-    b = np.asarray(rhs, dtype=float)
+def _forward(lows: list[list], b: np.ndarray) -> list:
+    """Entries of z solving L z = b, L given by its :func:`_lower_entries`."""
     z = []
     for i, li in enumerate(lows):
         z.append((b[..., i] - _sum_products(li[:i], z)) / li[i])
-    return np.stack(z, axis=-1)
+    return z
+
+
+def solve_lower(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L z = rhs for vectors rhs by forward substitution."""
+    lows = _lower_entries(np.asarray(low, dtype=float))
+    return np.stack(_forward(lows, np.asarray(rhs, dtype=float)), axis=-1)
 
 
 def cho_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (L L') x = rhs for vectors rhs: forward, then back substitution."""
-    z = solve_lower(low, rhs)
     lows = _lower_entries(np.asarray(low, dtype=float))
+    z = _forward(lows, np.asarray(rhs, dtype=float))
     p = len(lows)
     x = [None] * p
     for i in range(p - 1, -1, -1):
         column = [lows[k][i] for k in range(i + 1, p)]
-        x[i] = (z[..., i] - _sum_products(column, x[i + 1 :])) / lows[i][i]
+        x[i] = (z[i] - _sum_products(column, x[i + 1 :])) / lows[i][i]
     return np.stack(x, axis=-1)

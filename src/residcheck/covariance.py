@@ -12,7 +12,11 @@ the cluster-robust variant sums contributions within clusters first. The
 outer products are summed in the fixed order of :func:`_fixed_order.gram`,
 so the estimate does not depend on the BLAS kernel. Leading axes before the
 n rows make a stack of B contribution matrices, estimated in one call into a
-stacked :class:`JointCovariance`.
+stacked :class:`JointCovariance`. The estimate is split at the seam between
+O(n) and (1 + p) x (1 + p) work: :func:`covariance_matrix` sums over the
+rows, and :func:`joint_covariance` validates its result. A caller holding
+many stacks (the RCT selection lab writes one per chunk of replications)
+can collect their matrices and validate them all at once.
 """
 
 from __future__ import annotations
@@ -72,16 +76,15 @@ class InfluenceContributions:
         return self.values.shape[-1] - 1
 
 
-def joint_covariance(contrib: InfluenceContributions) -> JointCovariance:
-    """Estimate the per-observation joint covariance of (c_hat, gamma_hat).
+def covariance_matrix(contrib: InfluenceContributions) -> np.ndarray:
+    """Per-observation joint covariance of (c_hat, gamma_hat), shape (..., 1 + p, 1 + p).
 
     i.i.d.: Sigma_hat = (1/n) sum_i psi_i psi_i' of the demeaned rows.
     Clustered: Sigma_hat = (1/n) sum_g S_g S_g' with S_g the within-cluster
     sum of demeaned rows.
 
-    The result is validated as a :class:`JointCovariance` and the usual
-    validation errors propagate (singular check block, degenerate residual
-    variance).
+    This is the O(n) half of :func:`joint_covariance`, unvalidated; a stack
+    of these matrices is validated in one :class:`JointCovariance`.
     """
     # One contiguous row per column, so that the means and the Gram matrix
     # are summed in the same order whatever the memory layout of the input.
@@ -89,22 +92,29 @@ def joint_covariance(contrib: InfluenceContributions) -> JointCovariance:
     n = contrib.n
     means = np.add.reduce(cols, axis=-1) / n
     if contrib.cluster_ids is None:
-        sigma = gram(cols - means[..., None]) / n
-    else:
-        _, inverse = np.unique(contrib.cluster_ids, return_inverse=True)
-        n_clusters = int(inverse.max()) + 1
-        if n_clusters < contrib.p_gamma + 2:
-            raise TooFewClusters(
-                f"need at least p + 2 = {contrib.p_gamma + 2} clusters, got {n_clusters}"
-            )
-        # Demeaned one row at a time: the cluster sums need no n x (1 + p) copy.
-        psi = (col - mean for col, mean in zip(cols.reshape(-1, n), means.reshape(-1)))
-        sums = group_sums(inverse, psi).reshape(cols.shape[:-1] + (n_clusters,))
-        sigma = gram(sums) / n
+        return gram(cols - means[..., None]) / n
+    _, inverse = np.unique(contrib.cluster_ids, return_inverse=True)
+    n_clusters = int(inverse.max()) + 1
+    if n_clusters < contrib.p_gamma + 2:
+        raise TooFewClusters(
+            f"need at least p + 2 = {contrib.p_gamma + 2} clusters, got {n_clusters}"
+        )
+    # Demeaned one row at a time: the cluster sums need no n x (1 + p) copy.
+    psi = (col - mean for col, mean in zip(cols.reshape(-1, n), means.reshape(-1)))
+    sums = group_sums(inverse, psi).reshape(cols.shape[:-1] + (n_clusters,))
+    return gram(sums) / n
+
+
+def joint_covariance(contrib: InfluenceContributions) -> JointCovariance:
+    """The :func:`covariance_matrix` of the contributions, validated.
+
+    The usual validation errors of :class:`JointCovariance` propagate
+    (singular check block, degenerate residual variance).
+    """
+    sigma = covariance_matrix(contrib)
     return JointCovariance(
         sigma_c_sq=sigma[..., 0, 0],
         sigma_c_gamma=sigma[..., 0, 1:],
         sigma_gamma_gamma=sigma[..., 1:, 1:],
-        n=n,
+        n=contrib.n,
     )
-

@@ -10,8 +10,9 @@ Two families:
 * :class:`RctLinearDGP` simulates outcome, treatment, and covariates from a
   (possibly treatment-interacted) linear model and pushes every replication
   through the full adapter in :mod:`residcheck.rct`: the end-to-end path.
-  Replications are drawn a chunk at a time into reused buffers, and each
-  chunk goes through the adapter as one stack of datasets.
+  Replications are drawn a chunk at a time into reused buffers. Each chunk
+  goes through the O(n) half of the adapter as one stack of datasets, and
+  the p x p half runs once per batch on what the chunks left.
 
 Both expose the population covariance blocks, influence evaluators on raw
 data points, and a batched replication method returning aligned arrays so
@@ -29,7 +30,8 @@ import numpy as np
 from . import _fixed_order
 from .core import JointCovariance, adjusted_variance, residualize
 from .errors import ConfigError
-from .rct import RctDataset, long_regression, residualized_estimator
+from .covariance import InfluenceContributions, covariance_matrix
+from .rct import RctDataset, long_coefficients, long_normal_equations
 
 # Bytes of demeaned [t, y, X] rows per chunk of RCT replications (8 n (2 + p)
 # per replication). The adapter's temporaries grow with the chunk, so this
@@ -322,41 +324,41 @@ class RctLinearDGP:
         return score
 
     def replicate_batch(self, rng: np.random.Generator, n: int, size: int) -> BatchReplications:
-        """size end-to-end replications through the adapter, one call per chunk.
+        """size end-to-end replications through the adapter, in two halves.
 
         Chunks hold at most ``_RCT_CHUNK_BYTES`` of demeaned rows and are
-        drawn into one set of buffers. Replication i has the bits it would
-        have if drawn and estimated alone.
+        drawn into one set of buffers. Each chunk goes through the O(n) half
+        of the adapter as one stack, which leaves per replication the slopes
+        on t, the joint covariance matrix and the long regression's normal
+        equations. The p x p half (:class:`JointCovariance`, the long solve,
+        the adjustments) then runs once over the whole batch. Replication i
+        has the bits it would have if drawn and estimated alone.
         """
         p = self.p_gamma
         chunk = max(1, min(size, _RCT_CHUNK_BYTES // (8 * n * (2 + p))))
         buffers = self.chunk_buffers(n, chunk)
-        out = {
-            name: np.empty((size,) + shape)
-            for name, shape in (
-                ("c_short", ()),
-                ("c_resid", ()),
-                ("se_short", ()),
-                ("se_resid", ()),
-                ("gamma_hat", (p,)),
-                ("sigma_gg", (p, p)),
-                ("c_long", ()),
-                ("se_long", ()),
-            )
-        }
+        slopes = np.empty((size, 1 + p))
+        cov = np.empty((size, 1 + p, 1 + p))
+        partialled = np.empty((size, 1 + p, 1 + p))
+        x_sq = np.empty((size, p))
         for start in range(0, size, chunk):
             sl = slice(start, min(start + chunk, size))
             t, x, noise, y = (buf[: sl.stop - sl.start] for buf in buffers)
             self.draw_chunk(rng, t, x, noise, y)
             data = RctDataset(outcome=y, treatment=t, covariates=x)
-            point, sigma = residualized_estimator(data)
-            c_long, beta_long = long_regression(data)
-            out["c_short"][sl] = point.c_hat
-            out["c_resid"][sl] = point.c_r
-            out["se_short"][sl] = sigma.se_c
-            out["se_resid"][sl] = sigma.se_r
-            out["gamma_hat"][sl] = point.gamma_hat
-            out["sigma_gg"][sl] = sigma.sigma_gamma_gamma
-            out["c_long"][sl] = c_long
-            out["se_long"][sl] = np.sqrt(adjusted_variance(sigma, beta_long) / n)
-        return BatchReplications(**out)
+            slopes[sl], contribs = data.influence
+            cov[sl] = covariance_matrix(InfluenceContributions(np.swapaxes(contribs, -1, -2)))
+            partialled[sl], x_sq[sl] = long_normal_equations(data)
+        sigma = JointCovariance(cov[:, 0, 0], cov[:, 0, 1:], cov[:, 1:, 1:], n)
+        c_short, gamma = slopes[:, 0], slopes[:, 1:]
+        beta_long = long_coefficients(partialled, x_sq)
+        return BatchReplications(
+            c_short=c_short,
+            c_resid=residualize(c_short, gamma, sigma.lam).c_r,
+            se_short=sigma.se_c,
+            se_resid=sigma.se_r,
+            gamma_hat=gamma,
+            sigma_gg=sigma.sigma_gamma_gamma,
+            c_long=residualize(c_short, gamma, beta_long).c_r,
+            se_long=np.sqrt(adjusted_variance(sigma, beta_long) / n),
+        )

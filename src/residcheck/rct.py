@@ -18,10 +18,16 @@ balance, residualized and long estimators all read these.
 A dataset may be a stack of B datasets of equal n and p, given as (B, n)
 outcome and treatment and (B, n, p) covariates. Every estimator then
 returns arrays with a leading axis of B, in one call, and member b has the
-bits that member b alone gives; the RCT selection lab runs its
-replications this way, a chunk at a time, and ``analyze`` runs the same
-code on one dataset. Without strata the regression forms reduce exactly to
-the textbook formulas
+bits that member b alone gives; ``analyze`` runs this code on one
+dataset. The long regression and the joint covariance are each split at
+the seam between O(n) and p x p work (:func:`long_normal_equations` and
+:func:`long_coefficients`; :func:`covariance.covariance_matrix` and
+:class:`core.JointCovariance`), and their compositions,
+:func:`long_regression` and :func:`residualized_estimator`, run both halves
+on one stack. The RCT selection lab runs the O(n) halves a chunk of
+replications at a time and the p x p halves once on the whole batch.
+
+Without strata the regression forms reduce exactly to the textbook formulas
 
     c_short = mean(Y | T=1) - mean(Y | T=0)
     gamma_k = mean(X_k | T=1) - mean(X_k | T=0)
@@ -33,7 +39,7 @@ Every estimator sums in the fixed order of :mod:`residcheck._fixed_order`,
 so its bits do not depend on the BLAS kernel. The long regression is the
 linear adjustment of the difference in means at beta_long (Lovell 1963),
 solved from normal equations on the same demeaned rows; it is not part of
-the residualized pipeline, and only the RCT selection lab runs it.
+the residualized pipeline, and ``analyze`` does not run it.
 """
 
 from __future__ import annotations
@@ -189,34 +195,55 @@ def balance_stats(data: RctDataset) -> tuple[np.ndarray, np.ndarray]:
     return slopes[..., 1:], np.swapaxes(contribs[..., 1:, :], -1, -2)
 
 
+def long_normal_equations(data: RctDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The O(n) half of :func:`long_regression`: its normal equations.
+
+    Returns the (..., 1 + p, 1 + p) matrix S = G - t't s s' of y, x_1..x_p
+    with t partialled out, for the Gram matrix G of the demeaned y, x and
+    their slopes s on t, and the (..., p) sums of squares x_k'x_k that the
+    rank gate of :func:`long_coefficients` reads.
+    """
+    slopes, centered = data.influence[0], data.centered
+    sums = gram(centered[..., 1:, :])  # rows y, x_1..x_p, read in place
+    t_sq = np.expand_dims(dot(centered[..., 0, :], centered[..., 0, :]), -1)
+    partialled = sums - (t_sq * slopes)[..., :, None] * slopes[..., None, :]
+    return partialled, np.diagonal(sums, axis1=-2, axis2=-1)[..., 1:]
+
+
+def long_coefficients(partialled: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
+    """The p x p half of :func:`long_regression`: beta_long from its normal equations.
+
+    Solves S_xx beta = S_xy for the output of :func:`long_normal_equations`,
+    or a stack of them. A covariate whose squared Cholesky pivot, its sum of
+    squares left unexplained by t and the covariates before it, is at most
+    ``_RANK_RTOL`` of its sum of squares makes the design rank deficient: an
+    error, never repaired by dropping columns. The gate reads squared
+    pivots, not |R_ii| as a QR gate would: an exactly duplicated covariate
+    leaves a relative pivot of about +-2e-16, too coarse to take a root of at
+    1e-10.
+    """
+    try:
+        low = cholesky(partialled[..., 1:, 1:])
+    except SingularCheckCovariance:  # a pivot not above zero
+        low = None
+    if low is None or (np.diagonal(low, axis1=-2, axis2=-1) ** 2 <= _RANK_RTOL * x_sq).any():
+        raise RankDeficientDesign("design matrix [treatment, covariates] is rank deficient")
+    return cho_solve(low, partialled[..., 1:, 0])
+
+
 def long_regression(data: RctDataset) -> tuple[float, np.ndarray]:
     """Coefficient on treatment from the regression on treatment and covariates.
 
     Returns ``(c_long, beta_long)``. By Frisch-Waugh-Lovell, c_long is the
     difference in means adjusted at beta_long, which solves the normal
-    equations of the covariates with t partialled out: S = G - t't s s' for
-    the Gram matrix G of the demeaned y, x and their slopes s on t. Squaring
-    the condition number of the design this way is harmless for random
-    covariates (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 20). A covariate whose squared Cholesky pivot, its sum of squares
-    left unexplained by t and the covariates before it, is at most
-    ``_RANK_RTOL`` of its sum of squares makes the design rank deficient: an
-    error, never repaired by dropping columns. The gate reads squared pivots,
-    not |R_ii| as a QR gate would: an exactly duplicated covariate leaves a
-    relative pivot of about +-2e-16, too coarse to take a root of at 1e-10.
+    equations of the covariates with t partialled out
+    (:func:`long_normal_equations`, then :func:`long_coefficients`).
+    Squaring the condition number of the design this way is harmless for
+    random covariates (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 20).
     """
-    slopes, centered = data.influence[0], data.centered
-    sums = gram(centered[..., 1:, :])  # rows y, x_1..x_p
-    t_sq = np.expand_dims(dot(centered[..., 0, :], centered[..., 0, :]), -1)
-    partialled = sums - (t_sq * slopes)[..., :, None] * slopes[..., None, :]
-    try:
-        low = cholesky(partialled[..., 1:, 1:])
-    except SingularCheckCovariance:  # a pivot not above zero
-        low = None
-    x_sq = np.diagonal(sums, axis1=-2, axis2=-1)[..., 1:]
-    if low is None or (np.diagonal(low, axis1=-2, axis2=-1) ** 2 <= _RANK_RTOL * x_sq).any():
-        raise RankDeficientDesign("design matrix [treatment, covariates] is rank deficient")
-    beta = cho_solve(low, partialled[..., 1:, 0])
+    slopes = data.influence[0]
+    beta = long_coefficients(*long_normal_equations(data))
     return residualize(slopes[..., 0], slopes[..., 1:], beta).c_r, beta
 
 

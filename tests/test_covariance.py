@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from residcheck import InfluenceContributions, joint_covariance
 from residcheck import JointCovariance
+from residcheck.covariance import covariance_matrix
 from residcheck.errors import (
     DegenerateResidualVariance,
     EstimationError,
@@ -67,6 +68,25 @@ class TestJointCovarianceEstimation:
             InfluenceContributions(np.asfortranarray(values), cluster_ids=clusters)
         )
         assert np.array_equal(a.full_matrix(), b.full_matrix())
+
+    @pytest.mark.parametrize("clustered", [False, True])
+    def test_matrices_validated_together_match_joint_covariance(self, clustered):
+        # Two stacks' matrices, validated as one stack, as the RCT lab does.
+        rng = np.random.default_rng(10)
+        values = rng.standard_normal((5, 120, 4)) + 1.0
+        clusters = rng.integers(0, 30, size=120) if clustered else None
+        matrices = np.concatenate([
+            covariance_matrix(InfluenceContributions(part, cluster_ids=clusters))
+            for part in (values[:2], values[2:])
+        ])
+        together = JointCovariance(
+            matrices[:, 0, 0], matrices[:, 0, 1:], matrices[:, 1:, 1:], 120
+        )
+        for b in range(5):
+            alone = joint_covariance(InfluenceContributions(values[b], cluster_ids=clusters))
+            for name in ("sigma_c_sq", "sigma_c_gamma", "sigma_gamma_gamma", "lam", "se_r"):
+                got = np.asarray(getattr(together, name)[b])
+                assert got.tobytes() == np.asarray(getattr(alone, name)).tobytes()
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)

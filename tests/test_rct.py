@@ -16,7 +16,7 @@ from residcheck import (
     residualized_estimator,
     short_estimator,
 )
-from residcheck import _fixed_order, dgps
+from residcheck import JointCovariance, _fixed_order, dgps
 from residcheck.dgps import RctLinearDGP
 from residcheck.errors import (
     DimensionMismatch,
@@ -24,6 +24,7 @@ from residcheck.errors import (
     RankDeficientDesign,
     SingularCheckCovariance,
 )
+from residcheck.rct import long_coefficients, long_normal_equations
 
 
 def make_dataset(y, t, x, strata=None):
@@ -413,6 +414,29 @@ class TestStackedDatasets:
         for name, want in zip(fields, expected):
             assert_same_bits(getattr(batch, name), want)
 
+    @pytest.mark.parametrize("size", [1, 97, 150])
+    def test_one_covariance_validation_per_batch(self, size, monkeypatch):
+        # At n = 2,000 and p = 3 a chunk holds 4 replications: the chunks
+        # share one JointCovariance, validated after the last of them.
+        validate = JointCovariance.__post_init__
+        calls = []
+
+        def counting(self):
+            calls.append(np.shape(self.sigma_c_sq))
+            validate(self)
+
+        monkeypatch.setattr(JointCovariance, "__post_init__", counting)
+        dgp = RctLinearDGP(beta=np.array([1.0, -0.5, 0.2]), interaction=np.array([0.5, 0.0, 0.1]))
+        dgp.replicate_batch(np.random.default_rng(3), 2000, size)
+        assert calls == [(size,)]
+
+    @pytest.mark.parametrize("size", [1, 4])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_gram_of_strided_stack_views(self, size, k):
+        cols = np.random.default_rng(k).standard_normal((size, k + 1, 301)) + 2.0
+        for view in (cols[..., 1:, :], cols[..., ::2]):  # rows in place; strided columns
+            assert_same_bits(_fixed_order.gram(view), _fixed_order.gram(np.ascontiguousarray(view)))
+
     def test_chunk_draw_keeps_the_single_draw_stream(self):
         dgp = RctLinearDGP(tau=1.0, beta=np.array([1.0, -0.5, 0.2]),
                            interaction=np.array([0.5, 0.0, 0.1]), pi=0.3)
@@ -447,6 +471,11 @@ class TestStackWithOneBadMember:
         [
             (_one_treated, lambda data: data, EmptyArm),
             (_duplicated_covariate, long_regression, RankDeficientDesign),
+            (
+                _duplicated_covariate,
+                lambda data: long_coefficients(*long_normal_equations(data)),
+                RankDeficientDesign,
+            ),
         ],
     )
     def test_dataset_stack(self, corrupt, estimate, error):
