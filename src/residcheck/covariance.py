@@ -14,9 +14,7 @@ so the estimate does not depend on the BLAS kernel. Leading axes before the
 n rows make a stack of B contribution matrices, estimated in one call into a
 stacked :class:`JointCovariance`. The estimate is split at the seam between
 O(n) and (1 + p) x (1 + p) work: :func:`covariance_matrix` sums over the
-rows, and :func:`joint_covariance` validates its result. A caller holding
-many stacks (the RCT selection lab writes one per chunk of replications)
-can collect their matrices and validate them all at once.
+rows, and :func:`joint_covariance` validates its result.
 """
 
 from __future__ import annotations

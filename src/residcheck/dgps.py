@@ -8,11 +8,9 @@ Two families:
   draw the sample mean and covariance from their exact laws, not n rows;
   ``draw`` still draws rows, for the misspecification lab.
 * :class:`RctLinearDGP` simulates outcome, treatment, and covariates from a
-  (possibly treatment-interacted) linear model and pushes every replication
-  through the full adapter in :mod:`residcheck.rct`: the end-to-end path.
-  Replications are drawn a chunk at a time into reused buffers. Each chunk
-  goes through the O(n) half of the adapter as one stack of datasets, and
-  the p x p half runs once per batch on what the chunks left.
+  (possibly treatment-interacted) linear model. Replications draw the
+  treated count and each arm's mean and scatter from their exact laws, not
+  n rows (:func:`rct.arm_statistics`); ``draw_matrix`` still draws rows.
 
 Both expose the population covariance blocks, influence evaluators on raw
 data points, and a batched replication method returning aligned arrays so
@@ -29,16 +27,8 @@ import numpy as np
 
 from . import _fixed_order
 from .core import JointCovariance, adjusted_variance, residualize
-from .errors import ConfigError
-from .covariance import InfluenceContributions, covariance_matrix
-from .rct import RctDataset, long_coefficients, long_normal_equations
-
-# Bytes of demeaned [t, y, X] rows per chunk of RCT replications (8 n (2 + p)
-# per replication). The adapter's temporaries grow with the chunk, so this
-# caps the lab's extra memory; at n = 2,000 and p = 3 a chunk holds 4
-# replications. Each replication's draws come from the stream in the same
-# order whatever the chunk size.
-_RCT_CHUNK_BYTES = 320_000
+from .errors import ConfigError, EmptyArm
+from .rct import RctDataset, arm_statistics, long_coefficients
 
 
 @dataclass(frozen=True)
@@ -68,6 +58,32 @@ def _times_lower_t(z: np.ndarray, low: np.ndarray) -> np.ndarray:
     return z
 
 
+def _normal_sums(rng: np.random.Generator, low: np.ndarray, counts: np.ndarray):
+    """Sample means and scatter matrices of counts[b] rows from N(0, L L'), for each b.
+
+    The mean is L z / sqrt(count), z ~ N(0, I). The scatter about it is independent
+    and Wishart(count - 1, L L'), drawn as (L A)(L A)' with the Bartlett factor A:
+    lower triangular, A_ii^2 ~ chi^2(count - 1 - i), A_ij ~ N(0, 1) below the diagonal
+    (Bartlett 1933; Odell & Feiveson 1966). Below k degrees of freedom, A' is the
+    count - 1 standard rows, padded with zeros. L is never factored: it may be singular.
+    """
+    size, k = counts.shape[0], low.shape[0]
+    means = _times_lower_t(rng.standard_normal((size, k)), low)
+    means /= np.sqrt(counts)[:, None]
+    dof = counts - 1
+    full = np.flatnonzero(dof >= k)[:, None]
+    diag = np.arange(k)
+    upper = np.triu_indices(k, 1)
+    # A' L' = (L A)', so the scatter L A A' L' is the Gram matrix of its columns.
+    a_t = np.zeros((size, k, k))
+    a_t[full, diag, diag] = np.sqrt(rng.chisquare(dof[full] - diag))
+    a_t[full, upper[0], upper[1]] = rng.standard_normal((full.shape[0], upper[0].size))
+    for b in np.flatnonzero(dof < k):
+        a_t[b, : dof[b]] = rng.standard_normal((dof[b], k))
+    la_t = _times_lower_t(a_t, low)
+    return means, _fixed_order.gram(np.swapaxes(la_t, -1, -2))
+
+
 def _times_columns(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """x coef over the last axis of x, summed column by column, left to right, without BLAS."""
     out = x[..., 0] * coef[0]
@@ -80,13 +96,8 @@ def _times_columns(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
 class GaussianPairDGP:
     """Joint normal influence vector (d_c, d_g) with covariance Sigma = L L'.
 
-    A replication at sample size n needs only the sample mean, which is
-    N(0, Sigma / n), and the 1/n sample covariance S, independent of it, with
-    n S ~ Wishart_{n-1}(Sigma). :meth:`replicate_batch` draws both directly:
-    the mean as L z / sqrt(n) for z ~ N(0, I), and n S as (L A)(L A)' with
-    the Bartlett factor A, lower triangular with A_ii^2 ~ chi^2(n - 1 - i)
-    and A_ij ~ N(0, 1) below the diagonal (Bartlett 1933; Odell & Feiveson
-    1966). That is O(p^2) work per replication, whatever n.
+    :meth:`replicate_batch` draws a replication's sample mean and 1/n sample
+    covariance from their exact laws (:func:`_normal_sums`), not n rows.
     """
 
     sigma_c_sq: float = 1.0
@@ -162,17 +173,8 @@ class GaussianPairDGP:
         A degenerate replication (reachable only near n = p + 2) raises
         :class:`DegenerateResidualVariance`.
         """
-        k = 1 + self.p_gamma
-        means = _times_lower_t(rng.standard_normal((size, k)), self._chol_full)
-        means /= math.sqrt(n)
-        # A' L' = (L A)', so n S = L A A' L' is the Gram matrix of its columns.
-        a_t = np.zeros((size, k, k))
-        diag = np.arange(k)
-        a_t[:, diag, diag] = np.sqrt(rng.chisquare(n - 1 - diag, size=(size, k)))
-        upper = np.triu_indices(k, 1)
-        a_t[:, upper[0], upper[1]] = rng.standard_normal((size, upper[0].size))
-        la_t = _times_lower_t(a_t, self._chol_full)
-        cov = _fixed_order.gram(np.swapaxes(la_t, -1, -2)) / n
+        means, scatter = _normal_sums(rng, self._chol_full, np.full(size, n))
+        cov = scatter / n
         sigma = JointCovariance(cov[:, 0, 0], cov[:, 0, 1:], cov[:, 1:, 1:], n)
         c_short = self.c_true + means[:, 0]
         gamma = means[:, 1:]
@@ -211,6 +213,10 @@ class RctLinearDGP:
             raise ConfigError("beta and interaction must have the same length")
         if not 0.0 < self.pi < 1.0:
             raise ConfigError(f"treated share pi must lie in (0, 1), got {self.pi}")
+        if not np.isfinite([self.tau, self.alpha, *beta, *inter]).all():
+            raise ConfigError("tau, alpha, beta and interaction must be finite")
+        if not 0.0 <= self.noise_sd < math.inf:
+            raise ConfigError(f"noise_sd must be finite and at least 0, got {self.noise_sd}")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "interaction", inter)
 
@@ -246,31 +252,14 @@ class RctLinearDGP:
     def beta_long_limit(self) -> np.ndarray:
         return self.beta + self.pi * self.interaction
 
-    def chunk_buffers(self, n: int, size: int) -> tuple[np.ndarray, ...]:
-        """Empty (size, n) treatment, (size, n, p) covariate, (size, n) noise and outcome arrays."""
-        return (
-            np.empty((size, n)),
-            np.empty((size, n, self.p_gamma)),
-            np.empty((size, n)),
-            np.empty((size, n)),
-        )
-
-    def draw_chunk(self, rng: np.random.Generator, t, x, noise, y) -> None:
-        """Fill buffers from :meth:`chunk_buffers` (or leading slices of them) with datasets.
-
-        Member after member, each draws ``random(n)`` for treatment,
-        ``standard_normal((n, p))`` for the covariates and
-        ``standard_normal(n)`` for the noise, so a chunk of B consumes the
-        stream as B single draws do, and member b is the b-th of them.
-        """
-        for t_b, x_b, noise_b in zip(t, x, noise):
-            rng.random(out=t_b)
-            rng.standard_normal(out=x_b)
-            rng.standard_normal(out=noise_b)
+    def draw_matrix(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n rows of (y, t, x), drawn by random(n), standard_normal((n, p)), standard_normal(n)."""
+        t = rng.random(n)
         np.less(t, self.pi, out=t)
-        # y = alpha + tau t + x beta + (x interaction) t + noise_sd noise, summed
-        # left to right in place, x beta and x interaction over the columns.
-        np.multiply(self.tau, t, out=y)
+        x = rng.standard_normal((n, self.p_gamma))
+        noise = rng.standard_normal(n)
+        # Summed left to right in place, x beta and x interaction over the columns.
+        y = self.tau * t
         y += self.alpha
         y += _times_columns(x, self.beta)
         shift = _times_columns(x, self.interaction)
@@ -278,18 +267,11 @@ class RctLinearDGP:
         y += shift
         noise *= self.noise_sd
         y += noise
-
-    def draw_matrix(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n rows of (y, t, x_1..x_p): a chunk of one."""
-        t, x, noise, y = self.chunk_buffers(n, 1)
-        self.draw_chunk(rng, t, x, noise, y)
-        return np.column_stack([y[0], t[0], x[0]])
-
-    def to_dataset(self, matrix: np.ndarray) -> RctDataset:
-        return RctDataset(outcome=matrix[:, 0], treatment=matrix[:, 1], covariates=matrix[:, 2:])
+        return np.column_stack([y, t, x])
 
     def draw_dataset(self, rng: np.random.Generator, n: int) -> RctDataset:
-        return self.to_dataset(self.draw_matrix(rng, n))
+        rows = self.draw_matrix(rng, n)
+        return RctDataset(outcome=rows[:, 0], treatment=rows[:, 1], covariates=rows[:, 2:])
 
     # Influence evaluators at the population parameters, for the
     # misspecification lab's inner products on raw data rows.
@@ -324,31 +306,31 @@ class RctLinearDGP:
         return score
 
     def replicate_batch(self, rng: np.random.Generator, n: int, size: int) -> BatchReplications:
-        """size end-to-end replications through the adapter, in two halves.
+        """size replications from per-arm sufficient statistics, not rows.
 
-        Chunks hold at most ``_RCT_CHUNK_BYTES`` of demeaned rows and are
-        drawn into one set of buffers. Each chunk goes through the O(n) half
-        of the adapter as one stack, which leaves per replication the slopes
-        on t, the joint covariance matrix and the long regression's normal
-        equations. The p x p half (:class:`JointCovariance`, the long solve,
-        the adjustments) then runs once over the whole batch. Replication i
-        has the bits it would have if drawn and estimated alone.
+        n1 ~ Binomial(n, pi). In arm a, (x, y) = L_a (x, e) + (0, alpha +
+        tau a) for standard normal (x, e), with L_a = [[I, 0], [b_a',
+        noise_sd]], b_1 = beta + interaction and b_0 = beta, so each arm's
+        mean and scatter come from :func:`_normal_sums`.
+        :func:`rct.arm_statistics` maps them to what the adapter computes
+        from rows, and the p x p half runs once over the batch.
         """
         p = self.p_gamma
-        chunk = max(1, min(size, _RCT_CHUNK_BYTES // (8 * n * (2 + p))))
-        buffers = self.chunk_buffers(n, chunk)
-        slopes = np.empty((size, 1 + p))
-        cov = np.empty((size, 1 + p, 1 + p))
-        partialled = np.empty((size, 1 + p, 1 + p))
-        x_sq = np.empty((size, p))
-        for start in range(0, size, chunk):
-            sl = slice(start, min(start + chunk, size))
-            t, x, noise, y = (buf[: sl.stop - sl.start] for buf in buffers)
-            self.draw_chunk(rng, t, x, noise, y)
-            data = RctDataset(outcome=y, treatment=t, covariates=x)
-            slopes[sl], contribs = data.influence
-            cov[sl] = covariance_matrix(InfluenceContributions(np.swapaxes(contribs, -1, -2)))
-            partialled[sl], x_sq[sl] = long_normal_equations(data)
+        n1 = rng.binomial(n, self.pi, size)
+        small = np.minimum(n1, n - n1) < 2
+        if small.any():
+            raise EmptyArm(f"each arm needs at least 2 units, got {n1[small][0]} treated of {n}")
+        order = np.roll(np.arange(1 + p), 1)  # (x, y) -> the adapter's (y, x)
+        means, scatters = [], []
+        for count, coef, shift in ((n1, self.beta + self.interaction, self.alpha + self.tau),
+                                   (n - n1, self.beta, self.alpha)):
+            low = np.eye(1 + p)
+            low[p, :p], low[p, p] = coef, self.noise_sd
+            mean, scatter = _normal_sums(rng, low, count)
+            mean[:, p] += shift
+            means.append(mean[:, order])
+            scatters.append(scatter[:, order][:, :, order])
+        slopes, cov, partialled, x_sq = arm_statistics(n, n1, means, scatters)
         sigma = JointCovariance(cov[:, 0, 0], cov[:, 0, 1:], cov[:, 1:, 1:], n)
         c_short, gamma = slopes[:, 0], slopes[:, 1:]
         beta_long = long_coefficients(partialled, x_sq)

@@ -24,8 +24,8 @@ the seam between O(n) and p x p work (:func:`long_normal_equations` and
 :func:`long_coefficients`; :func:`covariance.covariance_matrix` and
 :class:`core.JointCovariance`), and their compositions,
 :func:`long_regression` and :func:`residualized_estimator`, run both halves
-on one stack. The RCT selection lab runs the O(n) halves a chunk of
-replications at a time and the p x p halves once on the whole batch.
+on one stack. The RCT selection lab draws per-arm sufficient statistics
+instead of rows, and :func:`arm_statistics` gives it the O(n) halves.
 
 Without strata the regression forms reduce exactly to the textbook formulas
 
@@ -208,6 +208,25 @@ def long_normal_equations(data: RctDataset) -> tuple[np.ndarray, np.ndarray]:
     t_sq = np.expand_dims(dot(centered[..., 0, :], centered[..., 0, :]), -1)
     partialled = sums - (t_sq * slopes)[..., :, None] * slopes[..., None, :]
     return partialled, np.diagonal(sums, axis1=-2, axis2=-1)[..., 1:]
+
+
+def arm_statistics(n: int, n1, means, scatters):
+    """The O(n) half of the adapter from per-arm sufficient statistics, without strata.
+
+    Takes the treated count n1 of n and the (treated, control) means of y, x_1..x_p
+    and scatters S1, S0 about them. As t - t_bar is constant within an arm, the
+    slopes on t are the differences in means and the contributions (row - mean) /
+    pi_hat and -(row - mean) / (1 - pi_hat). So, up to rounding, returns the slopes,
+    :func:`covariance.covariance_matrix` = (S1 / pi_hat^2 + S0 / (1 - pi_hat)^2) / n
+    and :func:`long_normal_equations`: S1 + S0, its x diagonal + n pi_hat (1 - pi_hat) gamma^2.
+    """
+    share = np.asarray(n1) / n
+    (mean1, mean0), (s1, s0) = means, scatters
+    slopes, partialled = mean1 - mean0, s1 + s0
+    cov = (s1 / (share**2)[..., None, None] + s0 / ((1.0 - share) ** 2)[..., None, None]) / n
+    between = (n * share * (1.0 - share))[..., None] * slopes[..., 1:] ** 2
+    x_sq = np.diagonal(partialled, axis1=-2, axis2=-1)[..., 1:] + between
+    return slopes, cov, partialled, x_sq
 
 
 def long_coefficients(partialled: np.ndarray, x_sq: np.ndarray) -> np.ndarray:

@@ -383,9 +383,10 @@ class TestBlasKernelIndependence:
     the BLAS kernel OpenBLAS dispatches to.
 
     The Gaussian simulate cases are the two thread-count determinism
-    commands of the acceptance suite (criterion 9); the RCT case draws,
-    estimates and runs the long regression end to end. OPENBLAS_CORETYPE is
-    set only in the environment of each child process.
+    commands of the acceptance suite (criterion 9); the RCT case draws each
+    arm's sufficient statistics and runs the covariance validation and the
+    long regression on them. OPENBLAS_CORETYPE is set only in the
+    environment of each child process.
     """
 
     def assert_same_bytes_across_kernels(self, *args):
@@ -608,6 +609,25 @@ class TestCli:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ConfigError"
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (("--tau", "nan"), "tau"),
+            (("--beta", "nan,0,0", "--interaction", "0,0,0"), "beta"),
+            (("--noise-sd", "-1"), "noise_sd"),
+            (("--noise-sd", "inf"), "noise_sd"),
+        ],
+        ids=["tau-nan", "beta-nan", "noise-sd-neg", "noise-sd-inf"],
+    )
+    def test_simulate_rct_parameters_are_config_errors(self, flags, name):
+        result = run_cli("simulate", "--lab", "selection", "--dgp", "rct", *flags, *SIZES)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == b""
+        lines = result.stderr.decode().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ConfigError" and name in error["message"]
+
     def test_help_exits_zero(self):
         result = run_cli("simulate", "--help")
         assert result.returncode == 0, result.stderr
@@ -624,8 +644,9 @@ class TestCli:
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
     def test_simulate_keeps_freed_heap_pages(self):
-        # After a lab run, arrays of the size the RCT lab allocates per
-        # replication (64 KiB) reuse freed pages instead of faulting them in.
+        # After a lab run, twenty freed 64 KiB arrays, more than glibc's
+        # default 128 KiB trim threshold, reuse freed pages instead of
+        # faulting them in.
         code = """
 import resource
 import numpy as np

@@ -1,10 +1,12 @@
 import functools
+import math
 import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from residcheck import (
     InfluenceContributions,
@@ -17,14 +19,17 @@ from residcheck import (
     short_estimator,
 )
 from residcheck import JointCovariance, _fixed_order, dgps
+from residcheck.covariance import covariance_matrix
 from residcheck.dgps import RctLinearDGP
 from residcheck.errors import (
+    ConfigError,
     DimensionMismatch,
     EmptyArm,
+    EstimationError,
     RankDeficientDesign,
     SingularCheckCovariance,
 )
-from residcheck.rct import long_coefficients, long_normal_equations
+from residcheck.rct import arm_statistics, long_coefficients, long_normal_equations
 
 
 def make_dataset(y, t, x, strata=None):
@@ -343,19 +348,53 @@ def reference_draw_matrix(dgp, rng, n):
     return np.column_stack([y, t, x])
 
 
-def reference_replications(dgp, rng, n, size):
-    """The lab's fields replication by replication, each dataset through the adapter alone."""
-    rows = []
-    for _ in range(size):
-        data = dgp.to_dataset(reference_draw_matrix(dgp, rng, n))
-        point, sigma = residualized_estimator(data)
-        c_long, beta_long = long_regression(data)
-        se_long = np.sqrt(adjusted_variance(sigma, beta_long) / n)
-        rows.append(
-            (point.c_hat, point.c_r, sigma.se_c, sigma.se_r, point.gamma_hat,
-             sigma.sigma_gamma_gamma, c_long, se_long)
-        )
-    return [np.array(column) for column in zip(*rows)]
+FIELDS = ("c_short", "c_resid", "se_short", "se_resid", "gamma_hat", "sigma_gg", "c_long", "se_long")
+
+
+def full_data_replications(dgp, rng, n, size):
+    """The lab's fields from size datasets of n drawn rows, run through the adapter as one stack."""
+    rows = np.stack([reference_draw_matrix(dgp, rng, n) for _ in range(size)])
+    data = RctDataset(outcome=rows[..., 0], treatment=rows[..., 1], covariates=rows[..., 2:])
+    point, sigma = residualized_estimator(data)
+    c_long, beta_long = long_regression(data)
+    se_long = np.sqrt(adjusted_variance(sigma, beta_long) / n)
+    values = (point.c_hat, point.c_r, sigma.se_c, sigma.se_r, point.gamma_hat,
+              sigma.sigma_gamma_gamma, c_long, se_long)
+    return dict(zip(FIELDS, values))
+
+
+def arm_moments(y, t, x):
+    """Treated count, (treated, control) means and scatter matrices of (y, x), member by member."""
+    rows = np.concatenate([y[..., None], x], axis=-1)
+    means, scatters = [], []
+    for arm in (t == 1.0, t == 0.0):
+        mean = np.stack([r[a].mean(axis=0) for r, a in zip(rows, arm)])
+        dev = [r[a] - m for r, a, m in zip(rows, arm, mean)]
+        means.append(mean)
+        scatters.append(np.stack([d.T @ d for d in dev]))
+    return t.sum(axis=-1).astype(int), means, scatters
+
+
+def moment_z_scores(a, b):
+    """z-scores of the differences in mean and in variance of two samples, per column."""
+    stats = []
+    for s in (a, b):
+        centered = s - s.mean(axis=0)
+        var = centered.var(axis=0)
+        fourth = (centered**4).mean(axis=0)
+        stats.append((s.mean(axis=0), var / len(s), var, (fourth - var**2) / len(s)))
+    (m_a, mv_a, v_a, vv_a), (m_b, mv_b, v_b, vv_b) = stats
+    return (m_a - m_b) / np.sqrt(mv_a + mv_b), (v_a - v_b) / np.sqrt(vv_a + vv_b)
+
+
+def c_short_second_moment(dgp, n):
+    """E (c_short - tau)^2 = E[var1 / n1 + var0 / n0] over n1 ~ Binomial(n, pi), 2 <= n1 <= n - 2."""
+    var1 = float(np.sum((dgp.beta + dgp.interaction) ** 2)) + dgp.noise_sd**2
+    var0 = float(np.sum(dgp.beta**2)) + dgp.noise_sd**2
+    pmf = [math.comb(n, k) * dgp.pi**k * (1 - dgp.pi) ** (n - k) for k in range(n + 1)]
+    inner = range(2, n - 1)
+    mass = sum(pmf[k] for k in inner)
+    return sum(pmf[k] * (var1 / k + var0 / (n - k)) for k in inner) / mass
 
 
 class TestStackedDatasets:
@@ -390,34 +429,9 @@ class TestStackedDatasets:
                 adjusted_variance(sigma, beta_long),
             )
 
-    @pytest.mark.parametrize(
-        "p, size", [(1, 1), (1, 150), (3, 1), (3, 97)]
-    )
-    def test_replicate_batch_matches_one_replication_at_a_time(self, p, size):
-        # At n = 200 a chunk holds 66 replications for p = 1 and 40 for p = 3,
-        # so 150 and 97 end on a partial chunk.
-        n = 200
-        chunk = dgps._RCT_CHUNK_BYTES // (8 * n * (2 + p))
-        assert size == 1 or size % chunk != 0
-        dgp = RctLinearDGP(
-            tau=0.7,
-            beta=np.linspace(1.0, -0.5, p),
-            interaction=np.linspace(0.5, 0.0, p),
-            pi=0.3,
-            noise_sd=1.2,
-            alpha=0.1,
-        )
-        batch = dgp.replicate_batch(np.random.default_rng(8), n, size)
-        expected = reference_replications(dgp, np.random.default_rng(8), n, size)
-        fields = ("c_short", "c_resid", "se_short", "se_resid", "gamma_hat", "sigma_gg",
-                  "c_long", "se_long")
-        for name, want in zip(fields, expected):
-            assert_same_bits(getattr(batch, name), want)
-
     @pytest.mark.parametrize("size", [1, 97, 150])
     def test_one_covariance_validation_per_batch(self, size, monkeypatch):
-        # At n = 2,000 and p = 3 a chunk holds 4 replications: the chunks
-        # share one JointCovariance, validated after the last of them.
+        # Every replication of a batch shares one JointCovariance.
         validate = JointCovariance.__post_init__
         calls = []
 
@@ -437,21 +451,106 @@ class TestStackedDatasets:
         for view in (cols[..., 1:, :], cols[..., ::2]):  # rows in place; strided columns
             assert_same_bits(_fixed_order.gram(view), _fixed_order.gram(np.ascontiguousarray(view)))
 
-    def test_chunk_draw_keeps_the_single_draw_stream(self):
+    def test_draw_matrix_keeps_the_single_draw_stream(self):
         dgp = RctLinearDGP(tau=1.0, beta=np.array([1.0, -0.5, 0.2]),
-                           interaction=np.array([0.5, 0.0, 0.1]), pi=0.3)
+                           interaction=np.array([0.5, 0.0, 0.1]), pi=0.3, alpha=0.2)
         n, size = 50, 3
-        single = np.random.default_rng(6)
-        matrices = [dgp.draw_matrix(single, n) for _ in range(size)]
-        chunked = np.random.default_rng(6)
-        t, x, noise, y = dgp.chunk_buffers(n, size)
-        dgp.draw_chunk(chunked, t, x, noise, y)
-        reference = np.random.default_rng(6)
-        for b, matrix in enumerate(matrices):
-            assert_same_bits(matrix, np.column_stack([y[b], t[b], x[b]]))
-            assert_same_bits(matrix, reference_draw_matrix(dgp, reference, n))
-        assert single.bit_generator.state == chunked.bit_generator.state
-        assert single.bit_generator.state == reference.bit_generator.state
+        drawn, reference = np.random.default_rng(6), np.random.default_rng(6)
+        for _ in range(size):
+            assert_same_bits(dgp.draw_matrix(drawn, n), reference_draw_matrix(dgp, reference, n))
+        assert drawn.bit_generator.state == reference.bit_generator.state
+
+
+class TestArmStatisticDraws:
+    """The RCT lab draws each arm's count, mean and scatter, not rows; check their laws."""
+
+    @pytest.mark.parametrize("size, p", [(1, 1), (5, 3)])
+    def test_arm_statistics_match_data_path(self, size, p):
+        y, t, x = random_members(60 + p, size, 120, p)
+        data = RctDataset(outcome=y, treatment=t, covariates=x)
+        n1, means, scatters = arm_moments(y, t, x)
+        slopes, cov, partialled, x_sq = arm_statistics(120, n1, means, scatters)
+        contribs = InfluenceContributions(np.swapaxes(data.influence[1], -1, -2))
+        want_partialled, want_x_sq = long_normal_equations(data)
+        for got, want in ((slopes, data.influence[0]), (cov, covariance_matrix(contribs)),
+                          (partialled, want_partialled), (x_sq, want_x_sq)):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("pi", [0.25, 0.4])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_replicate_batch_matches_full_data_path(self, p, pi):
+        n, size = 60, 6000
+        dgp = RctLinearDGP(
+            tau=0.7,
+            beta=np.linspace(1.0, -0.5, p),
+            interaction=np.linspace(0.8, 0.2, p),
+            pi=pi,
+            noise_sd=1.2,
+            alpha=0.1,
+        )
+        seed = 100 + 10 * p + int(100 * pi)
+        batch = dgp.replicate_batch(np.random.default_rng(seed), n, size)
+        reference = full_data_replications(dgp, np.random.default_rng(seed + 1), n, size)
+        for name in FIELDS:
+            lab, full = (np.reshape(v, (size, -1)) for v in (getattr(batch, name), reference[name]))
+            z_mean, z_var = moment_z_scores(lab, full)
+            assert np.abs(z_mean).max() < 4.5, (name, z_mean)
+            assert np.abs(z_var).max() < 4.5, (name, z_var)
+        for name in ("c_resid", "se_resid", "c_long"):
+            assert ks_2samp(getattr(batch, name), reference[name]).pvalue > 1e-3, name
+        # KS misses a small error in the scale of c_short; its second moment
+        # about tau against the exact value over n1 does not.
+        sq = (batch.c_short - dgp.tau) ** 2
+        z = (sq.mean() - c_short_second_moment(dgp, n)) / (sq.std() / math.sqrt(size))
+        assert abs(z) < 4.5, z
+
+    def test_small_arm_scatter(self):
+        # k = 4 coordinates; counts 2 and 3 leave fewer than k degrees of
+        # freedom, drawn as rows, and 5 and 9 go through the Bartlett factor.
+        low = np.array([[1.0, 0, 0, 0], [0.5, 1.2, 0, 0], [-0.3, 0.4, 0.8, 0], [0.2, 0, -0.6, 0.0]])
+        sigma = low @ low.T
+        counts = np.tile([2, 3, 5, 9], 4000)
+        means, scatter = dgps._normal_sums(np.random.default_rng(12), low, counts)
+        ranks = np.linalg.matrix_rank(scatter[:4], tol=1e-9)
+        assert ranks.tolist() == [1, 2, 3, 3]  # min(count - 1, rank of L)
+        for count in (2, 3, 5, 9):
+            members = counts == count
+            for values, want in ((scatter[members] / (count - 1), sigma),
+                                 (count * means[members, :, None] * means[members, None, :], sigma)):
+                se = values.std(axis=0) / math.sqrt(members.sum())
+                z = (values.mean(axis=0) - want) / np.where(se > 0, se, 1.0)
+                assert np.abs(z).max() < 4.5, (count, z)
+
+    def test_arm_below_two_units(self):
+        dgp = RctLinearDGP(beta=np.array([1.0]), interaction=np.array([0.0]), pi=0.01)
+        with pytest.raises(EmptyArm):
+            dgp.replicate_batch(np.random.default_rng(0), 5, 20)
+
+    @pytest.mark.parametrize("interaction", [0.0, 0.7])
+    def test_zero_noise_fails_as_the_data_path_does(self, interaction):
+        dgp = RctLinearDGP(beta=np.array([1.0, -0.5]), interaction=np.array([interaction, 0.0]),
+                           pi=0.3, noise_sd=0.0)
+
+        def outcome(run):
+            try:
+                run()
+            except EstimationError as err:
+                return type(err)
+            return None
+
+        lab = outcome(lambda: dgp.replicate_batch(np.random.default_rng(4), 100, 40))
+        full = outcome(lambda: full_data_replications(dgp, np.random.default_rng(4), 100, 40))
+        assert lab is full
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("tau", math.nan), ("alpha", math.inf), ("beta", np.array([math.nan])),
+         ("interaction", np.array([-math.inf])), ("noise_sd", -1.0), ("noise_sd", math.inf),
+         ("noise_sd", math.nan)],
+    )
+    def test_parameters_validated(self, field, value):
+        with pytest.raises(ConfigError):
+            RctLinearDGP(**{field: value})
 
 
 def _one_treated(y, t, x):
