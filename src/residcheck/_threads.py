@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
-
-import numpy as np
+from typing import Callable, TypeVar
 
 from .errors import ConfigError
 
@@ -44,9 +42,3 @@ def map_batches(fn: Callable[[int], T], n_batches: int, threads: int | None = No
     with ThreadPoolExecutor(max_workers=min(workers, n_batches)) as pool:
         return list(pool.map(fn, range(n_batches)))
 
-
-def concat_field(parts: Sequence, name: str):
-    first = getattr(parts[0], name)
-    if first is None:
-        return None
-    return np.concatenate([getattr(p, name) for p in parts], axis=0)

@@ -24,6 +24,7 @@ from .io import (
     RuleSpec,
     ScoreSpec,
     SimulateConfig,
+    named_file,
 )
 from .report import (
     analyze_report_csv,
@@ -104,7 +105,7 @@ def _write(payload: bytes, output: str | None) -> None:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
     else:
-        with open(output, "wb") as handle:
+        with named_file(output, "write"), open(output, "wb") as handle:
             handle.write(payload)
 
 
@@ -173,16 +174,39 @@ def _cmd_oracle(args) -> None:
     _write(json_bytes(payload), args.output)
 
 
-def _cmd_decompose(args) -> None:
+_DECOMPOSITION_NUMBERS = ("lambda_k", "gamma_k", "contribution")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _read_decomposition(path: str) -> dict:
+    """A saved analyze report, checked to hold the decomposition table and its total."""
     try:
-        with open(args.input, encoding="utf-8") as handle:
+        with named_file(path, "read"), open(path, encoding="utf-8") as handle:
             report = json.load(handle)
-    except FileNotFoundError:
-        raise InputDataError(f"report file {args.input!r} does not exist") from None
     except json.JSONDecodeError as err:
         raise InputDataError(f"report file is not valid JSON: {err}") from None
-    if "decomposition" not in report:
-        raise InputDataError("report has no decomposition section")
+    rows = report.get("decomposition") if isinstance(report, dict) else None
+    if not isinstance(rows, list) or not all(
+        isinstance(row, dict)
+        and isinstance(row.get("covariate"), str)
+        and all(_is_number(row.get(key)) for key in _DECOMPOSITION_NUMBERS)
+        for row in rows
+    ):
+        raise InputDataError(
+            "report has no decomposition list of rows with covariate, lambda_k, "
+            "gamma_k and contribution"
+        )
+    diagnostics = report.get("diagnostics")
+    if not (isinstance(diagnostics, dict) and _is_number(diagnostics.get("correction"))):
+        raise InputDataError("report has no diagnostics.correction total")
+    return report
+
+
+def _cmd_decompose(args) -> None:
+    report = _read_decomposition(args.input)
     if args.format == "csv":
         _write(decomposition_csv(report).encode("utf-8"), args.output)
     else:

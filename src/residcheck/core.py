@@ -149,6 +149,7 @@ class JointCovariance:
         object.__setattr__(self, "sigma_gamma_gamma", sgg)
         object.__setattr__(self, "sigma_c_sq", _fixed_order.scalar_or_stack(scc))
         object.__setattr__(self, "n", int(self.n))
+        chol.flags.writeable = False
         object.__setattr__(self, "_chol_gg", chol)
         lam.flags.writeable = False
         object.__setattr__(self, "_lambda", lam)
@@ -170,6 +171,11 @@ class JointCovariance:
 
     def full_matrix(self) -> np.ndarray:
         return self.full_matrix_of(self.sigma_c_sq, self.sigma_c_gamma, self.sigma_gamma_gamma)
+
+    @property
+    def chol_gg(self) -> np.ndarray:
+        """Lower Cholesky factor of Sigma_gg that validation computed (read-only)."""
+        return self._chol_gg
 
     def solve_gg(self, rhs: np.ndarray) -> np.ndarray:
         """Solve Sigma_gg x = rhs for p-vectors through the cached Cholesky factor."""

@@ -13,14 +13,16 @@ Two families:
   n rows (:func:`rct.arm_statistics`); ``draw_matrix`` still draws rows.
 
 Both expose the population covariance blocks, influence evaluators on raw
-data points, and a batched replication method returning aligned arrays so
-the labs can aggregate without caring which family produced them.
+data points, and a batched replication method returning one
+:class:`BatchReplications` record, so the labs can aggregate without caring
+which family produced it. The record carries the check block's Cholesky
+factor from the batch's single covariance validation, not the block itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -33,16 +35,39 @@ from .rct import RctDataset, arm_statistics, long_coefficients
 
 @dataclass(frozen=True)
 class BatchReplications:
-    """Aligned per-replication arrays produced by a DGP batch."""
+    """Aligned per-replication arrays of a DGP batch or, joined, of a lab run.
+
+    ``chol_gg`` is the Sigma_gg factor from the batch's covariance validation;
+    the long estimator is RCT only; the selection lab sets ``t_stats`` and ``passed``.
+    """
 
     c_short: np.ndarray
     c_resid: np.ndarray
     se_short: np.ndarray
     se_resid: np.ndarray
     gamma_hat: np.ndarray
-    sigma_gg: np.ndarray
+    chol_gg: np.ndarray
     c_long: np.ndarray | None = None
     se_long: np.ndarray | None = None
+    t_stats: np.ndarray | None = None
+    passed: np.ndarray | None = None
+
+    @classmethod
+    def concat(cls, parts) -> "BatchReplications":
+        """The parts joined along the replication axis, field by field."""
+        return cls(**{
+            f.name: None if getattr(parts[0], f.name) is None
+            else np.concatenate([getattr(part, f.name) for part in parts])
+            for f in fields(cls)
+        })
+
+    def estimators(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """(estimate, standard error) per estimator, in report order."""
+        out = {"short": (self.c_short, self.se_short)}
+        if self.c_long is not None:
+            out["long"] = (self.c_long, self.se_long)
+        out["residualized"] = (self.c_resid, self.se_resid)
+        return out
 
 
 def _times_lower_t(z: np.ndarray, low: np.ndarray) -> np.ndarray:
@@ -184,7 +209,7 @@ class GaussianPairDGP:
             se_short=sigma.se_c,
             se_resid=sigma.se_r,
             gamma_hat=gamma,
-            sigma_gg=sigma.sigma_gamma_gamma,
+            chol_gg=sigma.chol_gg,
         )
 
 
@@ -294,7 +319,14 @@ class RctLinearDGP:
         )
 
     def structural_mean_shift_score(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Score of an equal outcome-mean shift in both arms (within-model)."""
+        """Score of an equal outcome-mean shift in both arms (within-model).
+
+        The score is the outcome residual over noise_sd^2, so it needs noise.
+        """
+        if self.noise_sd == 0.0:
+            raise ConfigError(
+                "the mean-shift score divides by noise_sd^2; noise_sd must be positive"
+            )
 
         def score(data: np.ndarray) -> np.ndarray:
             y, t = data[:, 0], data[:, 1]
@@ -340,7 +372,7 @@ class RctLinearDGP:
             se_short=sigma.se_c,
             se_resid=sigma.se_r,
             gamma_hat=gamma,
-            sigma_gg=sigma.sigma_gamma_gamma,
+            chol_gg=sigma.chol_gg,
             c_long=residualize(c_short, gamma, beta_long).c_r,
             se_long=np.sqrt(adjusted_variance(sigma, beta_long) / n),
         )

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
 from dataclasses import dataclass, field
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 import numpy as np
 
@@ -20,6 +21,16 @@ from .errors import (
     WrongFieldCount,
 )
 from .rct import RctDataset
+
+
+@contextlib.contextmanager
+def named_file(path: str, verb: str) -> Iterator[None]:
+    """Report an OS or decoding failure on the file the user named as InputDataError."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as err:
+        reason = err.strerror if isinstance(err, OSError) and err.strerror else str(err)
+        raise InputDataError(f"cannot {verb} {path!r}: {reason}") from None
 
 
 @dataclass(frozen=True)
@@ -132,6 +143,11 @@ def load_dataset(config: AnalyzeConfig) -> LoadedDataset:
     """
     if not os.path.exists(config.input_path):
         raise EmptyFile(f"input file {config.input_path!r} does not exist")
+    with named_file(config.input_path, "read"):
+        return _load_dataset(config)
+
+
+def _load_dataset(config: AnalyzeConfig) -> LoadedDataset:
     header, header_lines = _read_header(config.input_path)
 
     index: dict[str, int] = {}
@@ -241,6 +257,8 @@ class SimulateConfig:
             raise ConfigError(f"reps must be at least 1000, got {self.reps}")
         if self.seed is None:
             raise ConfigError("a seed is required for reproducibility")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         threshold = float(self.rule.threshold)
         if self.lab == "selection" and not (math.isfinite(threshold) and threshold > 0.0):
             # A built-in rule with such a threshold passes always or never.

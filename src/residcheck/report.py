@@ -209,8 +209,10 @@ def _dgp_from_spec(spec):
 def run_simulate(config: SimulateConfig, threads: int | None = None) -> dict:
     """Dispatch to the requested lab; output embeds the full config and seed."""
     threads = resolve_threads(threads)  # a bad RESID_THREADS fails before any draw
-    # Keep freed heap pages: with glibc's 128 KiB default trim threshold, freed
-    # memory above it goes back to the system and is faulted in again on reuse.
+    # Keep freed heap pages for the misspec lab, whose row draws exceed glibc's
+    # 128 KiB default trim threshold: freed memory above it goes back to the
+    # system and is faulted in again on reuse. The RCT selection lab draws
+    # sufficient statistics and faults as often without the call.
     with contextlib.suppress(AttributeError, OSError, TypeError):  # no mallopt
         mallopt = ctypes.CDLL(None).mallopt
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's dynamic maximum

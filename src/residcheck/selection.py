@@ -16,19 +16,26 @@ deterministic parallelism, so results are byte-identical at any thread
 count. The first batches that hold at least 1,000 replications also gate the
 run: output is emitted only when their pass rate lies in [0.02, 0.98], and
 they are reported with the rest, so no replication is drawn only to gate.
+
+A run has one record, :class:`dgps.BatchReplications`. Each batch
+standardizes its checks with the Cholesky factor that the validation of its
+covariances computed, and records T_n and the pass indicator; the batches are
+then joined. The summary computes every batch's count, mean, variance,
+coverage and rejection rate in one pass over the batch axis
+(``np.add.reduceat`` over the batch starts), and pools over all replications.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from . import _fixed_order
 from ._distributions import Z975, chi2_cdf, normal_cdf, normal_pdf
-from ._threads import batch_sizes, concat_field, map_batches
+from ._threads import batch_sizes, map_batches
 from .dgps import BatchReplications, GaussianPairDGP, RctLinearDGP
 from .errors import ConfigError, DegenerateRule, DomainError
 
@@ -158,33 +165,6 @@ class SelectionConfig:
 
 
 @dataclass(frozen=True)
-class ReplicationDraws:
-    """Aligned per-replication arrays plus the pass indicator."""
-
-    config: SelectionConfig
-    c_short: np.ndarray
-    c_resid: np.ndarray
-    se_short: np.ndarray
-    se_resid: np.ndarray
-    gamma_hat: np.ndarray
-    t_stats: np.ndarray
-    passed: np.ndarray
-    c_long: np.ndarray | None = None
-    se_long: np.ndarray | None = None
-
-    @property
-    def c_true(self) -> float:
-        return self.config.dgp.c_true
-
-    def estimators(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        out = {"short": (self.c_short, self.se_short)}
-        if self.c_long is not None:
-            out["long"] = (self.c_long, self.se_long)
-        out["residualized"] = (self.c_resid, self.se_resid)
-        return out
-
-
-@dataclass(frozen=True)
 class MetricWithSE:
     value: float
     mc_se: float
@@ -208,20 +188,19 @@ class ConditionalStats:
     estimators: dict[str, dict[str, ConditionSummary]] = field(default_factory=dict)
 
 
-def _standardize_checks(batch: BatchReplications, n: int, oracle_gg: np.ndarray | None):
+def _standardize_checks(batch: BatchReplications, n: int, oracle_chol: np.ndarray | None):
     """T_n = sqrt(n) L^{-1} gamma_hat with L the Cholesky factor of Sigma_gg.
 
-    Sigma_gg is each replication's estimate, or ``oracle_gg`` for all of them.
+    L is each replication's validated factor, or ``oracle_chol`` for all of them.
     """
-    sigma_gg = batch.sigma_gg
-    if oracle_gg is not None:
-        sigma_gg = np.broadcast_to(oracle_gg, sigma_gg.shape)
-    chol = _fixed_order.cholesky(sigma_gg)
+    chol = batch.chol_gg if oracle_chol is None else oracle_chol
     return math.sqrt(n) * _fixed_order.solve_lower(chol, batch.gamma_hat)
 
 
-def simulate_replications(config: SelectionConfig, threads: int | None = None) -> ReplicationDraws:
-    """Run the experiment and return per-replication arrays.
+def simulate_replications(
+    config: SelectionConfig, threads: int | None = None
+) -> BatchReplications:
+    """Run the experiment and return one record of every replication, with t_stats and passed.
 
     Batch b draws its generator from SeedSequence(seed).spawn, so results do
     not depend on the worker count. The head batches, the fewest from the
@@ -232,98 +211,90 @@ def simulate_replications(config: SelectionConfig, threads: int | None = None) -
     """
     sizes = batch_sizes(config.reps, _N_BATCHES)
     children = np.random.SeedSequence(config.seed).spawn(len(sizes))
-    oracle_gg = None
+    oracle_chol = None
     if config.oracle_sigma:
-        oracle_gg = config.dgp.population_covariance(config.n).sigma_gamma_gamma
+        oracle_chol = config.dgp.population_covariance(config.n).chol_gg
 
-    def run_batch(b: int) -> tuple[BatchReplications, np.ndarray, np.ndarray]:
+    def run_batch(b: int) -> BatchReplications:
         rng = np.random.default_rng(children[b])
         batch = config.dgp.replicate_batch(rng, config.n, sizes[b])
-        t_stats = _standardize_checks(batch, config.n, oracle_gg)
-        return batch, t_stats, config.rule.passes(t_stats)
+        t_stats = _standardize_checks(batch, config.n, oracle_chol)
+        return replace(batch, t_stats=t_stats, passed=config.rule.passes(t_stats))
 
     head = int(np.searchsorted(np.cumsum(sizes), PILOT_REPS)) + 1
     parts = map_batches(run_batch, head, threads)
-    head_rate = float(np.concatenate([passed for _, _, passed in parts]).mean())
+    head_rate = float(np.concatenate([part.passed for part in parts]).mean())
     if not PASS_RATE_FLOOR <= head_rate <= PASS_RATE_CEILING:
         raise DegenerateRule(
-            f"pilot pass rate {head_rate:.4f} outside "
+            f"head pass rate {head_rate:.4f} outside "
             f"[{PASS_RATE_FLOOR}, {PASS_RATE_CEILING}]; the rule is degenerate under this DGP"
         )
     parts += map_batches(lambda i: run_batch(head + i), len(sizes) - head, threads)
-
-    batches, t_parts, passed_parts = zip(*parts)
-    return ReplicationDraws(
-        config=config,
-        c_short=concat_field(batches, "c_short"),
-        c_resid=concat_field(batches, "c_resid"),
-        se_short=concat_field(batches, "se_short"),
-        se_resid=concat_field(batches, "se_resid"),
-        gamma_hat=concat_field(batches, "gamma_hat"),
-        t_stats=np.concatenate(t_parts),
-        passed=np.concatenate(passed_parts),
-        c_long=concat_field(batches, "c_long"),
-        se_long=concat_field(batches, "se_long"),
-    )
+    return BatchReplications.concat(parts)
 
 
-def _metric_with_batch_se(
-    values: np.ndarray, mask: np.ndarray, stat: Callable, slices: list[slice], least: int = 1
-) -> MetricWithSE:
-    """stat of the masked values, with an MC SE from its spread over the batches.
+def _with_batch_se(pooled: float, per_batch: np.ndarray, counts: np.ndarray, least: int):
+    """pooled, with an MC SE from the spread of per_batch over the batches.
 
     A batch holding fewer than ``least`` masked values does not count.
     """
-    vals = np.array([stat(values[s][mask[s]]) for s in slices if mask[s].sum() >= least])
+    vals = per_batch[counts >= least]
     vals = vals[np.isfinite(vals)]
-    if vals.size >= 2:
-        se = float(vals.std(ddof=1) / math.sqrt(vals.size))
-    else:
-        se = float("nan")
-    pooled = float(stat(values[mask])) if mask.sum() >= least else float("nan")
+    se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size >= 2 else float("nan")
     return MetricWithSE(value=pooled, mc_se=se)
 
 
 def _condition_summary(
-    est: np.ndarray, se: np.ndarray, mask: np.ndarray, c_true: float, slices: list[slice]
+    est: np.ndarray, se: np.ndarray, mask: np.ndarray, c_true: float, starts: np.ndarray
 ) -> ConditionSummary:
+    """Pooled moments of the masked replications; each batch's at once, over the batch axis."""
     count = int(mask.sum())
     if count == 0:
         nan = MetricWithSE(float("nan"), float("nan"))
         return ConditionSummary(count=0, mean=nan, variance=nan, coverage=nan, rejection_rate=nan)
     err = np.abs(est - c_true)
+    covered, rejected = err <= Z975 * se, err > Z975 * se
+    counts = np.add.reduceat(mask, starts, dtype=float)
+
+    def batch_sums(values):
+        return np.add.reduceat(np.where(mask, values, 0.0), starts)
+
+    # A batch with too few masked values gives NaN or inf here and is then left out.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        means = batch_sums(est) / counts
+        dev = est - np.repeat(means, np.diff(starts, append=mask.size))
+        variances = batch_sums(dev * dev) / (counts - 1.0)
+        coverage, rejection = batch_sums(covered) / counts, batch_sums(rejected) / counts
+    kept = est[mask]
     return ConditionSummary(
         count=count,
-        mean=_metric_with_batch_se(est, mask, np.mean, slices),
-        variance=_metric_with_batch_se(est, mask, lambda v: v.var(ddof=1), slices, least=2),
-        coverage=_metric_with_batch_se(err <= Z975 * se, mask, np.mean, slices),
-        rejection_rate=_metric_with_batch_se(err > Z975 * se, mask, np.mean, slices),
+        mean=_with_batch_se(float(kept.mean()), means, counts, 1),
+        variance=_with_batch_se(
+            float(kept.var(ddof=1)) if count >= 2 else float("nan"), variances, counts, 2
+        ),
+        coverage=_with_batch_se(float(covered[mask].mean()), coverage, counts, 1),
+        rejection_rate=_with_batch_se(float(rejected[mask].mean()), rejection, counts, 1),
     )
 
 
-def summarize(draws: ReplicationDraws) -> ConditionalStats:
+def summarize(draws: BatchReplications, c_true: float) -> ConditionalStats:
     """Pool conditional moments, coverage, and test size with batch MC SEs."""
-    config = draws.config
-    sizes = batch_sizes(config.reps, _N_BATCHES)
-    slices = []
-    start = 0
-    for s in sizes:
-        slices.append(slice(start, start + s))
-        start += s
     passed = draws.passed
+    reps = passed.size
+    starts = np.cumsum([0] + batch_sizes(reps, _N_BATCHES)[:-1])
     pass_rate = float(passed.mean())
     estimators: dict[str, dict[str, ConditionSummary]] = {}
     for name, (est, se) in draws.estimators().items():
         estimators[name] = {
-            "all": _condition_summary(est, se, np.ones_like(passed), draws.c_true, slices),
-            "pass": _condition_summary(est, se, passed, draws.c_true, slices),
-            "fail": _condition_summary(est, se, ~passed, draws.c_true, slices),
+            "all": _condition_summary(est, se, np.ones_like(passed), c_true, starts),
+            "pass": _condition_summary(est, se, passed, c_true, starts),
+            "fail": _condition_summary(est, se, ~passed, c_true, starts),
         }
     return ConditionalStats(
-        n_reps=config.reps,
+        n_reps=reps,
         pass_rate=pass_rate,
-        pass_rate_se=float(math.sqrt(pass_rate * (1.0 - pass_rate) / config.reps)),
-        c_true=draws.c_true,
+        pass_rate_se=float(math.sqrt(pass_rate * (1.0 - pass_rate) / reps)),
+        c_true=c_true,
         estimators=estimators,
     )
 
@@ -332,4 +303,4 @@ def run_conditional_experiment(
     config: SelectionConfig, threads: int | None = None
 ) -> ConditionalStats:
     """Simulate, apply the rule, and summarize; deterministic given the seed."""
-    return summarize(simulate_replications(config, threads=threads))
+    return summarize(simulate_replications(config, threads=threads), config.dgp.c_true)

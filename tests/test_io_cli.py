@@ -529,8 +529,8 @@ class TestCli:
         assert out.read_bytes() == to_stdout.stdout
 
     def test_simulate_rct_selection_same_at_any_thread_count(self):
-        # 1,003 replications in 50 batches of 20 or 21, each drawn and
-        # estimated in chunks; criterion 9 covers the Gaussian labs only.
+        # 1,003 replications in 50 batches of 20 or 21, each drawn from per-arm
+        # sufficient statistics; criterion 9 covers the Gaussian labs only.
         args = (
             "simulate", "--lab", "selection", "--dgp", "rct",
             "--beta", "1.0,-0.5", "--interaction", "0.5,0.0", "--pi", "0.3",
@@ -590,6 +590,7 @@ class TestCli:
             (("--lab", "selection", "--threshold", "-1", *SIZES), None),
             (("--lab", "selection", "--n", "abc", "--reps", "1000", "--seed", "1"), None),
             (("--lab", "selection", "--n", "100", "--reps", "1000"), None),
+            (("--lab", "selection", "--n", "100", "--reps", "1000", "--seed", "-1"), None),
         ],
         ids=[
             "misspec-rct",
@@ -600,6 +601,7 @@ class TestCli:
             "threshold-neg",
             "n-abc",
             "missing-seed",
+            "seed-neg",
         ],
     )
     def test_simulate_config_errors_are_json(self, args, env):
@@ -686,3 +688,58 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     def test_decompose_missing_file(self, tmp_path):
         result = run_cli("decompose", "--input", str(tmp_path / "nope.json"))
         assert result.returncode == 2
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            {"decomposition": 5},
+            {"decomposition": "decomposition"},
+            {"decomposition": [5]},
+            {"decomposition": [{"covariate": "x1", "lambda_k": 1.0, "gamma_k": 0.5}]},
+            {"decomposition": [{"covariate": "x1", "lambda_k": "a", "gamma_k": 0.5,
+                                "contribution": 0.5}]},
+            {"decomposition": []},
+            {"decomposition": [], "diagnostics": {"correction": "0"}},
+            [1],
+        ],
+        ids=["number", "string", "row-number", "row-missing-key", "row-string-value",
+             "no-diagnostics", "correction-string", "top-level-list"],
+    )
+    def test_decompose_malformed_report(self, tmp_path, report):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        result = run_cli("decompose", "--input", str(path), "--format", "text")
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == b""
+        lines = result.stderr.decode().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "InputDataError"
+
+
+def _output_in_missing_directory(tmp_path):
+    return ("analyze", "--input", str(FIXTURE_CSV), "--covariates", "x1,x2,x3",
+            "--output", str(tmp_path / "missing" / "report.json"))
+
+
+def _input_is_a_directory(tmp_path):
+    return ("analyze", "--input", str(tmp_path), "--covariates", "x1")
+
+
+def _input_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(WELL_FORMED.replace("2.0,0,0.3", "2.0,0,0.3\xe9").encode("latin-1"))
+    return ("analyze", "--input", str(path), "--covariates", "x1,x2")
+
+
+@pytest.mark.parametrize(
+    "make_args", [_output_in_missing_directory, _input_is_a_directory, _input_not_utf8],
+    ids=["output-missing-dir", "input-directory", "input-not-utf8"],
+)
+def test_named_file_failures_are_one_json_line(tmp_path, make_args):
+    result = run_cli(*make_args(tmp_path))
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == b""
+    lines = result.stderr.decode().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "InputDataError" and str(tmp_path) in error["message"]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +282,13 @@ class TestBiasDecomposition:
         assert check.total_bias == 0.0
         assert check.target_shift == 0.0
         assert check.net_bias == 0.0
+
+    def test_structural_score_needs_noise(self):
+        dgp = RctLinearDGP(beta=np.array([1.0]), interaction=np.array([0.0]), noise_sd=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="noise_sd"):
+                dgp.structural_mean_shift_score()
 
     def test_within_model_structural_direction_drops_out(self):
         dgp = RctLinearDGP(tau=1.0, beta=np.array([1.0]), interaction=np.array([0.0]))

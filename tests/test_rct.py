@@ -491,8 +491,11 @@ class TestArmStatisticDraws:
         seed = 100 + 10 * p + int(100 * pi)
         batch = dgp.replicate_batch(np.random.default_rng(seed), n, size)
         reference = full_data_replications(dgp, np.random.default_rng(seed + 1), n, size)
+        # The lab carries each Sigma_gg estimate as its factor L: compare L L'.
+        lab_fields = {name: getattr(batch, name) for name in FIELDS if name != "sigma_gg"}
+        lab_fields["sigma_gg"] = batch.chol_gg @ np.swapaxes(batch.chol_gg, -1, -2)
         for name in FIELDS:
-            lab, full = (np.reshape(v, (size, -1)) for v in (getattr(batch, name), reference[name]))
+            lab, full = (np.reshape(v, (size, -1)) for v in (lab_fields[name], reference[name]))
             z_mean, z_var = moment_z_scores(lab, full)
             assert np.abs(z_mean).max() < 4.5, (name, z_mean)
             assert np.abs(z_var).max() < 4.5, (name, z_var)

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, ks_2samp, kstest, norm
 
+from residcheck import JointCovariance, _fixed_order
+from residcheck._distributions import Z975
+from residcheck._threads import batch_sizes
 from residcheck.dgps import GaussianPairDGP, RctLinearDGP
 from residcheck.errors import ConfigError, DegenerateRule, DomainError
 from residcheck.selection import (
@@ -250,16 +253,62 @@ class TestSufficientStatisticDraws:
 def test_standardized_checks_match_lapack_member_by_member(oracle):
     n = 60
     batch = CORRELATED_PAIR.replicate_batch(np.random.default_rng(5), n, 200)
-    oracle_gg = CORRELATED_PAIR.sigma_gamma_gamma if oracle else None
-    t = _standardize_checks(batch, n, oracle_gg)
-    sigma_gg = batch.sigma_gg
+    oracle_chol = CORRELATED_PAIR.population_covariance(n).chol_gg if oracle else None
+    t = _standardize_checks(batch, n, oracle_chol)
+    # The batch carries each Sigma_gg estimate as its factor L; L L' is the estimate.
+    sigma_gg = batch.chol_gg @ np.swapaxes(batch.chol_gg, -1, -2)
     if oracle:
-        sigma_gg = np.broadcast_to(oracle_gg, sigma_gg.shape)
+        sigma_gg = np.broadcast_to(CORRELATED_PAIR.sigma_gamma_gamma, sigma_gg.shape)
     chol = np.linalg.cholesky(sigma_gg)
     reference = np.sqrt(n) * np.linalg.solve(chol, batch.gamma_hat[..., None])[..., 0]
     np.testing.assert_allclose(t, reference, rtol=1e-12, atol=1e-12)
-    one = dataclasses.replace(batch, gamma_hat=batch.gamma_hat[7:8], sigma_gg=batch.sigma_gg[7:8])
-    assert np.array_equal(_standardize_checks(one, n, oracle_gg), t[7:8])
+    one = dataclasses.replace(batch, gamma_hat=batch.gamma_hat[7:8], chol_gg=batch.chol_gg[7:8])
+    assert np.array_equal(_standardize_checks(one, n, oracle_chol), t[7:8])
+
+
+RCT_THREE_CHECKS = RctLinearDGP(
+    beta=np.array([0.5, -0.25, 0.1]), interaction=np.array([0.4, 0.0, -0.2]), pi=0.4
+)
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+@pytest.mark.parametrize("dgp", [CORRELATED_PAIR, RCT_THREE_CHECKS], ids=["gaussian", "rct"])
+def test_check_block_factored_once_per_batch(dgp, oracle, monkeypatch):
+    """The lab standardizes with the factor validation made: one factorization per batch.
+
+    t_stats have the bits of factoring each validated block a second time.
+    """
+    cholesky, validate = _fixed_order.cholesky, JointCovariance.__post_init__
+    factored, blocks = [], []
+
+    def counting_cholesky(a):
+        factored.append(a)
+        return cholesky(a)
+
+    def recording_validate(self):
+        validate(self)
+        if np.ndim(self.sigma_c_sq) == 1:
+            blocks.append(self.sigma_gamma_gamma)
+
+    monkeypatch.setattr(_fixed_order, "cholesky", counting_cholesky)
+    monkeypatch.setattr(JointCovariance, "__post_init__", recording_validate)
+    config = SelectionConfig(dgp=dgp, rule=wald_rule(5.99 if dgp is CORRELATED_PAIR else 7.815),
+                             n=60, reps=1003, seed=23, oracle_sigma=oracle)
+    draws = simulate_replications(config)
+    assert len(blocks) == 50
+    assert [sum(a is block for a in factored) for block in blocks] == [1] * 50
+    monkeypatch.undo()
+
+    oracle_gg = dgp.population_covariance(config.n).sigma_gamma_gamma
+    start, reference = 0, []
+    for block in blocks:
+        stop = start + block.shape[0]
+        sigma_gg = np.broadcast_to(oracle_gg, block.shape) if oracle else block
+        chol = _fixed_order.cholesky(sigma_gg)
+        gamma = draws.gamma_hat[start:stop]
+        reference.append(np.sqrt(config.n) * _fixed_order.solve_lower(chol, gamma))
+        start = stop
+    assert np.array_equal(draws.t_stats, np.concatenate(reference))
 
 
 class CountingDGP:
@@ -311,4 +360,95 @@ class TestPassRateGate:
         four = simulate_replications(config, threads=4)
         for name in ("c_short", "c_resid", "se_short", "se_resid", "gamma_hat", "t_stats", "passed"):
             assert np.array_equal(getattr(one, name), getattr(four, name)), name
-        assert summarize(one) == summarize(four)
+        assert summarize(one, config.dgp.c_true) == summarize(four, config.dgp.c_true)
+
+
+def per_slice_summary(draws, c_true, n_batches=50):
+    """The summary computed one batch slice at a time, with numpy's own mean and var.
+
+    The reference for ``summarize``, which computes each batch's values at once
+    over the batch axis: the same pooled values and counts, and MC SEs from the
+    same per-batch values up to summation order.
+    """
+    sizes = batch_sizes(draws.passed.size, n_batches)
+    bounds = np.cumsum([0] + sizes)
+    slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+    def metric(values, mask, stat, least=1):
+        vals = np.array([stat(values[s][mask[s]]) for s in slices if mask[s].sum() >= least])
+        vals = vals[np.isfinite(vals)]
+        se = vals.std(ddof=1) / np.sqrt(vals.size) if vals.size >= 2 else np.nan
+        pooled = stat(values[mask]) if mask.sum() >= least else np.nan
+        return float(pooled), float(se)
+
+    def condition(est, se, mask):
+        if not mask.any():
+            return 0, [(np.nan, np.nan)] * 4
+        err = np.abs(est - c_true)
+        return int(mask.sum()), [
+            metric(est, mask, np.mean),
+            metric(est, mask, lambda v: v.var(ddof=1), least=2),
+            metric(err <= Z975 * se, mask, np.mean),
+            metric(err > Z975 * se, mask, np.mean),
+        ]
+
+    passed = draws.passed
+    out = {}
+    for name, (est, se) in draws.estimators().items():
+        for cond, mask in (("all", np.ones_like(passed)), ("pass", passed), ("fail", ~passed)):
+            out[name, cond] = condition(est, se, mask)
+    return float(passed.mean()), out
+
+
+def assert_matches_per_slice(draws, c_true):
+    stats = summarize(draws, c_true)
+    pass_rate, reference = per_slice_summary(draws, c_true)
+    assert stats.n_reps == draws.passed.size
+    assert np.array_equal(stats.pass_rate, pass_rate)
+    assert set(stats.estimators) == {name for name, _ in reference}
+    for (name, cond), (count, metrics) in reference.items():
+        summary = stats.estimators[name][cond]
+        assert summary.count == count, (name, cond)
+        got = [summary.mean, summary.variance, summary.coverage, summary.rejection_rate]
+        for metric, (value, mc_se) in zip(got, metrics):
+            assert np.array_equal(metric.value, value, equal_nan=True), (name, cond)
+            np.testing.assert_allclose(metric.mc_se, mc_se, rtol=1e-12, err_msg=f"{name} {cond}")
+
+
+class TestSummaryOverTheBatchAxis:
+    """summarize gives the per-slice computation's values, counts and (nearly) MC SEs."""
+
+    def test_gaussian_run(self):
+        config = SelectionConfig(
+            dgp=CORRELATED_PAIR, rule=wald_rule(5.99), n=200, reps=2050, seed=41
+        )
+        assert_matches_per_slice(simulate_replications(config), CORRELATED_PAIR.c_true)
+
+    def test_rct_run(self):
+        config = SelectionConfig(dgp=RCT_THREE_CHECKS, rule=max_abs_rule(2.24), n=2000, reps=2000,
+                                 seed=42)
+        draws = simulate_replications(config)
+        assert draws.c_long is not None
+        assert_matches_per_slice(draws, RCT_THREE_CHECKS.c_true)
+
+    def test_batches_with_fewer_than_two_failures(self):
+        # 50 batches of 20 at a 95% pass rate: about one failure per batch.
+        config = scalar_config(0.5, reps=1000, n=100, seed=43)
+        draws = simulate_replications(config)
+        fails = np.add.reduceat(~draws.passed, np.arange(0, 1000, 20))
+        assert (fails < 2).any() and (fails >= 2).any()
+        assert_matches_per_slice(draws, 0.0)
+
+    @pytest.mark.parametrize("failures", [0, 1, 2])
+    def test_too_few_values(self, failures):
+        # No failure gives the all-NaN summary; one gives a NaN pooled variance.
+        draws = simulate_replications(scalar_config(0.5, reps=1000, n=100, seed=44))
+        passed = np.ones(1000, dtype=bool)
+        passed[[3, 517][:failures]] = False
+        draws = dataclasses.replace(draws, passed=passed)
+        assert_matches_per_slice(draws, 0.0)
+        fail = summarize(draws, 0.0).estimators["short"]["fail"]
+        assert fail.count == failures
+        assert np.isnan(fail.variance.value) == (failures < 2)
+        assert np.isnan(fail.mean.value) == (failures == 0)
+        assert np.isnan(fail.mean.mc_se) == (failures < 2)
