@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .errors import ConfigError, EstimationError, InputDataError, ResidcheckError
@@ -147,11 +146,7 @@ def _cmd_simulate(args) -> None:
         try:
             lam = float(lam)
         except ValueError:
-            lam = math.nan
-        if not math.isfinite(lam):
-            raise ConfigError(
-                f"--lambda must be 'optimal', 'zero' or a finite number, got {args.lam!r}"
-            )
+            pass  # SimulateConfig rejects the string
     config = SimulateConfig(
         lab=args.lab,
         n=args.n,

@@ -5,8 +5,10 @@ Two families:
 * :class:`GaussianPairDGP` makes the per-observation influence vector
   (d_c, d_g) joint normal, so c_hat = c_true + mean(d_c) and gamma_hat =
   mean(d_g) have their asymptotic joint law exactly at every n. Replications
-  draw the sample mean and covariance from their exact laws, not n rows;
-  ``draw`` still draws rows, for the misspecification lab.
+  draw the sample mean and covariance from their exact laws, not n rows,
+  under the base model (``replicate_batch``) and under the misspecification
+  lab's perturbed law (``perturbed_batch``); ``draw`` still draws rows, for
+  calibration samples and the row sampler that tests compare against.
 * :class:`RctLinearDGP` simulates outcome, treatment, and covariates from a
   (possibly treatment-interacted) linear model. Replications draw the
   treated count and each arm's mean and scatter from their exact laws, not
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import _fixed_order
 from .core import JointCovariance, adjusted_variance, residualize
-from .errors import ConfigError, EmptyArm
+from .errors import ConfigError, EmptyArm, WeightUnderflow
 from .rct import RctDataset, arm_statistics, long_coefficients
 
 
@@ -87,15 +89,22 @@ def _normal_sums(rng: np.random.Generator, low: np.ndarray, counts: np.ndarray):
     """Sample means and scatter matrices of counts[b] rows from N(0, L L'), for each b.
 
     The mean is L z / sqrt(count), z ~ N(0, I). The scatter about it is independent
-    and Wishart(count - 1, L L'), drawn as (L A)(L A)' with the Bartlett factor A:
-    lower triangular, A_ii^2 ~ chi^2(count - 1 - i), A_ij ~ N(0, 1) below the diagonal
-    (Bartlett 1933; Odell & Feiveson 1966). Below k degrees of freedom, A' is the
-    count - 1 standard rows, padded with zeros. L is never factored: it may be singular.
+    and Wishart(count - 1, L L') (:func:`_wishart`).
     """
-    size, k = counts.shape[0], low.shape[0]
-    means = _times_lower_t(rng.standard_normal((size, k)), low)
+    means = _times_lower_t(rng.standard_normal((counts.shape[0], low.shape[0])), low)
     means /= np.sqrt(counts)[:, None]
-    dof = counts - 1
+    return means, _wishart(rng, low, counts - 1)
+
+
+def _wishart(rng: np.random.Generator, low: np.ndarray, dof: np.ndarray) -> np.ndarray:
+    """Wishart(dof[b], L L') matrices, for each b, drawn as (L A)(L A)'.
+
+    A is the Bartlett factor: lower triangular, A_ii^2 ~ chi^2(dof - i), A_ij ~ N(0, 1)
+    below the diagonal (Bartlett 1933; Odell & Feiveson 1966). Below k degrees of
+    freedom, A' is dof standard rows, padded with zeros. L is never factored: it may
+    be singular.
+    """
+    size, k = dof.shape[0], low.shape[0]
     full = np.flatnonzero(dof >= k)[:, None]
     diag = np.arange(k)
     upper = np.triu_indices(k, 1)
@@ -106,7 +115,7 @@ def _normal_sums(rng: np.random.Generator, low: np.ndarray, counts: np.ndarray):
     for b in np.flatnonzero(dof < k):
         a_t[b, : dof[b]] = rng.standard_normal((dof[b], k))
     la_t = _times_lower_t(a_t, low)
-    return means, _fixed_order.gram(np.swapaxes(la_t, -1, -2))
+    return _fixed_order.gram(np.swapaxes(la_t, -1, -2))
 
 
 def _times_columns(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -115,6 +124,28 @@ def _times_columns(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
     for k in range(1, coef.shape[0]):
         out += x[..., k] * coef[k]
     return out
+
+
+def _sample_means(data: np.ndarray) -> np.ndarray:
+    """Sample mean of the rows of data, each column summed pairwise in one contiguous pass."""
+    return np.add.reduce(np.ascontiguousarray(data.T), axis=-1) / len(data)
+
+
+def sample_moments(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Sample mean, 1/n sample covariance and n of the rows of data, in a fixed order."""
+    rows = np.ascontiguousarray(data.T)
+    means = np.add.reduce(rows, axis=-1) / len(data)
+    rows -= means[:, None]
+    return means, _fixed_order.gram(rows) / len(data), len(data)
+
+
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x[..., :, None] * y[..., None, :]
+
+
+# A perturbed batch draws its score coordinates in blocks of at most this
+# many (8 MB per array of doubles), so its memory stays bounded at large n.
+_SCORE_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -176,21 +207,30 @@ class GaussianPairDGP:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         return lambda data: data[:, 0] - _fixed_order.dot(data[:, 1:], lam)
 
+    # One map per estimator from a stack of sample moments (means, 1/n
+    # covariances, n) to estimates; the row estimates compute the moments
+    # of their rows that the map reads and call the same map.
+    def short_from_moments(self, means: np.ndarray, cov: np.ndarray | None, n: int):
+        return self.c_true + means[..., 0]
+
+    def fixed_from_moments(self, means: np.ndarray, cov: np.ndarray | None, n: int, lam):
+        gamma = means[..., 1:]
+        lam = np.broadcast_to(np.asarray(lam, dtype=float), gamma.shape)
+        return residualize(self.short_from_moments(means, cov, n), gamma, lam).c_r
+
+    def plugin_from_moments(self, means: np.ndarray, cov: np.ndarray, n: int):
+        """Residualized at the sample coefficient row, through :class:`JointCovariance`."""
+        sigma = JointCovariance(cov[..., 0, 0], cov[..., 0, 1:], cov[..., 1:, 1:], n)
+        return residualize(self.short_from_moments(means, cov, n), means[..., 1:], sigma.lam).c_r
+
     def estimate_short(self, data: np.ndarray) -> float:
-        return self.c_true + float(data[:, 0].mean())
+        return float(self.short_from_moments(_sample_means(data), None, len(data)))
 
     def estimate_fixed(self, data: np.ndarray, lam) -> float:
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        gamma = data[:, 1:].mean(axis=0)
-        return self.c_true + float(data[:, 0].mean() - _fixed_order.dot(gamma, lam))
+        return float(self.fixed_from_moments(_sample_means(data), None, len(data), lam))
 
     def estimate_plugin_residualized(self, data: np.ndarray) -> float:
-        rows = np.ascontiguousarray(data.T)
-        means = np.add.reduce(rows, axis=-1) / len(data)
-        rows -= means[:, None]
-        cov = _fixed_order.gram(rows) / len(data)
-        lam_hat = _fixed_order.cho_solve(_fixed_order.cholesky(cov[1:, 1:]), cov[0, 1:])
-        return self.c_true + residualize(means[0], means[1:], lam_hat).c_r
+        return float(self.plugin_from_moments(*sample_moments(data)))
 
     def replicate_batch(self, rng: np.random.Generator, n: int, size: int) -> BatchReplications:
         """size independent replications at sample size n, through :class:`JointCovariance`.
@@ -211,6 +251,77 @@ class GaussianPairDGP:
             gamma_hat=gamma,
             chol_gg=sigma.chol_gg,
         )
+
+    def perturbed_batch(
+        self, rng: np.random.Generator, n: int, size: int, lam, scale: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sample means and 1/n covariances of n exact draws from (1 + s(d)/sqrt(n)) dP0.
+
+        One (size, 1 + p) and one (size, 1 + p, 1 + p) array, for the score
+        s = scale psi_lam, psi_lam(d) = a'd with a = (1, -lam). The weight
+        1 + s/sqrt(n) reads only u = a'd ~ N(0, a' Sigma a). That law is
+        symmetric and the weights at u and -u sum to 2, so rejection on the
+        pair (|u|, -|u|) accepts exactly one of them: +|u| with probability
+        w(|u|) / 2. Each replication thus draws n values of |u| and n
+        uniforms, every weight through the [0, 2] gate of the row sampler in
+        :mod:`residcheck.misspec`. With b = Sigma a / (a' Sigma a), d = b u +
+        w, where w is independent of u and untouched by the tilt; w_c =
+        lam'w_g and w_g ~ N(0, L_w L_w'). Given the drawn u, the sums of w_g
+        have exact laws (Cochran): sum w_g = sqrt(n) L_w z1, sum (u - u_bar)
+        w_g = sqrt(S_uu) L_w z2, and the scatter of w_g is L_w (z2 z2' + A)
+        L_w', with A ~ Wishart(n - 2, I) and z1, z2 ~ N(0, I) independent.
+        """
+        lam = np.atleast_1d(np.asarray(lam, dtype=float))
+        p = self.p_gamma
+        low = self._chol_full
+        alpha = _fixed_order.dot(low.T, np.concatenate([[1.0], -lam]))  # L'a
+        var_u = _fixed_order.dot(alpha, alpha)
+        b = _fixed_order.dot(low, alpha) / var_u
+        # w_g's precision is M' Sigma^-1 M for M = [lam'; I]: no cancellation
+        # when d_g is nearly a function of u, as at large lam.
+        m_inv = _fixed_order.solve_lower(low, np.column_stack([lam, np.eye(p)]))
+        prec_low = _fixed_order.cholesky(_fixed_order.gram(m_inv))
+        low_w = _fixed_order.cholesky(_fixed_order.cho_solve(prec_low, np.eye(p)))
+
+        root_n = math.sqrt(n)
+        sd_u, slope = math.sqrt(var_u), scale / root_n
+        u_mean, s_uu = np.empty(size), np.empty(size)
+        step = max(1, _SCORE_BLOCK // n)
+        for start in range(0, size, step):
+            u = rng.standard_normal((min(step, size - start), n))
+            np.abs(u, out=u)
+            u *= sd_u
+            weights = u * slope
+            weights += 1.0
+            if not (weights.min() >= 0.0 and weights.max() <= 2.0):
+                raise WeightUnderflow(
+                    f"a weight 1 + s/sqrt(n) falls outside [0, 2] at n = {n}; "
+                    "n is too small for this mu and score shape"
+                )
+            # Keep +|u| with probability w(|u|) / 2, else -|u|.
+            np.negative(u, out=u, where=2.0 * rng.random(u.shape) >= weights)
+            block = slice(start, start + u.shape[0])
+            u_mean[block] = np.add.reduce(u, axis=-1) / n
+            u -= u_mean[block, None]
+            u *= u
+            s_uu[block] = np.add.reduce(u, axis=-1)
+
+        w_mean = _times_lower_t(rng.standard_normal((size, p)), low_w)
+        w_mean /= root_n
+        cross = _times_lower_t(rng.standard_normal((size, p)), low_w)
+        w_scatter = _wishart(rng, low_w, np.full(size, n - 2)) + _outer(cross, cross)
+        cross *= np.sqrt(s_uu)[:, None]
+
+        def lift(x: np.ndarray) -> np.ndarray:
+            """(..., p) -> (..., 1 + p): prepend the coordinate c = lam'x."""
+            return np.concatenate([_fixed_order.dot(x, lam)[..., None], x], axis=-1)
+
+        means = _outer(u_mean, b) + lift(w_mean)
+        cross = lift(cross)
+        scatter = s_uu[:, None, None] * _outer(b, b)
+        scatter += _outer(b, cross) + _outer(cross, b)
+        scatter += lift(np.swapaxes(lift(w_scatter), -1, -2))
+        return means, scatter / n
 
 
 @dataclass(frozen=True)

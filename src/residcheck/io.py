@@ -259,6 +259,13 @@ class SimulateConfig:
             raise ConfigError("a seed is required for reproducibility")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        mu, lam = float(self.score.mu), self.score.lam
+        if not 0.0 <= mu < math.inf:
+            raise ConfigError(f"mu must be finite and at least 0, got {mu}")
+        if lam not in ("optimal", "zero") and not (
+            isinstance(lam, (int, float)) and math.isfinite(lam)
+        ):
+            raise ConfigError(f"lambda must be 'optimal', 'zero' or a finite number, got {lam!r}")
         threshold = float(self.rule.threshold)
         if self.lab == "selection" and not (math.isfinite(threshold) and threshold > 0.0):
             # A built-in rule with such a threshold passes always or never.

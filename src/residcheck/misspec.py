@@ -8,15 +8,25 @@ the score ball by s* = mu psi_lambda / ||psi_lambda||, so the worst-case
 bias equals mu ||psi_lambda|| and is minimized at the residualizing
 coefficient.
 
-Sampling from the perturbed law is exact rejection sampling with the
-envelope 2 dP0: a base draw d with acceptance uniform u is kept when
-2 u < 1 + s(d)/sqrt(n). The linear weights are the object of interest here,
-so instead of switching to an exponential tilt we require them to lie in
-[0, 2]: a proposal whose weight falls outside raises WeightUnderflow, and
-weights are never clipped. The bias runners first check sup |s|/sqrt(n) < 1
-on the calibration sample they already score, so that a bad n fails before
-any replication. Half of all proposals are accepted on average, and no row
-is repeated.
+Sampling from the perturbed law is exact. The generic sampler, over any
+base-model sampler and score (:func:`sample_perturbed`, :func:`measure_bias`
+and the profile runner), is rejection sampling with the envelope 2 dP0: a
+base draw d with acceptance uniform u is kept when 2 u < 1 + s(d)/sqrt(n).
+Half of all proposals are accepted on average, and no row is repeated. The
+linear weights are the object of interest here, so instead of switching to
+an exponential tilt we require them to lie in [0, 2]: a proposal whose
+weight falls outside raises WeightUnderflow, and weights are never clipped.
+The bias runners first check sup |s|/sqrt(n) < 1 on the calibration sample
+they already score, so that a bad n fails before any replication.
+
+The misspecification lab (``simulate --lab misspec``) runs
+:func:`measure_gaussian_bias` on the Gaussian pair, whose worst-case score
+is linear in d. Its sampler, :meth:`GaussianPairDGP.perturbed_batch`, draws
+only the coordinate the score reads, under the same gate, and each
+replication's other sums from their exact laws; the estimators map those
+sample moments to estimates. :func:`measure_bias` over rows stays as the
+reference that tests compare it with, and the profile runner keeps rows
+because its common random numbers span directions in the whole plane.
 
 Norms and inner products ("predicted" biases) are always estimated on a
 calibration sample drawn independently of the evaluation replications.
@@ -31,7 +41,13 @@ from typing import Callable
 import numpy as np
 
 from ._threads import batch_sizes, map_batches
-from .errors import ConfigError, NegativeMu, WeightUnderflow, ZeroInfluence
+from .errors import (
+    ConfigError,
+    InvalidCovariance,
+    NegativeMu,
+    WeightUnderflow,
+    ZeroInfluence,
+)
 
 Sampler = Callable[[np.random.Generator, int], np.ndarray]
 ScoreFn = Callable[[np.ndarray], np.ndarray]
@@ -45,11 +61,16 @@ _N_BATCHES = 50
 
 @dataclass(frozen=True)
 class MisspecScore:
-    """Per-observation perturbation direction with L2 bound mu."""
+    """Per-observation perturbation direction with L2 bound mu.
+
+    ``scale`` is set when the score is scale * psi for the influence
+    function psi it was built along (:func:`worst_case_score`).
+    """
 
     fn: ScoreFn
     mu: float
     description: str = ""
+    scale: float | None = None
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(data), dtype=float)
@@ -63,6 +84,9 @@ class LinearAdjustedEstimator:
     c_true: float
     estimate: Callable[[np.ndarray], float]
     influence: Callable[[np.ndarray], np.ndarray]
+    # Estimates from a stack of (sample means, 1/n covariances, n); estimate
+    # applies the same map to the moments of its rows.
+    from_moments: Callable[[np.ndarray, np.ndarray, int], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -114,15 +138,21 @@ def worst_case_score(
         raise ConfigError("calibration_draws must be at least 2")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(901,)))
     calib = p0_sampler(rng, calibration_draws)
-    values = np.asarray(psi_lambda(calib), dtype=float)
-    norm = math.sqrt(float(np.mean(values**2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.asarray(psi_lambda(calib), dtype=float)
+        norm = math.sqrt(float(np.mean(values**2)))
     if norm < 1e-12:
         raise ZeroInfluence("influence evaluator is numerically zero on the calibration sample")
+    if not norm < math.inf:
+        raise InvalidCovariance(
+            "the variance of the influence function on the calibration sample is not finite"
+        )
     scale = mu / norm
     return MisspecScore(
         fn=lambda data: scale * np.asarray(psi_lambda(data), dtype=float),
         mu=float(mu),
         description=f"worst_case(norm={norm:.6g})",
+        scale=scale,
     )
 
 
@@ -152,7 +182,7 @@ def check_weight_bound(score_values: np.ndarray, n: int) -> float:
     Returns the sample maximum of |s|.
     """
     sup = float(np.abs(score_values).max())
-    if sup / math.sqrt(n) >= 1.0:
+    if not sup / math.sqrt(n) < 1.0:  # NaN fails too
         raise WeightUnderflow(
             f"calibration sup |s| = {sup:.4g} reaches sqrt(n) = {math.sqrt(n):.4g}; "
             "n is too small for this mu and score shape"
@@ -199,6 +229,69 @@ def sample_perturbed(
     return _draw_accepted(rng, p0_sampler, [score], n)[0]
 
 
+def _calibrate(
+    influence: ScoreFn, p0_sampler: Sampler, score: MisspecScore, n: int, draws: int,
+    rng: np.random.Generator,
+) -> tuple[float, float]:
+    """Gate sup |s| / sqrt(n) < 1 on a calibration sample, then E0[psi s] and its MC SE.
+
+    Scores that overflow fail the gate rather than print numpy warnings. The
+    sample is freed before the replications run.
+    """
+    calib = p0_sampler(rng, draws)
+    with np.errstate(over="ignore", invalid="ignore"):
+        calib_scores = score(calib)
+        check_weight_bound(calib_scores, n)
+    products = np.asarray(influence(calib), dtype=float) * calib_scores
+    return float(products.mean()), float(products.std(ddof=1) / math.sqrt(draws))
+
+
+def _measure(
+    estimator: LinearAdjustedEstimator,
+    p0_sampler: Sampler,
+    score: MisspecScore,
+    n: int,
+    reps: int,
+    seed: int,
+    calibration_draws: int,
+    threads: int | None,
+    max_total_draws: int,
+    draw_estimates: Callable[[np.random.Generator, int], np.ndarray],
+) -> BiasMeasurement:
+    """The bias runners' shared frame: budget, calibration, then batches of replications.
+
+    ``draw_estimates(rng, size)`` returns the estimates of size replications
+    from the stream of their batch.
+    """
+    if reps * n > max_total_draws:
+        raise ConfigError(
+            f"reps * n = {reps * n:.3g} exceeds the configured budget {max_total_draws:.3g}"
+        )
+    ss = np.random.SeedSequence(seed)
+    sizes = batch_sizes(reps, _N_BATCHES)
+    children = ss.spawn(len(sizes) + 1)
+    predicted, predicted_se = _calibrate(
+        estimator.influence, p0_sampler, score, n, calibration_draws,
+        np.random.default_rng(children[-1]),
+    )
+    root_n = math.sqrt(n)
+
+    def run_batch(b: int) -> np.ndarray:
+        estimates = draw_estimates(np.random.default_rng(children[b]), sizes[b])
+        return root_n * (estimates - estimator.c_true)
+
+    scaled = np.concatenate(map_batches(run_batch, len(sizes), threads))
+    return BiasMeasurement(
+        sqrt_n_bias=float(scaled.mean()),
+        mc_se=float(scaled.std(ddof=1) / math.sqrt(reps)),
+        predicted=predicted,
+        predicted_se=predicted_se,
+        n=n,
+        reps=reps,
+        mu=score.mu,
+    )
+
+
 def measure_bias(
     estimator: LinearAdjustedEstimator,
     p0_sampler: Sampler,
@@ -216,41 +309,48 @@ def measure_bias(
     replications, each n exact draws from the perturbed law; predicted is the
     calibration estimate of E0[psi s]. Both carry MC standard errors.
     """
-    if reps * n > max_total_draws:
-        raise ConfigError(
-            f"reps * n = {reps * n:.3g} exceeds the configured budget {max_total_draws:.3g}"
-        )
-    ss = np.random.SeedSequence(seed)
-    sizes = batch_sizes(reps, _N_BATCHES)
-    children = ss.spawn(len(sizes) + 1)
 
-    calib_rng = np.random.default_rng(children[-1])
-    calib = p0_sampler(calib_rng, calibration_draws)
-    calib_scores = score(calib)
-    check_weight_bound(calib_scores, n)
-    products = np.asarray(estimator.influence(calib), dtype=float) * calib_scores
-    predicted = float(products.mean())
-    predicted_se = float(products.std(ddof=1) / math.sqrt(calibration_draws))
+    def draw_estimates(rng: np.random.Generator, size: int) -> np.ndarray:
+        return np.array([
+            estimator.estimate(_draw_accepted(rng, p0_sampler, [score], n)[0])
+            for _ in range(size)
+        ])
 
-    root_n = math.sqrt(n)
+    return _measure(
+        estimator, p0_sampler, score, n, reps, seed, calibration_draws, threads,
+        max_total_draws, draw_estimates,
+    )
 
-    def run_batch(b: int) -> np.ndarray:
-        rng = np.random.default_rng(children[b])
-        vals = np.empty(sizes[b])
-        for i in range(sizes[b]):
-            data = _draw_accepted(rng, p0_sampler, [score], n)[0]
-            vals[i] = root_n * (estimator.estimate(data) - estimator.c_true)
-        return vals
 
-    scaled = np.concatenate(map_batches(run_batch, len(sizes), threads))
-    return BiasMeasurement(
-        sqrt_n_bias=float(scaled.mean()),
-        mc_se=float(scaled.std(ddof=1) / math.sqrt(reps)),
-        predicted=predicted,
-        predicted_se=predicted_se,
-        n=n,
-        reps=reps,
-        mu=score.mu,
+def measure_gaussian_bias(
+    estimator: LinearAdjustedEstimator,
+    dgp,
+    lam,
+    score: MisspecScore,
+    n: int,
+    reps: int,
+    seed: int,
+    calibration_draws: int = DEFAULT_CALIBRATION_DRAWS,
+    threads: int | None = None,
+    max_total_draws: int = MAX_TOTAL_DRAWS,
+) -> BiasMeasurement:
+    """:func:`measure_bias` on a :class:`GaussianPairDGP`, whose score is scale psi_lam.
+
+    The same calibration, seeds and batches; a batch draws its replications'
+    sample moments at once (:meth:`GaussianPairDGP.perturbed_batch`) and maps
+    them through ``estimator.from_moments``. ``score`` is a
+    :func:`worst_case_score` along ``dgp.influence_adjusted(lam)``.
+    """
+    if score.scale is None or estimator.from_moments is None:
+        raise ConfigError("the Gaussian bias runner needs a score scale and a moment map")
+
+    def draw_estimates(rng: np.random.Generator, size: int) -> np.ndarray:
+        means, cov = dgp.perturbed_batch(rng, n, size, lam, score.scale)
+        return estimator.from_moments(means, cov, n)
+
+    return _measure(
+        estimator, dgp.draw, score, n, reps, seed, calibration_draws, threads,
+        max_total_draws, draw_estimates,
     )
 
 
@@ -410,6 +510,7 @@ def short_estimator_of(dgp) -> LinearAdjustedEstimator:
         c_true=dgp.c_true,
         estimate=dgp.estimate_short,
         influence=dgp.influence_c,
+        from_moments=dgp.short_from_moments,
     )
 
 
@@ -420,6 +521,7 @@ def fixed_lambda_estimator_of(dgp, lam) -> LinearAdjustedEstimator:
         c_true=dgp.c_true,
         estimate=lambda data: dgp.estimate_fixed(data, lam),
         influence=dgp.influence_adjusted(lam),
+        from_moments=lambda means, cov, n: dgp.fixed_from_moments(means, cov, n, lam),
     )
 
 
@@ -430,4 +532,5 @@ def plugin_residualized_of(dgp) -> LinearAdjustedEstimator:
         c_true=dgp.c_true,
         estimate=dgp.estimate_plugin_residualized,
         influence=dgp.influence_adjusted(dgp.lambda_opt),
+        from_moments=dgp.plugin_from_moments,
     )

@@ -26,7 +26,7 @@ from .errors import ConfigError
 from .io import AnalyzeConfig, GaussianDgpSpec, RctDgpSpec, SimulateConfig, load_dataset
 from .misspec import (
     fixed_lambda_estimator_of,
-    measure_bias,
+    measure_gaussian_bias,
     plugin_residualized_of,
     short_estimator_of,
     worst_case_score,
@@ -209,10 +209,11 @@ def _dgp_from_spec(spec):
 def run_simulate(config: SimulateConfig, threads: int | None = None) -> dict:
     """Dispatch to the requested lab; output embeds the full config and seed."""
     threads = resolve_threads(threads)  # a bad RESID_THREADS fails before any draw
-    # Keep freed heap pages for the misspec lab, whose row draws exceed glibc's
-    # 128 KiB default trim threshold: freed memory above it goes back to the
-    # system and is faulted in again on reuse. The RCT selection lab draws
-    # sufficient statistics and faults as often without the call.
+    # Keep freed heap pages for the misspec lab, whose calibration rows and
+    # score-coordinate blocks exceed glibc's 128 KiB default trim threshold:
+    # freed memory above it goes back to the system and is faulted in again
+    # on reuse. The RCT selection lab draws sufficient statistics and faults
+    # as often without the call.
     with contextlib.suppress(AttributeError, OSError, TypeError):  # no mallopt
         mallopt = ctypes.CDLL(None).mallopt
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's dynamic maximum
@@ -245,9 +246,10 @@ def run_simulate(config: SimulateConfig, threads: int | None = None) -> dict:
         score = worst_case_score(
             dgp.influence_adjusted(lam), config.score.mu, dgp.draw, seed=config.seed
         )
-        measurement = measure_bias(
+        measurement = measure_gaussian_bias(
             estimator,
-            dgp.draw,
+            dgp,
+            lam,
             score,
             n=config.n,
             reps=config.reps,

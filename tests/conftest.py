@@ -26,3 +26,15 @@ def random_joint_covariance(seed: int, p: int, n: int = 500) -> JointCovariance:
 @pytest.fixture
 def scalar_sigma() -> JointCovariance:
     return JointCovariance(1.0, np.array([0.5]), np.eye(1), 100)
+
+
+def moment_z_scores(a, b):
+    """z-scores of the differences in mean and in variance of two samples, per column."""
+    stats = []
+    for s in (a, b):
+        centered = s - s.mean(axis=0)
+        var = centered.var(axis=0)
+        fourth = (centered**4).mean(axis=0)
+        stats.append((s.mean(axis=0), var / len(s), var, (fourth - var**2) / len(s)))
+    (m_a, mv_a, v_a, vv_a), (m_b, mv_b, v_b, vv_b) = stats
+    return (m_a - m_b) / np.sqrt(mv_a + mv_b), (v_a - v_b) / np.sqrt(vv_a + vv_b)

@@ -23,7 +23,7 @@ from residcheck import (
 )
 from residcheck.dgps import GaussianPairDGP, RctLinearDGP
 from residcheck.misspec import (
-    measure_bias,
+    measure_gaussian_bias,
     plugin_residualized_of,
     short_estimator_of,
     worst_case_bias_profile,
@@ -214,13 +214,13 @@ def test_criterion_6_minimax_bias():
     score_opt = worst_case_score(
         pair.influence_adjusted(pair.lambda_opt), 1.0, pair.draw, seed=61
     )
-    m_resid = measure_bias(
-        plugin_residualized_of(pair), pair.draw, score_opt,
+    m_resid = measure_gaussian_bias(
+        plugin_residualized_of(pair), pair, pair.lambda_opt, score_opt,
         n=n, reps=reps, seed=62, threads=THREADS,
     )
     score_zero = worst_case_score(pair.influence_c, 1.0, pair.draw, seed=63)
-    m_short = measure_bias(
-        short_estimator_of(pair), pair.draw, score_zero,
+    m_short = measure_gaussian_bias(
+        short_estimator_of(pair), pair, np.zeros(1), score_zero,
         n=n, reps=reps, seed=64, threads=THREADS,
     )
     target = math.sqrt(0.75)

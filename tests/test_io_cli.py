@@ -591,6 +591,10 @@ class TestCli:
             (("--lab", "selection", "--n", "abc", "--reps", "1000", "--seed", "1"), None),
             (("--lab", "selection", "--n", "100", "--reps", "1000"), None),
             (("--lab", "selection", "--n", "100", "--reps", "1000", "--seed", "-1"), None),
+            (("--lab", "misspec", "--mu", "nan", *SIZES), None),
+            (("--lab", "misspec", "--mu", "inf", *SIZES), None),
+            (("--lab", "misspec", "--mu", "-1", *SIZES), None),
+            (("--lab", "misspec", "--lambda", "inf", *SIZES), None),
         ],
         ids=[
             "misspec-rct",
@@ -602,6 +606,10 @@ class TestCli:
             "n-abc",
             "missing-seed",
             "seed-neg",
+            "mu-nan",
+            "mu-inf",
+            "mu-neg",
+            "lambda-inf",
         ],
     )
     def test_simulate_config_errors_are_json(self, args, env):
@@ -610,6 +618,15 @@ class TestCli:
         lines = result.stderr.decode().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("flag", ["--mu", "--lambda"])
+    def test_simulate_misspec_overflow_is_one_json_line(self, flag):
+        result = run_cli("simulate", "--lab", "misspec", flag, "1e308", *SIZES)
+        assert result.returncode == 3, result.stderr
+        assert result.stdout == b""
+        lines = result.stderr.decode().splitlines()
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["error"]
 
     @pytest.mark.parametrize(
         "flags, name",

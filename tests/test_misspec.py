@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from residcheck.dgps import GaussianPairDGP, RctLinearDGP
+from residcheck.dgps import GaussianPairDGP, RctLinearDGP, sample_moments
 from residcheck.errors import ConfigError, NegativeMu, WeightUnderflow, ZeroInfluence
 from residcheck.misspec import (
     MisspecScore,
+    _draw_accepted,
     bias_decomposition_check,
     check_weight_bound,
     fixed_lambda_estimator_of,
     measure_bias,
+    measure_gaussian_bias,
     plugin_residualized_of,
     sample_perturbed,
     short_estimator_of,
@@ -22,7 +24,14 @@ from residcheck.misspec import (
     zero_score,
 )
 
+from conftest import moment_z_scores
+
 PAIR = GaussianPairDGP.from_rho(0.5)
+PAIR_P2 = GaussianPairDGP(
+    sigma_c_sq=1.5,
+    sigma_c_gamma=np.array([0.6, -0.4]),
+    sigma_gamma_gamma=np.array([[1.0, 0.3], [0.3, 2.0]]),
+)
 
 
 def scalar_normal_sampler(rng, size):
@@ -174,6 +183,13 @@ class TestMeasureBias:
         )
         assert m_short.sqrt_n_bias == pytest.approx(1.0, abs=3 * m_short.mc_se)
 
+    def test_gaussian_runner_needs_a_scaled_score(self):
+        score = MisspecScore(fn=PAIR.influence_c, mu=1.0)
+        with pytest.raises(ConfigError):
+            measure_gaussian_bias(
+                short_estimator_of(PAIR), PAIR, np.zeros(1), score, n=100, reps=10, seed=1
+            )
+
     def test_budget_guard(self):
         with pytest.raises(ConfigError):
             measure_bias(
@@ -189,8 +205,51 @@ class TestMeasureBias:
         assert a == b
 
 
+def moment_rows(means, cov):
+    """One row per replication: the sample means, then the covariance's upper triangle."""
+    upper = np.triu_indices(means.shape[-1])
+    return np.column_stack([means, cov[:, upper[0], upper[1]]])
+
+
+class TestPerturbedBatch:
+    """The lab draws the score coordinate and exact sums of the rest, not rows.
+
+    Its per-replication moments must have the laws of the moments of rows
+    drawn by the generic rejection sampler.
+    """
+
+    @pytest.mark.parametrize(
+        "dgp, factor, seed",
+        [(PAIR, 0.0, 41), (PAIR, 1.0, 42), (PAIR, 2.0, 43), (PAIR_P2, 2.0, 44)],
+        ids=["zero", "optimal", "twice-optimal", "p2-twice-optimal"],
+    )
+    def test_matches_rejection_rows(self, dgp, factor, seed):
+        # Away from the optimum the part of d_g along the score is perturbed too.
+        n, row_reps, batch_reps = 60, 3_000, 40_000
+        lam = factor * dgp.lambda_opt
+        score = worst_case_score(
+            dgp.influence_adjusted(lam), 1.2, dgp.draw, calibration_draws=20_000, seed=seed
+        )
+        rng = np.random.default_rng(seed)
+        rows = [
+            sample_moments(_draw_accepted(rng, dgp.draw, [score], n)[0])
+            for _ in range(row_reps)
+        ]
+        reference = moment_rows(np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows]))
+        batch = moment_rows(
+            *dgp.perturbed_batch(np.random.default_rng(seed + 100), n, batch_reps, lam, score.scale)
+        )
+        z_mean, z_var = moment_z_scores(batch, reference)
+        assert np.abs(z_mean).max() < 4.5, z_mean
+        assert np.abs(z_var).max() < 4.5, z_var
+
+    def test_proposal_outside_the_weight_gate(self):
+        with pytest.raises(WeightUnderflow):
+            PAIR.perturbed_batch(np.random.default_rng(0), 16, 5, PAIR.lambda_opt, 4.0)
+
+
 class CountingSampler:
-    """Delegates to a DGP and records the size of every base-model draw."""
+    """Delegates to a DGP and records the size of every base-model draw and batch."""
 
     def __init__(self, dgp):
         self.dgp = dgp
@@ -199,6 +258,10 @@ class CountingSampler:
     def draw(self, rng, size):
         self.sizes.append(size)
         return self.dgp.draw(rng, size)
+
+    def perturbed_batch(self, rng, n, size, lam, scale):
+        self.sizes.append(size)
+        return self.dgp.perturbed_batch(rng, n, size, lam, scale)
 
     def __getattr__(self, name):
         return getattr(self.dgp, name)
@@ -217,6 +280,16 @@ class TestWeightGate:
             )
         assert counting.sizes == [50_000]
 
+    def test_gaussian_runner_fails_before_any_replication(self):
+        counting = CountingSampler(PAIR)
+        score = worst_case_score(PAIR.influence_c, 2.0, PAIR.draw)
+        with pytest.raises(WeightUnderflow):
+            measure_gaussian_bias(
+                short_estimator_of(PAIR), counting, np.zeros(1), score, n=16, reps=100,
+                seed=1, calibration_draws=50_000,
+            )
+        assert counting.sizes == [50_000]
+
     def test_profile_fails_before_any_replication(self):
         counting = CountingSampler(PAIR)
         with pytest.raises(WeightUnderflow):
@@ -230,6 +303,8 @@ class TestWeightGate:
         assert check_weight_bound(np.array([-1.5, 0.5]), 4) == 1.5
         with pytest.raises(WeightUnderflow):
             check_weight_bound(np.array([0.0, -2.0]), 4)
+        with pytest.raises(WeightUnderflow):
+            check_weight_bound(np.array([0.0, np.nan]), 4)
 
 
 class TestBiasProfile:

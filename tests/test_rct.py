@@ -31,6 +31,8 @@ from residcheck.errors import (
 )
 from residcheck.rct import arm_statistics, long_coefficients, long_normal_equations
 
+from conftest import moment_z_scores
+
 
 def make_dataset(y, t, x, strata=None):
     return RctDataset(
@@ -373,18 +375,6 @@ def arm_moments(y, t, x):
         means.append(mean)
         scatters.append(np.stack([d.T @ d for d in dev]))
     return t.sum(axis=-1).astype(int), means, scatters
-
-
-def moment_z_scores(a, b):
-    """z-scores of the differences in mean and in variance of two samples, per column."""
-    stats = []
-    for s in (a, b):
-        centered = s - s.mean(axis=0)
-        var = centered.var(axis=0)
-        fourth = (centered**4).mean(axis=0)
-        stats.append((s.mean(axis=0), var / len(s), var, (fourth - var**2) / len(s)))
-    (m_a, mv_a, v_a, vv_a), (m_b, mv_b, v_b, vv_b) = stats
-    return (m_a - m_b) / np.sqrt(mv_a + mv_b), (v_a - v_b) / np.sqrt(vv_a + vv_b)
 
 
 def c_short_second_moment(dgp, n):
