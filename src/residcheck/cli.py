@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigError, EstimationError, InputDataError, ResidcheckError
+from .errors import ConfigError, InputDataError, ResidcheckError
 from .io import (
     AnalyzeConfig,
     GaussianDgpSpec,
@@ -229,11 +229,7 @@ def main(argv=None) -> int:
     except ResidcheckError as err:
         error = {"error": type(err).__name__, "message": str(err)}
         sys.stderr.write(json.dumps(error) + "\n")
-        if isinstance(err, InputDataError):
-            return 2
-        if isinstance(err, EstimationError):
-            return 3
-        return 3
+        return 2 if isinstance(err, InputDataError) else 3
     return 0
 
 

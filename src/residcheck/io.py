@@ -5,7 +5,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Iterator, NoReturn
 
@@ -141,8 +140,6 @@ def load_dataset(config: AnalyzeConfig) -> LoadedDataset:
     codes in sorted label order. Any parse or value error is located by
     :func:`_raise_first_error`.
     """
-    if not os.path.exists(config.input_path):
-        raise EmptyFile(f"input file {config.input_path!r} does not exist")
     with named_file(config.input_path, "read"):
         return _load_dataset(config)
 

@@ -8,25 +8,25 @@ the score ball by s* = mu psi_lambda / ||psi_lambda||, so the worst-case
 bias equals mu ||psi_lambda|| and is minimized at the residualizing
 coefficient.
 
-Sampling from the perturbed law is exact. The generic sampler, over any
-base-model sampler and score (:func:`sample_perturbed`, :func:`measure_bias`
-and the profile runner), is rejection sampling with the envelope 2 dP0: a
-base draw d with acceptance uniform u is kept when 2 u < 1 + s(d)/sqrt(n).
-Half of all proposals are accepted on average, and no row is repeated. The
-linear weights are the object of interest here, so instead of switching to
-an exponential tilt we require them to lie in [0, 2]: a proposal whose
-weight falls outside raises WeightUnderflow, and weights are never clipped.
-The bias runners first check sup |s|/sqrt(n) < 1 on the calibration sample
-they already score, so that a bad n fails before any replication.
+Sampling from the perturbed law is exact, and every weight 1 + s/sqrt(n)
+must lie in [0, 2]. The linear weights are the object of interest here, so
+instead of switching to an exponential tilt a proposal whose weight falls
+outside raises WeightUnderflow, and weights are never clipped. The bias
+runners first check sup |s|/sqrt(n) < 1 on the calibration sample they
+already score, so that a bad n fails before any replication.
 
-The misspecification lab (``simulate --lab misspec``) runs
-:func:`measure_gaussian_bias` on the Gaussian pair, whose worst-case score
-is linear in d. Its sampler, :meth:`GaussianPairDGP.perturbed_batch`, draws
-only the coordinate the score reads, under the same gate, and each
-replication's other sums from their exact laws; the estimators map those
-sample moments to estimates. :func:`measure_bias` over rows stays as the
-reference that tests compare it with, and the profile runner keeps rows
-because its common random numbers span directions in the whole plane.
+Every runner on the Gaussian pair (:func:`measure_gaussian_bias`, behind
+``simulate --lab misspec``, and the lambda profile
+:func:`worst_case_bias_profile`) draws through
+:meth:`GaussianPairDGP.perturbed_batch`. Its worst-case score is linear in
+d, so the sampler draws only the coordinate the score reads, under the
+gate, and each replication's other sums from their exact laws; the
+estimators map those sample moments to estimates. The row sampler over any
+base-model sampler and one score (:func:`sample_perturbed` and
+:func:`measure_bias`) is rejection sampling with the envelope 2 dP0: a base
+draw d with acceptance uniform u is kept when 2 u < 1 + s(d)/sqrt(n). Half
+of all proposals are accepted on average, and no row is repeated. It is the
+reference that tests compare the Gaussian sampler with.
 
 Norms and inner products ("predicted" biases) are always estimated on a
 calibration sample drawn independently of the evaluation replications.
@@ -120,6 +120,23 @@ def zero_score() -> MisspecScore:
     return MisspecScore(fn=lambda data: np.zeros(data.shape[0]), mu=0.0, description="zero")
 
 
+def _influence_norm(psi: ScoreFn, calib: np.ndarray) -> tuple[np.ndarray, float]:
+    """psi on a calibration sample and its L2 norm, which must be positive and finite.
+
+    Values that overflow end in InvalidCovariance rather than numpy warnings.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.asarray(psi(calib), dtype=float)
+        norm = math.sqrt(float(np.mean(values**2)))
+    if norm < 1e-12:
+        raise ZeroInfluence("influence evaluator is numerically zero on the calibration sample")
+    if not norm < math.inf:
+        raise InvalidCovariance(
+            "the variance of the influence function on the calibration sample is not finite"
+        )
+    return values, norm
+
+
 def worst_case_score(
     psi_lambda: ScoreFn,
     mu: float,
@@ -137,16 +154,7 @@ def worst_case_score(
     if calibration_draws < 2:
         raise ConfigError("calibration_draws must be at least 2")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(901,)))
-    calib = p0_sampler(rng, calibration_draws)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.asarray(psi_lambda(calib), dtype=float)
-        norm = math.sqrt(float(np.mean(values**2)))
-    if norm < 1e-12:
-        raise ZeroInfluence("influence evaluator is numerically zero on the calibration sample")
-    if not norm < math.inf:
-        raise InvalidCovariance(
-            "the variance of the influence function on the calibration sample is not finite"
-        )
+    _, norm = _influence_norm(psi_lambda, p0_sampler(rng, calibration_draws))
     scale = mu / norm
     return MisspecScore(
         fn=lambda data: scale * np.asarray(psi_lambda(data), dtype=float),
@@ -191,34 +199,30 @@ def check_weight_bound(score_values: np.ndarray, n: int) -> float:
 
 
 def _draw_accepted(
-    rng: np.random.Generator, p0_sampler: Sampler, scores: list[ScoreFn], n: int
-) -> list[np.ndarray]:
-    """For each score, n exact draws from (1 + s/sqrt(n)) dP0 by rejection.
+    rng: np.random.Generator, p0_sampler: Sampler, score: ScoreFn, n: int
+) -> np.ndarray:
+    """n exact draws from (1 + s/sqrt(n)) dP0 by rejection.
 
     Proposals and acceptance uniforms are drawn in chunks of 2n + 4 sqrt(n)
     rows, so one chunk nearly always suffices (half of all proposals are
-    accepted on average). Every score reads the same stream and keeps its
-    first n accepted rows: one score's sample does not depend on the others.
+    accepted on average); the first n accepted rows are kept.
     """
     root_n = math.sqrt(n)
     chunk = 2 * n + 4 * math.isqrt(n)
-    kept: list[list[np.ndarray]] = [[] for _ in scores]
-    missing = [n] * len(scores)
-    while max(missing) > 0:
+    kept: list[np.ndarray] = []
+    missing = n
+    while missing > 0:
         pool = p0_sampler(rng, chunk)
         twice_u = 2.0 * rng.random(chunk)
-        for k, score in enumerate(scores):
-            if missing[k] == 0:
-                continue
-            weights = 1.0 + score(pool) / root_n
-            if not np.all((weights >= 0.0) & (weights <= 2.0)):
-                raise WeightUnderflow(
-                    f"a weight 1 + s/sqrt(n) falls outside [0, 2] at n = {n}; "
-                    "n is too small for this mu and score shape"
-                )
-            kept[k].append(pool[twice_u < weights][: missing[k]])
-            missing[k] -= kept[k][-1].shape[0]
-    return [np.concatenate(parts) for parts in kept]
+        weights = 1.0 + score(pool) / root_n
+        if not np.all((weights >= 0.0) & (weights <= 2.0)):
+            raise WeightUnderflow(
+                f"a weight 1 + s/sqrt(n) falls outside [0, 2] at n = {n}; "
+                "n is too small for this mu and score shape"
+            )
+        kept.append(pool[twice_u < weights][:missing])
+        missing -= kept[-1].shape[0]
+    return np.concatenate(kept)
 
 
 def sample_perturbed(
@@ -226,7 +230,7 @@ def sample_perturbed(
 ) -> np.ndarray:
     """Draw n observations from the locally perturbed law (1 + s/sqrt(n)) dP0."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(904,)))
-    return _draw_accepted(rng, p0_sampler, [score], n)[0]
+    return _draw_accepted(rng, p0_sampler, score, n)
 
 
 def _calibrate(
@@ -312,7 +316,7 @@ def measure_bias(
 
     def draw_estimates(rng: np.random.Generator, size: int) -> np.ndarray:
         return np.array([
-            estimator.estimate(_draw_accepted(rng, p0_sampler, [score], n)[0])
+            estimator.estimate(_draw_accepted(rng, p0_sampler, score, n))
             for _ in range(size)
         ])
 
@@ -385,11 +389,13 @@ def worst_case_bias_profile(
 ) -> BiasProfile:
     """Measure bias of the fixed-lambda adjustment under its own worst case.
 
-    All (mu, lambda) combinations read one stream of proposals and acceptance
-    uniforms per replication (common random numbers, which make the argmin
-    over the lambda grid detectable at moderate rep counts), so a
-    combination's result does not depend on the rest of the grid.
-    Scalar-check DGPs only.
+    Each (mu, lambda) combination draws through
+    :meth:`GaussianPairDGP.perturbed_batch` under its own s* and maps the
+    sample moments through ``fixed_from_moments``. Every combination restarts
+    its batch's stream, so all of them read the same normals and acceptance
+    uniforms (common random numbers, which make the argmin over the lambda
+    grid detectable at moderate rep counts), and a combination's result does
+    not depend on the rest of the grid. Scalar-check DGPs only.
     """
     if dgp.p_gamma != 1:
         raise ConfigError("the profile runner supports scalar checks only")
@@ -400,43 +406,31 @@ def worst_case_bias_profile(
 
     ss = np.random.SeedSequence(seed)
     sizes = batch_sizes(reps, _N_BATCHES)
-    # children[-2] is spare: spawning one fewer would move the calibration
-    # stream, and with it every profile a seed gives.
-    children = ss.spawn(len(sizes) + 2)
+    children = ss.spawn(len(sizes) + 1)
 
     calib = dgp.draw(np.random.default_rng(children[-1]), calibration_draws)
-    psi_fns = [dgp.influence_adjusted(lam) for lam in lambdas]
-    psis = [np.asarray(psi(calib), dtype=float) for psi in psi_fns]
-    norms = np.array([math.sqrt(float(np.mean(v**2))) for v in psis])
-    if norms.min() < 1e-12:
-        raise ZeroInfluence("an adjusted influence function is numerically zero")
+    psis, norms = zip(*(_influence_norm(dgp.influence_adjusted(lam), calib) for lam in lambdas))
+    norms = np.array(norms)
     # The largest mu gives each lambda its largest weights; fail before any replication.
     for psi, norm in zip(psis, norms):
         check_weight_bound(mus.max() / norm * psi, n)
+    del calib, psis
     root_n = math.sqrt(n)
 
-    n_mu, n_lam = mus.shape[0], lambdas.shape[0]
-    # One score per (mu, lambda), mu-major: s* = mu psi_lambda / ||psi_lambda||.
-    scores = [
-        lambda data, scale=mu / norm, psi=psi: scale * psi(data)
-        for mu in mus
-        for psi, norm in zip(psi_fns, norms)
-    ]
+    # One cell per (mu, lambda), mu-major, under s* = mu psi_lambda / ||psi_lambda||.
+    cells = [(mu / norm, lam) for mu in mus for lam, norm in zip(lambdas, norms)]
 
-    def run_batch(b: int) -> tuple[np.ndarray, np.ndarray]:
-        sums = np.zeros((2, n_mu * n_lam, sizes[b]))
-        for i, rep_seed in enumerate(children[b].spawn(sizes[b])):
-            samples = _draw_accepted(np.random.default_rng(rep_seed), dgp.draw, scores, n)
-            for k, data in enumerate(samples):
-                est = dgp.estimate_fixed(data, lambdas[k % n_lam])
-                scaled = root_n * (est - dgp.c_true)
-                sums[0, k, i] = scaled
-                sums[1, k, i] = scaled**2
-        return sums[0], sums[1]
+    def run_batch(b: int) -> np.ndarray:
+        scaled = np.empty((len(cells), sizes[b]))
+        for k, (scale, lam) in enumerate(cells):
+            rng = np.random.default_rng(children[b])  # the same stream for every cell
+            means, cov = dgp.perturbed_batch(rng, n, sizes[b], lam, scale)
+            scaled[k] = root_n * (dgp.fixed_from_moments(means, cov, n, lam) - dgp.c_true)
+        return scaled
 
-    parts = map_batches(run_batch, len(sizes), threads)
-    scaled = np.concatenate([p[0] for p in parts], axis=-1).reshape(n_mu, n_lam, reps)
-    squared = np.concatenate([p[1] for p in parts], axis=-1).reshape(n_mu, n_lam, reps)
+    scaled = np.concatenate(map_batches(run_batch, len(sizes), threads), axis=-1)
+    scaled = scaled.reshape(mus.shape[0], lambdas.shape[0], reps)
+    squared = scaled**2
     return BiasProfile(
         lambdas=lambdas,
         mus=mus,

@@ -81,8 +81,10 @@ def build_analyze_report(config: AnalyzeConfig) -> dict:
     """Point estimates, diagnostics, and the covariate decomposition table."""
     loaded = load_dataset(config)
     cluster_ids = loaded.cluster_ids if config.covariance_mode == "cluster" else None
-    point, sigma = residualized_estimator(loaded.data, cluster_ids=cluster_ids)
-    ortho = core.orthogonality_stat(sigma, point.c_hat, point.gamma_hat)
+    # Values that overflow surface as the validation errors, not numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        point, sigma = residualized_estimator(loaded.data, cluster_ids=cluster_ids)
+        ortho = core.orthogonality_stat(sigma, point.c_hat, point.gamma_hat)
 
     decomposition = [
         {

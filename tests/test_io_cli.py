@@ -15,6 +15,7 @@ from scipy.stats import norm
 from residcheck.errors import (
     ConfigError,
     EmptyFile,
+    InputDataError,
     MissingColumn,
     NonBinaryTreatment,
     NonFiniteValue,
@@ -108,8 +109,10 @@ class TestLoadDataset:
             load_dataset(config_for(write(tmp_path, "y,t,x1,x2\n")))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(EmptyFile):
-            load_dataset(config_for(str(tmp_path / "nope.csv")))
+        path = str(tmp_path / "nope.csv")
+        with pytest.raises(InputDataError, match="No such file") as err:
+            load_dataset(config_for(path))
+        assert type(err.value) is InputDataError and repr(path) in str(err.value)
 
     def test_roles_must_be_disjoint(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -748,9 +751,14 @@ def _input_not_utf8(tmp_path):
     return ("analyze", "--input", str(path), "--covariates", "x1,x2")
 
 
+def _input_missing(tmp_path):
+    return ("analyze", "--input", str(tmp_path / "nope.csv"), "--covariates", "x1")
+
+
 @pytest.mark.parametrize(
-    "make_args", [_output_in_missing_directory, _input_is_a_directory, _input_not_utf8],
-    ids=["output-missing-dir", "input-directory", "input-not-utf8"],
+    "make_args",
+    [_output_in_missing_directory, _input_is_a_directory, _input_not_utf8, _input_missing],
+    ids=["output-missing-dir", "input-directory", "input-not-utf8", "input-missing"],
 )
 def test_named_file_failures_are_one_json_line(tmp_path, make_args):
     result = run_cli(*make_args(tmp_path))
@@ -760,3 +768,21 @@ def test_named_file_failures_are_one_json_line(tmp_path, make_args):
     assert len(lines) == 1
     error = json.loads(lines[0])
     assert error["error"] == "InputDataError" and str(tmp_path) in error["message"]
+
+
+@pytest.mark.parametrize("column", ["y", "x2"])
+def test_analyze_overflow_is_one_json_line(tmp_path, column):
+    with open(FIXTURE_CSV, newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    k = header.index(column)
+    path = tmp_path / "scaled.csv"
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(row[:k] + [repr(float(row[k]) * 1e160)] + row[k + 1:] for row in rows)
+    result = run_cli("analyze", "--input", str(path), "--covariates", "x1,x2,x3")
+    assert result.returncode == 3, result.stderr
+    assert result.stdout == b""
+    lines = result.stderr.decode().splitlines()
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["error"] == "InvalidCovariance"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,7 +7,13 @@ import pytest
 from scipy.stats import kstest
 
 from residcheck.dgps import GaussianPairDGP, RctLinearDGP, sample_moments
-from residcheck.errors import ConfigError, NegativeMu, WeightUnderflow, ZeroInfluence
+from residcheck.errors import (
+    ConfigError,
+    InvalidCovariance,
+    NegativeMu,
+    WeightUnderflow,
+    ZeroInfluence,
+)
 from residcheck.misspec import (
     MisspecScore,
     _draw_accepted,
@@ -232,7 +239,7 @@ class TestPerturbedBatch:
         )
         rng = np.random.default_rng(seed)
         rows = [
-            sample_moments(_draw_accepted(rng, dgp.draw, [score], n)[0])
+            sample_moments(_draw_accepted(rng, dgp.draw, score, n))
             for _ in range(row_reps)
         ]
         reference = moment_rows(np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows]))
@@ -329,10 +336,9 @@ class TestBiasProfile:
             assert np.allclose(profile.mse[a], predicted_mse, rtol=0.05)
 
     def test_single_cell_matches_full_grid(self):
-        # Common random numbers per replication: a (mu, lambda) cell's draws
-        # do not depend on which other cells are in the grid. About 1% of the
-        # grid's replications need a second chunk of proposals that the
-        # single cell does not, so 1,000 reps exercise that case.
+        # Common random numbers per batch: every (mu, lambda) cell restarts
+        # its batch's stream, so a cell's draws do not depend on which other
+        # cells are in the grid.
         lam = float(PAIR.lambda_opt[0])
         lambdas = [0.0, lam / 2, lam, 1.5 * lam, 2 * lam]
         mus = [0.5, 1.0, 2.0]
@@ -341,6 +347,26 @@ class TestBiasProfile:
         single = worst_case_bias_profile(PAIR, [lambdas[3]], [mus[1]], **kwargs)
         for name in ("bias", "bias_se", "mse", "mse_se", "predicted_bias"):
             assert getattr(single, name)[0, 0] == getattr(full, name)[1, 3], name
+
+    def test_deterministic_across_thread_counts(self):
+        lam = float(PAIR.lambda_opt[0])
+        kwargs = dict(n=200, reps=1000, seed=17, calibration_draws=50_000)
+        one = worst_case_bias_profile(PAIR, [0.0, lam], [0.5, 2.0], threads=1, **kwargs)
+        four = worst_case_bias_profile(PAIR, [0.0, lam], [0.5, 2.0], threads=4, **kwargs)
+        for field in dataclasses.fields(one):
+            assert np.array_equal(getattr(one, field.name), getattr(four, field.name)), field.name
+
+    def test_norm_that_overflows_fails_before_any_replication(self):
+        # psi_lambda ~ 1e200 squares to inf: a zero score would be silently used.
+        counting = CountingSampler(PAIR)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidCovariance):
+                worst_case_bias_profile(
+                    counting, [1e200], [1.0], n=200, reps=1000, seed=1,
+                    calibration_draws=10_000,
+                )
+        assert counting.sizes == [10_000]
 
 
 class TestBiasDecomposition:
