@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import ConfigError, InputDataError, ResidcheckError
@@ -164,6 +165,12 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_oracle(args) -> None:
+    # truncated_oracle raises DomainError (exit 3) for library callers; on the
+    # command line these are input errors, as for simulate.
+    if not -1.0 < args.rho < 1.0:
+        raise ConfigError(f"rho must lie strictly inside (-1, 1), got {args.rho}")
+    if not (math.isfinite(args.threshold) and args.threshold > 0.0):
+        raise ConfigError(f"threshold must be positive and finite, got {args.threshold}")
     oracle = truncated_oracle(args.rho, args.threshold)
     payload = {"rho": args.rho, "threshold": args.threshold, **to_jsonable(oracle)}
     _write(json_bytes(payload), args.output)

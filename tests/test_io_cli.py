@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from residcheck.cli import main
 from residcheck.errors import (
     ConfigError,
     EmptyFile,
@@ -504,7 +505,33 @@ class TestCli:
 
     def test_oracle_domain_error(self):
         result = run_cli("oracle", "--rho", "1.5", "--threshold", "1.96")
-        assert result.returncode == 3
+        assert result.returncode == 2
+        assert json.loads(result.stderr.decode())["error"] == "ConfigError"
+
+    @pytest.mark.parametrize(
+        "rho, threshold, name",
+        [
+            ("0.5", "-1", "threshold"),
+            ("0.5", "0", "threshold"),
+            ("0.5", "inf", "threshold"),
+            ("0.5", "nan", "threshold"),
+            ("1", "1.96", "rho"),
+            ("-1", "1.96", "rho"),
+            ("nan", "1.96", "rho"),
+        ],
+        ids=["threshold-neg", "threshold-0", "threshold-inf", "threshold-nan",
+             "rho-1", "rho-minus-1", "rho-nan"],
+    )
+    def test_oracle_config_errors_are_json(self, rho, threshold, name, capsys):
+        # The same mistakes exit 2 from simulate; truncated_oracle itself
+        # keeps DomainError for library callers.
+        assert main(["oracle", "--rho", rho, "--threshold", threshold]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ConfigError" and name in error["message"]
 
     def test_simulate_selection_reruns_identically(self, tmp_path):
         args = (

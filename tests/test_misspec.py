@@ -14,8 +14,10 @@ from residcheck.errors import (
     WeightUnderflow,
     ZeroInfluence,
 )
+from residcheck.io import GaussianDgpSpec, ScoreSpec, SimulateConfig
 from residcheck.misspec import (
     MisspecScore,
+    _calibrate,
     _draw_accepted,
     bias_decomposition_check,
     check_weight_bound,
@@ -30,6 +32,7 @@ from residcheck.misspec import (
     worst_case_score,
     zero_score,
 )
+from residcheck.report import run_simulate
 
 from conftest import moment_z_scores
 
@@ -190,6 +193,37 @@ class TestMeasureBias:
         )
         assert m_short.sqrt_n_bias == pytest.approx(1.0, abs=3 * m_short.mc_se)
 
+    def test_gaussian_runner_needs_the_influence_it_calibrates(self):
+        # The calibration takes u = psi_lambda(d) as the estimator's influence;
+        # the plug-in's influence is psi at lambda*, not at 0.
+        counting = CountingSampler(PAIR)
+        score = worst_case_score(PAIR.influence_c, 1.0, PAIR.draw)
+        with pytest.raises(ConfigError, match="psi_lambda"):
+            measure_gaussian_bias(
+                plugin_residualized_of(PAIR), counting, np.zeros(1), score,
+                n=2000, reps=100, seed=1, calibration_draws=50_000,
+            )
+        assert counting.sizes == []
+
+    @pytest.mark.parametrize(
+        "dgp, factor, seed",
+        [(PAIR, 0.0, 51), (PAIR, 1.0, 52), (PAIR, 2.0, 53), (PAIR_P2, 1.0, 54)],
+        ids=["zero", "optimal", "twice-optimal", "p2-optimal"],
+    )
+    def test_coordinate_calibration_matches_rows(self, dgp, factor, seed):
+        # predicted from u = a'd alone estimates the E0[psi s] that rows give.
+        lam = factor * dgp.lambda_opt
+        estimator = (
+            plugin_residualized_of(dgp) if factor == 1.0 else fixed_lambda_estimator_of(dgp, lam)
+        )
+        score = worst_case_score(dgp.influence_adjusted(lam), 1.5, dgp.draw, seed=seed)
+        m = measure_gaussian_bias(
+            estimator, dgp, lam, score, n=2000, reps=50, seed=seed, calibration_draws=400_000
+        )
+        calib = dgp.draw(np.random.default_rng(seed), 400_000)
+        rows, rows_se = _calibrate(estimator.influence(calib), score(calib), 2000)
+        assert m.predicted == pytest.approx(rows, abs=4 * math.hypot(m.predicted_se, rows_se))
+
     def test_gaussian_runner_needs_a_scaled_score(self):
         score = MisspecScore(fn=PAIR.influence_c, mu=1.0)
         with pytest.raises(ConfigError):
@@ -244,7 +278,9 @@ class TestPerturbedBatch:
         ]
         reference = moment_rows(np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows]))
         batch = moment_rows(
-            *dgp.perturbed_batch(np.random.default_rng(seed + 100), n, batch_reps, lam, score.scale)
+            *dgp.score_coordinate(lam).perturbed_batch(
+                np.random.default_rng(seed + 100), n, batch_reps, score.scale
+            )
         )
         z_mean, z_var = moment_z_scores(batch, reference)
         assert np.abs(z_mean).max() < 4.5, z_mean
@@ -252,11 +288,31 @@ class TestPerturbedBatch:
 
     def test_proposal_outside_the_weight_gate(self):
         with pytest.raises(WeightUnderflow):
-            PAIR.perturbed_batch(np.random.default_rng(0), 16, 5, PAIR.lambda_opt, 4.0)
+            PAIR.score_coordinate(PAIR.lambda_opt).perturbed_batch(
+                np.random.default_rng(0), 16, 5, 4.0
+            )
+
+    @pytest.mark.parametrize("scale", [-4.0, math.inf, -math.inf, math.nan])
+    def test_gate_reads_the_largest_coordinate(self, scale):
+        # The weights are monotone in |u|: one maximum decides both bounds,
+        # and a non-finite slope fails as its weights would.
+        coordinate = PAIR.score_coordinate(PAIR.lambda_opt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WeightUnderflow):
+                coordinate.perturbed_batch(np.random.default_rng(0), 16, 5, scale)
+
+    def test_coordinate_draw_has_the_law_of_psi(self):
+        coordinate = PAIR_P2.score_coordinate(2.0 * PAIR_P2.lambda_opt)
+        psi = PAIR_P2.influence_adjusted(2.0 * PAIR_P2.lambda_opt)
+        rows = psi(PAIR_P2.draw(np.random.default_rng(61), 200_000))[:, None]
+        u = coordinate.draw(np.random.default_rng(62), 200_000)[:, None]
+        z_mean, z_var = moment_z_scores(u, rows)
+        assert abs(z_mean[0]) < 4.5 and abs(z_var[0]) < 4.5
 
 
 class CountingSampler:
-    """Delegates to a DGP and records the size of every base-model draw and batch."""
+    """Delegates to a DGP and records the size of every row draw, coordinate draw and batch."""
 
     def __init__(self, dgp):
         self.dgp = dgp
@@ -266,12 +322,30 @@ class CountingSampler:
         self.sizes.append(size)
         return self.dgp.draw(rng, size)
 
-    def perturbed_batch(self, rng, n, size, lam, scale):
-        self.sizes.append(size)
-        return self.dgp.perturbed_batch(rng, n, size, lam, scale)
+    def score_coordinate(self, lam):
+        return CountingCoordinate(self.dgp.score_coordinate(lam), self.sizes)
 
     def __getattr__(self, name):
         return getattr(self.dgp, name)
+
+
+class CountingCoordinate:
+    """Delegates to a score coordinate and records its draw and batch sizes in ``sizes``."""
+
+    def __init__(self, coordinate, sizes):
+        self.coordinate = coordinate
+        self.sizes = sizes
+
+    def draw(self, rng, k):
+        self.sizes.append(k)
+        return self.coordinate.draw(rng, k)
+
+    def perturbed_batch(self, rng, n, size, scale):
+        self.sizes.append(size)
+        return self.coordinate.perturbed_batch(rng, n, size, scale)
+
+    def __getattr__(self, name):
+        return getattr(self.coordinate, name)
 
 
 class TestWeightGate:
@@ -367,6 +441,31 @@ class TestBiasProfile:
                     calibration_draws=10_000,
                 )
         assert counting.sizes == [10_000]
+
+
+class TestPinnedBits:
+    """Sampler bits that calibration changes must not move."""
+
+    def test_criterion_9_misspec_command(self):
+        # simulate --lab misspec --rho 0.5 --mu 0.5 --lambda optimal --n 400
+        # --reps 1000 --seed 3: only predicted and predicted_se may move.
+        results = run_simulate(SimulateConfig(
+            lab="misspec", n=400, reps=1000, seed=3,
+            dgp=GaussianDgpSpec(rho=0.5), score=ScoreSpec(lam="optimal", mu=0.5),
+        ))["results"]
+        assert results["sqrt_n_bias"] == 0.4786701910721234
+        assert results["mc_se"] == 0.028367491418837387
+
+    def test_profile_bias(self):
+        lam = float(PAIR.lambda_opt[0])
+        profile = worst_case_bias_profile(
+            PAIR, [0.0, lam, 2 * lam], [0.5, 2.0], n=200, reps=1000, seed=16,
+            calibration_draws=50_000,
+        )
+        assert profile.bias.tolist() == [
+            [0.5565959736263021, 0.48202625280451106, 0.5564112055130932],
+            [2.029693665991526, 1.7575446779852955, 2.0288734499473846],
+        ]
 
 
 class TestBiasDecomposition:
