@@ -7,9 +7,11 @@ Two families:
   mean(d_g) have their asymptotic joint law exactly at every n. Replications
   draw the sample mean and covariance from their exact laws, not n rows,
   under the base model (``replicate_batch``) and under the misspecification
-  lab's perturbed law (:meth:`ScoreCoordinate.perturbed_batch`, one per
-  lam); ``draw`` still draws rows, for the row sampler that tests compare
-  against and the calibration samples of the norm and the lambda profile.
+  lab's perturbed law, whose weights read only z = u / sd_u at the exact
+  norm sd_u = sqrt(a' Sigma a): :meth:`GaussianPairDGP.perturbed_draws`
+  draws z once per mu and each lam's :class:`ScoreCoordinate` maps it.
+  ``draw`` rows serve only the tests' references: the row sampler and the
+  full-data estimators.
 * :class:`RctLinearDGP` simulates outcome, treatment, and covariates from a
   (possibly treatment-interacted) linear model. Replications draw the
   treated count and each arm's mean and scatter from their exact laws, not
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import _fixed_order
 from .core import JointCovariance, adjusted_variance, residualize
-from .errors import ConfigError, EmptyArm, WeightUnderflow
+from .errors import ConfigError, EmptyArm, InvalidCovariance, WeightUnderflow
 from .rct import RctDataset, arm_statistics, long_coefficients
 
 
@@ -90,31 +92,38 @@ def _normal_sums(rng: np.random.Generator, low: np.ndarray, counts: np.ndarray):
     """Sample means and scatter matrices of counts[b] rows from N(0, L L'), for each b.
 
     The mean is L z / sqrt(count), z ~ N(0, I). The scatter about it is independent
-    and Wishart(count - 1, L L') (:func:`_wishart`).
+    and Wishart(count - 1, L L') (:func:`_bartlett`, :func:`_scatter`).
     """
     means = _times_lower_t(rng.standard_normal((counts.shape[0], low.shape[0])), low)
     means /= np.sqrt(counts)[:, None]
-    return means, _wishart(rng, low, counts - 1)
+    return means, _scatter(_bartlett(rng, low.shape[0], counts - 1), low)
 
 
-def _wishart(rng: np.random.Generator, low: np.ndarray, dof: np.ndarray) -> np.ndarray:
-    """Wishart(dof[b], L L') matrices, for each b, drawn as (L A)(L A)'.
+def _bartlett(rng: np.random.Generator, k: int, dof: np.ndarray) -> np.ndarray:
+    """A' for a Bartlett factor A of a Wishart(dof[b], I_k) matrix A A', for each b.
 
-    A is the Bartlett factor: lower triangular, A_ii^2 ~ chi^2(dof - i), A_ij ~ N(0, 1)
-    below the diagonal (Bartlett 1933; Odell & Feiveson 1966). Below k degrees of
-    freedom, A' is dof standard rows, padded with zeros. L is never factored: it may
-    be singular.
+    A is lower triangular, A_ii^2 ~ chi^2(dof - i), A_ij ~ N(0, 1) below the
+    diagonal (Bartlett 1933; Odell & Feiveson 1966). Below k degrees of
+    freedom, A' is dof standard rows, padded with zeros.
     """
-    size, k = dof.shape[0], low.shape[0]
+    size = dof.shape[0]
     full = np.flatnonzero(dof >= k)[:, None]
     diag = np.arange(k)
     upper = np.triu_indices(k, 1)
-    # A' L' = (L A)', so the scatter L A A' L' is the Gram matrix of its columns.
     a_t = np.zeros((size, k, k))
     a_t[full, diag, diag] = np.sqrt(rng.chisquare(dof[full] - diag))
     a_t[full, upper[0], upper[1]] = rng.standard_normal((full.shape[0], upper[0].size))
     for b in np.flatnonzero(dof < k):
         a_t[b, : dof[b]] = rng.standard_normal((dof[b], k))
+    return a_t
+
+
+def _scatter(a_t: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """The Wishart(dof, L L') matrices (L A)(L A)' of Bartlett factors A' (:func:`_bartlett`).
+
+    Overwrites a_t. L is never factored: it may be singular.
+    """
+    # A' L' = (L A)', so the scatter L A A' L' is the Gram matrix of its columns.
     la_t = _times_lower_t(a_t, low)
     return _fixed_order.gram(np.swapaxes(la_t, -1, -2))
 
@@ -144,9 +153,26 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[..., :, None] * y[..., None, :]
 
 
-# A perturbed batch draws its score coordinates in blocks of at most this
-# many (8 MB per array of doubles), so its memory stays bounded at large n.
+# A perturbed batch draws its standard coordinates in blocks of at most
+# this many (8 MB per array of doubles), so its memory stays bounded at large n.
 _SCORE_BLOCK = 1 << 20
+
+
+@dataclass(frozen=True)
+class PerturbedDraws:
+    """The part of a perturbed batch that no lam reads (:meth:`GaussianPairDGP.perturbed_draws`).
+
+    Per replication: the mean and the scatter about it of the n accepted
+    standard coordinates z, and z1, z2 ~ N(0, I_p) and the Bartlett factor A'
+    of a Wishart(n - 2, I_p) draw A A' for the rest of the sums.
+    """
+
+    n: int
+    z_mean: np.ndarray
+    s_zz: np.ndarray
+    z1: np.ndarray
+    z2: np.ndarray
+    bartlett: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -154,8 +180,8 @@ class ScoreCoordinate:
     """u = a'd of the Gaussian pair, a = (1, -lam), with the constants of its sampler.
 
     Built once per lam by :meth:`GaussianPairDGP.score_coordinate`: sd_u =
-    sqrt(a' Sigma a), b = Sigma a / (a' Sigma a) and the factor L_w of the
-    part w = d - b u that is independent of u.
+    sqrt(a' Sigma a), which is also ||psi_lam||, b = Sigma a / (a' Sigma a)
+    and the factor L_w of the part w = d - b u that is independent of u.
     """
 
     lam: np.ndarray
@@ -163,59 +189,23 @@ class ScoreCoordinate:
     b: np.ndarray
     low_w: np.ndarray
 
-    def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        """k draws of u under the base model, sd_u z for z ~ N(0, 1)."""
-        u = rng.standard_normal(k)
-        u *= self.sd_u
-        return u
+    def perturbed_moments(self, draws: PerturbedDraws) -> tuple[np.ndarray, np.ndarray]:
+        """Sample means and 1/n covariances of a perturbed batch at this lam.
 
-    def perturbed_batch(
-        self, rng: np.random.Generator, n: int, size: int, scale: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sample means and 1/n covariances of n exact draws from (1 + s(d)/sqrt(n)) dP0.
-
-        One (size, 1 + p) and one (size, 1 + p, 1 + p) array, for the score
-        s = scale psi_lam, psi_lam(d) = u. The weight 1 + s/sqrt(n) reads
-        only u ~ N(0, sd_u^2). That law is symmetric and the weights at u and
-        -u sum to 2, so rejection on the pair (|u|, -|u|) accepts exactly one
-        of them: +|u| with probability w(|u|) / 2. Each replication thus
-        draws n values of |u| and n uniforms, every weight through the [0, 2]
-        gate of the row sampler in :mod:`residcheck.misspec`. The weights are
-        monotone in |u| >= 0, so the largest |u| decides the gate. Given the
-        drawn u, the sums of w_g have exact laws (Cochran): sum w_g = sqrt(n)
-        L_w z1, sum (u - u_bar) w_g = sqrt(S_uu) L_w z2, and the scatter of
-        w_g is L_w (z2 z2' + A) L_w', with A ~ Wishart(n - 2, I) and z1, z2 ~
-        N(0, I) independent.
+        One (size, 1 + p) and one (size, 1 + p, 1 + p) array, from the
+        standard draws of the batch, which are left unchanged. u = sd_u z
+        gives u_bar = sd_u z_bar and S_uu = sd_u^2 S_zz. Given the drawn u,
+        the sums of w_g have exact laws (Cochran): sum w_g = sqrt(n) L_w z1,
+        sum (u - u_bar) w_g = sqrt(S_uu) L_w z2, and the scatter of w_g is
+        L_w (z2 z2' + A A') L_w'.
         """
-        lam, b, low_w = self.lam, self.b, self.low_w
-        p = lam.shape[0]
-        root_n = math.sqrt(n)
-        slope = scale / root_n
-        u_mean, s_uu = np.empty(size), np.empty(size)
-        step = max(1, _SCORE_BLOCK // n)
-        for start in range(0, size, step):
-            u = rng.standard_normal((min(step, size - start), n))
-            np.abs(u, out=u)
-            u *= self.sd_u
-            if not 0.0 <= 1.0 + slope * u.max() <= 2.0:
-                raise WeightUnderflow(
-                    f"a weight 1 + s/sqrt(n) falls outside [0, 2] at n = {n}; "
-                    "n is too small for this mu and score shape"
-                )
-            weights = u * slope
-            weights += 1.0
-            # Keep +|u| with probability w(|u|) / 2, else -|u|.
-            np.negative(u, out=u, where=2.0 * rng.random(u.shape) >= weights)
-            block = slice(start, start + u.shape[0])
-            u_mean[block] = np.add.reduce(u, axis=-1) / n
-            u -= u_mean[block, None]
-            u *= u
-            s_uu[block] = np.add.reduce(u, axis=-1)
-
-        w_mean = _times_lower_t(rng.standard_normal((size, p)), low_w)
-        w_mean /= root_n
-        cross = _times_lower_t(rng.standard_normal((size, p)), low_w)
-        w_scatter = _wishart(rng, low_w, np.full(size, n - 2)) + _outer(cross, cross)
+        lam, b, low_w, n = self.lam, self.b, self.low_w, draws.n
+        u_mean = self.sd_u * draws.z_mean
+        s_uu = (self.sd_u * self.sd_u) * draws.s_zz
+        w_mean = _times_lower_t(draws.z1.copy(), low_w)
+        w_mean /= math.sqrt(n)
+        cross = _times_lower_t(draws.z2.copy(), low_w)
+        w_scatter = _scatter(draws.bartlett.copy(), low_w) + _outer(cross, cross)
         cross *= np.sqrt(s_uu)[:, None]
 
         def lift(x: np.ndarray) -> np.ndarray:
@@ -334,6 +324,43 @@ class GaussianPairDGP:
             chol_gg=sigma.chol_gg,
         )
 
+    def perturbed_draws(
+        self, rng: np.random.Generator, n: int, size: int, mu: float
+    ) -> PerturbedDraws:
+        """size replications of n exact draws from (1 + s(d)/sqrt(n)) dP0, in standard units.
+
+        Every lam's worst-case score of size mu is s = mu z for z = u / sd_u ~
+        N(0, 1), so these draws serve every lam
+        (:meth:`ScoreCoordinate.perturbed_moments`). z is symmetric and the
+        weights at z and -z sum to 2, so rejection on the pair (|z|, -|z|)
+        keeps +|z| with probability w(|z|) / 2: n values of |z| and n
+        uniforms per replication, every weight through the [0, 2] gate of the
+        row sampler in :mod:`residcheck.misspec`, which the largest |z| decides.
+        """
+        slope = mu / math.sqrt(n)
+        z_mean, s_zz = np.empty(size), np.empty(size)
+        step = max(1, _SCORE_BLOCK // n)
+        for start in range(0, size, step):
+            z = rng.standard_normal((min(step, size - start), n))
+            np.abs(z, out=z)
+            if not 0.0 <= 1.0 + slope * z.max() <= 2.0:
+                raise WeightUnderflow(
+                    f"a weight 1 + s/sqrt(n) falls outside [0, 2] at n = {n}; "
+                    "n is too small for this mu"
+                )
+            weights = z * slope
+            weights += 1.0
+            # Keep +|z| with probability w(|z|) / 2, else -|z|.
+            np.negative(z, out=z, where=2.0 * rng.random(z.shape) >= weights)
+            block = slice(start, start + z.shape[0])
+            z_mean[block] = np.add.reduce(z, axis=-1) / n
+            z -= z_mean[block, None]
+            z *= z
+            s_zz[block] = np.add.reduce(z, axis=-1)
+        p = self.p_gamma
+        z1, z2 = rng.standard_normal((size, p)), rng.standard_normal((size, p))
+        return PerturbedDraws(n, z_mean, s_zz, z1, z2, _bartlett(rng, p, np.full(size, n - 2)))
+
     def score_coordinate(self, lam) -> ScoreCoordinate:
         """The coordinate u = a'd, a = (1, -lam), that psi_lam and its worst-case score read.
 
@@ -341,11 +368,18 @@ class GaussianPairDGP:
         d = b u + w for w independent of u, w_c = lam'w_g and w_g ~ N(0, L_w
         L_w'). L_w comes from w_g's precision M' Sigma^-1 M for M = [lam'; I]:
         no cancellation when d_g is nearly a function of u, as at large lam.
+        A lam whose a' Sigma a overflows raises InvalidCovariance before
+        anything is factored.
         """
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         low = self._chol_full
-        alpha = _fixed_order.dot(low.T, np.concatenate([[1.0], -lam]))  # L'a
-        var_u = _fixed_order.dot(alpha, alpha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            alpha = _fixed_order.dot(low.T, np.concatenate([[1.0], -lam]))  # L'a
+            var_u = _fixed_order.dot(alpha, alpha)
+        if not var_u < math.inf:  # NaN fails too
+            raise InvalidCovariance(
+                f"the variance a' Sigma a of psi_lambda is not finite at lambda = {lam}"
+            )
         m_inv = _fixed_order.solve_lower(low, np.column_stack([lam, np.eye(self.p_gamma)]))
         prec_low = _fixed_order.cholesky(_fixed_order.gram(m_inv))
         return ScoreCoordinate(

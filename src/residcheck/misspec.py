@@ -11,31 +11,26 @@ coefficient.
 Sampling from the perturbed law is exact, and every weight 1 + s/sqrt(n)
 must lie in [0, 2]. The linear weights are the object of interest here, so
 instead of switching to an exponential tilt a proposal whose weight falls
-outside raises WeightUnderflow, and weights are never clipped. The bias
-runners first check sup |s|/sqrt(n) < 1 on the calibration sample they
-already score, so that a bad n fails before any replication.
+outside raises WeightUnderflow, and weights are never clipped.
 
-Every runner on the Gaussian pair (:func:`measure_gaussian_bias`, behind
-``simulate --lab misspec``, and the lambda profile
-:func:`worst_case_bias_profile`) draws through
-:meth:`ScoreCoordinate.perturbed_batch`, built once per lambda by
-:meth:`GaussianPairDGP.score_coordinate`. Its worst-case score is linear in
-d, so the sampler draws only the coordinate the score reads, under the
-gate, and each replication's other sums from their exact laws; the
-estimators map those sample moments to estimates. The row sampler over any
-base-model sampler and one score (:func:`sample_perturbed` and
-:func:`measure_bias`) is rejection sampling with the envelope 2 dP0: a base
-draw d with acceptance uniform u is kept when 2 u < 1 + s(d)/sqrt(n). Half
-of all proposals are accepted on average, and no row is repeated. It is the
-reference that tests compare the Gaussian sampler with.
+On the Gaussian pair ||psi_lambda|| = sqrt(a' Sigma a) exactly, so its
+runners (:func:`measure_gaussian_bias`, behind ``simulate --lab misspec``,
+and the lambda profile :func:`worst_case_bias_profile`) report predicted =
+mu sqrt(a' Sigma a), with predicted_se 0, and draw no calibration sample. A
+batch draws once per mu, in standard units
+(:meth:`GaussianPairDGP.perturbed_draws`), and every lambda maps the same
+draws (:meth:`ScoreCoordinate.perturbed_moments`). Before any draw, they
+refuse a run in which n reps erfc(sqrt(n) / (mu sqrt(2))), the expected
+number of its draws whose weight leaves [0, 2] at the largest mu, reaches
+1: at mu = 2, n = 16 from 2 reps on, and every n at a huge mu.
 
-Norms and inner products ("predicted" biases) are always estimated on a
-calibration sample drawn independently of the evaluation replications.
-:func:`measure_bias` evaluates the influence and the score on calibration
-rows. :func:`measure_gaussian_bias` draws the score coordinate u = a'd
-instead: its estimator's influence is psi_lambda(d) = u and its score is
-scale u, so E0[psi s] = scale E0[u^2] is estimated from u ~ N(0, a' Sigma a)
-alone, the law the rows would give it.
+The row sampler over any base-model sampler and one score
+(:func:`sample_perturbed`, :func:`measure_bias`) is rejection sampling with
+the envelope 2 dP0: a base draw d with acceptance uniform u is kept when
+2 u < 1 + s(d)/sqrt(n), half of all proposals on average, none repeated.
+It is the reference that tests compare the Gaussian sampler with. It
+estimates E0[psi s] on a calibration sample of rows, on which it also
+checks sup |s|/sqrt(n) < 1 before any replication.
 """
 
 from __future__ import annotations
@@ -67,16 +62,11 @@ _N_BATCHES = 50
 
 @dataclass(frozen=True)
 class MisspecScore:
-    """Per-observation perturbation direction with L2 bound mu.
-
-    ``scale`` is set when the score is scale * psi for the influence
-    function psi it was built along (:func:`worst_case_score`).
-    """
+    """Per-observation perturbation direction with L2 bound mu."""
 
     fn: ScoreFn
     mu: float
     description: str = ""
-    scale: float | None = None
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(data), dtype=float)
@@ -126,23 +116,6 @@ def zero_score() -> MisspecScore:
     return MisspecScore(fn=lambda data: np.zeros(data.shape[0]), mu=0.0, description="zero")
 
 
-def _influence_norm(psi: ScoreFn, calib: np.ndarray) -> tuple[np.ndarray, float]:
-    """psi on a calibration sample and its L2 norm, which must be positive and finite.
-
-    Values that overflow end in InvalidCovariance rather than numpy warnings.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.asarray(psi(calib), dtype=float)
-        norm = math.sqrt(float(np.mean(values**2)))
-    if norm < 1e-12:
-        raise ZeroInfluence("influence evaluator is numerically zero on the calibration sample")
-    if not norm < math.inf:
-        raise InvalidCovariance(
-            "the variance of the influence function on the calibration sample is not finite"
-        )
-    return values, norm
-
-
 def worst_case_score(
     psi_lambda: ScoreFn,
     mu: float,
@@ -160,13 +133,21 @@ def worst_case_score(
     if calibration_draws < 2:
         raise ConfigError("calibration_draws must be at least 2")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(901,)))
-    _, norm = _influence_norm(psi_lambda, p0_sampler(rng, calibration_draws))
+    # Values that overflow end in InvalidCovariance rather than numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.asarray(psi_lambda(p0_sampler(rng, calibration_draws)), dtype=float)
+        norm = math.sqrt(float(np.mean(values**2)))
+    if norm < 1e-12:
+        raise ZeroInfluence("influence evaluator is numerically zero on the calibration sample")
+    if not norm < math.inf:
+        raise InvalidCovariance(
+            "the variance of the influence function on the calibration sample is not finite"
+        )
     scale = mu / norm
     return MisspecScore(
         fn=lambda data: scale * np.asarray(psi_lambda(data), dtype=float),
         mu=float(mu),
         description=f"worst_case(norm={norm:.6g})",
-        scale=scale,
     )
 
 
@@ -239,34 +220,37 @@ def sample_perturbed(
     return _draw_accepted(rng, p0_sampler, score, n)
 
 
-def _calibrate(influence: np.ndarray, scores: np.ndarray, n: int) -> tuple[float, float]:
-    """Gate sup |s| / sqrt(n) < 1 on calibration scores, then E0[psi s] and its MC SE.
+def _check_start(n: int, reps: int, mu: float) -> None:
+    """Refuse a Gaussian run, before any draw, whose weights would likely leave [0, 2].
 
-    ``influence`` and ``scores`` are psi and s evaluated on one calibration
-    sample; scores that overflowed fail the gate.
+    n reps erfc(sqrt(n) / (mu sqrt(2))) is the expected number of the run's
+    draws |z| > sqrt(n) / mu, whose weight exceeds 2; it must stay below 1.
     """
-    check_weight_bound(scores, n)
-    products = influence * scores
-    return float(products.mean()), float(products.std(ddof=1) / math.sqrt(len(products)))
+    edge = math.sqrt(n) / (mu * math.sqrt(2.0)) if mu != 0.0 else math.inf
+    expected = n * reps * math.erfc(edge)
+    if not expected < 1.0:  # NaN fails too
+        raise WeightUnderflow(
+            f"at n = {n} and mu = {mu:.4g}, {expected:.3g} of the run's {n * reps} draws are "
+            "expected to give a weight 1 + s/sqrt(n) outside [0, 2]; n is too small for this mu"
+        )
 
 
 def _measure(
     estimator: LinearAdjustedEstimator,
-    score: MisspecScore,
+    mu: float,
     n: int,
     reps: int,
     seed: int,
     threads: int | None,
     max_total_draws: int,
-    calibration: Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]],
+    prediction: Callable[[np.random.Generator], tuple[float, float]],
     draw_estimates: Callable[[np.random.Generator, int], np.ndarray],
 ) -> BiasMeasurement:
-    """The bias runners' shared frame: budget, calibration, then batches of replications.
+    """The bias runners' shared frame: budget, prediction, then batches of replications.
 
-    ``calibration(rng)`` returns psi and s on a calibration sample from the
-    spare stream (:func:`_calibrate`); the arrays are freed before the
-    replications run. ``draw_estimates(rng, size)`` returns the estimates of
-    size replications from the stream of their batch.
+    ``prediction(rng)`` returns the predicted bias and its MC SE, given the
+    spare stream for any calibration sample. ``draw_estimates(rng, size)``
+    returns the estimates of size replications from the stream of their batch.
     """
     if reps * n > max_total_draws:
         raise ConfigError(
@@ -275,7 +259,7 @@ def _measure(
     ss = np.random.SeedSequence(seed)
     sizes = batch_sizes(reps, _N_BATCHES)
     children = ss.spawn(len(sizes) + 1)
-    predicted, predicted_se = _calibrate(*calibration(np.random.default_rng(children[-1])), n)
+    predicted, predicted_se = prediction(np.random.default_rng(children[-1]))
     root_n = math.sqrt(n)
 
     def run_batch(b: int) -> np.ndarray:
@@ -290,7 +274,7 @@ def _measure(
         predicted_se=predicted_se,
         n=n,
         reps=reps,
-        mu=score.mu,
+        mu=mu,
     )
 
 
@@ -312,11 +296,13 @@ def measure_bias(
     calibration estimate of E0[psi s]. Both carry MC standard errors.
     """
 
-    def calibration(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    def prediction(rng: np.random.Generator) -> tuple[float, float]:
         calib = p0_sampler(rng, calibration_draws)
         with np.errstate(over="ignore", invalid="ignore"):
             scores = score(calib)
-        return np.asarray(estimator.influence(calib), dtype=float), scores
+        check_weight_bound(scores, n)  # scores that overflowed fail too
+        products = np.asarray(estimator.influence(calib), dtype=float) * scores
+        return float(products.mean()), float(products.std(ddof=1) / math.sqrt(len(products)))
 
     def draw_estimates(rng: np.random.Generator, size: int) -> np.ndarray:
         return np.array([
@@ -325,7 +311,7 @@ def measure_bias(
         ])
 
     return _measure(
-        estimator, score, n, reps, seed, threads, max_total_draws, calibration,
+        estimator, score.mu, n, reps, seed, threads, max_total_draws, prediction,
         draw_estimates,
     )
 
@@ -334,48 +320,41 @@ def measure_gaussian_bias(
     estimator: LinearAdjustedEstimator,
     dgp,
     lam,
-    score: MisspecScore,
+    mu: float,
     n: int,
     reps: int,
     seed: int,
-    calibration_draws: int = DEFAULT_CALIBRATION_DRAWS,
     threads: int | None = None,
     max_total_draws: int = MAX_TOTAL_DRAWS,
 ) -> BiasMeasurement:
-    """:func:`measure_bias` on a :class:`GaussianPairDGP`, whose score is scale psi_lam.
+    """:func:`measure_bias` on a :class:`GaussianPairDGP` under psi_lam's worst-case score of size mu.
 
-    The same seeds, gate and batches; a batch draws its replications' sample
-    moments at once (:meth:`ScoreCoordinate.perturbed_batch`) and maps them
-    through ``estimator.from_moments``. ``score`` is a
-    :func:`worst_case_score` along ``dgp.influence_adjusted(lam)``.
-
-    The estimator's influence must be psi_lam itself: the calibration draws
-    ``calibration_draws`` values of u = psi_lam(d) and takes u as the
-    influence and scale u as the score. Both are linear in d, so they are
-    compared once on the 1 + p unit rows, before any draw, and a mismatch
-    raises ConfigError.
+    The same seeds and batches; a batch draws its replications' sample
+    moments at once and maps them through ``estimator.from_moments``.
+    predicted is mu ||psi_lam|| = mu sd_u exactly, with predicted_se 0: the
+    worst-case bias of an influence that is psi_lam itself. Both are linear
+    in d, so they are compared once on the 1 + p unit rows, before any draw,
+    and a mismatch raises ConfigError.
     """
-    if score.scale is None or estimator.from_moments is None:
-        raise ConfigError("the Gaussian bias runner needs a score scale and a moment map")
+    if estimator.from_moments is None:
+        raise ConfigError("the Gaussian bias runner needs a moment map")
     units = np.eye(1 + dgp.p_gamma)
     if not np.array_equal(estimator.influence(units), dgp.influence_adjusted(lam)(units)):
         raise ConfigError(
             f"the {estimator.name} estimator's influence is not psi_lambda at lambda = {lam}"
         )
+    if mu < 0:
+        raise NegativeMu(f"misspecification bound must be nonnegative, got {mu}")
     coordinate = dgp.score_coordinate(lam)
-
-    def calibration(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        u = coordinate.draw(rng, calibration_draws)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return u, score.scale * u
+    _check_start(n, reps, mu)
 
     def draw_estimates(rng: np.random.Generator, size: int) -> np.ndarray:
-        means, cov = coordinate.perturbed_batch(rng, n, size, score.scale)
+        means, cov = coordinate.perturbed_moments(dgp.perturbed_draws(rng, n, size, mu))
         return estimator.from_moments(means, cov, n)
 
     return _measure(
-        estimator, score, n, reps, seed, threads, max_total_draws, calibration,
-        draw_estimates,
+        estimator, mu, n, reps, seed, threads, max_total_draws,
+        lambda rng: (mu * coordinate.sd_u, 0.0), draw_estimates,
     )
 
 
@@ -405,18 +384,15 @@ def worst_case_bias_profile(
     n: int,
     reps: int,
     seed: int,
-    calibration_draws: int = DEFAULT_CALIBRATION_DRAWS,
     threads: int | None = None,
 ) -> BiasProfile:
     """Measure bias of the fixed-lambda adjustment under its own worst case.
 
-    Each (mu, lambda) combination draws through lambda's
-    :meth:`ScoreCoordinate.perturbed_batch` under its own s* and maps the
-    sample moments through ``fixed_from_moments``. Every combination restarts
-    its batch's stream, so all of them read the same normals and acceptance
-    uniforms (common random numbers, which make the argmin over the lambda
-    grid detectable at moderate rep counts), and a combination's result does
-    not depend on the rest of the grid. Scalar-check DGPs only.
+    Each batch draws once per mu, restarting its stream, and every lambda
+    maps those same draws, so all cells share their random numbers (which
+    makes the argmin over the lambda grid detectable at moderate rep counts)
+    and a cell's result does not depend on the rest of the grid.
+    predicted_bias is mu ||psi_lambda|| = mu sd_u exactly. Scalar checks only.
     """
     if dgp.p_gamma != 1:
         raise ConfigError("the profile runner supports scalar checks only")
@@ -424,34 +400,26 @@ def worst_case_bias_profile(
     mus = np.asarray(mus, dtype=float).reshape(-1)
     if np.any(mus < 0):
         raise NegativeMu("all mu values must be nonnegative")
+    coordinates = [dgp.score_coordinate(lam) for lam in lambdas]
+    # The largest mu gives the largest weights; fail before any replication.
+    _check_start(n, reps, float(mus.max()))
 
-    ss = np.random.SeedSequence(seed)
     sizes = batch_sizes(reps, _N_BATCHES)
-    children = ss.spawn(len(sizes) + 1)
-
-    calib = dgp.draw(np.random.default_rng(children[-1]), calibration_draws)
-    psis, norms = zip(*(_influence_norm(dgp.influence_adjusted(lam), calib) for lam in lambdas))
-    norms = np.array(norms)
-    # The largest mu gives each lambda its largest weights; fail before any replication.
-    for psi, norm in zip(psis, norms):
-        check_weight_bound(mus.max() / norm * psi, n)
-    del calib, psis
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
     root_n = math.sqrt(n)
 
-    # One cell per (mu, lambda), mu-major, under s* = mu psi_lambda / ||psi_lambda||.
-    coordinates = [dgp.score_coordinate(lam) for lam in lambdas]
-    cells = [(mu / norm, coord) for mu in mus for coord, norm in zip(coordinates, norms)]
-
     def run_batch(b: int) -> np.ndarray:
-        scaled = np.empty((len(cells), sizes[b]))
-        for k, (scale, coord) in enumerate(cells):
-            rng = np.random.default_rng(children[b])  # the same stream for every cell
-            means, cov = coord.perturbed_batch(rng, n, sizes[b], scale)
-            scaled[k] = root_n * (dgp.fixed_from_moments(means, cov, n, coord.lam) - dgp.c_true)
+        scaled = np.empty((mus.shape[0], len(coordinates), sizes[b]))
+        for a, mu in enumerate(mus):
+            rng = np.random.default_rng(children[b])  # the same stream for every mu
+            draws = dgp.perturbed_draws(rng, n, sizes[b], mu)
+            for k, coord in enumerate(coordinates):
+                means, cov = coord.perturbed_moments(draws)
+                estimates = dgp.fixed_from_moments(means, cov, n, coord.lam)
+                scaled[a, k] = root_n * (estimates - dgp.c_true)
         return scaled
 
     scaled = np.concatenate(map_batches(run_batch, len(sizes), threads), axis=-1)
-    scaled = scaled.reshape(mus.shape[0], lambdas.shape[0], reps)
     squared = scaled**2
     return BiasProfile(
         lambdas=lambdas,
@@ -460,7 +428,7 @@ def worst_case_bias_profile(
         bias_se=scaled.std(axis=-1, ddof=1) / math.sqrt(reps),
         mse=squared.mean(axis=-1),
         mse_se=squared.std(axis=-1, ddof=1) / math.sqrt(reps),
-        predicted_bias=mus[:, None] * norms[None, :],
+        predicted_bias=mus[:, None] * np.array([coord.sd_u for coord in coordinates]),
     )
 
 

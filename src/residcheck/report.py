@@ -29,7 +29,6 @@ from .misspec import (
     measure_gaussian_bias,
     plugin_residualized_of,
     short_estimator_of,
-    worst_case_score,
 )
 from .rct import residualized_estimator
 from .selection import (
@@ -211,13 +210,13 @@ def _dgp_from_spec(spec):
 def run_simulate(config: SimulateConfig, threads: int | None = None) -> dict:
     """Dispatch to the requested lab; output embeds the full config and seed."""
     threads = resolve_threads(threads)  # a bad RESID_THREADS fails before any draw
-    # Keep freed heap pages for the misspec lab, whose 8 MB calibration
-    # arrays (1e6 draws of the score coordinate) and score-coordinate blocks
-    # exceed glibc's 128 KiB default trim threshold: freed memory above it
-    # goes back to the system and is faulted in again on reuse (about 2,700
-    # minor faults per bench-sized misspec op without the call, 2 with it).
-    # The RCT selection lab draws sufficient statistics and faults as often
-    # without the call.
+    # Keep freed heap pages for the misspec lab, whose per-batch blocks of
+    # standard coordinates, uniforms and weights (reps/50 x n doubles each,
+    # 320 KB at n = 2,000 and 1,000 reps) exceed glibc's 128 KiB default
+    # trim threshold: freed memory above it goes back to the system and is
+    # faulted in again on reuse (about 10,100 minor faults per bench-sized
+    # misspec op without the call, 2 with it). The RCT selection lab draws
+    # sufficient statistics and faults as often without the call.
     with contextlib.suppress(AttributeError, OSError, TypeError):  # no mallopt
         mallopt = ctypes.CDLL(None).mallopt
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's dynamic maximum
@@ -247,14 +246,11 @@ def run_simulate(config: SimulateConfig, threads: int | None = None) -> dict:
         else:
             lam = np.atleast_1d(np.asarray(float(config.score.lam)))
             estimator = fixed_lambda_estimator_of(dgp, lam)
-        score = worst_case_score(
-            dgp.influence_adjusted(lam), config.score.mu, dgp.draw, seed=config.seed
-        )
         measurement = measure_gaussian_bias(
             estimator,
             dgp,
             lam,
-            score,
+            config.score.mu,
             n=config.n,
             reps=config.reps,
             seed=config.seed,

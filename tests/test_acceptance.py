@@ -27,7 +27,6 @@ from residcheck.misspec import (
     plugin_residualized_of,
     short_estimator_of,
     worst_case_bias_profile,
-    worst_case_score,
 )
 from residcheck.selection import (
     SelectionConfig,
@@ -211,16 +210,12 @@ def test_criterion_5_variance_ordering():
 def test_criterion_6_minimax_bias():
     pair = GaussianPairDGP.from_rho(0.5)
     n, reps = 10_000, 10_000
-    score_opt = worst_case_score(
-        pair.influence_adjusted(pair.lambda_opt), 1.0, pair.draw, seed=61
-    )
     m_resid = measure_gaussian_bias(
-        plugin_residualized_of(pair), pair, pair.lambda_opt, score_opt,
+        plugin_residualized_of(pair), pair, pair.lambda_opt, 1.0,
         n=n, reps=reps, seed=62, threads=THREADS,
     )
-    score_zero = worst_case_score(pair.influence_c, 1.0, pair.draw, seed=63)
     m_short = measure_gaussian_bias(
-        short_estimator_of(pair), pair, np.zeros(1), score_zero,
+        short_estimator_of(pair), pair, np.zeros(1), 1.0,
         n=n, reps=reps, seed=64, threads=THREADS,
     )
     target = math.sqrt(0.75)
@@ -233,8 +228,7 @@ def test_criterion_6_minimax_bias():
     grid = [0.0, lam / 2, lam, 1.5 * lam, 2 * lam]
     mus = [0.5, 1.0, 2.0]
     profile = worst_case_bias_profile(
-        pair, grid, mus, n=2000, reps=2500, seed=65, threads=THREADS,
-        calibration_draws=400_000,
+        pair, grid, mus, n=2000, reps=2500, seed=65, threads=THREADS
     )
     argmins_ok = all(profile.argmin_bias(a) == grid.index(lam) for a in range(len(mus)))
     ok = ok and argmins_ok

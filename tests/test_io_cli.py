@@ -1,10 +1,14 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import os
 import pathlib
 import platform
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -813,3 +817,127 @@ def test_analyze_overflow_is_one_json_line(tmp_path, column):
     lines = result.stderr.decode().splitlines()
     assert len(lines) == 1, lines
     assert json.loads(lines[0])["error"] == "InvalidCovariance"
+
+
+# Property test over the command-line grammar (in-process, small sizes only:
+# --n and --reps stay at most 200 and 1,100, and RESID_THREADS at most 2).
+_FIXTURE_BYTES = FIXTURE_CSV.read_bytes()
+
+
+@st.composite
+def _mutated_fixture(draw):
+    """The fixture CSV with a few bytes replaced, deleted or inserted, or cut short."""
+    data = bytearray(_FIXTURE_BYTES)
+    position = st.one_of(st.integers(0, 120), st.integers(0, len(data) - 1))
+    edit = st.tuples(
+        st.sampled_from(("replace", "delete", "insert")), position, st.binary(min_size=1, max_size=3)
+    )
+    for kind, at, chunk in draw(st.lists(edit, max_size=draw(st.sampled_from((0, 0, 1, 3))))):
+        if kind == "replace":
+            data[at:at + len(chunk)] = chunk
+        elif kind == "delete":
+            del data[at:at + len(chunk)]
+        else:
+            data[at:at] = chunk
+    if draw(st.sampled_from((False, False, False, True))):
+        data = data[: draw(st.integers(0, len(data)))]
+    return bytes(data)
+
+
+def _grammar(csv_path, missing_path):
+    """Per subcommand: (flag, valid values, invalid values, required)."""
+    numbers = ("0", "-1", "1e308", "inf", "nan", "abc")
+    return {
+        "analyze": [
+            ("--input", (csv_path,), (missing_path,), True),
+            ("--covariates", ("x1,x2,x3", "x1"), ("x1,x1", "y", "zz", ","), True),
+            ("--outcome", ("y",), ("t", "x1", "nope"), False),
+            ("--treatment", ("t",), ("y", "x2"), False),
+            ("--cluster-col", ("x1", "x2"), ("t", "nope"), False),
+            ("--strata-col", ("x3",), ("t", "nope"), False),
+            ("--covariance", ("iid", "cluster"), ("hc",), False),
+            ("--format", ("json", "csv", "text"), ("xml",), False),
+        ],
+        "simulate": [
+            ("--lab", ("selection", "misspec"), ("other",), True),
+            ("--dgp", ("gaussian", "rct"), ("other",), False),
+            ("--rho", ("0.5", "-0.9"), ("1", "nan", "x"), False),
+            ("--mu", ("0", "0.5", "2"), ("-1", "1e308", "inf", "nan"), False),
+            ("--lambda", ("optimal", "zero", "0.3"), ("1e308", "inf", "abc"), False),
+            ("--rule", ("two_sided_t", "wald", "max_abs"), ("other",), False),
+            ("--threshold", ("1.96", "3.841"), ("20", "0", "-1", "inf", "nan"), False),
+            ("--coord", ("0",), ("1", "-1", "x"), False),
+            ("--tau", ("1",), ("nan", "inf"), False),
+            ("--beta", ("1", "0.5,-0.25"), ("nan", "", "a"), False),
+            ("--interaction", ("0", "0.4,0"), ("inf", ""), False),
+            ("--pi", ("0.5", "0.3"), ("0", "1", "nan"), False),
+            ("--noise-sd", ("1", "0"), ("-1", "inf"), False),
+            ("--n", ("50", "100", "200"), ("10", "0", "-5", "abc"), True),
+            ("--reps", ("1000", "1100"), ("10", "-1", "x"), True),
+            ("--seed", ("1", "7"), ("-1", "x"), True),
+            ("--format", ("json", "csv"), ("text",), False),
+        ],
+        "oracle": [
+            ("--rho", ("0.5", "-0.3"), numbers, True),
+            ("--threshold", ("1.96", "0.5"), numbers, True),
+        ],
+        "decompose": [
+            ("--input", (str(GOLDEN_JSON),), (csv_path, missing_path), True),
+            ("--format", ("csv", "text"), ("json",), False),
+        ],
+    }
+
+
+@st.composite
+def _argv(draw, csv_path, missing_path):
+    """A command line of the grammar: valid options, then at most one fault."""
+    command, options = draw(st.sampled_from(sorted(_grammar(csv_path, missing_path).items())))
+    chosen = {
+        flag: draw(st.sampled_from(valid))
+        for flag, valid, _, required in options
+        if required or draw(st.booleans())
+    }
+    fault = draw(st.sampled_from(("none", "none", "value", "omit", "extra")))
+    if fault == "value":
+        flag, _, invalid, _ = draw(st.sampled_from(options))
+        chosen[flag] = draw(st.sampled_from(invalid))
+    elif fault == "omit":
+        del chosen[draw(st.sampled_from(sorted(chosen)))]
+    items = draw(st.permutations(sorted(chosen.items())))
+    extra = [draw(st.sampled_from(("--bogus", "stray")))] if fault == "extra" else []
+    return [command, *(token for item in items for token in item), *extra]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_command_line_ends_in_an_exit_code_and_at_most_one_json_line(
+    tmp_path_factory, data
+):
+    directory = tmp_path_factory.getbasetemp() / "cli_property"
+    directory.mkdir(exist_ok=True)
+    csv_path = directory / "data.csv"
+    csv_path.write_bytes(data.draw(_mutated_fixture()))
+    argv = data.draw(_argv(str(csv_path), str(directory / "missing.csv")))
+    threads = data.draw(st.sampled_from((None, "1", "2", "0", "-1", "x")))
+    out, err = io.BytesIO(), io.StringIO()
+    saved = os.environ.pop("RESID_THREADS", None)
+    try:
+        if threads is not None:
+            os.environ["RESID_THREADS"] = threads
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.TextIOWrapper(out, encoding="utf-8")), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+    finally:
+        os.environ.pop("RESID_THREADS", None)
+        if saved is not None:
+            os.environ["RESID_THREADS"] = saved
+    assert code in (0, 2, 3), argv
+    assert [str(w.message) for w in caught] == [], argv
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == [], argv
+    else:
+        assert len(lines) == 1, (argv, lines)
+        assert set(json.loads(lines[0])) == {"error", "message"}, argv

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from residcheck.errors import (
 from residcheck.io import GaussianDgpSpec, ScoreSpec, SimulateConfig
 from residcheck.misspec import (
     MisspecScore,
-    _calibrate,
+    _check_start,
     _draw_accepted,
     bias_decomposition_check,
     check_weight_bound,
@@ -46,6 +47,12 @@ PAIR_P2 = GaussianPairDGP(
 
 def scalar_normal_sampler(rng, size):
     return rng.standard_normal((size, 1))
+
+
+def exact_score(dgp, lam, mu):
+    """psi_lam's worst-case score of size mu at the exact scale mu / sd_u, on rows."""
+    psi, scale = dgp.influence_adjusted(lam), mu / dgp.score_coordinate(lam).sd_u
+    return MisspecScore(fn=lambda d: scale * psi(d), mu=mu)
 
 
 class TestWorstCaseScore:
@@ -194,14 +201,13 @@ class TestMeasureBias:
         assert m_short.sqrt_n_bias == pytest.approx(1.0, abs=3 * m_short.mc_se)
 
     def test_gaussian_runner_needs_the_influence_it_calibrates(self):
-        # The calibration takes u = psi_lambda(d) as the estimator's influence;
+        # predicted = mu sd_u is the worst-case bias of psi_lambda alone;
         # the plug-in's influence is psi at lambda*, not at 0.
         counting = CountingSampler(PAIR)
-        score = worst_case_score(PAIR.influence_c, 1.0, PAIR.draw)
         with pytest.raises(ConfigError, match="psi_lambda"):
             measure_gaussian_bias(
-                plugin_residualized_of(PAIR), counting, np.zeros(1), score,
-                n=2000, reps=100, seed=1, calibration_draws=50_000,
+                plugin_residualized_of(PAIR), counting, np.zeros(1), 1.0,
+                n=2000, reps=100, seed=1,
             )
         assert counting.sizes == []
 
@@ -211,25 +217,39 @@ class TestMeasureBias:
         ids=["zero", "optimal", "twice-optimal", "p2-optimal"],
     )
     def test_coordinate_calibration_matches_rows(self, dgp, factor, seed):
-        # predicted from u = a'd alone estimates the E0[psi s] that rows give.
+        # The exact predicted mu sd_u is the E0[psi s] that rows estimate.
         lam = factor * dgp.lambda_opt
         estimator = (
             plugin_residualized_of(dgp) if factor == 1.0 else fixed_lambda_estimator_of(dgp, lam)
         )
-        score = worst_case_score(dgp.influence_adjusted(lam), 1.5, dgp.draw, seed=seed)
-        m = measure_gaussian_bias(
-            estimator, dgp, lam, score, n=2000, reps=50, seed=seed, calibration_draws=400_000
-        )
+        m = measure_gaussian_bias(estimator, dgp, lam, 1.5, n=2000, reps=50, seed=seed)
         calib = dgp.draw(np.random.default_rng(seed), 400_000)
-        rows, rows_se = _calibrate(estimator.influence(calib), score(calib), 2000)
-        assert m.predicted == pytest.approx(rows, abs=4 * math.hypot(m.predicted_se, rows_se))
+        products = estimator.influence(calib) * exact_score(dgp, lam, 1.5)(calib)
+        rows_se = products.std(ddof=1) / math.sqrt(len(products))
+        assert m.predicted_se == 0.0
+        assert m.predicted == pytest.approx(products.mean(), abs=4 * rows_se)
 
-    def test_gaussian_runner_needs_a_scaled_score(self):
-        score = MisspecScore(fn=PAIR.influence_c, mu=1.0)
-        with pytest.raises(ConfigError):
-            measure_gaussian_bias(
-                short_estimator_of(PAIR), PAIR, np.zeros(1), score, n=100, reps=10, seed=1
-            )
+    @pytest.mark.parametrize(
+        "dgp, lam, closed_form",
+        [
+            (PAIR, np.zeros(1), 1.0),
+            (PAIR, PAIR.lambda_opt, math.sqrt(0.75)),
+            # sigma_c^2 - Sigma_cg' Sigma_gg^-1 Sigma_cg = 1.5 - 1.024 / 1.91
+            (PAIR_P2, PAIR_P2.lambda_opt, math.sqrt(1.841 / 1.91)),
+        ],
+        ids=["zero", "optimal", "p2-optimal"],
+    )
+    def test_predicted_is_the_exact_norm(self, dgp, lam, closed_form):
+        estimator = fixed_lambda_estimator_of(dgp, lam)
+        m = measure_gaussian_bias(estimator, dgp, lam, 1.5, n=200, reps=50, seed=1)
+        assert m.predicted == 1.5 * dgp.score_coordinate(lam).sd_u
+        assert m.predicted_se == 0.0
+        assert m.predicted == pytest.approx(1.5 * closed_form, rel=1e-15, abs=0.0)
+
+    def test_gaussian_runner_needs_a_moment_map(self):
+        estimator = dataclasses.replace(short_estimator_of(PAIR), from_moments=None)
+        with pytest.raises(ConfigError, match="moment map"):
+            measure_gaussian_bias(estimator, PAIR, np.zeros(1), 1.0, n=100, reps=10, seed=1)
 
     def test_budget_guard(self):
         with pytest.raises(ConfigError):
@@ -268,51 +288,45 @@ class TestPerturbedBatch:
         # Away from the optimum the part of d_g along the score is perturbed too.
         n, row_reps, batch_reps = 60, 3_000, 40_000
         lam = factor * dgp.lambda_opt
-        score = worst_case_score(
-            dgp.influence_adjusted(lam), 1.2, dgp.draw, calibration_draws=20_000, seed=seed
-        )
+        score = exact_score(dgp, lam, 1.2)
         rng = np.random.default_rng(seed)
         rows = [
             sample_moments(_draw_accepted(rng, dgp.draw, score, n))
             for _ in range(row_reps)
         ]
         reference = moment_rows(np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows]))
-        batch = moment_rows(
-            *dgp.score_coordinate(lam).perturbed_batch(
-                np.random.default_rng(seed + 100), n, batch_reps, score.scale
-            )
-        )
+        draws = dgp.perturbed_draws(np.random.default_rng(seed + 100), n, batch_reps, 1.2)
+        batch = moment_rows(*dgp.score_coordinate(lam).perturbed_moments(draws))
         z_mean, z_var = moment_z_scores(batch, reference)
         assert np.abs(z_mean).max() < 4.5, z_mean
         assert np.abs(z_var).max() < 4.5, z_var
 
     def test_proposal_outside_the_weight_gate(self):
         with pytest.raises(WeightUnderflow):
-            PAIR.score_coordinate(PAIR.lambda_opt).perturbed_batch(
-                np.random.default_rng(0), 16, 5, 4.0
-            )
+            PAIR.perturbed_draws(np.random.default_rng(0), 16, 5, 4.0)
 
-    @pytest.mark.parametrize("scale", [-4.0, math.inf, -math.inf, math.nan])
-    def test_gate_reads_the_largest_coordinate(self, scale):
-        # The weights are monotone in |u|: one maximum decides both bounds,
+    @pytest.mark.parametrize("mu", [-4.0, math.inf, -math.inf, math.nan])
+    def test_gate_reads_the_largest_coordinate(self, mu):
+        # The weights are monotone in |z|: one maximum decides both bounds,
         # and a non-finite slope fails as its weights would.
-        coordinate = PAIR.score_coordinate(PAIR.lambda_opt)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(WeightUnderflow):
-                coordinate.perturbed_batch(np.random.default_rng(0), 16, 5, scale)
+                PAIR.perturbed_draws(np.random.default_rng(0), 16, 5, mu)
 
-    def test_coordinate_draw_has_the_law_of_psi(self):
-        coordinate = PAIR_P2.score_coordinate(2.0 * PAIR_P2.lambda_opt)
-        psi = PAIR_P2.influence_adjusted(2.0 * PAIR_P2.lambda_opt)
-        rows = psi(PAIR_P2.draw(np.random.default_rng(61), 200_000))[:, None]
-        u = coordinate.draw(np.random.default_rng(62), 200_000)[:, None]
-        z_mean, z_var = moment_z_scores(u, rows)
-        assert abs(z_mean[0]) < 4.5 and abs(z_var[0]) < 4.5
+    def test_every_lambda_maps_the_draws_unchanged(self):
+        draws = PAIR_P2.perturbed_draws(np.random.default_rng(3), 60, 20, 1.2)
+        kept = {f.name: np.copy(getattr(draws, f.name)) for f in dataclasses.fields(draws)[1:]}
+        first = PAIR_P2.score_coordinate(PAIR_P2.lambda_opt).perturbed_moments(draws)
+        PAIR_P2.score_coordinate(2.0 * PAIR_P2.lambda_opt).perturbed_moments(draws)
+        again = PAIR_P2.score_coordinate(PAIR_P2.lambda_opt).perturbed_moments(draws)
+        for name, value in kept.items():
+            assert np.array_equal(getattr(draws, name), value), name
+        assert all(np.array_equal(x, y) for x, y in zip(first, again))
 
 
 class CountingSampler:
-    """Delegates to a DGP and records the size of every row draw, coordinate draw and batch."""
+    """Delegates to a DGP and records the size of every row draw and perturbed batch."""
 
     def __init__(self, dgp):
         self.dgp = dgp
@@ -322,34 +336,20 @@ class CountingSampler:
         self.sizes.append(size)
         return self.dgp.draw(rng, size)
 
-    def score_coordinate(self, lam):
-        return CountingCoordinate(self.dgp.score_coordinate(lam), self.sizes)
+    def perturbed_draws(self, rng, n, size, mu):
+        self.sizes.append(size)
+        return self.dgp.perturbed_draws(rng, n, size, mu)
 
     def __getattr__(self, name):
         return getattr(self.dgp, name)
 
 
-class CountingCoordinate:
-    """Delegates to a score coordinate and records its draw and batch sizes in ``sizes``."""
-
-    def __init__(self, coordinate, sizes):
-        self.coordinate = coordinate
-        self.sizes = sizes
-
-    def draw(self, rng, k):
-        self.sizes.append(k)
-        return self.coordinate.draw(rng, k)
-
-    def perturbed_batch(self, rng, n, size, scale):
-        self.sizes.append(size)
-        return self.coordinate.perturbed_batch(rng, n, size, scale)
-
-    def __getattr__(self, name):
-        return getattr(self.coordinate, name)
-
-
 class TestWeightGate:
-    """Both runners gate on the calibration sample they score anyway."""
+    """Runners refuse a bad n before any replication.
+
+    The row runner gates on the calibration sample it scores anyway, the
+    Gaussian runners on a closed-form expected count, with no draw.
+    """
 
     def test_measure_bias_fails_before_any_replication(self):
         counting = CountingSampler(PAIR)
@@ -363,22 +363,34 @@ class TestWeightGate:
 
     def test_gaussian_runner_fails_before_any_replication(self):
         counting = CountingSampler(PAIR)
-        score = worst_case_score(PAIR.influence_c, 2.0, PAIR.draw)
-        with pytest.raises(WeightUnderflow):
+        with pytest.raises(WeightUnderflow, match="72.8"):
             measure_gaussian_bias(
-                short_estimator_of(PAIR), counting, np.zeros(1), score, n=16, reps=100,
-                seed=1, calibration_draws=50_000,
+                short_estimator_of(PAIR), counting, np.zeros(1), 2.0, n=16, reps=100, seed=1,
             )
-        assert counting.sizes == [50_000]
+        assert counting.sizes == []
 
     def test_profile_fails_before_any_replication(self):
         counting = CountingSampler(PAIR)
         with pytest.raises(WeightUnderflow):
             worst_case_bias_profile(
-                counting, [0.0, float(PAIR.lambda_opt[0])], [0.5, 2.0], n=16, reps=100,
-                seed=1, calibration_draws=50_000,
+                counting, [0.0, float(PAIR.lambda_opt[0])], [0.5, 2.0], n=16, reps=100, seed=1,
             )
-        assert counting.sizes == [50_000]
+        assert counting.sizes == []
+
+    @pytest.mark.parametrize(
+        "n, mu, reps, expected",
+        [(16, 2.0, 100, 72.8), (16, 2.0, 2, 1.456), (16, 2.0, 1, 0.728), (200, 2.0, 1000, 3.07e-7),
+         (200, 0.0, 1000, 0.0), (100, 1e308, 1000, 1e5), (100, math.inf, 1000, 1e5),
+         (100, math.nan, 1000, math.nan)],
+    )
+    def test_start_gate_is_the_expected_count(self, n, mu, reps, expected):
+        # n reps erfc(sqrt(n) / (mu sqrt(2))) draws of |z| expected above sqrt(n) / mu.
+        if expected < 1.0:
+            _check_start(n, reps, mu)
+        else:
+            message = re.escape(f"{expected:.3g} of the run's {n * reps}")
+            with pytest.raises(WeightUnderflow, match=message):
+                _check_start(n, reps, mu)
 
     def test_bound_reads_the_values_it_is_given(self):
         assert check_weight_bound(np.array([-1.5, 0.5]), 4) == 1.5
@@ -393,9 +405,7 @@ class TestBiasProfile:
         lam = float(PAIR.lambda_opt[0])
         lambdas = [0.0, lam / 2, lam, 1.5 * lam, 2 * lam]
         mus = [0.5, 1.0, 2.0]
-        profile = worst_case_bias_profile(
-            PAIR, lambdas, mus, n=2000, reps=2500, seed=14, calibration_draws=400_000
-        )
+        profile = worst_case_bias_profile(PAIR, lambdas, mus, n=2000, reps=2500, seed=14)
         opt_idx = lambdas.index(lam)
         for a, mu in enumerate(mus):
             assert profile.argmin_bias(a) == opt_idx
@@ -410,13 +420,13 @@ class TestBiasProfile:
             assert np.allclose(profile.mse[a], predicted_mse, rtol=0.05)
 
     def test_single_cell_matches_full_grid(self):
-        # Common random numbers per batch: every (mu, lambda) cell restarts
-        # its batch's stream, so a cell's draws do not depend on which other
-        # cells are in the grid.
+        # Common random numbers per batch: every mu restarts its batch's
+        # stream and every lambda maps the same draws, so a cell's draws do
+        # not depend on which other cells are in the grid.
         lam = float(PAIR.lambda_opt[0])
         lambdas = [0.0, lam / 2, lam, 1.5 * lam, 2 * lam]
         mus = [0.5, 1.0, 2.0]
-        kwargs = dict(n=200, reps=1000, seed=16, calibration_draws=50_000)
+        kwargs = dict(n=200, reps=1000, seed=16)
         full = worst_case_bias_profile(PAIR, lambdas, mus, **kwargs)
         single = worst_case_bias_profile(PAIR, [lambdas[3]], [mus[1]], **kwargs)
         for name in ("bias", "bias_se", "mse", "mse_se", "predicted_bias"):
@@ -424,47 +434,54 @@ class TestBiasProfile:
 
     def test_deterministic_across_thread_counts(self):
         lam = float(PAIR.lambda_opt[0])
-        kwargs = dict(n=200, reps=1000, seed=17, calibration_draws=50_000)
+        kwargs = dict(n=200, reps=1000, seed=17)
         one = worst_case_bias_profile(PAIR, [0.0, lam], [0.5, 2.0], threads=1, **kwargs)
         four = worst_case_bias_profile(PAIR, [0.0, lam], [0.5, 2.0], threads=4, **kwargs)
         for field in dataclasses.fields(one):
             assert np.array_equal(getattr(one, field.name), getattr(four, field.name)), field.name
 
     def test_norm_that_overflows_fails_before_any_replication(self):
-        # psi_lambda ~ 1e200 squares to inf: a zero score would be silently used.
+        # a' Sigma a ~ 1e400 overflows: a zero score would be silently used.
         counting = CountingSampler(PAIR)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidCovariance):
-                worst_case_bias_profile(
-                    counting, [1e200], [1.0], n=200, reps=1000, seed=1,
-                    calibration_draws=10_000,
-                )
-        assert counting.sizes == [10_000]
+                worst_case_bias_profile(counting, [1e200], [1.0], n=200, reps=1000, seed=1)
+        assert counting.sizes == []
+
+    def test_one_draw_per_mu_on_the_criterion_6_grid(self):
+        # 5 lambdas x 3 mus: each of the 50 batches draws once per mu, not per cell.
+        counting = CountingSampler(PAIR)
+        lam = float(PAIR.lambda_opt[0])
+        worst_case_bias_profile(
+            counting, [0.0, lam / 2, lam, 1.5 * lam, 2 * lam], [0.5, 1.0, 2.0],
+            n=200, reps=100, seed=1,
+        )
+        assert counting.sizes == [2] * (3 * 50)
 
 
 class TestPinnedBits:
-    """Sampler bits that calibration changes must not move."""
+    """Bits of the exact-norm sampler; a change that moves them says so."""
 
     def test_criterion_9_misspec_command(self):
         # simulate --lab misspec --rho 0.5 --mu 0.5 --lambda optimal --n 400
-        # --reps 1000 --seed 3: only predicted and predicted_se may move.
+        # --reps 1000 --seed 3.
         results = run_simulate(SimulateConfig(
             lab="misspec", n=400, reps=1000, seed=3,
             dgp=GaussianDgpSpec(rho=0.5), score=ScoreSpec(lam="optimal", mu=0.5),
         ))["results"]
-        assert results["sqrt_n_bias"] == 0.4786701910721234
-        assert results["mc_se"] == 0.028367491418837387
+        assert results["sqrt_n_bias"] == 0.478810111654406
+        assert results["mc_se"] == 0.028360879457285312
+        assert results["predicted"] == 0.5 * math.sqrt(0.75)
 
     def test_profile_bias(self):
         lam = float(PAIR.lambda_opt[0])
         profile = worst_case_bias_profile(
-            PAIR, [0.0, lam, 2 * lam], [0.5, 2.0], n=200, reps=1000, seed=16,
-            calibration_draws=50_000,
+            PAIR, [0.0, lam, 2 * lam], [0.5, 2.0], n=200, reps=1000, seed=16
         )
         assert profile.bias.tolist() == [
-            [0.5565959736263021, 0.48202625280451106, 0.5564112055130932],
-            [2.029693665991526, 1.7575446779852955, 2.0288734499473846],
+            [0.5555030446493437, 0.48107974854593294, 0.5555030446493436],
+            [2.0241146258084872, 1.7529346861217827, 2.024114625808487],
         ]
 
 
