@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
+import io
 import math
+import os
+import pickle
+import re
+import sys
 from dataclasses import dataclass, field
-from typing import Iterator, NoReturn
+from typing import BinaryIO, Iterator, NoReturn, TextIO
 
 import numpy as np
 
@@ -132,16 +138,256 @@ def _raise_first_error(
 
 
 def load_dataset(config: AnalyzeConfig) -> LoadedDataset:
-    """Read the CSV named in the config into a validated RctDataset.
+    r"""Read the CSV named in the config into a validated RctDataset.
 
-    One ``np.loadtxt`` pass parses the file: RFC-4180 quoting, no comment
-    lines, float columns for the outcome, treatment and covariates, and
-    strings for the rest. Stratum and cluster labels come back as integer
-    codes in sorted label order. Any parse or value error is located by
-    :func:`_raise_first_error`.
+    ``np.loadtxt`` parses the file: RFC-4180 quoting, no comment lines,
+    float columns for the outcome, treatment and covariates, and strings for
+    the rest. Stratum and cluster labels come back as integer codes in sorted
+    label order. A large file is cut at line ends into one byte range per
+    usable core (CPU affinity, at least ``_MIN_RANGE_BYTES`` each); this
+    process parses the first range and a forked child each other one, which
+    yields the same bits as one pass. The file is read as one range when it
+    holds a ``"`` or a ``\r`` not followed by ``\n`` (a quoted cell may
+    hold a line break, and a lone ``\r`` ends a line), or when forking is
+    unavailable or would warn. Any parse or value error is located by
+    :func:`_raise_first_error` over the whole file.
     """
     with named_file(config.input_path, "read"):
         return _load_dataset(config)
+
+
+# Body bytes per range below which a fork costs more than it saves: on a
+# 2-vCPU x86 VM two ranges break even at about 1.5 MiB each.
+_MIN_RANGE_BYTES = 2 << 20
+# Block size of the scans that place the range boundaries.
+_SCAN_BYTES = 1 << 20
+# A line end followed by the first byte of a non-blank line.
+_NONBLANK_LINE = re.compile(rb"\n[^\r\n]")
+
+_Part = tuple[np.ndarray, dict[str, tuple[list[str], np.ndarray]]]
+
+
+def _parse(
+    source: str | TextIO, skiprows: int, dtype: np.dtype, numeric: list[int], labels: dict[str, int]
+) -> _Part:
+    """Parse CSV records into float rows and first-seen label codes.
+
+    ``source`` is the file's path or a text stream over some of its lines.
+    Returns the ``(len(numeric), rows)`` float block and, per label role,
+    its distinct labels in first-seen order with each row's index into them.
+    """
+    table = np.loadtxt(
+        source,
+        dtype=dtype,
+        delimiter=",",
+        quotechar='"',
+        comments=None,
+        skiprows=skiprows,
+        encoding="utf-8-sig",
+        ndmin=1,
+    )
+    coded = {}
+    for name, j in labels.items():
+        column = table[f"c{j}"]
+        first_seen = {label: code for code, label in enumerate(dict.fromkeys(column))}
+        codes = np.fromiter(map(first_seen.__getitem__, column), np.intp, len(column))
+        coded[name] = (list(first_seen), codes)
+    for j in set(range(len(dtype))) - set(numeric):
+        table[f"c{j}"] = None  # free the label strings before the numbers are copied
+    block = np.empty((len(numeric), table.shape[0]))
+    for row, j in zip(block, numeric):
+        row[:] = table[f"c{j}"]
+    return block, coded
+
+
+def _sorted_codes(parts: list[tuple[list[str], np.ndarray]]) -> np.ndarray:
+    """Each row's code in sorted label order over all parts.
+
+    Numbers labels as ``np.unique(labels.astype(str), return_inverse=True)``
+    does, so a trailing NUL is dropped and ``"a"`` and ``"a\\x00"`` share a
+    code, but sorts only the parts' distinct labels, not every row's.
+    """
+    union = [label for labels, _ in parts for label in labels]
+    inverse = np.unique(np.array(union, dtype=str), return_inverse=True)[1]
+    offsets = np.cumsum([0] + [len(labels) for labels, _ in parts[:-1]])
+    return np.concatenate([inverse[offset + codes] for offset, (_, codes) in zip(offsets, parts)])
+
+
+def _fork_warns() -> bool:
+    """Whether ``os.fork`` would warn that this process runs other threads.
+
+    Python 3.12 and later warn; a BLAS thread pool counts.
+    """
+    if sys.version_info < (3, 12):
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) > 1
+    except OSError:
+        return True
+
+
+def _byte_ranges(path: str, header_lines: int) -> list[tuple[int, int]]:
+    """Line-aligned ``(start, stop)`` byte ranges of the body to parse apart.
+
+    One range per usable core, each of at least ``_MIN_RANGE_BYTES``; each
+    starts at a non-blank line, so none parses to no rows. An empty list
+    means parse the file as one range.
+    """
+    if not hasattr(os, "sched_getaffinity") or not hasattr(os, "fork") or _fork_warns():
+        return []
+    cores = len(os.sched_getaffinity(0))
+    size = os.path.getsize(path)
+    if min(cores, size // _MIN_RANGE_BYTES) < 2:
+        return []
+    with open(path, "rb") as handle:
+        body = _body_start(handle, header_lines)
+        if body is None:
+            return []
+        k = min(cores, (size - body) // _MIN_RANGE_BYTES)
+        starts: list[int] = []
+        for i in range(k):
+            start = _line_start(handle, body + i * (size - body) // k)
+            if start is None:
+                break
+            if start not in starts:
+                starts.append(start)
+    return list(zip(starts, starts[1:] + [size]))
+
+
+def _body_start(handle: BinaryIO, header_lines: int) -> int | None:
+    r"""Offset after the header's lines, or None if the file may not be cut at ``\n``.
+
+    Scans the whole file in bounded blocks for a ``"`` (a quoted cell may
+    hold a line break) or a ``\r`` not followed by ``\n`` (a line end that
+    universal newlines reads and a cut at ``\n`` would miss).
+    """
+    body, offset, pending_cr = None, 0, False
+    while block := handle.read(_SCAN_BYTES):
+        if b'"' in block or (pending_cr and not block.startswith(b"\n")):
+            return None
+        pending_cr = block.endswith(b"\r")
+        if b"\r" in block and block.count(b"\r") - block.count(b"\r\n") > pending_cr:
+            return None
+        if body is None:
+            at = -1
+            while header_lines and (at := block.find(b"\n", at + 1)) >= 0:
+                header_lines -= 1
+            if not header_lines:
+                body = offset + at + 1
+        offset += len(block)
+    return None if pending_cr else body
+
+
+def _line_start(handle: BinaryIO, pos: int) -> int | None:
+    r"""The first offset at or after ``pos`` that starts a non-blank line, or None.
+
+    A line starts just after a ``\n``; ``pos`` is at least 1.
+    """
+    while True:
+        handle.seek(pos - 1)
+        block = handle.read(_SCAN_BYTES)
+        if len(block) < 2:
+            return None
+        found = _NONBLANK_LINE.search(block)
+        if found:
+            return pos + found.start()
+        pos += len(block) - 1
+
+
+class _ByteRange(io.RawIOBase):
+    """Raw reads of bytes ``[start, stop)`` of a file, so a range streams to the parser."""
+
+    def __init__(self, path: str, start: int, stop: int):
+        self._file = open(path, "rb", buffering=0)
+        self._file.seek(start)
+        self._left = stop - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        with memoryview(buffer) as view:
+            read = self._file.readinto(view[: self._left])
+        self._left -= read
+        return read
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+def _parse_range(parse, path: str, start: int, stop: int) -> _Part:
+    # Plain utf-8: a byte-order mark can only open the file, inside the header.
+    with io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, stop)), encoding="utf-8") as text:
+        return parse(text, 0)
+
+
+def _parse_in_child(parse, path: str, start: int, stop: int, write_fd: int) -> NoReturn:
+    """Pickle a range's part, or None on a parse error, into the pipe; never returns.
+
+    Exits 0 only once the whole part is written, so any other exit status
+    tells the parent the range is still unparsed.
+    """
+    status = 1
+    try:
+        try:
+            part = _parse_range(parse, path, start, stop)
+        except ValueError:
+            part = None
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(part, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _parse_forked(parse, path: str, ranges: list[tuple[int, int]]) -> list[_Part] | None:
+    """Parts of every range in order: the first parsed here, each other in a forked child.
+
+    None when any range fails to parse. A range whose child could not start
+    or died without a result is parsed here. Every child is reaped before
+    this returns or raises.
+    """
+    pids: dict[int, int] = {}
+    pipes: dict[int, BinaryIO] = {}
+    try:
+        for i, (start, stop) in enumerate(ranges[1:], start=1):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: the ranges left are parsed here
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:
+                _parse_in_child(parse, path, start, stop, write_fd)
+            os.close(write_fd)
+            pids[i], pipes[i] = pid, open(read_fd, "rb")
+        parts = [_parse_range(parse, path, *ranges[0])]
+        for i, (start, stop) in enumerate(ranges[1:], start=1):
+            data = None
+            if i in pids:
+                data = pipes[i].read()  # to EOF first: a child blocks on a full pipe
+                pipes.pop(i).close()
+                if os.waitstatus_to_exitcode(os.waitpid(pids.pop(i), 0)[1]) != 0:
+                    data = None  # died without a result
+            part = _parse_range(parse, path, start, stop) if data is None else pickle.loads(data)
+            if part is None:
+                return None
+            parts.append(part)
+        return parts
+    except ValueError:
+        return None
+    finally:
+        for pipe in pipes.values():
+            pipe.close()
+        if pids:
+            import signal  # only here: numpy does not load it, and the CLI's import time is tracked
+
+            for pid in pids.values():
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _load_dataset(config: AnalyzeConfig) -> LoadedDataset:
@@ -159,32 +405,21 @@ def _load_dataset(config: AnalyzeConfig) -> LoadedDataset:
     dtype = np.dtype(
         [(f"c{j}", "f8" if j in numeric else "O") for j in range(len(header))]
     )
-    try:
-        table = np.loadtxt(
-            config.input_path,
-            dtype=dtype,
-            delimiter=",",
-            quotechar='"',
-            comments=None,
-            skiprows=header_lines,
-            encoding="utf-8-sig",
-            ndmin=1,
-        )
-    except ValueError as err:
-        _raise_first_error(config, len(header), index, str(err))
-    # Label codes in sorted label order, as np.unique numbers them.
-    codes = {
-        name: np.unique(table[f"c{index[name]}"].astype(str), return_inverse=True)[1]
-        for name in (config.strata, config.cluster)
-        if name is not None
-    }
-    for j in set(range(len(header))) - set(numeric):
-        table[f"c{j}"] = None  # free the label strings before the numbers are copied
+    labels = {name: index[name] for name in (config.strata, config.cluster) if name is not None}
+    parse = functools.partial(_parse, dtype=dtype, numeric=numeric, labels=labels)
+
+    ranges = _byte_ranges(config.input_path, header_lines)
+    parts = _parse_forked(parse, config.input_path, ranges) if len(ranges) > 1 else None
+    if parts is None:
+        # One range; after a failed split too, so that errors read as before.
+        try:
+            parts = [parse(config.input_path, header_lines)]
+        except ValueError as err:
+            _raise_first_error(config, len(header), index, str(err))
+    codes = {name: _sorted_codes([coded[name] for _, coded in parts]) for name in labels}
     # Rows y, t, x_1..x_p: the covariates are a view of one contiguous block.
-    columns = np.empty((len(numeric), table.shape[0]))
-    for row, j in zip(columns, numeric):
-        row[:] = table[f"c{j}"]
-    del table
+    columns = parts[0][0] if len(parts) == 1 else np.concatenate([block for block, _ in parts], axis=1)
+    del parts
     t = columns[1]
     if not (np.isfinite(columns).all() and ((t == 0.0) | (t == 1.0)).all()):
         _raise_first_error(config, len(header), index, "a non-finite or non-binary value")

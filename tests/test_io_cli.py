@@ -8,6 +8,7 @@ import pathlib
 import platform
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+import residcheck.io
 from residcheck.cli import main
 from residcheck.errors import (
     ConfigError,
@@ -244,6 +246,235 @@ class TestLoadDataset:
         assert loaded.cluster_ids.tolist() == want_codes.tolist()
 
 
+SPLIT_PARSE = pytest.mark.skipif(
+    not hasattr(os, "fork")
+    or not hasattr(os, "sched_getaffinity")
+    or not os.path.isdir("/proc/self/fd")
+    or residcheck.io._fork_warns(),
+    reason="the range-split parse needs os.fork, CPU affinity and /proc/self/fd",
+)
+
+
+@contextlib.contextmanager
+def parse_ranges(monkeypatch, k):
+    """Cut any body into up to k ranges, scanning it 5 bytes at a time.
+
+    Yields the counts of fork calls and of parses of the whole file by path
+    (the one-range parse, also run after a range failed).
+    """
+    calls = {"fork": 0, "whole_file": 0}
+    fork, parse = os.fork, residcheck.io._parse
+
+    def counting_fork():
+        calls["fork"] += 1
+        return fork()
+
+    def counting_parse(source, *args, **kwargs):
+        calls["whole_file"] += isinstance(source, str)
+        return parse(source, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(residcheck.io, "_MIN_RANGE_BYTES", 1)
+        patch.setattr(residcheck.io, "_SCAN_BYTES", 5)
+        patch.setattr(residcheck.io, "_parse", counting_parse)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+        patch.setattr(os, "fork", counting_fork)
+        yield calls
+
+
+def assert_same_arrays(a, b):
+    for x, y in zip(loaded_arrays(a), loaded_arrays(b)):
+        if x is None:
+            assert y is None
+        else:
+            assert (x.dtype, x.shape, x.strides, x.tobytes()) == (y.dtype, y.shape, y.strides, y.tobytes())
+
+
+def assert_no_children_or_fds_left(fds_before):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds_before
+
+
+def loaded_arrays(loaded):
+    return [
+        loaded.data.outcome,
+        loaded.data.treatment,
+        loaded.data.covariates,
+        loaded.data.strata,
+        loaded.cluster_ids,
+    ]
+
+
+def labelled_rows(n, labels=("a", "b")):
+    """n random rows with stratum s and cluster g label columns."""
+    rng = np.random.default_rng(n)
+    y, x1, x2 = rng.standard_normal((3, n)).tolist()
+    t = rng.integers(0, 2, n).tolist()
+    return "".join(
+        f"{y[i]!r},{t[i]},{x1[i]!r},{x2[i]!r},{labels[i % len(labels)]},g{i % 7}\n"
+        for i in range(n)
+    )
+
+
+LABELLED_HEAD = "y,t,x1,x2,s,g\n"
+
+
+def split_case(name):
+    """The bytes of one equivalence case of the range-split parse."""
+    rows = labelled_rows(40)
+    if name == "blank_lines_at_split":
+        # The blank run covers every cut point, and the body starts blank.
+        return (LABELLED_HEAD + "\n\n" + labelled_rows(5) + "\n" * 20000 + rows).encode()
+    if name == "crlf":
+        return (LABELLED_HEAD + rows).replace("\n", "\r\n").encode()
+    if name == "no_trailing_newline":
+        return (LABELLED_HEAD + rows).rstrip("\n").encode()
+    if name == "label_in_one_range":
+        return (LABELLED_HEAD + rows + labelled_rows(3, ("only_last",))).encode()
+    if name == "labels_differ_by_spaces_or_nul":
+        return (LABELLED_HEAD + labelled_rows(40, ("a", " a", "a ", "a\x00", "b\x00\x00", "b"))).encode()
+    raise AssertionError(name)
+
+
+@SPLIT_PARSE
+class TestRangeSplitParse:
+    """A body cut into k line-aligned ranges, parsed in forked children,
+    loads the same bits and raises the same errors as one range."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_golden_fixture(self, monkeypatch, k):
+        config = AnalyzeConfig(
+            input_path=str(FIXTURE_CSV), outcome="y", treatment="t", covariates=("x1", "x2", "x3")
+        )
+        with parse_ranges(monkeypatch, 1) as calls:
+            one = load_dataset(config)
+        assert calls == {"fork": 0, "whole_file": 1}
+        fds = len(os.listdir("/proc/self/fd"))
+        with parse_ranges(monkeypatch, k) as calls:
+            split = load_dataset(config)
+            report = json_bytes(build_analyze_report(config))
+        assert calls == {"fork": 2 * (k - 1), "whole_file": 0}
+        assert_same_arrays(split, one)
+        assert report == GOLDEN_JSON.read_bytes()
+        assert_no_children_or_fds_left(fds)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "blank_lines_at_split",
+            "crlf",
+            "no_trailing_newline",
+            "label_in_one_range",
+            "labels_differ_by_spaces_or_nul",
+        ],
+    )
+    def test_same_arrays_and_codes_as_one_range(self, tmp_path, monkeypatch, case, k):
+        path = tmp_path / "data.csv"
+        path.write_bytes(split_case(case))
+        config = config_for(str(path), strata="s", cluster="g")
+        with parse_ranges(monkeypatch, 1):
+            one = load_dataset(config)
+        # A range of blank lines alone would make loadtxt warn.
+        with parse_ranges(monkeypatch, k) as calls, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            split = load_dataset(config)
+        assert calls["fork"] and not calls["whole_file"]
+        assert_same_arrays(split, one)
+        if case == "labels_differ_by_spaces_or_nul":
+            # As np.unique(labels.astype(str)) numbers them: a trailing NUL
+            # is dropped, surrounding spaces are kept.
+            assert one.data.strata[:6].tolist() == [1, 0, 2, 1, 3, 3]
+
+    @pytest.mark.parametrize(
+        "last_row, error",
+        [
+            (b"1.5,1,abc,0.4,a,g1", NonFiniteValue),
+            (b"1.5,1,0.3,a,g1", WrongFieldCount),
+            (b"1.5,1,0.3,0.4,\xff,g1", InputDataError),
+            (b"1.5,2,0.3,0.4,a,g1", NonBinaryTreatment),
+        ],
+    )
+    def test_error_in_last_range_is_the_one_range_error(self, tmp_path, monkeypatch, last_row, error):
+        path = tmp_path / "data.csv"
+        # Past the first 8 KiB, which the header check decodes.
+        path.write_bytes(LABELLED_HEAD.encode() + labelled_rows(300).encode() + last_row + b"\n")
+        config = config_for(str(path), strata="s", cluster="g")
+        with parse_ranges(monkeypatch, 1), pytest.raises(error) as one:
+            load_dataset(config)
+        fds = len(os.listdir("/proc/self/fd"))
+        with parse_ranges(monkeypatch, 3) as calls, pytest.raises(error) as split:
+            load_dataset(config)
+        assert calls["fork"] == 2
+        assert (type(split.value), str(split.value)) == (type(one.value), str(one.value))
+        assert_no_children_or_fds_left(fds)
+
+    def test_lost_child_range_is_parsed_by_the_parent(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        path.write_bytes(split_case("label_in_one_range"))
+        config = config_for(str(path), strata="s", cluster="g")
+        with parse_ranges(monkeypatch, 1):
+            one = load_dataset(config)
+        fds = len(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(residcheck.io, "_parse_in_child", lambda *args: os._exit(1))
+        with parse_ranges(monkeypatch, 3) as calls:
+            split = load_dataset(config)
+        assert calls == {"fork": 2, "whole_file": 0}
+        assert_same_arrays(split, one)
+        assert_no_children_or_fds_left(fds)
+
+    def test_interrupt_kills_and_reaps_every_child(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        path.write_bytes(split_case("crlf"))
+        parent = os.getpid()
+
+        def interrupted_here_stuck_in_children(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(residcheck.io, "_parse_range", interrupted_here_stuck_in_children)
+        fds = len(os.listdir("/proc/self/fd"))
+        start = time.monotonic()
+        with parse_ranges(monkeypatch, 3) as calls, pytest.raises(KeyboardInterrupt):
+            load_dataset(config_for(str(path), strata="s", cluster="g"))
+        assert time.monotonic() - start < 30  # the stuck children were killed
+        assert calls["fork"] == 2
+        assert_no_children_or_fds_left(fds)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            labelled_csv(["a"] * 6, quote=True),
+            WELL_FORMED.replace("2.0,0,0.3,0.1\n", "2.0,0,0.3,0.1\r"),
+            WELL_FORMED + "\r",
+        ],
+    )
+    def test_quotes_or_a_lone_cr_read_as_one_range(self, tmp_path, monkeypatch, text):
+        path = write(tmp_path, text)
+        cluster = "g" if text.startswith("y,t,x1,x2,g") else None
+        with parse_ranges(monkeypatch, 3) as calls:
+            assert load_dataset(config_for(path, cluster=cluster)).data.n == 6
+        assert calls == {"fork": 0, "whole_file": 1}
+
+    def test_cli_output_matches_one_range(self, tmp_path, monkeypatch):
+        # Just over the size at which a two-core machine cuts the body in two.
+        row_bytes = len(labelled_rows(100)) / 100
+        rows = labelled_rows(int(2.05 * residcheck.io._MIN_RANGE_BYTES / row_bytes))
+        assert len(rows) > 2 * residcheck.io._MIN_RANGE_BYTES
+        path = tmp_path / "large.csv"
+        path.write_text(LABELLED_HEAD + rows)
+        result = run_cli(
+            "analyze", "--input", str(path), "--covariates", "x1,x2",
+            "--strata-col", "s", "--cluster-col", "g", python_flags=("-W", "error"),
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        config = config_for(str(path), strata="s", cluster="g", covariance_mode="cluster")
+        assert result.stdout == json_bytes(build_analyze_report(config))
+
+
 class TestAnalyzeReport:
     def test_golden_bytes(self):
         config = AnalyzeConfig(
@@ -346,14 +577,14 @@ class TestAnalyzeReport:
         )
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, python_flags=()):
     import os
 
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "residcheck.cli", *args],
+        [sys.executable, *python_flags, "-m", "residcheck.cli", *args],
         capture_output=True,
         env=env,
     )
