@@ -11,15 +11,17 @@ below instead, which makes the output bytes independent of the BLAS kernel:
   depends on the row length alone. ``gram(cols)[i, j]`` and
   ``dot(cols[i], cols[j])`` give the same bits.
 * ``group_sums`` adds each row up within groups in row order
-  (``np.bincount``), as ``np.add.at`` would, at a fraction of its cost.
+  (``np.bincount``), as ``np.add.at`` would, at a fraction of its cost;
+  ``dense_codes`` gives it the group codes of any labels.
 * ``cholesky``, ``solve_lower`` and ``cho_solve`` factor and solve small
   p x p systems (the check block, the long regression's normal equations),
   each inner product summed left to right.
 
-Every routine but ``group_sums`` works over the last axis (or last two) and
-takes any leading batch axes, so a stack of B problems is one call whose
-member b has the bits of a call on member b alone: the loops above run over
-the p or k entries of one member, each step elementwise over the stack.
+Every routine but ``group_sums`` and ``dense_codes`` works over the last
+axis (or last two) and takes any leading batch axes, so a stack of B
+problems is one call whose member b has the bits of a call on member b
+alone: the loops above run over the p or k entries of one member, each step
+elementwise over the stack.
 """
 
 from __future__ import annotations
@@ -58,6 +60,22 @@ def gram(cols: np.ndarray) -> np.ndarray:
             np.multiply(rows[i], rows[j], out=product)
             out[..., i, j] = out[..., j, i] = np.add.reduce(product, axis=-1)
     return out
+
+
+def dense_codes(labels) -> np.ndarray:
+    """Codes 0..G-1 of the labels in sorted order, as ``np.unique``'s inverse gives them.
+
+    Integer labels that already are such codes (least 0, and every code up to
+    the largest used, as :func:`io.load_dataset` returns them) come back
+    unchanged, without a sort; any other labels go through ``np.unique``.
+    """
+    labels = np.asarray(labels)
+    if (
+        labels.dtype.kind in "iu" and labels.size and np.can_cast(labels.dtype, np.intp)
+        and labels.min() == 0 and labels.max() < labels.size and np.bincount(labels).all()
+    ):
+        return labels
+    return np.unique(labels, return_inverse=True)[1]
 
 
 def group_sums(codes: np.ndarray, rows: np.ndarray) -> np.ndarray:

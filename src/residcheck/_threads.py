@@ -1,20 +1,29 @@
-"""Deterministic batch parallelism.
+"""Deterministic batch parallelism for the labs' draws.
 
 Work is split into batches whose random streams are spawned from the
-experiment seed by batch index, and results are gathered in batch order, so
-output is byte-identical at any worker count. The RESID_THREADS environment
-variable caps the worker pool; the default is single threaded.
+experiment seed by batch index. A lab stage draws every batch from its own
+stream, possibly on several workers, joins the draws in batch order and
+estimates once over the joined stack (:func:`run_stage`), or once per stack
+of at most _STACK_REPS replications in a larger stage. Every step of an
+estimate is elementwise over the replication axis, so output is
+byte-identical at any worker count and any stack length. The RESID_THREADS
+environment variable caps the worker pool, which runs the draws only; the
+default is single threaded.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
+
+import numpy as np
 
 from .errors import ConfigError
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -42,3 +51,80 @@ def map_batches(fn: Callable[[int], T], n_batches: int, threads: int | None = No
     with ThreadPoolExecutor(max_workers=min(workers, n_batches)) as pool:
         return list(pool.map(fn, range(n_batches)))
 
+
+# A stage estimates at most this many replications at once, unless one batch
+# holds more: the stacked draws and their temporaries take a few kilobytes
+# per replication at p = 3, so memory stays bounded at large reps, while the
+# per-call cost of an estimate is already small next to its work.
+_STACK_REPS = 4096
+
+
+def join(parts: Sequence):
+    """Per-batch records joined along the replication axis (axis 0), in order.
+
+    Arrays are concatenated, tuples and dataclass records joined entry by
+    entry; any other entry (None, or a scalar that every batch shares) is
+    taken from the first part. A single part is returned as it is.
+    """
+    first = parts[0]
+    if len(parts) == 1:
+        return first
+    if isinstance(first, np.ndarray):
+        return np.concatenate(parts)
+    if isinstance(first, tuple):
+        return tuple(join(entries) for entries in zip(*parts))
+    if dataclasses.is_dataclass(first):
+        return dataclasses.replace(first, **{
+            f.name: join([getattr(part, f.name) for part in parts])
+            for f in dataclasses.fields(first) if f.init
+        })
+    return first
+
+
+def _stacks(batches: Sequence[int], sizes: Sequence[int]) -> list[list[int]]:
+    """The batches in consecutive runs of at most _STACK_REPS replications, or of one batch."""
+    stacks, total = [], 0
+    for b in batches:
+        if not stacks or total + sizes[b] > _STACK_REPS:
+            stacks.append([])
+            total = 0
+        stacks[-1].append(b)
+        total += sizes[b]
+    return stacks
+
+
+def _estimate_stack(draw, estimate, stack: list[int], threads: int | None):
+    """estimate of the joined draws of one stack of batches (:func:`run_stage`)."""
+    try:
+        # The per-batch parts are freed once joined, before the estimate runs.
+        return estimate(join(map_batches(lambda i: draw(stack[i]), len(stack), threads)))
+    except Exception as exc:  # any error: replayed, then raised
+        failure = exc
+    for b in stack:
+        estimate(draw(b))
+    raise failure
+
+
+def run_stage(
+    draw: Callable[[int], T],
+    estimate: Callable[[T], R],
+    batches: Sequence[int],
+    sizes: Sequence[int],
+    threads: int | None = None,
+) -> R:
+    """estimate of the joined draws of the batches: draws on the worker pool, few estimates.
+
+    ``draw(b)`` makes the draws of batch b, of ``sizes[b]`` replications,
+    from its own stream; ``estimate`` maps draws to results elementwise over
+    the replication axis, so each replication has the bits its batch alone
+    gives it. The batches are estimated in consecutive stacks of at most
+    _STACK_REPS replications (one stack at the labs' usual sizes), and the
+    results joined. A stacked gate raises for its first failing member, which
+    need not be the error that running the batches in order, each drawn and
+    then estimated, meets first. So on any error the stack is replayed that
+    way, and raises what the first failing batch raises; only if no batch
+    fails alone does the stack's own error propagate.
+    """
+    return join([
+        _estimate_stack(draw, estimate, stack, threads) for stack in _stacks(batches, sizes)
+    ])

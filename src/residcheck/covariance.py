@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fixed_order import gram, group_sums
+from ._fixed_order import dense_codes, gram, group_sums
 from .core import JointCovariance
 from .errors import DegenerateResidualVariance, DimensionMismatch, TooFewClusters
 
@@ -91,7 +91,7 @@ def covariance_matrix(contrib: InfluenceContributions) -> np.ndarray:
     means = np.add.reduce(cols, axis=-1) / n
     if contrib.cluster_ids is None:
         return gram(cols - means[..., None]) / n
-    _, inverse = np.unique(contrib.cluster_ids, return_inverse=True)
+    inverse = dense_codes(contrib.cluster_ids)
     n_clusters = int(inverse.max()) + 1
     if n_clusters < contrib.p_gamma + 2:
         raise TooFewClusters(

@@ -6,7 +6,7 @@ Two families:
   (d_c, d_g) joint normal, so c_hat = c_true + mean(d_c) and gamma_hat =
   mean(d_g) have their asymptotic joint law exactly at every n. Replications
   draw the sample mean and covariance from their exact laws, not n rows,
-  under the base model (``replicate_batch``) and under the misspecification
+  under the base model (``draw_replications``) and under the misspecification
   lab's perturbed law, whose weights read only z = u / sd_u at the exact
   norm sd_u = sqrt(a' Sigma a): :meth:`GaussianPairDGP.perturbed_draws`
   draws z once per mu and each lam's :class:`ScoreCoordinate` maps it.
@@ -18,16 +18,20 @@ Two families:
   n rows (:func:`rct.arm_statistics`); ``draw_matrix`` still draws rows.
 
 Both expose the population covariance blocks, influence evaluators on raw
-data points, and a batched replication method returning one
-:class:`BatchReplications` record, so the labs can aggregate without caring
-which family produced it. The record carries the check block's Cholesky
-factor from the batch's single covariance validation, not the block itself.
+data points, and a replication pair split at the random numbers:
+``draw_replications`` makes a batch's draws from its stream, and
+``estimate_replications`` maps any number of batches' joined draws to one
+:class:`BatchReplications` record, every step elementwise over the
+replications. A lab thus draws per batch and estimates once per stage, or
+per bounded stack of a large stage (:func:`_threads.run_stage`), without
+caring which family drew. The record carries the check block's Cholesky
+factor from the stage's single covariance validation, not the block itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -40,9 +44,9 @@ from .rct import RctDataset, arm_statistics, long_coefficients
 
 @dataclass(frozen=True)
 class BatchReplications:
-    """Aligned per-replication arrays of a DGP batch or, joined, of a lab run.
+    """Aligned per-replication arrays of a lab stage or, joined, of a lab run.
 
-    ``chol_gg`` is the Sigma_gg factor from the batch's covariance validation;
+    ``chol_gg`` is the Sigma_gg factor from the stage's covariance validation;
     the long estimator is RCT only; the selection lab sets ``t_stats`` and ``passed``.
     """
 
@@ -56,15 +60,6 @@ class BatchReplications:
     se_long: np.ndarray | None = None
     t_stats: np.ndarray | None = None
     passed: np.ndarray | None = None
-
-    @classmethod
-    def concat(cls, parts) -> "BatchReplications":
-        """The parts joined along the replication axis, field by field."""
-        return cls(**{
-            f.name: None if getattr(parts[0], f.name) is None
-            else np.concatenate([getattr(part, f.name) for part in parts])
-            for f in fields(cls)
-        })
 
     def estimators(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """(estimate, standard error) per estimator, in report order."""
@@ -88,15 +83,35 @@ def _times_lower_t(z: np.ndarray, low: np.ndarray) -> np.ndarray:
     return z
 
 
-def _normal_sums(rng: np.random.Generator, low: np.ndarray, counts: np.ndarray):
+@dataclass(frozen=True)
+class NormalDraws:
+    """Standard draws behind the sample means and scatters of counts[b] rows from N(0, L L').
+
+    Per replication b: the count, z ~ N(0, I_k) and the Bartlett factor A' of
+    a Wishart(counts[b] - 1, I_k) draw (:func:`_draw_normal`).
+    """
+
+    counts: np.ndarray
+    z: np.ndarray
+    bartlett: np.ndarray
+
+
+def _draw_normal(rng: np.random.Generator, k: int, counts: np.ndarray) -> NormalDraws:
+    """The draws of :func:`_normal_sums`: standard_normal((size, k)), then :func:`_bartlett`."""
+    z = rng.standard_normal((counts.shape[0], k))
+    return NormalDraws(counts, z, _bartlett(rng, k, counts - 1))
+
+
+def _normal_sums(draws: NormalDraws, low: np.ndarray):
     """Sample means and scatter matrices of counts[b] rows from N(0, L L'), for each b.
 
     The mean is L z / sqrt(count), z ~ N(0, I). The scatter about it is independent
-    and Wishart(count - 1, L L') (:func:`_bartlett`, :func:`_scatter`).
+    and Wishart(count - 1, L L') (:func:`_bartlett`, :func:`_scatter`). The draws
+    are left unchanged.
     """
-    means = _times_lower_t(rng.standard_normal((counts.shape[0], low.shape[0])), low)
-    means /= np.sqrt(counts)[:, None]
-    return means, _scatter(_bartlett(rng, low.shape[0], counts - 1), low)
+    means = _times_lower_t(draws.z.copy(), low)
+    means /= np.sqrt(draws.counts)[:, None]
+    return means, _scatter(draws.bartlett.copy(), low)
 
 
 def _bartlett(rng: np.random.Generator, k: int, dof: np.ndarray) -> np.ndarray:
@@ -189,43 +204,47 @@ class ScoreCoordinate:
     b: np.ndarray
     low_w: np.ndarray
 
+    def _lift(self, x: np.ndarray) -> np.ndarray:
+        """(..., p) -> (..., 1 + p): prepend the coordinate c = lam'x."""
+        return np.concatenate([_fixed_order.dot(x, self.lam)[..., None], x], axis=-1)
+
+    def perturbed_means(self, draws: PerturbedDraws) -> np.ndarray:
+        """The (size, 1 + p) sample means of :meth:`perturbed_moments`, without the covariances.
+
+        u_bar = sd_u z_bar and the mean of w_g is L_w z1 / sqrt(n).
+        """
+        w_mean = _times_lower_t(draws.z1.copy(), self.low_w)
+        w_mean /= math.sqrt(draws.n)
+        return _outer(self.sd_u * draws.z_mean, self.b) + self._lift(w_mean)
+
     def perturbed_moments(self, draws: PerturbedDraws) -> tuple[np.ndarray, np.ndarray]:
-        """Sample means and 1/n covariances of a perturbed batch at this lam.
+        """Sample means and 1/n covariances of perturbed replications at this lam.
 
         One (size, 1 + p) and one (size, 1 + p, 1 + p) array, from the
-        standard draws of the batch, which are left unchanged. u = sd_u z
-        gives u_bar = sd_u z_bar and S_uu = sd_u^2 S_zz. Given the drawn u,
-        the sums of w_g have exact laws (Cochran): sum w_g = sqrt(n) L_w z1,
-        sum (u - u_bar) w_g = sqrt(S_uu) L_w z2, and the scatter of w_g is
-        L_w (z2 z2' + A A') L_w'.
+        standard draws, which are left unchanged. u = sd_u z gives u_bar =
+        sd_u z_bar and S_uu = sd_u^2 S_zz. Given the drawn u, the sums of w_g
+        have exact laws (Cochran): sum w_g = sqrt(n) L_w z1, sum (u - u_bar)
+        w_g = sqrt(S_uu) L_w z2, and the scatter of w_g is L_w (z2 z2' + A
+        A') L_w'.
         """
-        lam, b, low_w, n = self.lam, self.b, self.low_w, draws.n
-        u_mean = self.sd_u * draws.z_mean
+        b, low_w, n = self.b, self.low_w, draws.n
         s_uu = (self.sd_u * self.sd_u) * draws.s_zz
-        w_mean = _times_lower_t(draws.z1.copy(), low_w)
-        w_mean /= math.sqrt(n)
         cross = _times_lower_t(draws.z2.copy(), low_w)
         w_scatter = _scatter(draws.bartlett.copy(), low_w) + _outer(cross, cross)
         cross *= np.sqrt(s_uu)[:, None]
-
-        def lift(x: np.ndarray) -> np.ndarray:
-            """(..., p) -> (..., 1 + p): prepend the coordinate c = lam'x."""
-            return np.concatenate([_fixed_order.dot(x, lam)[..., None], x], axis=-1)
-
-        means = _outer(u_mean, b) + lift(w_mean)
-        cross = lift(cross)
+        cross = self._lift(cross)
         scatter = s_uu[:, None, None] * _outer(b, b)
         scatter += _outer(b, cross) + _outer(cross, b)
-        scatter += lift(np.swapaxes(lift(w_scatter), -1, -2))
-        return means, scatter / n
+        scatter += self._lift(np.swapaxes(self._lift(w_scatter), -1, -2))
+        return self.perturbed_means(draws), scatter / n
 
 
 @dataclass(frozen=True)
 class GaussianPairDGP:
     """Joint normal influence vector (d_c, d_g) with covariance Sigma = L L'.
 
-    :meth:`replicate_batch` draws a replication's sample mean and 1/n sample
-    covariance from their exact laws (:func:`_normal_sums`), not n rows.
+    A replication's sample mean and 1/n sample covariance come from their
+    exact laws (:func:`_normal_sums`), not n rows.
     """
 
     sigma_c_sq: float = 1.0
@@ -304,13 +323,17 @@ class GaussianPairDGP:
     def estimate_plugin_residualized(self, data: np.ndarray) -> float:
         return float(self.plugin_from_moments(*sample_moments(data)))
 
-    def replicate_batch(self, rng: np.random.Generator, n: int, size: int) -> BatchReplications:
-        """size independent replications at sample size n, through :class:`JointCovariance`.
+    def draw_replications(self, rng: np.random.Generator, n: int, size: int) -> NormalDraws:
+        """The standard draws of size independent replications at sample size n."""
+        return _draw_normal(rng, 1 + self.p_gamma, np.full(size, n))
+
+    def estimate_replications(self, draws: NormalDraws, n: int) -> BatchReplications:
+        """Replications from joined :meth:`draw_replications`, by one :class:`JointCovariance`.
 
         A degenerate replication (reachable only near n = p + 2) raises
         :class:`DegenerateResidualVariance`.
         """
-        means, scatter = _normal_sums(rng, self._chol_full, np.full(size, n))
+        means, scatter = _normal_sums(draws, self._chol_full)
         cov = scatter / n
         sigma = JointCovariance(cov[:, 0, 0], cov[:, 0, 1:], cov[:, 1:, 1:], n)
         c_short = self.c_true + means[:, 0]
@@ -514,32 +537,50 @@ class RctLinearDGP:
 
         return score
 
-    def replicate_batch(self, rng: np.random.Generator, n: int, size: int) -> BatchReplications:
-        """size replications from per-arm sufficient statistics, not rows.
+    def draw_replications(
+        self, rng: np.random.Generator, n: int, size: int
+    ) -> tuple[NormalDraws, NormalDraws]:
+        """The draws of size replications: treated counts, then each arm's standard draws.
 
-        n1 ~ Binomial(n, pi). In arm a, (x, y) = L_a (x, e) + (0, alpha +
-        tau a) for standard normal (x, e), with L_a = [[I, 0], [b_a',
-        noise_sd]], b_1 = beta + interaction and b_0 = beta, so each arm's
-        mean and scatter come from :func:`_normal_sums`.
-        :func:`rct.arm_statistics` maps them to what the adapter computes
-        from rows, and the p x p half runs once over the batch.
+        n1 ~ Binomial(n, pi), and an arm below 2 units raises :class:`EmptyArm`
+        before any other draw. Each arm draws the (x, e) behind its mean and
+        scatter, treated first (:func:`_draw_normal`).
         """
-        p = self.p_gamma
         n1 = rng.binomial(n, self.pi, size)
         small = np.minimum(n1, n - n1) < 2
         if small.any():
             raise EmptyArm(f"each arm needs at least 2 units, got {n1[small][0]} treated of {n}")
+        treated = _draw_normal(rng, 1 + self.p_gamma, n1)
+        return treated, _draw_normal(rng, 1 + self.p_gamma, n - n1)
+
+    def _arm_sums(self, draws: tuple[NormalDraws, NormalDraws]) -> tuple[list, list]:
+        """The (treated, control) means and scatters of y, x_1..x_p, in the adapter's order."""
+        p = self.p_gamma
         order = np.roll(np.arange(1 + p), 1)  # (x, y) -> the adapter's (y, x)
         means, scatters = [], []
-        for count, coef, shift in ((n1, self.beta + self.interaction, self.alpha + self.tau),
-                                   (n - n1, self.beta, self.alpha)):
+        for arm, coef, shift in zip(draws, (self.beta + self.interaction, self.beta),
+                                    (self.alpha + self.tau, self.alpha)):
             low = np.eye(1 + p)
             low[p, :p], low[p, p] = coef, self.noise_sd
-            mean, scatter = _normal_sums(rng, low, count)
+            mean, scatter = _normal_sums(arm, low)
             mean[:, p] += shift
             means.append(mean[:, order])
             scatters.append(scatter[:, order][:, :, order])
-        slopes, cov, partialled, x_sq = arm_statistics(n, n1, means, scatters)
+        return means, scatters
+
+    def estimate_replications(
+        self, draws: tuple[NormalDraws, NormalDraws], n: int
+    ) -> BatchReplications:
+        """Replications from joined :meth:`draw_replications`, by per-arm sufficient statistics.
+
+        In arm a, (x, y) = L_a (x, e) + (0, alpha + tau a) for standard
+        normal (x, e), with L_a = [[I, 0], [b_a', noise_sd]], b_1 = beta +
+        interaction and b_0 = beta, so each arm's mean and scatter come from
+        :func:`_normal_sums`. :func:`rct.arm_statistics` maps them to what
+        the adapter computes from rows, and the p x p half runs once over
+        every replication.
+        """
+        slopes, cov, partialled, x_sq = arm_statistics(n, draws[0].counts, *self._arm_sums(draws))
         sigma = JointCovariance(cov[:, 0, 0], cov[:, 0, 1:], cov[:, 1:, 1:], n)
         c_short, gamma = slopes[:, 0], slopes[:, 1:]
         beta_long = long_coefficients(partialled, x_sq)

@@ -18,11 +18,12 @@ runners (:func:`measure_gaussian_bias`, behind ``simulate --lab misspec``,
 and the lambda profile :func:`worst_case_bias_profile`) report predicted =
 mu sqrt(a' Sigma a), with predicted_se 0, and draw no calibration sample. A
 batch draws once per mu, in standard units
-(:meth:`GaussianPairDGP.perturbed_draws`), and every lambda maps the same
-draws (:meth:`ScoreCoordinate.perturbed_moments`). Before any draw, they
-refuse a run in which n reps erfc(sqrt(n) / (mu sqrt(2))), the expected
-number of its draws whose weight leaves [0, 2] at the largest mu, reaches
-1: at mu = 2, n = 16 from 2 reps on, and every n at a huge mu.
+(:meth:`GaussianPairDGP.perturbed_draws`); the batches' draws are joined and
+mapped once (:meth:`ScoreCoordinate.perturbed_moments`, then the estimator's
+moment map), and in the profile every lambda maps the same draws. Before any
+draw, they refuse a run in which n reps erfc(sqrt(n) / (mu sqrt(2))), the
+expected number of its draws whose weight leaves [0, 2] at the largest mu,
+reaches 1: at mu = 2, n = 16 from 2 reps on, and every n at a huge mu.
 
 The row sampler over any base-model sampler and one score
 (:func:`sample_perturbed`, :func:`measure_bias`) is rejection sampling with
@@ -41,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._threads import batch_sizes, map_batches
+from ._threads import batch_sizes, run_stage
 from .errors import (
     ConfigError,
     InvalidCovariance,
@@ -244,13 +245,16 @@ def _measure(
     threads: int | None,
     max_total_draws: int,
     prediction: Callable[[np.random.Generator], tuple[float, float]],
-    draw_estimates: Callable[[np.random.Generator, int], np.ndarray],
+    draw: Callable[[np.random.Generator, int], object],
+    estimate: Callable[[object], np.ndarray],
 ) -> BiasMeasurement:
-    """The bias runners' shared frame: budget, prediction, then batches of replications.
+    """The bias runners' shared frame: budget, prediction, then one stage of every batch.
 
     ``prediction(rng)`` returns the predicted bias and its MC SE, given the
-    spare stream for any calibration sample. ``draw_estimates(rng, size)``
-    returns the estimates of size replications from the stream of their batch.
+    spare stream for any calibration sample. ``draw(rng, size)`` makes the
+    draws of size replications from the stream of their batch, and
+    ``estimate`` maps every batch's joined draws to their estimates at once
+    (:func:`_threads.run_stage`).
     """
     if reps * n > max_total_draws:
         raise ConfigError(
@@ -260,13 +264,11 @@ def _measure(
     sizes = batch_sizes(reps, _N_BATCHES)
     children = ss.spawn(len(sizes) + 1)
     predicted, predicted_se = prediction(np.random.default_rng(children[-1]))
-    root_n = math.sqrt(n)
-
-    def run_batch(b: int) -> np.ndarray:
-        estimates = draw_estimates(np.random.default_rng(children[b]), sizes[b])
-        return root_n * (estimates - estimator.c_true)
-
-    scaled = np.concatenate(map_batches(run_batch, len(sizes), threads))
+    estimates = run_stage(
+        lambda b: draw(np.random.default_rng(children[b]), sizes[b]), estimate,
+        range(len(sizes)), sizes, threads,
+    )
+    scaled = math.sqrt(n) * (estimates - estimator.c_true)
     return BiasMeasurement(
         sqrt_n_bias=float(scaled.mean()),
         mc_se=float(scaled.std(ddof=1) / math.sqrt(reps)),
@@ -305,6 +307,7 @@ def measure_bias(
         return float(products.mean()), float(products.std(ddof=1) / math.sqrt(len(products)))
 
     def draw_estimates(rng: np.random.Generator, size: int) -> np.ndarray:
+        # Each replication's rows are estimated as soon as they are drawn.
         return np.array([
             estimator.estimate(_draw_accepted(rng, p0_sampler, score, n))
             for _ in range(size)
@@ -312,7 +315,7 @@ def measure_bias(
 
     return _measure(
         estimator, score.mu, n, reps, seed, threads, max_total_draws, prediction,
-        draw_estimates,
+        draw_estimates, lambda estimates: estimates,
     )
 
 
@@ -329,8 +332,9 @@ def measure_gaussian_bias(
 ) -> BiasMeasurement:
     """:func:`measure_bias` on a :class:`GaussianPairDGP` under psi_lam's worst-case score of size mu.
 
-    The same seeds and batches; a batch draws its replications' sample
-    moments at once and maps them through ``estimator.from_moments``.
+    The same seeds and batches; a batch draws its replications in standard
+    units, and the joined draws of every batch are mapped to sample moments
+    and through ``estimator.from_moments`` once.
     predicted is mu ||psi_lam|| = mu sd_u exactly, with predicted_se 0: the
     worst-case bias of an influence that is psi_lam itself. Both are linear
     in d, so they are compared once on the 1 + p unit rows, before any draw,
@@ -348,13 +352,11 @@ def measure_gaussian_bias(
     coordinate = dgp.score_coordinate(lam)
     _check_start(n, reps, mu)
 
-    def draw_estimates(rng: np.random.Generator, size: int) -> np.ndarray:
-        means, cov = coordinate.perturbed_moments(dgp.perturbed_draws(rng, n, size, mu))
-        return estimator.from_moments(means, cov, n)
-
     return _measure(
         estimator, mu, n, reps, seed, threads, max_total_draws,
-        lambda rng: (mu * coordinate.sd_u, 0.0), draw_estimates,
+        lambda rng: (mu * coordinate.sd_u, 0.0),
+        lambda rng, size: dgp.perturbed_draws(rng, n, size, mu),
+        lambda draws: estimator.from_moments(*coordinate.perturbed_moments(draws), n),
     )
 
 
@@ -391,7 +393,9 @@ def worst_case_bias_profile(
     Each batch draws once per mu, restarting its stream, and every lambda
     maps those same draws, so all cells share their random numbers (which
     makes the argmin over the lambda grid detectable at moderate rep counts)
-    and a cell's result does not depend on the rest of the grid.
+    and a cell's result does not depend on the rest of the grid. Each mu is
+    one stage: its batches' draws are joined, and each lambda maps them once,
+    to sample means only, as the fixed-lambda estimate reads no covariance.
     predicted_bias is mu ||psi_lambda|| = mu sd_u exactly. Scalar checks only.
     """
     if dgp.p_gamma != 1:
@@ -408,18 +412,22 @@ def worst_case_bias_profile(
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     root_n = math.sqrt(n)
 
-    def run_batch(b: int) -> np.ndarray:
-        scaled = np.empty((mus.shape[0], len(coordinates), sizes[b]))
-        for a, mu in enumerate(mus):
-            rng = np.random.default_rng(children[b])  # the same stream for every mu
-            draws = dgp.perturbed_draws(rng, n, sizes[b], mu)
-            for k, coord in enumerate(coordinates):
-                means, cov = coord.perturbed_moments(draws)
-                estimates = dgp.fixed_from_moments(means, cov, n, coord.lam)
-                scaled[a, k] = root_n * (estimates - dgp.c_true)
-        return scaled
+    def estimate(draws) -> tuple[np.ndarray, ...]:
+        """The sqrt(n)-scale errors of the replications, one array per lambda."""
+        return tuple(
+            root_n * (dgp.fixed_from_moments(coord.perturbed_means(draws), None, n, coord.lam)
+                      - dgp.c_true)
+            for coord in coordinates
+        )
 
-    scaled = np.concatenate(map_batches(run_batch, len(sizes), threads), axis=-1)
+    # Each mu restarts every batch's stream.
+    scaled = np.array([
+        run_stage(
+            lambda b: dgp.perturbed_draws(np.random.default_rng(children[b]), n, sizes[b], mu),
+            estimate, range(len(sizes)), sizes, threads,
+        )
+        for mu in mus
+    ])
     squared = scaled**2
     return BiasProfile(
         lambdas=lambdas,

@@ -49,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._fixed_order import cho_solve, cholesky, dot, gram, group_sums, scalar_or_stack
+from ._fixed_order import cho_solve, cholesky, dense_codes, dot, gram, group_sums, scalar_or_stack
 from .core import JointCovariance, ResidualizationResult, residualize
 from .covariance import InfluenceContributions, joint_covariance
 from .errors import DimensionMismatch, EmptyArm, RankDeficientDesign, SingularCheckCovariance
@@ -151,7 +151,7 @@ def _demean(rows: np.ndarray, strata: np.ndarray | None) -> None:
     if strata is None:
         rows -= (np.add.reduce(rows, axis=-1) / n)[..., None]
         return
-    _, inverse = np.unique(strata, return_inverse=True)
+    inverse = dense_codes(strata)
     flat = rows.reshape(-1, n)  # a view: every row of every member
     means = group_sums(inverse, flat) / np.bincount(inverse)
     for row, mean in zip(flat, means):

@@ -11,18 +11,21 @@ truncated-normal oracle available in the scalar Gaussian case:
     Var(Z_s | |Z_g| <= t) = (1 - rho^2) + rho^2 Var(Z_g | |Z_g| <= t)
 
 Monte Carlo standard errors come from splitting the replications into
-contiguous batches (50 by default); the batches double as the unit of
-deterministic parallelism, so results are byte-identical at any thread
-count. The first batches that hold at least 1,000 replications also gate the
-run: output is emitted only when their pass rate lies in [0.02, 0.98], and
-they are reported with the rest, so no replication is drawn only to gate.
+contiguous batches (50 by default); each batch draws from its own seeded
+stream, so results are byte-identical at any thread count. The first batches
+that hold at least 1,000 replications also gate the run: output is emitted
+only when their pass rate lies in [0.02, 0.98], and they are reported with
+the rest, so no replication is drawn only to gate.
 
-A run has one record, :class:`dgps.BatchReplications`. Each batch
-standardizes its checks with the Cholesky factor that the validation of its
-covariances computed, and records T_n and the pass indicator; the batches are
-then joined. The summary computes every batch's count, mean, variance,
-coverage and rejection rate in one pass over the batch axis
-(``np.add.reduceat`` over the batch starts), and pools over all replications.
+A run is two stages, the head batches and then the rest, with the gate
+between them (:func:`_threads.run_stage`). A stage draws each of its batches
+(on the worker pool, if any), then estimates once over all their draws (per
+4,096 replications in a larger stage): one covariance validation, whose
+Cholesky factor standardizes the checks, and one application of the rule,
+recording T_n and the pass indicator in one :class:`dgps.BatchReplications`.
+The summary computes every batch's count, mean, variance, coverage and
+rejection rate in one pass over the batch axis (``np.add.reduceat`` over the
+batch starts), and pools over all replications.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from . import _fixed_order
 from ._distributions import Z975, chi2_cdf, normal_cdf, normal_pdf
-from ._threads import batch_sizes, map_batches
+from ._threads import batch_sizes, join, run_stage
 from .dgps import BatchReplications, GaussianPairDGP, RctLinearDGP
 from .errors import ConfigError, DegenerateRule, DomainError
 
@@ -188,13 +191,13 @@ class ConditionalStats:
     estimators: dict[str, dict[str, ConditionSummary]] = field(default_factory=dict)
 
 
-def _standardize_checks(batch: BatchReplications, n: int, oracle_chol: np.ndarray | None):
+def _standardize_checks(record: BatchReplications, n: int, oracle_chol: np.ndarray | None):
     """T_n = sqrt(n) L^{-1} gamma_hat with L the Cholesky factor of Sigma_gg.
 
     L is each replication's validated factor, or ``oracle_chol`` for all of them.
     """
-    chol = batch.chol_gg if oracle_chol is None else oracle_chol
-    return math.sqrt(n) * _fixed_order.solve_lower(chol, batch.gamma_hat)
+    chol = record.chol_gg if oracle_chol is None else oracle_chol
+    return math.sqrt(n) * _fixed_order.solve_lower(chol, record.gamma_hat)
 
 
 def simulate_replications(
@@ -209,28 +212,32 @@ def simulate_replications(
     before the remaining batches are drawn. Otherwise they are reported
     with the rest, so every replication drawn is reported.
     """
+    dgp, n = config.dgp, config.n
     sizes = batch_sizes(config.reps, _N_BATCHES)
     children = np.random.SeedSequence(config.seed).spawn(len(sizes))
     oracle_chol = None
     if config.oracle_sigma:
-        oracle_chol = config.dgp.population_covariance(config.n).chol_gg
+        oracle_chol = dgp.population_covariance(n).chol_gg
 
-    def run_batch(b: int) -> BatchReplications:
-        rng = np.random.default_rng(children[b])
-        batch = config.dgp.replicate_batch(rng, config.n, sizes[b])
-        t_stats = _standardize_checks(batch, config.n, oracle_chol)
-        return replace(batch, t_stats=t_stats, passed=config.rule.passes(t_stats))
+    def draw(b: int):
+        return dgp.draw_replications(np.random.default_rng(children[b]), n, sizes[b])
+
+    def estimate(draws) -> BatchReplications:
+        stage = dgp.estimate_replications(draws, n)
+        t_stats = _standardize_checks(stage, n, oracle_chol)
+        return replace(stage, t_stats=t_stats, passed=config.rule.passes(t_stats))
 
     head = int(np.searchsorted(np.cumsum(sizes), PILOT_REPS)) + 1
-    parts = map_batches(run_batch, head, threads)
-    head_rate = float(np.concatenate([part.passed for part in parts]).mean())
+    stages = [run_stage(draw, estimate, range(head), sizes, threads)]
+    head_rate = float(stages[0].passed.mean())
     if not PASS_RATE_FLOOR <= head_rate <= PASS_RATE_CEILING:
         raise DegenerateRule(
             f"head pass rate {head_rate:.4f} outside "
             f"[{PASS_RATE_FLOOR}, {PASS_RATE_CEILING}]; the rule is degenerate under this DGP"
         )
-    parts += map_batches(lambda i: run_batch(head + i), len(sizes) - head, threads)
-    return BatchReplications.concat(parts)
+    if head < len(sizes):
+        stages.append(run_stage(draw, estimate, range(head, len(sizes)), sizes, threads))
+    return join(stages)
 
 
 def _with_batch_se(pooled: float, per_batch: np.ndarray, counts: np.ndarray, least: int):

@@ -28,6 +28,11 @@ def scalar_sigma() -> JointCovariance:
     return JointCovariance(1.0, np.array([0.5]), np.eye(1), 100)
 
 
+def replications(dgp, rng, n, size):
+    """size replications of a lab DGP from one stream: its draws, then one estimate."""
+    return dgp.estimate_replications(dgp.draw_replications(rng, n, size), n)
+
+
 def moment_z_scores(a, b):
     """z-scores of the differences in mean and in variance of two samples, per column."""
     stats = []

@@ -178,7 +178,8 @@ def test_criterion_5_variance_ordering():
     children = np.random.SeedSequence(411200).spawn(n_batches)
 
     def run_batch(b):
-        reps = dgp.replicate_batch(np.random.default_rng(children[b]), n, sizes[b])
+        draws = dgp.draw_replications(np.random.default_rng(children[b]), n, sizes[b])
+        reps = dgp.estimate_replications(draws, n)
         return np.column_stack([reps.c_short, reps.c_long, reps.c_resid])
 
     ests = np.concatenate(map_batches(run_batch, n_batches, THREADS))

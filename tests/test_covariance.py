@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from residcheck import InfluenceContributions, joint_covariance
-from residcheck import JointCovariance
+from residcheck import InfluenceContributions, RctDataset, joint_covariance, residualized_estimator
+from residcheck import JointCovariance, _fixed_order
 from residcheck.covariance import covariance_matrix
 from residcheck.errors import (
     DegenerateResidualVariance,
@@ -152,3 +152,72 @@ class TestStandardErrors:
         sigma = joint_covariance(contrib)
         assert sigma.se_r == pytest.approx(np.sqrt(1 / 6), rel=1e-12)
 
+
+
+def _labels(kind, codes):
+    """Labels of one kind for the groups 0..G-1 of codes; all but strings sort as the codes do."""
+    if kind == "strings":
+        return np.array([f"g{99 - int(c)}" for c in codes])  # sorted backwards
+    if kind == "gaps":
+        return 7 * codes.astype(np.int64) - 3  # negative, not dense
+    if kind == "floats":
+        return codes / 4.0 + 0.5
+    if kind == "uint64":
+        return codes.astype(np.uint64)
+    if kind == "huge":
+        return np.where(codes == 0, 0, codes.astype(np.int64) + 10**15)
+    return codes.astype(kind)  # integer codes already dense
+
+
+class TestDenseCodes:
+    """Group codes skip the sort when the labels already are codes; the bits never change."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_dense_codes_come_back_without_a_sort(self, dtype, monkeypatch):
+        codes = np.random.default_rng(1).permutation(np.arange(40) % 7).astype(dtype)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.unique called on dense codes")
+
+        monkeypatch.setattr(np, "unique", no_sort)
+        assert _fixed_order.dense_codes(codes) is codes
+
+    @pytest.mark.parametrize("kind", ["strings", "gaps", "floats", "uint64", "huge"])
+    def test_other_labels_are_numbered_by_np_unique(self, kind):
+        codes = np.random.default_rng(2).permutation(np.arange(40) % 7)
+        labels = _labels(kind, codes)
+        got = _fixed_order.dense_codes(labels)
+        assert np.array_equal(got, np.unique(labels, return_inverse=True)[1])
+        assert np.array_equal(got, codes.max() - codes if kind == "strings" else codes)
+
+    def test_labels_with_an_unused_code(self):
+        labels = np.array([0, 2, 2, 0, 3])
+        assert _fixed_order.dense_codes(labels).tolist() == [0, 1, 1, 0, 2]
+
+    @pytest.mark.parametrize(
+        "kind", ["strings", "gaps", "floats", "uint64", "huge", np.int64, np.int32]
+    )
+    def test_public_api_bits_do_not_depend_on_the_labels(self, kind):
+        # Strata and clusters named by any labels give the bits of their np.unique
+        # codes, which the estimators computed before reading labels as codes.
+        rng = np.random.default_rng(3)
+        n, p = 240, 2
+        t = np.tile([0.0, 1.0, 1.0, 0.0], n // 4)
+        x = rng.standard_normal((n, p))
+        y = 0.5 * t + x @ np.array([1.0, -0.5]) + rng.standard_normal(n)
+        strata = rng.permutation(np.arange(n) % 4)
+        clusters = rng.permutation(np.arange(n) % 30)
+
+        def estimate(strata_labels, cluster_labels):
+            data = RctDataset(outcome=y, treatment=t, covariates=x, strata=strata_labels)
+            point, sigma = residualized_estimator(data, cluster_ids=cluster_labels)
+            values = np.swapaxes(data.influence[1], -1, -2)
+            iid = joint_covariance(InfluenceContributions(values, cluster_ids=cluster_labels))
+            return [point.c_r, sigma.full_matrix(), sigma.se_r, data.centered, iid.full_matrix()]
+
+        strata, clusters = _labels(kind, strata), _labels(kind, clusters)
+        got = estimate(strata, clusters)
+        codes = [np.unique(labels, return_inverse=True)[1] for labels in (strata, clusters)]
+        want = estimate(*codes)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)

@@ -8,8 +8,11 @@ import pytest
 from scipy.stats import kstest
 
 from residcheck.dgps import GaussianPairDGP, RctLinearDGP, sample_moments
+from residcheck import _threads
+from residcheck._threads import batch_sizes
 from residcheck.errors import (
     ConfigError,
+    DegenerateResidualVariance,
     InvalidCovariance,
     NegativeMu,
     WeightUnderflow,
@@ -17,8 +20,10 @@ from residcheck.errors import (
 )
 from residcheck.io import GaussianDgpSpec, ScoreSpec, SimulateConfig
 from residcheck.misspec import (
+    MAX_TOTAL_DRAWS,
     MisspecScore,
     _check_start,
+    _measure,
     _draw_accepted,
     bias_decomposition_check,
     check_weight_bound,
@@ -33,6 +38,7 @@ from residcheck.misspec import (
     worst_case_score,
     zero_score,
 )
+from residcheck.core import JointCovariance
 from residcheck.report import run_simulate
 
 from conftest import moment_z_scores
@@ -458,6 +464,146 @@ class TestBiasProfile:
             n=200, reps=100, seed=1,
         )
         assert counting.sizes == [2] * (3 * 50)
+
+
+def batch_streams(seed, reps):
+    """(generator, size) of each of the 50 batches of a run."""
+    children = np.random.SeedSequence(seed).spawn(51)
+    return [(np.random.default_rng(c), size) for c, size in zip(children, batch_sizes(reps, 50))]
+
+
+class TestStagedFrame:
+    """The bias runners draw per batch and estimate once; each estimate is its batch's own."""
+
+    # At most 100 replications per estimate: several stacks.
+    @pytest.mark.parametrize("stack_reps", [_threads._STACK_REPS, 100])
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize(
+        "make, n, mu",
+        # At n = 3 the Wishart(n - 2, I_2) factor has fewer degrees of freedom than p.
+        [(plugin_residualized_of, 60, 1.2), (short_estimator_of, 60, 1.2),
+         (lambda dgp: fixed_lambda_estimator_of(dgp, [0.3, -0.2]), 3, 0.1)],
+        ids=["plugin", "short", "fixed-small-n"],
+    )
+    def test_estimates_equal_batch_by_batch(self, make, n, mu, threads, stack_reps, monkeypatch):
+        monkeypatch.setattr(_threads, "_STACK_REPS", stack_reps)
+        estimator, reps, seed = make(PAIR_P2), 1003, 71
+        coordinate = PAIR_P2.score_coordinate(PAIR_P2.lambda_opt)
+
+        def draw(rng, size):
+            return PAIR_P2.perturbed_draws(rng, n, size, mu)
+
+        def estimate(draws):
+            return estimator.from_moments(*coordinate.perturbed_moments(draws), n)
+
+        stages = []
+        result = _measure(
+            estimator, mu, n, reps, seed, threads, MAX_TOTAL_DRAWS, lambda rng: (0.0, 0.0), draw,
+            lambda draws: stages.append(estimate(draws)) or stages[-1],
+        )
+        want = np.concatenate(
+            [estimate(draw(rng, size)) for rng, size in batch_streams(seed, reps)]
+        )
+        assert (len(stages) == 1) == (stack_reps >= reps)
+        assert np.array_equal(np.concatenate(stages), want)
+        assert result.sqrt_n_bias == float(np.mean(math.sqrt(n) * (want - estimator.c_true)))
+
+    @pytest.mark.parametrize("stack_reps", [_threads._STACK_REPS, 100])
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_profile_equals_batch_by_batch_moments(self, threads, stack_reps, monkeypatch):
+        monkeypatch.setattr(_threads, "_STACK_REPS", stack_reps)
+        # The profile maps sample means only; the full moment map gives the same estimates.
+        lam = float(PAIR.lambda_opt[0])
+        lambdas, mus, n, reps, seed = [0.0, lam, 2 * lam], [0.5, 2.0], 200, 1003, 18
+        profile = worst_case_bias_profile(
+            PAIR, lambdas, mus, n=n, reps=reps, seed=seed, threads=threads
+        )
+        coordinates = [PAIR.score_coordinate(value) for value in lambdas]
+        scaled = np.array([[
+            np.concatenate([
+                math.sqrt(n) * (PAIR.fixed_from_moments(
+                    *coord.perturbed_moments(PAIR.perturbed_draws(rng, n, size, mu)), n, coord.lam
+                ) - PAIR.c_true)
+                for rng, size in batch_streams(seed, reps)
+            ])
+            for coord in coordinates] for mu in mus])
+        assert np.array_equal(profile.bias, scaled.mean(axis=-1))
+        assert np.array_equal(profile.mse, (scaled**2).mean(axis=-1))
+        assert np.array_equal(profile.bias_se, scaled.std(axis=-1, ddof=1) / math.sqrt(reps))
+
+    def test_optimal_lambda_validates_one_stack(self, monkeypatch):
+        validate, calls = JointCovariance.__post_init__, []
+
+        def counting(self):
+            calls.append(np.shape(self.sigma_c_sq))
+            validate(self)
+
+        monkeypatch.setattr(JointCovariance, "__post_init__", counting)
+        run_simulate(SimulateConfig(
+            lab="misspec", n=400, reps=1003, seed=3,
+            dgp=GaussianDgpSpec(rho=0.5), score=ScoreSpec(lam="optimal", mu=0.5),
+        ))
+        # The rest are single population covariances, for lambda_opt.
+        assert [shape for shape in calls if shape] == [(1003,)]
+
+
+class FaultyPair:
+    """Delegates to a DGP; the perturbed draws of the batches in ``faults`` are corrupted, or raise.
+
+    A batch's index is the spawn key of its stream.
+    """
+
+    def __init__(self, dgp, faults):
+        self.dgp, self.faults = dgp, faults
+
+    def perturbed_draws(self, rng, n, size, mu):
+        draws = self.dgp.perturbed_draws(rng, n, size, mu)
+        fault = self.faults.get(rng.bit_generator.seed_seq.spawn_key[-1])
+        return draws if fault is None else fault(draws)
+
+    def __getattr__(self, name):
+        return getattr(self.dgp, name)
+
+
+def _scatter_along_b(draws):
+    # No scatter of w: the first replication's covariance is S_uu b b', of rank one.
+    z2, bartlett = draws.z2.copy(), draws.bartlett.copy()
+    z2[0], bartlett[0] = 0.0, 0.0
+    return dataclasses.replace(draws, z2=z2, bartlett=bartlett)
+
+
+def _no_scatter(draws):
+    s_zz = draws.s_zz.copy()
+    s_zz[0] = 0.0
+    return _scatter_along_b(dataclasses.replace(draws, s_zz=s_zz))
+
+
+def _weight_outside(draws):
+    raise WeightUnderflow("a weight 1 + s/sqrt(n) falls outside [0, 2] at n = 200")
+
+
+class TestErrorsInBatchOrder:
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_first_failing_batch_decides(self, threads):
+        # Batch 0 fails a late gate of validation, batch 1 the first, and batch 2 cannot be drawn.
+        dgp = FaultyPair(PAIR, {0: _scatter_along_b, 1: _no_scatter, 2: _weight_outside})
+        estimator, n, mu, reps, seed = plugin_residualized_of(PAIR), 200, 0.5, 1000, 72
+        coordinate = PAIR.score_coordinate(PAIR.lambda_opt)
+
+        def run_alone(rng, size):
+            draws = dgp.perturbed_draws(rng, n, size, mu)
+            estimator.from_moments(*coordinate.perturbed_moments(draws), n)
+
+        with pytest.raises(DegenerateResidualVariance) as alone:
+            for rng, size in batch_streams(seed, reps):
+                run_alone(rng, size)
+        with pytest.raises(DegenerateResidualVariance) as run:
+            measure_gaussian_bias(
+                estimator, dgp, PAIR.lambda_opt, mu, n=n, reps=reps, seed=seed, threads=threads
+            )
+        assert str(run.value) == str(alone.value)
+        with pytest.raises(InvalidCovariance):  # batch 1 alone
+            run_alone(*batch_streams(seed, reps)[1])
 
 
 class TestPinnedBits:

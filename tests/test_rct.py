@@ -31,7 +31,7 @@ from residcheck.errors import (
 )
 from residcheck.rct import arm_statistics, long_coefficients, long_normal_equations
 
-from conftest import moment_z_scores
+from conftest import moment_z_scores, replications
 
 
 def make_dataset(y, t, x, strata=None):
@@ -421,7 +421,7 @@ class TestStackedDatasets:
 
     @pytest.mark.parametrize("size", [1, 97, 150])
     def test_one_covariance_validation_per_batch(self, size, monkeypatch):
-        # Every replication of a batch shares one JointCovariance.
+        # Every replication of one estimate shares one JointCovariance.
         validate = JointCovariance.__post_init__
         calls = []
 
@@ -431,7 +431,9 @@ class TestStackedDatasets:
 
         monkeypatch.setattr(JointCovariance, "__post_init__", counting)
         dgp = RctLinearDGP(beta=np.array([1.0, -0.5, 0.2]), interaction=np.array([0.5, 0.0, 0.1]))
-        dgp.replicate_batch(np.random.default_rng(3), 2000, size)
+        draws = dgp.draw_replications(np.random.default_rng(3), 2000, size)
+        assert calls == []
+        dgp.estimate_replications(draws, 2000)
         assert calls == [(size,)]
 
     @pytest.mark.parametrize("size", [1, 4])
@@ -479,7 +481,7 @@ class TestArmStatisticDraws:
             alpha=0.1,
         )
         seed = 100 + 10 * p + int(100 * pi)
-        batch = dgp.replicate_batch(np.random.default_rng(seed), n, size)
+        batch = replications(dgp, np.random.default_rng(seed), n, size)
         reference = full_data_replications(dgp, np.random.default_rng(seed + 1), n, size)
         # The lab carries each Sigma_gg estimate as its factor L: compare L L'.
         lab_fields = {name: getattr(batch, name) for name in FIELDS if name != "sigma_gg"}
@@ -503,7 +505,8 @@ class TestArmStatisticDraws:
         low = np.array([[1.0, 0, 0, 0], [0.5, 1.2, 0, 0], [-0.3, 0.4, 0.8, 0], [0.2, 0, -0.6, 0.0]])
         sigma = low @ low.T
         counts = np.tile([2, 3, 5, 9], 4000)
-        means, scatter = dgps._normal_sums(np.random.default_rng(12), low, counts)
+        draws = dgps._draw_normal(np.random.default_rng(12), 4, counts)
+        means, scatter = dgps._normal_sums(draws, low)
         ranks = np.linalg.matrix_rank(scatter[:4], tol=1e-9)
         assert ranks.tolist() == [1, 2, 3, 3]  # min(count - 1, rank of L)
         for count in (2, 3, 5, 9):
@@ -517,7 +520,7 @@ class TestArmStatisticDraws:
     def test_arm_below_two_units(self):
         dgp = RctLinearDGP(beta=np.array([1.0]), interaction=np.array([0.0]), pi=0.01)
         with pytest.raises(EmptyArm):
-            dgp.replicate_batch(np.random.default_rng(0), 5, 20)
+            dgp.draw_replications(np.random.default_rng(0), 5, 20)
 
     @pytest.mark.parametrize("interaction", [0.0, 0.7])
     def test_zero_noise_fails_as_the_data_path_does(self, interaction):
@@ -531,7 +534,7 @@ class TestArmStatisticDraws:
                 return type(err)
             return None
 
-        lab = outcome(lambda: dgp.replicate_batch(np.random.default_rng(4), 100, 40))
+        lab = outcome(lambda: replications(dgp, np.random.default_rng(4), 100, 40))
         full = outcome(lambda: full_data_replications(dgp, np.random.default_rng(4), 100, 40))
         assert lab is full
 

@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, ks_2samp, kstest, norm
 
-from residcheck import JointCovariance, _fixed_order
+from residcheck import JointCovariance, _fixed_order, _threads
 from residcheck._distributions import Z975
-from residcheck._threads import batch_sizes
+from residcheck._threads import batch_sizes, join
 from residcheck.dgps import GaussianPairDGP, RctLinearDGP
-from residcheck.errors import ConfigError, DegenerateRule, DomainError
+from residcheck.errors import (
+    ConfigError,
+    DegenerateResidualVariance,
+    DegenerateRule,
+    DomainError,
+    EmptyArm,
+    InvalidCovariance,
+    SingularCheckCovariance,
+)
 from residcheck.selection import (
     ReportingRule,
     SelectionConfig,
@@ -21,6 +29,8 @@ from residcheck.selection import (
     two_sided_t_rule,
     wald_rule,
 )
+
+from conftest import replications
 
 
 class TestTruncatedOracle:
@@ -233,7 +243,7 @@ class TestSufficientStatisticDraws:
     @pytest.mark.parametrize("n, seed", [(50, 31), (400, 32)])
     def test_exact_laws(self, n, seed):
         p = CORRELATED_PAIR.p_gamma
-        batch = CORRELATED_PAIR.replicate_batch(np.random.default_rng(seed), n, 100_000)
+        batch = replications(CORRELATED_PAIR, np.random.default_rng(seed), n, 100_000)
         sigma = CORRELATED_PAIR.population_covariance(n)
         laws = {
             "c_short": (batch.c_short - CORRELATED_PAIR.c_true, norm(scale=sigma.se_c).cdf),
@@ -252,7 +262,7 @@ class TestSufficientStatisticDraws:
 @pytest.mark.parametrize("oracle", [False, True])
 def test_standardized_checks_match_lapack_member_by_member(oracle):
     n = 60
-    batch = CORRELATED_PAIR.replicate_batch(np.random.default_rng(5), n, 200)
+    batch = replications(CORRELATED_PAIR, np.random.default_rng(5), n, 200)
     oracle_chol = CORRELATED_PAIR.population_covariance(n).chol_gg if oracle else None
     t = _standardize_checks(batch, n, oracle_chol)
     # The batch carries each Sigma_gg estimate as its factor L; L L' is the estimate.
@@ -274,9 +284,11 @@ RCT_THREE_CHECKS = RctLinearDGP(
 @pytest.mark.parametrize("oracle", [False, True])
 @pytest.mark.parametrize("dgp", [CORRELATED_PAIR, RCT_THREE_CHECKS], ids=["gaussian", "rct"])
 def test_check_block_factored_once_per_batch(dgp, oracle, monkeypatch):
-    """The lab standardizes with the factor validation made: one factorization per batch.
+    """The lab standardizes with the factor validation made: one factorization per stage.
 
-    t_stats have the bits of factoring each validated block a second time.
+    At 1,003 replications the head batches are all 50 batches, so the run is
+    one stage. t_stats have the bits of factoring each validated block a
+    second time.
     """
     cholesky, validate = _fixed_order.cholesky, JointCovariance.__post_init__
     factored, blocks = [], []
@@ -295,8 +307,8 @@ def test_check_block_factored_once_per_batch(dgp, oracle, monkeypatch):
     config = SelectionConfig(dgp=dgp, rule=wald_rule(5.99 if dgp is CORRELATED_PAIR else 7.815),
                              n=60, reps=1003, seed=23, oracle_sigma=oracle)
     draws = simulate_replications(config)
-    assert len(blocks) == 50
-    assert [sum(a is block for a in factored) for block in blocks] == [1] * 50
+    assert [block.shape[0] for block in blocks] == [1003]
+    assert [sum(a is block for a in factored) for block in blocks] == [1]
     monkeypatch.undo()
 
     oracle_gg = dgp.population_covariance(config.n).sigma_gamma_gamma
@@ -312,15 +324,15 @@ def test_check_block_factored_once_per_batch(dgp, oracle, monkeypatch):
 
 
 class CountingDGP:
-    """Delegates to a DGP and records the size of every replicate_batch call."""
+    """Delegates to a DGP and records the size of every draw_replications call."""
 
     def __init__(self, dgp):
         self.dgp = dgp
         self.sizes = []
 
-    def replicate_batch(self, rng, n, size):
+    def draw_replications(self, rng, n, size):
         self.sizes.append(size)
-        return self.dgp.replicate_batch(rng, n, size)
+        return self.dgp.draw_replications(rng, n, size)
 
     def __getattr__(self, name):
         return getattr(self.dgp, name)
@@ -452,3 +464,184 @@ class TestSummaryOverTheBatchAxis:
         assert np.isnan(fail.variance.value) == (failures < 2)
         assert np.isnan(fail.mean.value) == (failures == 0)
         assert np.isnan(fail.mean.mc_se) == (failures < 2)
+
+
+def batch_by_batch(config):
+    """The run's record as the batches give it one by one: each drawn, estimated, standardized.
+
+    Raises what the first failing batch raises, in batch order.
+    """
+    dgp, n = config.dgp, config.n
+    sizes = batch_sizes(config.reps, 50)
+    children = np.random.SeedSequence(config.seed).spawn(len(sizes))
+    parts = []
+    for child, size in zip(children, sizes):
+        record = dgp.estimate_replications(
+            dgp.draw_replications(np.random.default_rng(child), n, size), n
+        )
+        t_stats = _standardize_checks(record, n, None)
+        passed = config.rule.passes(t_stats)
+        parts.append(dataclasses.replace(record, t_stats=t_stats, passed=passed))
+    return parts
+
+
+# p = 10 checks at n = 30: k = 11 coordinates, more than most arms' degrees of freedom.
+RCT_SMALL_ARMS = RctLinearDGP(
+    beta=np.linspace(1.0, -1.0, 10), interaction=np.linspace(0.5, 0.0, 10), pi=0.5
+)
+# Passes about half of all replications, whatever the DGP.
+FIRST_CHECK_NEGATIVE = ReportingRule(kind="custom", threshold=0.0, q=lambda t: t[:, 0])
+
+
+class TestStagesAreInvisible:
+    """A run's record equals, array for array, its batches' records computed one by one."""
+
+    # At most 100 replications per estimate: several stacks per stage.
+    @pytest.mark.parametrize("stack_reps", [_threads._STACK_REPS, 100])
+    @pytest.mark.parametrize("threads", [1, 4])
+    # 1003: one stage of 50 uneven batches, the gate ending inside the last;
+    # 2050: two stages of 25 batches.
+    @pytest.mark.parametrize(
+        "dgp, n, rule, reps",
+        [(CORRELATED_PAIR, 60, wald_rule(5.99), 1003), (CORRELATED_PAIR, 60, wald_rule(5.99), 2050),
+         (RCT_THREE_CHECKS, 200, wald_rule(7.815), 1003),
+         (RCT_THREE_CHECKS, 200, wald_rule(7.815), 2050),
+         (RCT_SMALL_ARMS, 30, FIRST_CHECK_NEGATIVE, 1003)],
+        ids=["gaussian-1003", "gaussian-2050", "rct-1003", "rct-2050", "rct-small-arms-1003"],
+    )
+    def test_record_equals_batch_by_batch(
+        self, dgp, n, rule, reps, threads, stack_reps, monkeypatch
+    ):
+        monkeypatch.setattr(_threads, "_STACK_REPS", stack_reps)
+        config = SelectionConfig(dgp=dgp, rule=rule, n=n, reps=reps, seed=61)
+        record = simulate_replications(config, threads=threads)
+        parts = batch_by_batch(config)
+        for f in dataclasses.fields(record):
+            got = getattr(record, f.name)
+            if got is None:
+                assert all(getattr(part, f.name) is None for part in parts), f.name
+            else:
+                want = np.concatenate([getattr(part, f.name) for part in parts])
+                assert np.array_equal(got, want), f.name
+        if dgp is RCT_SMALL_ARMS:
+            # The Bartlett factor's row branch: an arm with fewer than k - 1 degrees of freedom.
+            children = np.random.SeedSequence(61).spawn(50)
+            arms = dgp.draw_replications(np.random.default_rng(children[0]), n, 20)
+            assert (np.minimum(arms[0].counts, arms[1].counts) - 1 < 11).any()
+
+
+class TestOneValidationPerStage:
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("dgp", [CORRELATED_PAIR, RCT_THREE_CHECKS], ids=["gaussian", "rct"])
+    # 50 batches: 2050 -> 41 each, 25 batches hold 1025; 3000 -> 60 each, 17 hold 1020.
+    @pytest.mark.parametrize("reps, head_reps", [(2050, 1025), (3000, 1020)])
+    def test_head_stack_then_the_rest(self, dgp, reps, head_reps, threads, monkeypatch):
+        calls = self.validations(dgp, reps, threads, monkeypatch)
+        assert calls == [(head_reps,), (reps - head_reps,)]
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_large_stage_in_bounded_stacks(self, threads, monkeypatch):
+        # 50 batches of 200: the head holds 5; the other 45 are estimated
+        # 20, 20 and 5 batches at a time, at most _STACK_REPS = 4096 replications.
+        calls = self.validations(CORRELATED_PAIR, 10_000, threads, monkeypatch)
+        assert calls == [(1000,), (4000,), (4000,), (1000,)]
+
+    @staticmethod
+    def validations(dgp, reps, threads, monkeypatch):
+        """The stack shapes that a run validates, in order."""
+        validate, calls = JointCovariance.__post_init__, []
+
+        def counting(self):
+            calls.append(np.shape(self.sigma_c_sq))
+            validate(self)
+
+        monkeypatch.setattr(JointCovariance, "__post_init__", counting)
+        config = SelectionConfig(dgp=dgp, rule=wald_rule(5.99 if dgp is CORRELATED_PAIR else 7.815),
+                                 n=200, reps=reps, seed=62)
+        simulate_replications(config, threads=threads)
+        return calls
+
+
+def first_error(run):
+    """(class, message) of the error that run raises."""
+    with pytest.raises(Exception) as info:
+        run()
+    return type(info.value), str(info.value)
+
+
+class FaultyDGP:
+    """Delegates to a DGP; the draws of the batches in ``faults`` are corrupted, or raise.
+
+    A batch's index is the spawn key of its stream.
+    """
+
+    def __init__(self, dgp, faults):
+        self.dgp, self.faults = dgp, faults
+
+    def draw_replications(self, rng, n, size):
+        draws = self.dgp.draw_replications(rng, n, size)
+        fault = self.faults.get(rng.bit_generator.seed_seq.spawn_key[-1])
+        return draws if fault is None else fault(draws)
+
+    def __getattr__(self, name):
+        return getattr(self.dgp, name)
+
+
+def _member_zero(draws, bartlett):
+    """Normal draws whose first replication has the given Bartlett factor."""
+    a_t = draws.bartlett.copy()
+    a_t[0] = bartlett
+    return dataclasses.replace(draws, bartlett=a_t)
+
+
+def _rank_one(draws):
+    # A' = e1 e1': the scatter is L e1 (L e1)', so c_hat is a function of gamma_hat.
+    return _member_zero(draws, np.diag([1.0, 0.0]))
+
+
+def _zero_scatter(draws):
+    return _member_zero(draws, np.zeros((2, 2)))
+
+
+def _constant_first_covariate(arms):
+    # Column 0 of A' is row 0 of A: x_1's deviations from its mean in both arms.
+    def flat(draws):
+        a_t = draws.bartlett.copy()
+        a_t[0, :, 0] = 0.0
+        return dataclasses.replace(draws, bartlett=a_t)
+
+    return tuple(flat(arm) for arm in arms)
+
+
+def _empty_arm(draws):
+    raise EmptyArm("each arm needs at least 2 units, got 1 treated of 200")
+
+
+class TestErrorsInBatchOrder:
+    """A run raises what its batches, run one by one in order, raise first."""
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize(
+        "dgp, faults, joined_error, want",
+        [
+            # Batch 0 fails the last gate of validation, batch 3 the first.
+            (GaussianPairDGP.from_rho(0.5), {0: _rank_one, 3: _zero_scatter}, InvalidCovariance,
+             DegenerateResidualVariance),
+            # Batch 0 fails validation, batch 2 cannot be drawn.
+            (RCT_THREE_CHECKS, {0: _constant_first_covariate, 2: _empty_arm}, EmptyArm,
+             SingularCheckCovariance),
+        ],
+        ids=["gaussian", "rct"],
+    )
+    def test_first_failing_batch_decides(self, dgp, faults, joined_error, want, threads):
+        config = SelectionConfig(dgp=FaultyDGP(dgp, faults), rule=wald_rule(7.815), n=200,
+                                 reps=2050, seed=63)
+        expected = first_error(lambda: batch_by_batch(config))
+        assert expected[0] is want
+        assert first_error(lambda: simulate_replications(config, threads=threads)) == expected
+        # Estimated at once, the stage's draws would fail otherwise.
+        children = np.random.SeedSequence(63).spawn(50)
+        with pytest.raises(joined_error):
+            draws = [config.dgp.draw_replications(np.random.default_rng(c), 200, 41)
+                     for c in children[:4]]
+            config.dgp.estimate_replications(join(draws), 200)
