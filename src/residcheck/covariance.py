@@ -10,11 +10,10 @@ demeaning removes the O_p(n^{-1/2}) mean without changing the limit.
 Conventions: divide by n (not n - 1), matching the population definitions;
 the cluster-robust variant sums contributions within clusters first. The
 outer products are summed in the fixed order of :func:`_fixed_order.gram`,
-so the estimate does not depend on the BLAS kernel. Leading axes before the
-n rows make a stack of B contribution matrices, estimated in one call into a
-stacked :class:`JointCovariance`. The estimate is split at the seam between
-O(n) and (1 + p) x (1 + p) work: :func:`covariance_matrix` sums over the
-rows, and :func:`joint_covariance` validates its result.
+so the estimate does not depend on the BLAS kernel. The estimate is split
+at the seam between O(n) and (1 + p) x (1 + p) work: :func:`covariance_matrix`
+sums over the rows, and :func:`joint_covariance` validates its result. A
+stack of such matrices is validated in one :class:`JointCovariance`.
 """
 
 from __future__ import annotations
@@ -30,24 +29,21 @@ from .errors import DegenerateResidualVariance, DimensionMismatch, TooFewCluster
 
 @dataclass(frozen=True)
 class InfluenceContributions:
-    """(..., n, 1 + p) matrix of influence values, with optional cluster labels.
-
-    Cluster labels have length n and are shared by every member of a stack.
-    """
+    """(n, 1 + p) matrix of influence values, with optional cluster labels of length n."""
 
     values: np.ndarray
     cluster_ids: np.ndarray | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.ndim < 2 or values.shape[-1] < 2:
+        if values.ndim != 2 or values.shape[1] < 2:
             raise DimensionMismatch(
                 "contributions must be a 2-d array with at least two columns "
                 "(estimator plus one check)"
             )
         if not np.isfinite(values).all():
             raise DimensionMismatch("contributions contain non-finite values")
-        n, k = values.shape[-2:]
+        n, k = values.shape
         p = k - 1
         if n < p + 2:
             # With n < p + 2 the assembled (1+p)-block covariance cannot be
@@ -67,15 +63,15 @@ class InfluenceContributions:
 
     @property
     def n(self) -> int:
-        return self.values.shape[-2]
+        return self.values.shape[0]
 
     @property
     def p_gamma(self) -> int:
-        return self.values.shape[-1] - 1
+        return self.values.shape[1] - 1
 
 
 def covariance_matrix(contrib: InfluenceContributions) -> np.ndarray:
-    """Per-observation joint covariance of (c_hat, gamma_hat), shape (..., 1 + p, 1 + p).
+    """Per-observation joint covariance of (c_hat, gamma_hat), shape (1 + p, 1 + p).
 
     i.i.d.: Sigma_hat = (1/n) sum_i psi_i psi_i' of the demeaned rows.
     Clustered: Sigma_hat = (1/n) sum_g S_g S_g' with S_g the within-cluster
@@ -86,11 +82,11 @@ def covariance_matrix(contrib: InfluenceContributions) -> np.ndarray:
     """
     # One contiguous row per column, so that the means and the Gram matrix
     # are summed in the same order whatever the memory layout of the input.
-    cols = np.ascontiguousarray(np.swapaxes(contrib.values, -1, -2))
+    cols = np.ascontiguousarray(contrib.values.T)
     n = contrib.n
     means = np.add.reduce(cols, axis=-1) / n
     if contrib.cluster_ids is None:
-        return gram(cols - means[..., None]) / n
+        return gram(cols - means[:, None]) / n
     inverse = dense_codes(contrib.cluster_ids)
     n_clusters = int(inverse.max()) + 1
     if n_clusters < contrib.p_gamma + 2:
@@ -98,9 +94,8 @@ def covariance_matrix(contrib: InfluenceContributions) -> np.ndarray:
             f"need at least p + 2 = {contrib.p_gamma + 2} clusters, got {n_clusters}"
         )
     # Demeaned one row at a time: the cluster sums need no n x (1 + p) copy.
-    psi = (col - mean for col, mean in zip(cols.reshape(-1, n), means.reshape(-1)))
-    sums = group_sums(inverse, psi).reshape(cols.shape[:-1] + (n_clusters,))
-    return gram(sums) / n
+    psi = (col - mean for col, mean in zip(cols, means))
+    return gram(group_sums(inverse, psi)) / n
 
 
 def joint_covariance(contrib: InfluenceContributions) -> JointCovariance:
@@ -111,8 +106,8 @@ def joint_covariance(contrib: InfluenceContributions) -> JointCovariance:
     """
     sigma = covariance_matrix(contrib)
     return JointCovariance(
-        sigma_c_sq=sigma[..., 0, 0],
-        sigma_c_gamma=sigma[..., 0, 1:],
-        sigma_gamma_gamma=sigma[..., 1:, 1:],
+        sigma_c_sq=sigma[0, 0],
+        sigma_c_gamma=sigma[0, 1:],
+        sigma_gamma_gamma=sigma[1:, 1:],
         n=contrib.n,
     )

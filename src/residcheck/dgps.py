@@ -10,15 +10,14 @@ Two families:
   lab's perturbed law, whose weights read only z = u / sd_u at the exact
   norm sd_u = sqrt(a' Sigma a): :meth:`GaussianPairDGP.perturbed_draws`
   draws z once per mu and each lam's :class:`ScoreCoordinate` maps it.
-  ``draw`` rows serve only the tests' references: the row sampler and the
-  full-data estimators.
 * :class:`RctLinearDGP` simulates outcome, treatment, and covariates from a
   (possibly treatment-interacted) linear model. Replications draw the
   treated count and each arm's mean and scatter from their exact laws, not
-  n rows (:func:`rct.arm_statistics`); ``draw_matrix`` still draws rows.
+  n rows (:func:`rct.arm_statistics`); ``draw_matrix`` still draws rows, for
+  the analyze fixture and the benchmark's CSV.
 
-Both expose the population covariance blocks, influence evaluators on raw
-data points, and a replication pair split at the random numbers:
+Both expose the population covariance blocks and a replication pair split
+at the random numbers:
 ``draw_replications`` makes a batch's draws from its stream, and
 ``estimate_replications`` maps any number of batches' joined draws to one
 :class:`BatchReplications` record, every step elementwise over the
@@ -39,7 +38,7 @@ import numpy as np
 from . import _fixed_order
 from .core import JointCovariance, adjusted_variance, residualize
 from .errors import ConfigError, EmptyArm, InvalidCovariance, WeightUnderflow
-from .rct import RctDataset, arm_statistics, long_coefficients
+from .rct import arm_statistics, long_coefficients
 
 
 @dataclass(frozen=True)
@@ -149,19 +148,6 @@ def _times_columns(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
     for k in range(1, coef.shape[0]):
         out += x[..., k] * coef[k]
     return out
-
-
-def _sample_means(data: np.ndarray) -> np.ndarray:
-    """Sample mean of the rows of data, each column summed pairwise in one contiguous pass."""
-    return np.add.reduce(np.ascontiguousarray(data.T), axis=-1) / len(data)
-
-
-def sample_moments(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Sample mean, 1/n sample covariance and n of the rows of data, in a fixed order."""
-    rows = np.ascontiguousarray(data.T)
-    means = np.add.reduce(rows, axis=-1) / len(data)
-    rows -= means[:, None]
-    return means, _fixed_order.gram(rows) / len(data), len(data)
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -283,24 +269,16 @@ class GaussianPairDGP:
     def lambda_opt(self) -> np.ndarray:
         return self.population_covariance(2).lam
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n draws of the per-observation vector (d_c, d_g) under the base model."""
-        return _times_lower_t(rng.standard_normal((n, 1 + self.p_gamma)), self._chol_full)
-
     # Influence evaluators on raw data points (population scale, mean zero).
     def influence_c(self, data: np.ndarray) -> np.ndarray:
         return data[:, 0]
-
-    def influence_gamma(self, data: np.ndarray) -> np.ndarray:
-        return data[:, 1:]
 
     def influence_adjusted(self, lam) -> Callable[[np.ndarray], np.ndarray]:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         return lambda data: data[:, 0] - _fixed_order.dot(data[:, 1:], lam)
 
     # One map per estimator from a stack of sample moments (means, 1/n
-    # covariances, n) to estimates; the row estimates compute the moments
-    # of their rows that the map reads and call the same map.
+    # covariances, n) to estimates.
     def short_from_moments(self, means: np.ndarray, cov: np.ndarray | None, n: int):
         return self.c_true + means[..., 0]
 
@@ -313,15 +291,6 @@ class GaussianPairDGP:
         """Residualized at the sample coefficient row, through :class:`JointCovariance`."""
         sigma = JointCovariance(cov[..., 0, 0], cov[..., 0, 1:], cov[..., 1:, 1:], n)
         return residualize(self.short_from_moments(means, cov, n), means[..., 1:], sigma.lam).c_r
-
-    def estimate_short(self, data: np.ndarray) -> float:
-        return float(self.short_from_moments(_sample_means(data), None, len(data)))
-
-    def estimate_fixed(self, data: np.ndarray, lam) -> float:
-        return float(self.fixed_from_moments(_sample_means(data), None, len(data), lam))
-
-    def estimate_plugin_residualized(self, data: np.ndarray) -> float:
-        return float(self.plugin_from_moments(*sample_moments(data)))
 
     def draw_replications(self, rng: np.random.Generator, n: int, size: int) -> NormalDraws:
         """The standard draws of size independent replications at sample size n."""
@@ -357,8 +326,8 @@ class GaussianPairDGP:
         (:meth:`ScoreCoordinate.perturbed_moments`). z is symmetric and the
         weights at z and -z sum to 2, so rejection on the pair (|z|, -|z|)
         keeps +|z| with probability w(|z|) / 2: n values of |z| and n
-        uniforms per replication, every weight through the [0, 2] gate of the
-        row sampler in :mod:`residcheck.misspec`, which the largest |z| decides.
+        uniforms per replication, every weight through the [0, 2] gate of
+        :mod:`residcheck.misspec`, which the largest |z| decides.
         """
         slope = mu / math.sqrt(n)
         z_mean, s_zz = np.empty(size), np.empty(size)
@@ -421,7 +390,10 @@ class RctLinearDGP:
     and the average treatment effect equals tau. ``interaction`` of zeros
     gives the homoskedastic linear case in which the long and residualized
     coefficients share the same probability limit beta; nonzero interaction
-    with pi != 1/2 separates them.
+    with pi != 1/2 separates them. Parameters under which an arm's second
+    moment of the outcome, (alpha + tau a)^2 + |beta + interaction a|^2 +
+    noise_sd^2, overflows are refused: the lab's sums and summary square
+    the outcome.
     """
 
     tau: float = 1.0
@@ -442,6 +414,15 @@ class RctLinearDGP:
             raise ConfigError("tau, alpha, beta and interaction must be finite")
         if not 0.0 <= self.noise_sd < math.inf:
             raise ConfigError(f"noise_sd must be finite and at least 0, got {self.noise_sd}")
+        with np.errstate(over="ignore"):
+            means = np.array([self.alpha + self.tau, self.alpha])
+            coefs = np.stack([beta + inter, beta])
+            second = means * means + _fixed_order.dot(coefs, coefs) + np.square(self.noise_sd)
+        if not np.isfinite(second).all():
+            raise ConfigError(
+                "the outcome's second moment in an arm overflows; tau, alpha, beta, "
+                "interaction or noise_sd is too large"
+            )
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "interaction", inter)
 
@@ -493,49 +474,6 @@ class RctLinearDGP:
         noise *= self.noise_sd
         y += noise
         return np.column_stack([y, t, x])
-
-    def draw_dataset(self, rng: np.random.Generator, n: int) -> RctDataset:
-        rows = self.draw_matrix(rng, n)
-        return RctDataset(outcome=rows[:, 0], treatment=rows[:, 1], covariates=rows[:, 2:])
-
-    # Influence evaluators at the population parameters, for the
-    # misspecification lab's inner products on raw data rows.
-    def influence_c(self, data: np.ndarray) -> np.ndarray:
-        y, t = data[:, 0], data[:, 1]
-        mu1 = self.alpha + self.tau
-        mu0 = self.alpha
-        return t * (y - mu1) / self.pi - (1.0 - t) * (y - mu0) / (1.0 - self.pi)
-
-    def influence_gamma(self, data: np.ndarray) -> np.ndarray:
-        t = data[:, 1]
-        x = data[:, 2:]
-        w = (t / self.pi - (1.0 - t) / (1.0 - self.pi))[:, None]
-        return w * x
-
-    def influence_adjusted(self, lam) -> Callable[[np.ndarray], np.ndarray]:
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        return lambda data: (
-            self.influence_c(data) - _fixed_order.dot(self.influence_gamma(data), lam)
-        )
-
-    def structural_mean_shift_score(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Score of an equal outcome-mean shift in both arms (within-model).
-
-        The score is the outcome residual over noise_sd^2, so it needs noise.
-        """
-        if self.noise_sd == 0.0:
-            raise ConfigError(
-                "the mean-shift score divides by noise_sd^2; noise_sd must be positive"
-            )
-
-        def score(data: np.ndarray) -> np.ndarray:
-            y, t = data[:, 0], data[:, 1]
-            x = data[:, 2:]
-            fitted = self.alpha + self.tau * t + _times_columns(x, self.beta)
-            resid = y - fitted - _times_columns(x, self.interaction) * t
-            return resid / self.noise_sd**2
-
-        return score
 
     def draw_replications(
         self, rng: np.random.Generator, n: int, size: int

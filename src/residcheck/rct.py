@@ -15,17 +15,15 @@ and on globally demeaned data otherwise. A dataset demeans [t, y, X] once
 contributions of y and X on t once (``RctDataset.influence``): the short,
 balance, residualized and long estimators all read these.
 
-A dataset may be a stack of B datasets of equal n and p, given as (B, n)
-outcome and treatment and (B, n, p) covariates. Every estimator then
-returns arrays with a leading axis of B, in one call, and member b has the
-bits that member b alone gives; ``analyze`` runs this code on one
-dataset. The long regression and the joint covariance are each split at
-the seam between O(n) and p x p work (:func:`long_normal_equations` and
+The long regression and the joint covariance are each split at the seam
+between O(n) and p x p work (:func:`long_normal_equations` and
 :func:`long_coefficients`; :func:`covariance.covariance_matrix` and
 :class:`core.JointCovariance`), and their compositions,
 :func:`long_regression` and :func:`residualized_estimator`, run both halves
-on one stack. The RCT selection lab draws per-arm sufficient statistics
-instead of rows, and :func:`arm_statistics` gives it the O(n) halves.
+on one dataset. The RCT selection lab draws per-arm sufficient statistics
+instead of rows: :func:`arm_statistics` gives it the O(n) halves, and the
+p x p halves take a stack of them, of any leading shape, in one call whose
+member b has the bits that member b alone gives.
 
 Without strata the regression forms reduce exactly to the textbook formulas
 
@@ -49,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._fixed_order import cho_solve, cholesky, dense_codes, dot, gram, group_sums, scalar_or_stack
+from ._fixed_order import cho_solve, cholesky, dense_codes, dot, gram, group_sums
 from .core import JointCovariance, ResidualizationResult, residualize
 from .covariance import InfluenceContributions, joint_covariance
 from .errors import DimensionMismatch, EmptyArm, RankDeficientDesign, SingularCheckCovariance
@@ -62,10 +60,9 @@ _RANK_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class RctDataset:
-    """Outcome vector, binary treatment, covariate matrix, optional strata.
+    """Outcome vector, binary treatment, (n, p) covariate matrix, optional strata of length n.
 
-    Leading axes before the n observations make a stack of datasets; strata
-    labels, when given, have length n and are shared by every member.
+    A 1-d covariate array is one column.
     """
 
     outcome: np.ndarray
@@ -77,25 +74,22 @@ class RctDataset:
         y = np.asarray(self.outcome, dtype=float)
         t = np.asarray(self.treatment)
         x = np.asarray(self.covariates, dtype=float)
-        if x.ndim == y.ndim:
-            x = x[..., None]
-        if y.ndim < 1 or t.shape != y.shape or x.shape[:-1] != y.shape:
+        if x.ndim == 1:
+            x = x[:, None]
+        if y.ndim != 1 or t.shape != y.shape or x.ndim != 2 or x.shape[0] != y.shape[0]:
             raise DimensionMismatch(
                 f"outcome ({y.shape}), treatment ({t.shape}) and covariates "
-                f"({x.shape}) do not align"
+                f"({x.shape}) do not align as (n,), (n,) and (n, p)"
             )
-        n = y.shape[-1]
+        n = y.shape[0]
         if not np.isfinite(y).all() or not np.isfinite(x).all():
             raise DimensionMismatch("outcome or covariates contain non-finite values")
         t_float = np.asarray(t, dtype=float)
         if not ((t_float == 0.0) | (t_float == 1.0)).all():
             raise DimensionMismatch("treatment values must be 0 or 1")
-        n1 = t_float.sum(axis=-1)
-        small = (n1 < 2) | (n - n1 < 2)
-        if small.any():
-            raise EmptyArm(
-                f"each arm needs at least 2 units, got {int(n1[small].flat[0])} treated of {n}"
-            )
+        n1 = t_float.sum()
+        if n1 < 2 or n - n1 < 2:
+            raise EmptyArm(f"each arm needs at least 2 units, got {int(n1)} treated of {n}")
         if self.strata is not None:
             strata = np.asarray(self.strata)
             if strata.shape != (n,):
@@ -107,107 +101,104 @@ class RctDataset:
 
     @property
     def n(self) -> int:
-        return self.outcome.shape[-1]
+        return self.outcome.shape[0]
 
     @property
     def p_gamma(self) -> int:
-        return self.covariates.shape[-1]
+        return self.covariates.shape[1]
 
     @cached_property
     def centered(self) -> np.ndarray:
-        """Rows t, y, x_1..x_p demeaned (within strata when given), shape (..., 2 + p, n).
+        """Rows t, y, x_1..x_p demeaned (within strata when given), shape (2 + p, n).
 
         Computed on first use and shared by every estimator of the dataset;
         read-only.
         """
-        rows = np.empty(self.outcome.shape[:-1] + (2 + self.p_gamma, self.n))  # C order
-        rows[..., 0, :], rows[..., 1, :] = self.treatment, self.outcome
-        rows[..., 2:, :] = np.swapaxes(self.covariates, -1, -2)
+        rows = np.empty((2 + self.p_gamma, self.n))  # C order
+        rows[0], rows[1] = self.treatment, self.outcome
+        rows[2:] = self.covariates.T
         _demean(rows, self.strata)
         rows.flags.writeable = False
         return rows
 
     @cached_property
     def influence(self) -> tuple[np.ndarray, np.ndarray]:
-        """Slopes of y, x_1..x_p on t and their (..., 1 + p, n) influence contributions.
+        """Slopes of y, x_1..x_p on t and their (1 + p, n) influence contributions.
 
         Row 0 belongs to the difference in means, rows 1..p to the balance
         vector. Computed on first use; the contributions are read-only.
         """
         centered = self.centered
-        slopes, contribs = _slopes_and_influence(centered[..., 0, :], centered[..., 1:, :])
+        slopes, contribs = _slopes_and_influence(centered[0], centered[1:])
         contribs.flags.writeable = False
         return slopes, contribs
 
 
 def _demean(rows: np.ndarray, strata: np.ndarray | None) -> None:
-    """Subtract in place from each row of a C-order (..., k, n) array its global or within-stratum mean.
+    """Subtract in place from each row of a C-order (k, n) array its global or within-stratum mean.
 
     Global means are summed pairwise over each row and stratum sums in row
     order (:func:`_fixed_order.group_sums`), so the bits do not depend on the
     memory layout of the data the rows were copied from.
     """
-    n = rows.shape[-1]
     if strata is None:
-        rows -= (np.add.reduce(rows, axis=-1) / n)[..., None]
+        rows -= (np.add.reduce(rows, axis=-1) / rows.shape[1])[:, None]
         return
     inverse = dense_codes(strata)
-    flat = rows.reshape(-1, n)  # a view: every row of every member
-    means = group_sums(inverse, flat) / np.bincount(inverse)
-    for row, mean in zip(flat, means):
+    means = group_sums(inverse, rows) / np.bincount(inverse)
+    for row, mean in zip(rows, means):
         row -= mean[inverse]
 
 
 def _slopes_and_influence(t_c: np.ndarray, rows: np.ndarray):
-    """Slopes of each demeaned row of a C-order (..., k, n) array on demeaned t.
+    """Slopes of each demeaned row of a C-order (k, n) array on demeaned t.
 
-    Returns the (..., k) slopes and their (..., k, n) influence contributions
+    Returns the k slopes and their (k, n) influence contributions
     t_c (row - slope t_c) / (t_c't_c / n), built in one buffer. Each slope
     is summed pairwise over a contiguous row, like :func:`_fixed_order.dot`.
     """
-    t_sq = np.expand_dims(dot(t_c, t_c), -1)
-    denom = t_sq / t_c.shape[-1]
-    if (denom <= 0.0).any():
+    t_sq = dot(t_c, t_c)
+    denom = t_sq / t_c.shape[0]
+    if denom <= 0.0:
         raise EmptyArm("treatment indicator has no within-stratum variation")
-    t_c = t_c[..., None, :]
     out = t_c * rows
     slopes = np.add.reduce(out, axis=-1) / t_sq
-    np.multiply(slopes[..., None], t_c, out=out)
+    np.multiply(slopes[:, None], t_c, out=out)
     np.subtract(rows, out, out=out)
     out *= t_c
-    out /= denom[..., None]
+    out /= denom
     return slopes, out
 
 
 def short_estimator(data: RctDataset) -> tuple[float, np.ndarray]:
     """Difference in mean outcomes and its influence contributions."""
     slopes, contribs = data.influence
-    return scalar_or_stack(slopes[..., 0]), contribs[..., 0, :]
+    return float(slopes[0]), contribs[0]
 
 
 def balance_stats(data: RctDataset) -> tuple[np.ndarray, np.ndarray]:
     """Covariate mean differences across arms and their contributions.
 
     Returns ``(gamma_hat, contributions)`` with contributions of shape
-    (..., n, p).
+    (n, p).
     """
     slopes, contribs = data.influence
-    return slopes[..., 1:], np.swapaxes(contribs[..., 1:, :], -1, -2)
+    return slopes[1:], contribs[1:].T
 
 
 def long_normal_equations(data: RctDataset) -> tuple[np.ndarray, np.ndarray]:
     """The O(n) half of :func:`long_regression`: its normal equations.
 
-    Returns the (..., 1 + p, 1 + p) matrix S = G - t't s s' of y, x_1..x_p
+    Returns the (1 + p, 1 + p) matrix S = G - t't s s' of y, x_1..x_p
     with t partialled out, for the Gram matrix G of the demeaned y, x and
-    their slopes s on t, and the (..., p) sums of squares x_k'x_k that the
-    rank gate of :func:`long_coefficients` reads.
+    their slopes s on t, and the p sums of squares x_k'x_k that the rank
+    gate of :func:`long_coefficients` reads.
     """
     slopes, centered = data.influence[0], data.centered
-    sums = gram(centered[..., 1:, :])  # rows y, x_1..x_p, read in place
-    t_sq = np.expand_dims(dot(centered[..., 0, :], centered[..., 0, :]), -1)
-    partialled = sums - (t_sq * slopes)[..., :, None] * slopes[..., None, :]
-    return partialled, np.diagonal(sums, axis1=-2, axis2=-1)[..., 1:]
+    sums = gram(centered[1:])  # rows y, x_1..x_p, read in place
+    t_sq = dot(centered[0], centered[0])
+    partialled = sums - (t_sq * slopes)[:, None] * slopes[None, :]
+    return partialled, np.diagonal(sums)[1:]
 
 
 def arm_statistics(n: int, n1, means, scatters):
@@ -263,7 +254,7 @@ def long_regression(data: RctDataset) -> tuple[float, np.ndarray]:
     """
     slopes = data.influence[0]
     beta = long_coefficients(*long_normal_equations(data))
-    return residualize(slopes[..., 0], slopes[..., 1:], beta).c_r, beta
+    return residualize(slopes[0], slopes[1:], beta).c_r, beta
 
 
 def residualized_estimator(
@@ -280,11 +271,8 @@ def residualized_estimator(
     """
     c_short, _ = short_estimator(data)
     gamma_hat, _ = balance_stats(data)
-    # Both are read from the dataset's one (..., 1 + p, n) contribution
-    # array; transposed, it is the (..., n, 1 + p) matrix joint_covariance
-    # reads without a copy.
-    stacked = InfluenceContributions(
-        np.swapaxes(data.influence[1], -1, -2), cluster_ids=cluster_ids
-    )
-    sigma = joint_covariance(stacked)
+    # Both are read from the dataset's one (1 + p, n) contribution array;
+    # transposed, it is the (n, 1 + p) matrix joint_covariance reads
+    # without a copy.
+    sigma = joint_covariance(InfluenceContributions(data.influence[1].T, cluster_ids=cluster_ids))
     return residualize(c_short, gamma_hat, sigma.lam), sigma

@@ -29,12 +29,14 @@ from residcheck.misspec import (
     worst_case_bias_profile,
 )
 from residcheck.selection import (
+    ReportingRule,
     SelectionConfig,
     run_conditional_experiment,
     truncated_oracle,
-    two_sided_t_rule,
 )
 from residcheck._threads import batch_sizes, map_batches
+
+from reference import draw, estimate_fixed, estimate_plugin_residualized
 
 THREADS = 2
 RHOS = (0.0, 0.5, 0.8)
@@ -53,7 +55,7 @@ def selection_runs():
     for i, rho in enumerate(RHOS):
         config = SelectionConfig(
             dgp=GaussianPairDGP.from_rho(rho),
-            rule=two_sided_t_rule(1.96),
+            rule=ReportingRule(kind="two_sided_t", threshold=1.96),
             n=SELECTION_N,
             reps=SELECTION_REPS,
             seed=52980 + i,
@@ -275,9 +277,9 @@ def test_criterion_8_plugin_negligibility():
         rng = np.random.default_rng(seed)
         diffs = np.empty(reps)
         for r in range(reps):
-            data = pair.draw(rng, n)
-            plugin = pair.estimate_plugin_residualized(data)
-            oracle = pair.estimate_fixed(data, lam)
+            data = draw(pair, rng, n)
+            plugin = estimate_plugin_residualized(pair, data)
+            oracle = estimate_fixed(pair, data, lam)
             diffs[r] = math.sqrt(n) * (plugin - oracle)
         sds[n] = float(diffs.std(ddof=1))
     ratio = sds[2000] / sds[8000]

@@ -8,6 +8,7 @@ from residcheck import JointCovariance, _fixed_order
 from residcheck.covariance import covariance_matrix
 from residcheck.errors import (
     DegenerateResidualVariance,
+    DimensionMismatch,
     EstimationError,
     TooFewClusters,
 )
@@ -31,6 +32,12 @@ class TestJointCovarianceEstimation:
             InfluenceContributions(values, cluster_ids=np.arange(40))
         )
         assert np.array_equal(iid.full_matrix(), clustered.full_matrix())
+
+    def test_stack_of_matrices_rejected(self):
+        # One (n, 1 + p) matrix per call; stacks are validated as JointCovariance.
+        values = np.random.default_rng(9).standard_normal((3, 40, 2))
+        with pytest.raises(DimensionMismatch):
+            InfluenceContributions(values)
 
     def test_perfect_correlation_is_degenerate(self):
         with pytest.raises(DegenerateResidualVariance):
@@ -71,13 +78,13 @@ class TestJointCovarianceEstimation:
 
     @pytest.mark.parametrize("clustered", [False, True])
     def test_matrices_validated_together_match_joint_covariance(self, clustered):
-        # Two stacks' matrices, validated as one stack, as the RCT lab does.
+        # Each member's matrix, validated with the others as one stack.
         rng = np.random.default_rng(10)
         values = rng.standard_normal((5, 120, 4)) + 1.0
         clusters = rng.integers(0, 30, size=120) if clustered else None
-        matrices = np.concatenate([
-            covariance_matrix(InfluenceContributions(part, cluster_ids=clusters))
-            for part in (values[:2], values[2:])
+        matrices = np.stack([
+            covariance_matrix(InfluenceContributions(member, cluster_ids=clusters))
+            for member in values
         ])
         together = JointCovariance(
             matrices[:, 0, 0], matrices[:, 0, 1:], matrices[:, 1:, 1:], 120

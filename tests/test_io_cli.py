@@ -19,6 +19,7 @@ from scipy.stats import norm
 
 import residcheck.io
 from residcheck.cli import main
+from residcheck.dgps import GaussianPairDGP, RctLinearDGP
 from residcheck.errors import (
     ConfigError,
     EmptyFile,
@@ -912,6 +913,44 @@ class TestCli:
         error = json.loads(lines[0])
         assert error["error"] == "ConfigError" and name in error["message"]
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--noise-sd", "1e200"), ("--beta", "1e200"), ("--tau", "1e308"), ("--beta", "1e154")],
+        ids=["noise-sd", "beta", "tau", "beta-sums-overflow"],
+    )
+    def test_simulate_rct_overflow_is_one_json_line_without_warning(self, flags, capsys):
+        # The first three overflow the outcome's population second moment; at
+        # beta = 1e154 only the lab's sums over n rows overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--lab", "selection", "--dgp", "rct", *flags, *SIZES])
+        out, err = capsys.readouterr()
+        assert code in (2, 3)
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1, lines
+        assert set(json.loads(lines[0])) == {"error", "message"}
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--rho", "0.5"), ("--dgp", "rct", "--beta", "1,0,0", "--interaction", "0,0,0")],
+        ids=["gaussian", "rct"],
+    )
+    def test_simulate_huge_reps_refused_before_any_draw(self, flags, capsys, monkeypatch):
+        drawn = []
+        for dgp in (GaussianPairDGP, RctLinearDGP):
+            monkeypatch.setattr(dgp, "draw_replications", lambda *args: drawn.append(args))
+        code = main(["simulate", "--lab", "selection", *flags,
+                     "--n", "200", "--reps", "100000000000", "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1, lines
+        error = json.loads(lines[0])
+        assert error["error"] == "ConfigError" and "budget" in error["message"]
+        assert drawn == []
+
     def test_help_exits_zero(self):
         result = run_cli("simulate", "--help")
         assert result.returncode == 0, result.stderr
@@ -1098,11 +1137,11 @@ def _grammar(csv_path, missing_path):
             ("--rule", ("two_sided_t", "wald", "max_abs"), ("other",), False),
             ("--threshold", ("1.96", "3.841"), ("20", "0", "-1", "inf", "nan"), False),
             ("--coord", ("0",), ("1", "-1", "x"), False),
-            ("--tau", ("1",), ("nan", "inf"), False),
-            ("--beta", ("1", "0.5,-0.25"), ("nan", "", "a"), False),
-            ("--interaction", ("0", "0.4,0"), ("inf", ""), False),
+            ("--tau", ("1",), ("nan", "inf", "1e200", "1e308"), False),
+            ("--beta", ("1", "0.5,-0.25"), ("nan", "", "a", "1e200", "1e308"), False),
+            ("--interaction", ("0", "0.4,0"), ("inf", "", "1e200", "1e308"), False),
             ("--pi", ("0.5", "0.3"), ("0", "1", "nan"), False),
-            ("--noise-sd", ("1", "0"), ("-1", "inf"), False),
+            ("--noise-sd", ("1", "0"), ("-1", "inf", "1e200", "1e308"), False),
             ("--n", ("50", "100", "200"), ("10", "0", "-5", "abc"), True),
             ("--reps", ("1000", "1100"), ("10", "-1", "x"), True),
             ("--seed", ("1", "7"), ("-1", "x"), True),

@@ -2,12 +2,13 @@ import dataclasses
 import math
 import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from residcheck.dgps import GaussianPairDGP, RctLinearDGP, sample_moments
+from residcheck.dgps import GaussianPairDGP, RctLinearDGP
 from residcheck import _threads
 from residcheck._threads import batch_sizes
 from residcheck.errors import (
@@ -21,27 +22,35 @@ from residcheck.errors import (
 from residcheck.io import GaussianDgpSpec, ScoreSpec, SimulateConfig
 from residcheck.misspec import (
     MAX_TOTAL_DRAWS,
-    MisspecScore,
     _check_start,
     _measure,
-    _draw_accepted,
-    bias_decomposition_check,
-    check_weight_bound,
     fixed_lambda_estimator_of,
-    measure_bias,
     measure_gaussian_bias,
     plugin_residualized_of,
-    sample_perturbed,
     short_estimator_of,
-    validate_score,
     worst_case_bias_profile,
-    worst_case_score,
-    zero_score,
 )
 from residcheck.core import JointCovariance
 from residcheck.report import run_simulate
 
 from conftest import moment_z_scores
+from reference import (
+    MisspecScore,
+    _draw_accepted,
+    bias_decomposition_check,
+    check_weight_bound,
+    draw,
+    influence_gamma,
+    measure_bias,
+    rct_influence_adjusted,
+    rct_influence_c,
+    rct_influence_gamma,
+    sample_moments,
+    sample_perturbed,
+    structural_mean_shift_score,
+    worst_case_score,
+    zero_score,
+)
 
 PAIR = GaussianPairDGP.from_rho(0.5)
 PAIR_P2 = GaussianPairDGP(
@@ -49,6 +58,7 @@ PAIR_P2 = GaussianPairDGP(
     sigma_c_gamma=np.array([0.6, -0.4]),
     sigma_gamma_gamma=np.array([[1.0, 0.3], [0.3, 2.0]]),
 )
+PAIR_ROWS = partial(draw, PAIR)
 
 
 def scalar_normal_sampler(rng, size):
@@ -79,10 +89,10 @@ class TestWorstCaseScore:
     def test_fresh_sample_second_moment_matches_mu(self):
         for lam in (0.0, 0.5, 1.2):
             score = worst_case_score(
-                PAIR.influence_adjusted(lam), 1.5, PAIR.draw, calibration_draws=1_000_000
+                PAIR.influence_adjusted(lam), 1.5, PAIR_ROWS, calibration_draws=1_000_000
             )
             rng = np.random.default_rng(2)
-            values = score(PAIR.draw(rng, 1_000_000))
+            values = score(PAIR_ROWS(rng, 1_000_000))
             assert float(np.mean(values**2)) == pytest.approx(1.5**2, rel=0.01)
 
     def test_zero_influence_rejected(self):
@@ -92,15 +102,6 @@ class TestWorstCaseScore:
     def test_negative_mu_rejected(self):
         with pytest.raises(NegativeMu):
             worst_case_score(lambda d: d[:, 0], -1.0, scalar_normal_sampler)
-
-    def test_validate_score_accepts_worst_case(self):
-        score = worst_case_score(PAIR.influence_adjusted(0.5), 1.0, PAIR.draw)
-        validate_score(score, PAIR.draw)
-
-    def test_validate_score_rejects_shifted(self):
-        bad = MisspecScore(fn=lambda d: d[:, 0] + 0.3, mu=2.0)
-        with pytest.raises(ConfigError):
-            validate_score(bad, PAIR.draw)
 
 
 class TestSamplePerturbed:
@@ -143,22 +144,22 @@ class TestSamplePerturbed:
 
     def test_no_repeated_rows(self):
         # Rejection keeps distinct proposals; resampling a finite pool repeats them.
-        score = worst_case_score(PAIR.influence_adjusted(PAIR.lambda_opt), 1.0, PAIR.draw)
-        data = sample_perturbed(PAIR.draw, score, 2000, seed=15)
+        score = worst_case_score(PAIR.influence_adjusted(PAIR.lambda_opt), 1.0, PAIR_ROWS)
+        data = sample_perturbed(PAIR_ROWS, score, 2000, seed=15)
         assert data.shape == (2000, 2)
         assert np.unique(data, axis=0).shape[0] == 2000
 
     def test_reweighted_expectations_match_first_order(self):
         # E_{P_n}[g] = E0[g] + E0[g s] / sqrt(n) for bounded g.
         n = 2500
-        score = worst_case_score(PAIR.influence_adjusted(0.5), 1.0, PAIR.draw, seed=9)
+        score = worst_case_score(PAIR.influence_adjusted(0.5), 1.0, PAIR_ROWS, seed=9)
         rng = np.random.default_rng(7)
-        calib = PAIR.draw(rng, 400_000)
+        calib = PAIR_ROWS(rng, 400_000)
         for g in (lambda d: np.cos(d[:, 0]), lambda d: np.tanh(d[:, 1])):
             predicted = g(calib).mean() + (g(calib) * score(calib)).mean() / math.sqrt(n)
             samples = []
             for rep in range(200):
-                data = sample_perturbed(PAIR.draw, score, n, seed=100 + rep)
+                data = sample_perturbed(PAIR_ROWS, score, n, seed=100 + rep)
                 samples.append(g(data).mean())
             mc_se = np.std(samples, ddof=1) / math.sqrt(len(samples))
             assert np.mean(samples) == pytest.approx(predicted, abs=3 * mc_se)
@@ -167,7 +168,7 @@ class TestSamplePerturbed:
 class TestMeasureBias:
     def test_zero_score_is_unbiased(self):
         m = measure_bias(
-            short_estimator_of(PAIR), PAIR.draw, zero_score(), n=2000, reps=400,
+            short_estimator_of(PAIR), PAIR_ROWS, zero_score(), n=2000, reps=400,
             seed=8, calibration_draws=100_000,
         )
         assert m.sqrt_n_bias == pytest.approx(0.0, abs=3 * m.mc_se)
@@ -176,13 +177,13 @@ class TestMeasureBias:
     def test_orthogonal_score_is_unbiased(self):
         # Project a quadratic direction against psi on a calibration sample.
         rng = np.random.default_rng(9)
-        calib = PAIR.draw(rng, 1_000_000)
+        calib = PAIR_ROWS(rng, 1_000_000)
         psi = PAIR.influence_adjusted(PAIR.lambda_opt)
         h = lambda d: d[:, 0] ** 2 - 1.0
         coef = float((h(calib) * psi(calib)).mean() / (psi(calib) ** 2).mean())
         score = MisspecScore(fn=lambda d: h(d) - coef * psi(d), mu=2.0)
         m = measure_bias(
-            plugin_residualized_of(PAIR), PAIR.draw, score, n=2000, reps=600,
+            plugin_residualized_of(PAIR), PAIR_ROWS, score, n=2000, reps=600,
             seed=10, calibration_draws=200_000,
         )
         assert abs(m.predicted) <= 3 * m.predicted_se + 1e-3
@@ -192,16 +193,16 @@ class TestMeasureBias:
         # Under its own worst case the residualized estimator's bias is
         # mu sigma_c sqrt(1 - I) and the short estimator's is mu sigma_c.
         score_opt = worst_case_score(
-            PAIR.influence_adjusted(PAIR.lambda_opt), 1.0, PAIR.draw, seed=1
+            PAIR.influence_adjusted(PAIR.lambda_opt), 1.0, PAIR_ROWS, seed=1
         )
         m_resid = measure_bias(
-            plugin_residualized_of(PAIR), PAIR.draw, score_opt, n=2500, reps=1500,
+            plugin_residualized_of(PAIR), PAIR_ROWS, score_opt, n=2500, reps=1500,
             seed=11, calibration_draws=400_000,
         )
         assert m_resid.sqrt_n_bias == pytest.approx(math.sqrt(0.75), abs=3 * m_resid.mc_se)
-        score_zero = worst_case_score(PAIR.influence_c, 1.0, PAIR.draw, seed=2)
+        score_zero = worst_case_score(PAIR.influence_c, 1.0, PAIR_ROWS, seed=2)
         m_short = measure_bias(
-            short_estimator_of(PAIR), PAIR.draw, score_zero, n=2500, reps=1500,
+            short_estimator_of(PAIR), PAIR_ROWS, score_zero, n=2500, reps=1500,
             seed=12, calibration_draws=400_000,
         )
         assert m_short.sqrt_n_bias == pytest.approx(1.0, abs=3 * m_short.mc_se)
@@ -229,7 +230,7 @@ class TestMeasureBias:
             plugin_residualized_of(dgp) if factor == 1.0 else fixed_lambda_estimator_of(dgp, lam)
         )
         m = measure_gaussian_bias(estimator, dgp, lam, 1.5, n=2000, reps=50, seed=seed)
-        calib = dgp.draw(np.random.default_rng(seed), 400_000)
+        calib = draw(dgp, np.random.default_rng(seed), 400_000)
         products = estimator.influence(calib) * exact_score(dgp, lam, 1.5)(calib)
         rows_se = products.std(ddof=1) / math.sqrt(len(products))
         assert m.predicted_se == 0.0
@@ -252,23 +253,18 @@ class TestMeasureBias:
         assert m.predicted_se == 0.0
         assert m.predicted == pytest.approx(1.5 * closed_form, rel=1e-15, abs=0.0)
 
-    def test_gaussian_runner_needs_a_moment_map(self):
-        estimator = dataclasses.replace(short_estimator_of(PAIR), from_moments=None)
-        with pytest.raises(ConfigError, match="moment map"):
-            measure_gaussian_bias(estimator, PAIR, np.zeros(1), 1.0, n=100, reps=10, seed=1)
-
     def test_budget_guard(self):
         with pytest.raises(ConfigError):
             measure_bias(
-                short_estimator_of(PAIR), PAIR.draw, zero_score(),
+                short_estimator_of(PAIR), PAIR_ROWS, zero_score(),
                 n=10**6, reps=10**6, seed=1,
             )
 
     def test_deterministic_across_thread_counts(self):
-        score = worst_case_score(PAIR.influence_c, 1.0, PAIR.draw, seed=3)
+        score = worst_case_score(PAIR.influence_c, 1.0, PAIR_ROWS, seed=3)
         kwargs = dict(n=500, reps=200, seed=13, calibration_draws=50_000)
-        a = measure_bias(short_estimator_of(PAIR), PAIR.draw, score, threads=1, **kwargs)
-        b = measure_bias(short_estimator_of(PAIR), PAIR.draw, score, threads=4, **kwargs)
+        a = measure_bias(short_estimator_of(PAIR), PAIR_ROWS, score, threads=1, **kwargs)
+        b = measure_bias(short_estimator_of(PAIR), PAIR_ROWS, score, threads=4, **kwargs)
         assert a == b
 
 
@@ -297,7 +293,7 @@ class TestPerturbedBatch:
         score = exact_score(dgp, lam, 1.2)
         rng = np.random.default_rng(seed)
         rows = [
-            sample_moments(_draw_accepted(rng, dgp.draw, score, n))
+            sample_moments(_draw_accepted(rng, partial(draw, dgp), score, n))
             for _ in range(row_reps)
         ]
         reference = moment_rows(np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows]))
@@ -340,7 +336,7 @@ class CountingSampler:
 
     def draw(self, rng, size):
         self.sizes.append(size)
-        return self.dgp.draw(rng, size)
+        return draw(self.dgp, rng, size)
 
     def perturbed_draws(self, rng, n, size, mu):
         self.sizes.append(size)
@@ -359,7 +355,7 @@ class TestWeightGate:
 
     def test_measure_bias_fails_before_any_replication(self):
         counting = CountingSampler(PAIR)
-        score = worst_case_score(PAIR.influence_c, 2.0, PAIR.draw)
+        score = worst_case_score(PAIR.influence_c, 2.0, PAIR_ROWS)
         with pytest.raises(WeightUnderflow):
             measure_bias(
                 short_estimator_of(PAIR), counting.draw, score, n=16, reps=100,
@@ -468,7 +464,7 @@ class TestBiasProfile:
 
 def batch_streams(seed, reps):
     """(generator, size) of each of the 50 batches of a run."""
-    children = np.random.SeedSequence(seed).spawn(51)
+    children = np.random.SeedSequence(seed).spawn(50)
     return [(np.random.default_rng(c), size) for c, size in zip(children, batch_sizes(reps, 50))]
 
 
@@ -498,7 +494,7 @@ class TestStagedFrame:
 
         stages = []
         result = _measure(
-            estimator, mu, n, reps, seed, threads, MAX_TOTAL_DRAWS, lambda rng: (0.0, 0.0), draw,
+            estimator, mu, n, reps, seed, threads, MAX_TOTAL_DRAWS, 0.0, 0.0, draw,
             lambda draws: stages.append(estimate(draws)) or stages[-1],
         )
         want = np.concatenate(
@@ -638,8 +634,8 @@ class TestBiasDecomposition:
             zero_score(),
             PAIR.lambda_opt,
             PAIR.influence_c,
-            PAIR.influence_gamma,
-            PAIR.draw,
+            partial(influence_gamma, PAIR),
+            PAIR_ROWS,
             calibration_draws=100_000,
         )
         assert check.total_bias == 0.0
@@ -651,18 +647,18 @@ class TestBiasDecomposition:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match="noise_sd"):
-                dgp.structural_mean_shift_score()
+                structural_mean_shift_score(dgp)
 
     def test_within_model_structural_direction_drops_out(self):
         dgp = RctLinearDGP(tau=1.0, beta=np.array([1.0]), interaction=np.array([0.0]))
         lam = dgp.beta_resid_limit
-        s_z = worst_case_score(dgp.influence_adjusted(lam), 1.0, dgp.draw_matrix, seed=4)
+        s_z = worst_case_score(rct_influence_adjusted(dgp, lam), 1.0, dgp.draw_matrix, seed=4)
         check = bias_decomposition_check(
-            dgp.structural_mean_shift_score(),
+            structural_mean_shift_score(dgp),
             s_z,
             lam,
-            dgp.influence_c,
-            dgp.influence_gamma,
+            partial(rct_influence_c, dgp),
+            partial(rct_influence_gamma, dgp),
             dgp.draw_matrix,
             calibration_draws=400_000,
         )
@@ -680,14 +676,14 @@ class TestBiasDecomposition:
         results = {}
         for lam_val in (0.0, float(PAIR.lambda_opt[0])):
             lam = np.array([lam_val])
-            s_z = worst_case_score(PAIR.influence_adjusted(lam), 1.0, PAIR.draw, seed=5)
+            s_z = worst_case_score(PAIR.influence_adjusted(lam), 1.0, PAIR_ROWS, seed=5)
             check = bias_decomposition_check(
                 lambda d: np.zeros(d.shape[0]),
                 s_z,
                 lam,
                 PAIR.influence_c,
-                PAIR.influence_gamma,
-                PAIR.draw,
+                partial(influence_gamma, PAIR),
+                PAIR_ROWS,
                 calibration_draws=400_000,
             )
             results[lam_val] = check.net_bias

@@ -11,10 +11,9 @@ from scipy.stats import ks_2samp
 from residcheck import (
     InfluenceContributions,
     RctDataset,
-    adjusted_variance,
     balance_stats,
-    joint_covariance,
     long_regression,
+    residualize,
     residualized_estimator,
     short_estimator,
 )
@@ -32,6 +31,7 @@ from residcheck.errors import (
 from residcheck.rct import arm_statistics, long_coefficients, long_normal_equations
 
 from conftest import moment_z_scores, replications
+from reference import draw_dataset
 
 
 def make_dataset(y, t, x, strata=None):
@@ -55,6 +55,16 @@ class TestDatasetValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(DimensionMismatch):
             make_dataset([1, np.nan, 3, 4], [0, 1, 0, 1], [[1], [2], [3], [4]])
+
+    @pytest.mark.parametrize("stacked", ["outcome", "treatment", "both"])
+    def test_stack_of_datasets_rejected(self, stacked):
+        # One dataset per call: a (B, n) outcome or treatment is not one.
+        y, t, x = random_members(5, 3, 40, 2)
+        outcome = y if stacked != "treatment" else y[0]
+        treatment = t if stacked != "outcome" else t[0]
+        covariates = x if stacked == "both" else x[0]
+        with pytest.raises(DimensionMismatch):
+            RctDataset(outcome=outcome, treatment=treatment, covariates=covariates)
 
 
 class TestShortEstimator:
@@ -175,8 +185,12 @@ class TestLongRegression:
         np.testing.assert_allclose(beta_long, want[1:], rtol=1e-9)
 
     def test_stack_matches_least_squares(self):
+        # The p x p half over a stack of normal equations, as the RCT lab solves it.
         y, t, x = random_members(16, 6, 120, 2)
-        c_long, beta_long = long_regression(RctDataset(outcome=y, treatment=t, covariates=x))
+        members = [make_dataset(y[b], t[b], x[b]) for b in range(6)]
+        beta_long = long_coefficients(*stacked_normal_equations(members))
+        slopes = np.stack([member.influence[0] for member in members])
+        c_long = residualize(slopes[:, 0], slopes[:, 1:], beta_long).c_r
         for b in range(6):
             want = lstsq_long(y[b], t[b], x[b])
             assert c_long[b] == pytest.approx(want[0], rel=1e-9)
@@ -216,7 +230,7 @@ class TestResidualizedEstimator:
     def test_independent_covariate_leaves_estimate_alone(self):
         rng = np.random.default_rng(11)
         dgp = RctLinearDGP(tau=1.0, beta=np.array([0.0]), interaction=np.array([0.0]))
-        point, sigma = residualized_estimator(dgp.draw_dataset(rng, 4000))
+        point, sigma = residualized_estimator(draw_dataset(dgp, rng, 4000))
         correction = point.c_hat - point.c_r
         corr_se = np.sqrt(float(point.lam @ sigma.sigma_gamma_gamma @ point.lam) / sigma.n)
         assert abs(correction) <= 3.0 * max(corr_se, 1e-12)
@@ -229,7 +243,7 @@ class TestResidualizedEstimator:
             rng = np.random.default_rng(seed)
             diffs = []
             for _ in range(30):
-                data = dgp.draw_dataset(rng, n)
+                data = draw_dataset(dgp, rng, n)
                 beta_long = long_regression(data)[1]
                 diffs.append(np.linalg.norm(beta_long - residualized_estimator(data)[0].lam))
             gaps.append(np.mean(diffs))
@@ -244,7 +258,7 @@ class TestResidualizedEstimator:
         reps, n = 2000, 500
         ests = np.empty((reps, 3))
         for r in range(reps):
-            data = dgp.draw_dataset(rng, n)
+            data = draw_dataset(dgp, rng, n)
             point, _ = residualized_estimator(data)
             ests[r] = (point.c_hat, long_regression(data)[0], point.c_r)
         var_s, var_l, var_r = ests.var(axis=0, ddof=1)
@@ -321,6 +335,11 @@ def random_members(seed, size, n, p):
     return y, t, x
 
 
+def stacked_normal_equations(members):
+    """Each dataset's :func:`long_normal_equations`, stacked on axis 0."""
+    return tuple(np.stack(parts) for parts in zip(*map(long_normal_equations, members)))
+
+
 def lstsq_long(y, t, x, strata=None):
     """Coefficients on t and x from numpy's least squares with one intercept per stratum."""
     labels = np.zeros(len(y)) if strata is None else np.asarray(strata)
@@ -354,15 +373,47 @@ FIELDS = ("c_short", "c_resid", "se_short", "se_resid", "gamma_hat", "sigma_gg",
 
 
 def full_data_replications(dgp, rng, n, size):
-    """The lab's fields from size datasets of n drawn rows, run through the adapter as one stack."""
+    """The lab's fields from size datasets of n drawn rows, recomputed with plain numpy as one stack.
+
+    Per dataset: the slopes of y and x on demeaned t and their influence
+    rows, the 1/n covariance of the demeaned rows and the residualized
+    estimate, as in ``analyze``; the long regression by least squares on
+    [1, t, x], and the variance of the adjustment at its coefficients.
+    """
     rows = np.stack([reference_draw_matrix(dgp, rng, n) for _ in range(size)])
-    data = RctDataset(outcome=rows[..., 0], treatment=rows[..., 1], covariates=rows[..., 2:])
-    point, sigma = residualized_estimator(data)
-    c_long, beta_long = long_regression(data)
-    se_long = np.sqrt(adjusted_variance(sigma, beta_long) / n)
-    values = (point.c_hat, point.c_r, sigma.se_c, sigma.se_r, point.gamma_hat,
-              sigma.sigma_gamma_gamma, c_long, se_long)
+    y, t, x = rows[..., 0], rows[..., 1], rows[..., 2:]
+    t_c = t - t.mean(axis=1, keepdims=True)
+    others = rows[..., [0, *range(2, rows.shape[-1])]]
+    others = others - others.mean(axis=1, keepdims=True)
+    tt = np.einsum("bi,bi->b", t_c, t_c)
+    slopes = np.einsum("bi,bij->bj", t_c, others) / tt[:, None]
+    psi = t_c[..., None] * (others - t_c[..., None] * slopes[:, None, :]) / (tt / n)[:, None, None]
+    psi = psi - psi.mean(axis=1, keepdims=True)
+    sigma = np.einsum("bij,bik->bjk", psi, psi) / n
+    scc, scg, sgg = sigma[:, 0, 0], sigma[:, 0, 1:], sigma[:, 1:, 1:]
+    lam = np.linalg.solve(sgg, scg[..., None])[..., 0]
+    design = np.concatenate([np.ones((size, n, 1)), t[..., None], x], axis=-1)
+    coef = np.linalg.solve(
+        np.einsum("bij,bik->bjk", design, design), np.einsum("bij,bi->bj", design, y)[..., None]
+    )[..., 0]
+    beta_long = coef[:, 2:]
+    long_var = scc - 2.0 * (beta_long * scg).sum(axis=1) + np.einsum(
+        "bj,bjk,bk->b", beta_long, sgg, beta_long
+    )
+    c_short, gamma = slopes[:, 0], slopes[:, 1:]
+    values = (c_short, c_short - (lam * gamma).sum(axis=1), np.sqrt(scc / n),
+              np.sqrt((scc - (lam * scg).sum(axis=1)) / n), gamma, sgg, coef[:, 1],
+              np.sqrt(long_var / n))
     return dict(zip(FIELDS, values))
+
+
+def adapter_replications(dgp, rng, n, size):
+    """size datasets of n drawn rows, one at a time through the adapter's estimators."""
+    for _ in range(size):
+        rows = reference_draw_matrix(dgp, rng, n)
+        data = RctDataset(outcome=rows[:, 0], treatment=rows[:, 1], covariates=rows[:, 2:])
+        residualized_estimator(data)
+        long_regression(data)
 
 
 def arm_moments(y, t, x):
@@ -388,36 +439,7 @@ def c_short_second_moment(dgp, n):
 
 
 class TestStackedDatasets:
-    """A stack of datasets gives, member by member, the bits of each dataset alone."""
-
-    @pytest.mark.parametrize("size", [1, 5])
-    @pytest.mark.parametrize("p", [1, 3])
-    def test_stack_matches_single_calls(self, size, p):
-        y, t, x = random_members(40 + p, size, 150, p)
-        stack = RctDataset(outcome=y, treatment=t, covariates=x)
-        singles = [RctDataset(outcome=y[b], treatment=t[b], covariates=x[b]) for b in range(size)]
-        stack_sigma = joint_covariance(
-            InfluenceContributions(np.swapaxes(stack.influence[1], -1, -2))
-        )
-        stack_point, _ = residualized_estimator(stack)
-        stack_long = long_regression(stack)
-        for b, single in enumerate(singles):
-            assert_same_bits(stack.centered[b], single.centered)
-            assert_same_bits(stack.influence[0][b], single.influence[0])
-            assert_same_bits(stack.influence[1][b], single.influence[1])
-            sigma = joint_covariance(InfluenceContributions(single.influence[1].T))
-            assert_same_bits(stack_sigma.full_matrix()[b], sigma.full_matrix())
-            assert_same_bits(stack_sigma.lam[b], sigma.lam)
-            assert_same_bits(stack_sigma.se_r[b], sigma.se_r)
-            point, _ = residualized_estimator(single)
-            assert_same_bits(stack_point.c_r[b], point.c_r)
-            c_long, beta_long = long_regression(single)
-            assert_same_bits(stack_long[0][b], c_long)
-            assert_same_bits(stack_long[1][b], beta_long)
-            assert_same_bits(
-                adjusted_variance(stack_sigma, stack_long[1])[b],
-                adjusted_variance(sigma, beta_long),
-            )
+    """The RCT lab estimates a stack of replications in one call."""
 
     @pytest.mark.parametrize("size", [1, 97, 150])
     def test_one_covariance_validation_per_batch(self, size, monkeypatch):
@@ -459,14 +481,15 @@ class TestArmStatisticDraws:
     @pytest.mark.parametrize("size, p", [(1, 1), (5, 3)])
     def test_arm_statistics_match_data_path(self, size, p):
         y, t, x = random_members(60 + p, size, 120, p)
-        data = RctDataset(outcome=y, treatment=t, covariates=x)
         n1, means, scatters = arm_moments(y, t, x)
         slopes, cov, partialled, x_sq = arm_statistics(120, n1, means, scatters)
-        contribs = InfluenceContributions(np.swapaxes(data.influence[1], -1, -2))
-        want_partialled, want_x_sq = long_normal_equations(data)
-        for got, want in ((slopes, data.influence[0]), (cov, covariance_matrix(contribs)),
-                          (partialled, want_partialled), (x_sq, want_x_sq)):
-            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+        for b in range(size):
+            data = RctDataset(outcome=y[b], treatment=t[b], covariates=x[b])
+            contribs = InfluenceContributions(data.influence[1].T)
+            want_partialled, want_x_sq = long_normal_equations(data)
+            for got, want in ((slopes[b], data.influence[0]), (cov[b], covariance_matrix(contribs)),
+                              (partialled[b], want_partialled), (x_sq[b], want_x_sq)):
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("pi", [0.25, 0.4])
     @pytest.mark.parametrize("p", [1, 3])
@@ -535,7 +558,7 @@ class TestArmStatisticDraws:
             return None
 
         lab = outcome(lambda: replications(dgp, np.random.default_rng(4), 100, 40))
-        full = outcome(lambda: full_data_replications(dgp, np.random.default_rng(4), 100, 40))
+        full = outcome(lambda: adapter_replications(dgp, np.random.default_rng(4), 100, 40))
         assert lab is full
 
     @pytest.mark.parametrize(
@@ -549,11 +572,6 @@ class TestArmStatisticDraws:
             RctLinearDGP(**{field: value})
 
 
-def _one_treated(y, t, x):
-    t[:] = 0.0
-    t[0] = 1.0
-
-
 def _duplicated_covariate(y, t, x):
     x[:, 1] = x[:, 0]
 
@@ -564,28 +582,27 @@ class TestStackWithOneBadMember:
     @pytest.mark.parametrize(
         "corrupt, estimate, error",
         [
-            (_one_treated, lambda data: data, EmptyArm),
-            (_duplicated_covariate, long_regression, RankDeficientDesign),
             (
                 _duplicated_covariate,
-                lambda data: long_coefficients(*long_normal_equations(data)),
+                lambda equations: long_coefficients(*equations),
                 RankDeficientDesign,
             ),
         ],
     )
     def test_dataset_stack(self, corrupt, estimate, error):
+        # The members' normal equations, solved as one stack, as the RCT lab solves them.
         y, t, x = random_members(7, 4, 60, 3)
         bad = 2
-        corrupt(y[bad], t[bad], x[bad])  # views: member 2 of the stack changes too
-        for b in range(4):
-            single = lambda: estimate(RctDataset(outcome=y[b], treatment=t[b], covariates=x[b]))
+        corrupt(y[bad], t[bad], x[bad])
+        members = [RctDataset(outcome=y[b], treatment=t[b], covariates=x[b]) for b in range(4)]
+        for b, member in enumerate(members):
             if b == bad:
                 with pytest.raises(error):
-                    single()
+                    estimate(long_normal_equations(member))
             else:
-                single()
+                estimate(long_normal_equations(member))
         with pytest.raises(error):
-            estimate(RctDataset(outcome=y, treatment=t, covariates=x))
+            estimate(stacked_normal_equations(members))
 
     def test_cholesky_stack_with_one_non_positive_pivot(self):
         good = np.array([[2.0, 0.5], [0.5, 1.0]])

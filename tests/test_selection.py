@@ -18,19 +18,21 @@ from residcheck.errors import (
     SingularCheckCovariance,
 )
 from residcheck.selection import (
+    MAX_REP_CELLS,
     ReportingRule,
     SelectionConfig,
     _standardize_checks,
-    max_abs_rule,
     run_conditional_experiment,
     simulate_replications,
     summarize,
     truncated_oracle,
-    two_sided_t_rule,
-    wald_rule,
 )
 
 from conftest import replications
+
+T_RULE = ReportingRule(kind="two_sided_t", threshold=1.96)
+WALD_2 = ReportingRule(kind="wald", threshold=5.99)
+WALD_3 = ReportingRule(kind="wald", threshold=7.815)
 
 
 class TestTruncatedOracle:
@@ -67,33 +69,37 @@ class TestTruncatedOracle:
 class TestReportingRules:
     def test_builtin_thresholds_validated_analytically(self):
         with pytest.raises(DegenerateRule):
-            two_sided_t_rule(0.0)
+            ReportingRule(kind="two_sided_t", threshold=0.0)
         with pytest.raises(DegenerateRule):
-            wald_rule(-1.0)
+            ReportingRule(kind="wald", threshold=-1.0)
         with pytest.raises(DegenerateRule):
-            max_abs_rule(float("inf"))
+            ReportingRule(kind="max_abs", threshold=float("inf"))
 
     def test_custom_rule_requires_q(self):
         with pytest.raises(ConfigError):
             ReportingRule(kind="custom", threshold=1.0)
 
     def test_pass_probability_formulas(self):
-        assert two_sided_t_rule(1.96).pass_probability(1) == pytest.approx(0.95, abs=1e-4)
-        assert wald_rule(5.991464547107979).pass_probability(2) == pytest.approx(0.95, rel=1e-9)
+        assert T_RULE.pass_probability(1) == pytest.approx(0.95, abs=1e-4)
+        wald = ReportingRule(kind="wald", threshold=5.991464547107979)
+        assert wald.pass_probability(2) == pytest.approx(0.95, rel=1e-9)
         a = float(norm.ppf((1.0 + np.sqrt(0.95)) / 2.0))
-        assert max_abs_rule(a).pass_probability(2) == pytest.approx(0.95, rel=1e-9)
+        max_abs = ReportingRule(kind="max_abs", threshold=a)
+        assert max_abs.pass_probability(2) == pytest.approx(0.95, rel=1e-9)
 
     def test_q_values_shapes(self):
         t_stats = np.array([[0.5, -2.5], [1.0, 0.0]])
-        assert np.allclose(two_sided_t_rule(2.0, coord=1).q_values(t_stats), [2.5, 0.0])
-        assert np.allclose(wald_rule(2.0).q_values(t_stats), [6.5, 1.0])
-        assert np.allclose(max_abs_rule(2.0).q_values(t_stats), [2.5, 1.0])
+        second = ReportingRule(kind="two_sided_t", threshold=2.0, coord=1)
+        assert np.allclose(second.q_values(t_stats), [2.5, 0.0])
+        assert np.allclose(ReportingRule(kind="wald", threshold=2.0).q_values(t_stats), [6.5, 1.0])
+        max_abs = ReportingRule(kind="max_abs", threshold=2.0)
+        assert np.allclose(max_abs.q_values(t_stats), [2.5, 1.0])
 
 
 def scalar_config(rho, reps=20_000, n=400, seed=7, rule=None, **kwargs):
     return SelectionConfig(
         dgp=GaussianPairDGP.from_rho(rho),
-        rule=rule or two_sided_t_rule(1.96),
+        rule=rule or T_RULE,
         n=n,
         reps=reps,
         seed=seed,
@@ -104,7 +110,20 @@ def scalar_config(rho, reps=20_000, n=400, seed=7, rule=None, **kwargs):
 class TestConditionalExperiment:
     def test_degenerate_rule_aborts(self):
         with pytest.raises(DegenerateRule):
-            run_conditional_experiment(scalar_config(0.0, rule=two_sided_t_rule(20.0)))
+            rule = ReportingRule(kind="two_sided_t", threshold=20.0)
+            run_conditional_experiment(scalar_config(0.0, rule=rule))
+
+    @pytest.mark.parametrize(
+        "dgp",
+        [GaussianPairDGP.from_rho(0.5), RctLinearDGP(beta=np.ones(3), interaction=np.zeros(3))],
+        ids=["gaussian-p1", "rct-p3"],
+    )
+    def test_reps_budget_counts_the_checks(self, dgp):
+        # reps (1 + p)^2 may reach the budget, not pass it; no replication is drawn here.
+        most = MAX_REP_CELLS // (1 + dgp.p_gamma) ** 2
+        SelectionConfig(dgp=dgp, rule=T_RULE, n=200, reps=most, seed=1)
+        with pytest.raises(ConfigError, match="budget"):
+            SelectionConfig(dgp=dgp, rule=T_RULE, n=200, reps=most + 1, seed=1)
 
     def test_independent_case_has_no_distortion(self):
         stats = run_conditional_experiment(scalar_config(0.0, reps=20_000))
@@ -132,9 +151,8 @@ class TestConditionalExperiment:
             sigma_c_gamma=np.array([0.4, 0.2]),
             sigma_gamma_gamma=np.eye(2),
         )
-        config = SelectionConfig(
-            dgp=dgp, rule=wald_rule(5.991464547107979), n=400, reps=20_000, seed=11
-        )
+        rule = ReportingRule(kind="wald", threshold=5.991464547107979)
+        config = SelectionConfig(dgp=dgp, rule=rule, n=400, reps=20_000, seed=11)
         stats = run_conditional_experiment(config)
         assert stats.pass_rate == pytest.approx(0.95, abs=3 * stats.pass_rate_se)
 
@@ -155,9 +173,9 @@ class TestConditionalExperiment:
             sigma_gamma_gamma=np.array([[1.0, 0.2], [0.2, 1.0]]),
         )
         rules = [
-            two_sided_t_rule(1.96),
-            wald_rule(5.991464547107979),
-            max_abs_rule(float(norm.ppf((1.0 + np.sqrt(0.95)) / 2.0))),
+            T_RULE,
+            ReportingRule(kind="wald", threshold=5.991464547107979),
+            ReportingRule(kind="max_abs", threshold=float(norm.ppf((1.0 + np.sqrt(0.95)) / 2.0))),
         ]
         summaries = []
         for rule in rules:
@@ -183,9 +201,7 @@ class TestConditionalExperiment:
 
     def test_rct_dgp_end_to_end(self):
         dgp = RctLinearDGP(tau=0.5, beta=np.array([1.0]), interaction=np.array([0.0]))
-        config = SelectionConfig(
-            dgp=dgp, rule=two_sided_t_rule(1.96), n=200, reps=1000, seed=17
-        )
+        config = SelectionConfig(dgp=dgp, rule=T_RULE, n=200, reps=1000, seed=17)
         stats = run_conditional_experiment(config)
         assert set(stats.estimators) == {"short", "long", "residualized"}
         s = stats.estimators["residualized"]["all"]
@@ -229,9 +245,7 @@ class TestSufficientStatisticDraws:
 
     @pytest.mark.parametrize("n, reps, seed", [(50, 40_000, 21), (400, 20_000, 22)])
     def test_matches_full_data_path(self, n, reps, seed):
-        config = SelectionConfig(
-            dgp=CORRELATED_PAIR, rule=wald_rule(5.99), n=n, reps=reps, seed=seed
-        )
+        config = SelectionConfig(dgp=CORRELATED_PAIR, rule=WALD_2, n=n, reps=reps, seed=seed)
         draws = simulate_replications(config)
         lab = np.column_stack([draws.c_resid, draws.se_resid, draws.t_stats])
         reference = full_data_replications(
@@ -304,7 +318,7 @@ def test_check_block_factored_once_per_batch(dgp, oracle, monkeypatch):
 
     monkeypatch.setattr(_fixed_order, "cholesky", counting_cholesky)
     monkeypatch.setattr(JointCovariance, "__post_init__", recording_validate)
-    config = SelectionConfig(dgp=dgp, rule=wald_rule(5.99 if dgp is CORRELATED_PAIR else 7.815),
+    config = SelectionConfig(dgp=dgp, rule=WALD_2 if dgp is CORRELATED_PAIR else WALD_3,
                              n=60, reps=1003, seed=23, oracle_sigma=oracle)
     draws = simulate_replications(config)
     assert [block.shape[0] for block in blocks] == [1003]
@@ -347,7 +361,7 @@ class TestPassRateGate:
     @pytest.mark.parametrize("threads", [1, 4])
     def test_draws_exactly_reps(self, threads):
         dgp = CountingDGP(GaussianPairDGP.from_rho(0.5))
-        config = SelectionConfig(dgp=dgp, rule=two_sided_t_rule(1.96), n=100, reps=2050, seed=3)
+        config = SelectionConfig(dgp=dgp, rule=T_RULE, n=100, reps=2050, seed=3)
         draws = simulate_replications(config, threads=threads)
         assert sum(dgp.sizes) == 2050 == draws.c_short.shape[0]
 
@@ -431,14 +445,12 @@ class TestSummaryOverTheBatchAxis:
     """summarize gives the per-slice computation's values, counts and (nearly) MC SEs."""
 
     def test_gaussian_run(self):
-        config = SelectionConfig(
-            dgp=CORRELATED_PAIR, rule=wald_rule(5.99), n=200, reps=2050, seed=41
-        )
+        config = SelectionConfig(dgp=CORRELATED_PAIR, rule=WALD_2, n=200, reps=2050, seed=41)
         assert_matches_per_slice(simulate_replications(config), CORRELATED_PAIR.c_true)
 
     def test_rct_run(self):
-        config = SelectionConfig(dgp=RCT_THREE_CHECKS, rule=max_abs_rule(2.24), n=2000, reps=2000,
-                                 seed=42)
+        rule = ReportingRule(kind="max_abs", threshold=2.24)
+        config = SelectionConfig(dgp=RCT_THREE_CHECKS, rule=rule, n=2000, reps=2000, seed=42)
         draws = simulate_replications(config)
         assert draws.c_long is not None
         assert_matches_per_slice(draws, RCT_THREE_CHECKS.c_true)
@@ -503,9 +515,9 @@ class TestStagesAreInvisible:
     # 2050: two stages of 25 batches.
     @pytest.mark.parametrize(
         "dgp, n, rule, reps",
-        [(CORRELATED_PAIR, 60, wald_rule(5.99), 1003), (CORRELATED_PAIR, 60, wald_rule(5.99), 2050),
-         (RCT_THREE_CHECKS, 200, wald_rule(7.815), 1003),
-         (RCT_THREE_CHECKS, 200, wald_rule(7.815), 2050),
+        [(CORRELATED_PAIR, 60, WALD_2, 1003), (CORRELATED_PAIR, 60, WALD_2, 2050),
+         (RCT_THREE_CHECKS, 200, WALD_3, 1003),
+         (RCT_THREE_CHECKS, 200, WALD_3, 2050),
          (RCT_SMALL_ARMS, 30, FIRST_CHECK_NEGATIVE, 1003)],
         ids=["gaussian-1003", "gaussian-2050", "rct-1003", "rct-2050", "rct-small-arms-1003"],
     )
@@ -556,7 +568,7 @@ class TestOneValidationPerStage:
             validate(self)
 
         monkeypatch.setattr(JointCovariance, "__post_init__", counting)
-        config = SelectionConfig(dgp=dgp, rule=wald_rule(5.99 if dgp is CORRELATED_PAIR else 7.815),
+        config = SelectionConfig(dgp=dgp, rule=WALD_2 if dgp is CORRELATED_PAIR else WALD_3,
                                  n=200, reps=reps, seed=62)
         simulate_replications(config, threads=threads)
         return calls
@@ -634,8 +646,7 @@ class TestErrorsInBatchOrder:
         ids=["gaussian", "rct"],
     )
     def test_first_failing_batch_decides(self, dgp, faults, joined_error, want, threads):
-        config = SelectionConfig(dgp=FaultyDGP(dgp, faults), rule=wald_rule(7.815), n=200,
-                                 reps=2050, seed=63)
+        config = SelectionConfig(dgp=FaultyDGP(dgp, faults), rule=WALD_3, n=200, reps=2050, seed=63)
         expected = first_error(lambda: batch_by_batch(config))
         assert expected[0] is want
         assert first_error(lambda: simulate_replications(config, threads=threads)) == expected
