@@ -29,6 +29,7 @@ factor from the stage's single covariance validation, not the block itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -121,15 +122,36 @@ def _bartlett(rng: np.random.Generator, k: int, dof: np.ndarray) -> np.ndarray:
     freedom, A' is dof standard rows, padded with zeros.
     """
     size = dof.shape[0]
-    full = np.flatnonzero(dof >= k)[:, None]
-    diag = np.arange(k)
-    upper = np.triu_indices(k, 1)
-    a_t = np.zeros((size, k, k))
-    a_t[full, diag, diag] = np.sqrt(rng.chisquare(dof[full] - diag))
-    a_t[full, upper[0], upper[1]] = rng.standard_normal((full.shape[0], upper[0].size))
-    for b in np.flatnonzero(dof < k):
-        a_t[b, : dof[b]] = rng.standard_normal((dof[b], k))
+    offsets, diag, upper = _bartlett_layout(k)
+    full = dof >= k
+    every = full.all()
+    if every:  # the labs' case above tiny n: no row selection and no loop
+        rows, dof_full = slice(None), dof[:, None]
+    else:
+        rows = np.flatnonzero(full)[:, None]
+        dof_full = dof[rows]
+    a_t = np.zeros((size, k * k))
+    a_t[rows, diag] = np.sqrt(rng.chisquare(dof_full - offsets))
+    a_t[rows, upper] = rng.standard_normal((dof_full.shape[0], upper.size))
+    a_t = a_t.reshape(size, k, k)
+    if not every:
+        for b in np.flatnonzero(dof < k):
+            a_t[b, : dof[b]] = rng.standard_normal((dof[b], k))
     return a_t
+
+
+@functools.lru_cache(maxsize=16)
+def _bartlett_layout(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """0..k-1 and the flat row-major indices of a k x k diagonal and strict upper triangle.
+
+    The triangle is in triu_indices order, the order :func:`_bartlett` draws it in.
+    """
+    rows, cols = np.triu_indices(k, 1)
+    offsets = np.arange(k)
+    layout = offsets, offsets * (k + 1), rows * k + cols
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
 def _scatter(a_t: np.ndarray, low: np.ndarray) -> np.ndarray:
@@ -342,8 +364,13 @@ class GaussianPairDGP:
                 )
             weights = z * slope
             weights += 1.0
-            # Keep +|z| with probability w(|z|) / 2, else -|z|.
-            np.negative(z, out=z, where=2.0 * rng.random(z.shape) >= weights)
+            # Keep +|z| with probability w(|z|) / 2, else -|z|: -|z| where 2v >= w,
+            # read off the sign of -(2v - w), which is -0.0 at a tie (w - 2v is +0.0).
+            v = rng.random(z.shape)
+            v *= 2.0
+            v -= weights
+            np.negative(v, out=v)
+            np.copysign(z, v, out=z)
             block = slice(start, start + z.shape[0])
             z_mean[block] = np.add.reduce(z, axis=-1) / n
             z -= z_mean[block, None]
@@ -449,14 +476,6 @@ class RctLinearDGP:
     def population_covariance(self, n: int) -> JointCovariance:
         scc, scg, sgg = self.sigma_blocks()
         return JointCovariance(scc, scg, sgg, n)
-
-    @property
-    def beta_resid_limit(self) -> np.ndarray:
-        return self.beta + (1.0 - self.pi) * self.interaction
-
-    @property
-    def beta_long_limit(self) -> np.ndarray:
-        return self.beta + self.pi * self.interaction
 
     def draw_matrix(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n rows of (y, t, x), drawn by random(n), standard_normal((n, p)), standard_normal(n)."""

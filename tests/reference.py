@@ -2,9 +2,10 @@
 
 The rejection sampler from (1 + s(d)/sqrt(n)) dP0 with the envelope 2 dP0
 (:func:`sample_perturbed`, :func:`measure_bias`), worst-case scores and the
-bias split calibrated on rows, and the DGPs' row draws, full-data estimators
-and influence evaluators, each a function of its DGP with the bits it had as
-a method.
+bias split calibrated on rows, the DGPs' row draws, full-data estimators,
+influence evaluators and RCT coefficient limits, each a function of its DGP
+with the bits it had as a method, and the masked, fancy-index versions of the
+labs' Bartlett factor and perturbed draws, which the labs match bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from residcheck import _fixed_order
 from residcheck._threads import batch_sizes
-from residcheck.dgps import _times_columns, _times_lower_t
+from residcheck.dgps import _SCORE_BLOCK, PerturbedDraws, _times_columns, _times_lower_t
 from residcheck.errors import (
     ConfigError,
     InvalidCovariance,
@@ -42,6 +43,51 @@ def draw(dgp, rng: np.random.Generator, n: int) -> np.ndarray:
 
 def influence_gamma(dgp, data: np.ndarray) -> np.ndarray:
     return data[:, 1:]
+
+
+# The exact-law draws as first written, with boolean-mask and fancy-index
+# passes: the labs' draws must match them bit for bit.
+def bartlett(rng: np.random.Generator, k: int, dof: np.ndarray) -> np.ndarray:
+    """A' for a Bartlett factor A of a Wishart(dof[b], I_k) matrix A A', for each b."""
+    size = dof.shape[0]
+    full = np.flatnonzero(dof >= k)[:, None]
+    diag = np.arange(k)
+    upper = np.triu_indices(k, 1)
+    a_t = np.zeros((size, k, k))
+    a_t[full, diag, diag] = np.sqrt(rng.chisquare(dof[full] - diag))
+    a_t[full, upper[0], upper[1]] = rng.standard_normal((full.shape[0], upper[0].size))
+    for b in np.flatnonzero(dof < k):
+        a_t[b, : dof[b]] = rng.standard_normal((dof[b], k))
+    return a_t
+
+
+def perturbed_draws(
+    dgp, rng: np.random.Generator, n: int, size: int, mu: float
+) -> PerturbedDraws:
+    """size replications of n exact draws from (1 + s(d)/sqrt(n)) dP0, in standard units."""
+    slope = mu / math.sqrt(n)
+    z_mean, s_zz = np.empty(size), np.empty(size)
+    step = max(1, _SCORE_BLOCK // n)
+    for start in range(0, size, step):
+        z = rng.standard_normal((min(step, size - start), n))
+        np.abs(z, out=z)
+        if not 0.0 <= 1.0 + slope * z.max() <= 2.0:
+            raise WeightUnderflow(
+                f"a weight 1 + s/sqrt(n) falls outside [0, 2] at n = {n}; "
+                "n is too small for this mu"
+            )
+        weights = z * slope
+        weights += 1.0
+        # Keep +|z| with probability w(|z|) / 2, else -|z|.
+        np.negative(z, out=z, where=2.0 * rng.random(z.shape) >= weights)
+        block = slice(start, start + z.shape[0])
+        z_mean[block] = np.add.reduce(z, axis=-1) / n
+        z -= z_mean[block, None]
+        z *= z
+        s_zz[block] = np.add.reduce(z, axis=-1)
+    p = dgp.p_gamma
+    z1, z2 = rng.standard_normal((size, p)), rng.standard_normal((size, p))
+    return PerturbedDraws(n, z_mean, s_zz, z1, z2, bartlett(rng, p, np.full(size, n - 2)))
 
 
 def _sample_means(data: np.ndarray) -> np.ndarray:
@@ -69,8 +115,17 @@ def estimate_plugin_residualized(dgp, data: np.ndarray) -> float:
     return float(dgp.plugin_from_moments(*sample_moments(data)))
 
 
-# Linear RCT: row datasets, influence evaluators at the population
-# parameters and the structural score, for inner products on raw rows.
+# Linear RCT: the coefficients' probability limits, row datasets, influence
+# evaluators at the population parameters and the structural score, for
+# inner products on raw rows.
+def beta_resid_limit(dgp) -> np.ndarray:
+    return dgp.beta + (1.0 - dgp.pi) * dgp.interaction
+
+
+def beta_long_limit(dgp) -> np.ndarray:
+    return dgp.beta + dgp.pi * dgp.interaction
+
+
 def draw_dataset(dgp, rng: np.random.Generator, n: int) -> RctDataset:
     rows = dgp.draw_matrix(rng, n)
     return RctDataset(outcome=rows[:, 0], treatment=rows[:, 1], covariates=rows[:, 2:])

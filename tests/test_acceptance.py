@@ -36,7 +36,13 @@ from residcheck.selection import (
 )
 from residcheck._threads import batch_sizes, map_batches
 
-from reference import draw, estimate_fixed, estimate_plugin_residualized
+from reference import (
+    beta_long_limit,
+    beta_resid_limit,
+    draw,
+    estimate_fixed,
+    estimate_plugin_residualized,
+)
 
 THREADS = 2
 RHOS = (0.0, 0.5, 0.8)
@@ -191,7 +197,7 @@ def test_criterion_5_variance_ordering():
     )
     se_gap_sl = (batch_vars[:, 0] - batch_vars[:, 1]).std(ddof=1) / math.sqrt(n_batches)
     se_gap_lr = (batch_vars[:, 1] - batch_vars[:, 2]).std(ddof=1) / math.sqrt(n_batches)
-    delta = dgp.beta_long_limit - dgp.beta_resid_limit
+    delta = beta_long_limit(dgp) - beta_resid_limit(dgp)
     _, _, sigma_gg = dgp.sigma_blocks()
     penalty = float(delta @ sigma_gg @ delta) / n
     gap_lr = var_l - var_r

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from residcheck.dgps import GaussianPairDGP, RctLinearDGP
+from residcheck.dgps import _SCORE_BLOCK, GaussianPairDGP, RctLinearDGP
 from residcheck import _threads
 from residcheck._threads import batch_sizes
 from residcheck.errors import (
@@ -37,11 +37,13 @@ from conftest import moment_z_scores
 from reference import (
     MisspecScore,
     _draw_accepted,
+    beta_resid_limit,
     bias_decomposition_check,
     check_weight_bound,
     draw,
     influence_gamma,
     measure_bias,
+    perturbed_draws,
     rct_influence_adjusted,
     rct_influence_c,
     rct_influence_gamma,
@@ -325,6 +327,70 @@ class TestPerturbedBatch:
         for name, value in kept.items():
             assert np.array_equal(getattr(draws, name), value), name
         assert all(np.array_equal(x, y) for x, y in zip(first, again))
+
+
+def assert_same_perturbed_draws(dgp, make_rng, n, size, mu):
+    rng, ref_rng = make_rng(), make_rng()
+    draws = dgp.perturbed_draws(rng, n, size, mu)
+    expected = perturbed_draws(dgp, ref_rng, n, size, mu)
+    assert draws.n == expected.n
+    for f in dataclasses.fields(draws)[1:]:
+        got, want = getattr(draws, f.name), getattr(expected, f.name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), f.name
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TieAtEveryDraw:
+    """A generator whose uniforms are exactly w(|z|) / 2 for its last standard block."""
+
+    def __init__(self, seed, slope):
+        self.rng = np.random.default_rng(seed)
+        self.slope = slope
+
+    def standard_normal(self, shape):
+        self.z = self.rng.standard_normal(shape)
+        return self.z.copy()
+
+    def random(self, shape):
+        weights = np.abs(self.z) * self.slope
+        weights += 1.0
+        return weights / 2.0
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class TestPerturbedDrawBits:
+    """The perturbed draws match the masked-sign reference bit for bit, in its draw order."""
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.2, -0.7])
+    @pytest.mark.parametrize("dgp, n, size", [
+        (PAIR, 60, 40), (PAIR_P2, 60, 40), (PAIR, 2_000, 30),
+        (PAIR_P2, 2_000, _SCORE_BLOCK // 2_000 + 7),  # one batch over two blocks
+    ], ids=["n60", "p2-n60", "n2000", "p2-two-blocks"])
+    def test_matches_reference(self, dgp, n, size, mu):
+        seed = 71 + n + size
+        assert_same_perturbed_draws(dgp, lambda: np.random.default_rng(seed), n, size, mu)
+
+    def test_failing_gate_raises_the_same_error(self):
+        messages = []
+        for sampler in (PAIR.perturbed_draws, partial(perturbed_draws, PAIR)):
+            rng = np.random.default_rng(0)
+            with pytest.raises(WeightUnderflow) as caught:
+                sampler(rng, 16, 5, 4.0)
+            messages.append((str(caught.value), rng.bit_generator.state))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("mu", [0.0, 1.2])
+    def test_tie_negates(self, mu):
+        # 2v = w at every draw: each z comes back as -|z|, as the reference keeps it.
+        n, size = 60, 8
+        draws = PAIR.perturbed_draws(TieAtEveryDraw(5, mu / math.sqrt(n)), n, size, mu)
+        z = np.random.default_rng(5).standard_normal((size, n))
+        assert draws.z_mean.tobytes() == (np.add.reduce(-np.abs(z), axis=-1) / n).tobytes()
+        assert_same_perturbed_draws(
+            PAIR, lambda: TieAtEveryDraw(5, mu / math.sqrt(n)), n, size, mu
+        )
 
 
 class CountingSampler:
@@ -651,7 +717,7 @@ class TestBiasDecomposition:
 
     def test_within_model_structural_direction_drops_out(self):
         dgp = RctLinearDGP(tau=1.0, beta=np.array([1.0]), interaction=np.array([0.0]))
-        lam = dgp.beta_resid_limit
+        lam = beta_resid_limit(dgp)
         s_z = worst_case_score(rct_influence_adjusted(dgp, lam), 1.0, dgp.draw_matrix, seed=4)
         check = bias_decomposition_check(
             structural_mean_shift_score(dgp),

@@ -31,7 +31,7 @@ from residcheck.errors import (
 from residcheck.rct import arm_statistics, long_coefficients, long_normal_equations
 
 from conftest import moment_z_scores, replications
-from reference import draw_dataset
+from reference import beta_long_limit, beta_resid_limit, draw_dataset
 
 
 def make_dataset(y, t, x, strata=None):
@@ -263,7 +263,7 @@ class TestResidualizedEstimator:
             ests[r] = (point.c_hat, long_regression(data)[0], point.c_r)
         var_s, var_l, var_r = ests.var(axis=0, ddof=1)
         assert var_r < var_l < var_s
-        delta = dgp.beta_long_limit - dgp.beta_resid_limit
+        delta = beta_long_limit(dgp) - beta_resid_limit(dgp)
         _, _, sigma_gg = dgp.sigma_blocks()
         penalty = float(delta @ sigma_gg @ delta) / n
         assert var_l - var_r == pytest.approx(penalty, rel=0.2)

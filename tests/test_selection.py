@@ -7,7 +7,7 @@ from scipy.stats import chi2, ks_2samp, kstest, norm
 from residcheck import JointCovariance, _fixed_order, _threads
 from residcheck._distributions import Z975
 from residcheck._threads import batch_sizes, join
-from residcheck.dgps import GaussianPairDGP, RctLinearDGP
+from residcheck.dgps import GaussianPairDGP, RctLinearDGP, _bartlett
 from residcheck.errors import (
     ConfigError,
     DegenerateResidualVariance,
@@ -29,6 +29,7 @@ from residcheck.selection import (
 )
 
 from conftest import replications
+from reference import bartlett
 
 T_RULE = ReportingRule(kind="two_sided_t", threshold=1.96)
 WALD_2 = ReportingRule(kind="wald", threshold=5.99)
@@ -238,6 +239,28 @@ def full_data_replications(dgp, rng, n, reps, chunk=2000):
         t = np.linalg.solve(np.linalg.cholesky(sigma_gg), gamma[..., None])[..., 0]
         parts.append(np.column_stack([c_resid, se_resid, np.sqrt(n) * t]))
     return np.concatenate(parts)
+
+
+class TestBartlettBits:
+    """The Bartlett factor makes the reference's draws, in its order, with its bits."""
+
+    @staticmethod
+    def assert_same_draws(k, dof):
+        rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+        a_t = _bartlett(rng, k, dof)
+        expected = bartlett(ref_rng, k, dof)
+        assert a_t.shape == expected.shape
+        assert a_t.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_every_dof_at_least_k(self, k):
+        for dof in (np.array([k, k + 1, 7 + k, 1998]), np.full(50, 1998), np.full(0, 5)):
+            self.assert_same_draws(k, dof)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_mixed_dof(self, k):
+        self.assert_same_draws(k, np.array([0, 1, k - 1, k, 1998, k - 1, 1998]))
 
 
 class TestSufficientStatisticDraws:
