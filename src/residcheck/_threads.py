@@ -1,11 +1,14 @@
-"""Deterministic batch parallelism for the labs' draws.
+"""Deterministic batch parallelism for the labs' draws: one seeded batch frame.
 
-Work is split into batches whose random streams are spawned from the
-experiment seed by batch index. A lab stage draws every batch from its own
-stream, possibly on several workers, joins the draws in batch order and
-estimates once over the joined stack (:func:`run_stage`), or once per stack
-of at most _STACK_REPS replications in a larger stage. Every step of an
-estimate is elementwise over the replication axis, so output is
+Every lab splits its replications into _N_BATCHES contiguous batches
+(:func:`run_seeded`), which also give its Monte Carlo standard errors. Batch
+b draws from the b-th stream spawned from the seed, so its random numbers
+depend on the seed and b alone. A stage draws each of its batches, possibly
+on several workers, joins the draws in batch order and estimates once over
+the joined stack (:func:`run_stage`), or once per stack of at most
+_STACK_REPS replications in a larger stage. A run is one stage, or two when
+a head gate reads the first batches before the rest are drawn. Every step
+of an estimate is elementwise over the replication axis, so output is
 byte-identical at any worker count and any stack length. The RESID_THREADS
 environment variable caps the worker pool, which runs the draws only; the
 default is single threaded.
@@ -128,3 +131,42 @@ def run_stage(
     return join([
         _estimate_stack(draw, estimate, stack, threads) for stack in _stacks(batches, sizes)
     ])
+
+
+# Seeded batches of every lab's replications, which also give its Monte Carlo SEs.
+_N_BATCHES = 50
+
+
+def run_seeded(
+    seed: int,
+    reps: int,
+    draw: Callable[[np.random.Generator, int], T],
+    estimate: Callable[[T], R],
+    threads: int | None = None,
+    gate: Callable[[R], None] | None = None,
+    gate_reps: int = 0,
+) -> R:
+    """estimate of reps replications, drawn in _N_BATCHES seeded batches.
+
+    Batch b holds ``batch_sizes(reps, _N_BATCHES)[b]`` replications, drawn
+    by ``draw(default_rng(child), size)`` with child the b-th child of
+    SeedSequence(seed). Without a gate the batches are one stage
+    (:func:`run_stage`). With one, the head batches, the fewest from the
+    start that hold at least gate_reps replications, are a first stage whose
+    result goes to ``gate`` before any other batch is drawn; gate raises to
+    stop the run, and otherwise the head is joined with the rest.
+    """
+    sizes = batch_sizes(reps, _N_BATCHES)
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
+
+    def draw_batch(b: int) -> T:
+        return draw(np.random.default_rng(children[b]), sizes[b])
+
+    if gate is None:
+        return run_stage(draw_batch, estimate, range(len(sizes)), sizes, threads)
+    head = int(np.searchsorted(np.cumsum(sizes), gate_reps)) + 1
+    stages = [run_stage(draw_batch, estimate, range(head), sizes, threads)]
+    gate(stages[0])
+    if head < len(sizes):
+        stages.append(run_stage(draw_batch, estimate, range(head, len(sizes)), sizes, threads))
+    return join(stages)

@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -290,14 +289,6 @@ class GaussianPairDGP:
     @property
     def lambda_opt(self) -> np.ndarray:
         return self.population_covariance(2).lam
-
-    # Influence evaluators on raw data points (population scale, mean zero).
-    def influence_c(self, data: np.ndarray) -> np.ndarray:
-        return data[:, 0]
-
-    def influence_adjusted(self, lam) -> Callable[[np.ndarray], np.ndarray]:
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        return lambda data: data[:, 0] - _fixed_order.dot(data[:, 1:], lam)
 
     # One map per estimator from a stack of sample moments (means, 1/n
     # covariances, n) to estimates.

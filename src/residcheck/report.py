@@ -24,12 +24,7 @@ from ._threads import resolve_threads
 from .dgps import GaussianPairDGP, RctLinearDGP
 from .errors import ConfigError
 from .io import AnalyzeConfig, GaussianDgpSpec, RctDgpSpec, SimulateConfig, load_dataset
-from .misspec import (
-    fixed_lambda_estimator_of,
-    measure_gaussian_bias,
-    plugin_residualized_of,
-    short_estimator_of,
-)
+from .misspec import measure_gaussian_bias
 from .rct import residualized_estimator
 from .selection import (
     ReportingRule,
@@ -237,19 +232,9 @@ def run_simulate(config: SimulateConfig, threads: int | None = None) -> dict:
         if isinstance(config.dgp, GaussianDgpSpec) and rule.kind == "two_sided_t":
             payload["oracle"] = to_jsonable(truncated_oracle(config.dgp.rho, rule.threshold))
     else:
-        if config.score.lam == "optimal":
-            lam = dgp.lambda_opt
-            estimator = plugin_residualized_of(dgp)
-        elif config.score.lam == "zero":
-            lam = np.zeros(dgp.p_gamma)
-            estimator = short_estimator_of(dgp)
-        else:
-            lam = np.atleast_1d(np.asarray(float(config.score.lam)))
-            estimator = fixed_lambda_estimator_of(dgp, lam)
         measurement = measure_gaussian_bias(
-            estimator,
             dgp,
-            lam,
+            config.score.lam,
             config.score.mu,
             n=config.n,
             reps=config.reps,
@@ -257,7 +242,6 @@ def run_simulate(config: SimulateConfig, threads: int | None = None) -> dict:
             threads=threads,
         )
         payload["results"] = to_jsonable(measurement)
-        payload["results"]["estimator"] = estimator.name
     return payload
 
 

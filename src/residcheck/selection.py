@@ -10,15 +10,16 @@ truncated-normal oracle available in the scalar Gaussian case:
     Var(Z_g | |Z_g| <= t) = 1 - 2 t phi(t) / (2 Phi(t) - 1)
     Var(Z_s | |Z_g| <= t) = (1 - rho^2) + rho^2 Var(Z_g | |Z_g| <= t)
 
-Monte Carlo standard errors come from splitting the replications into
-contiguous batches (50 by default); each batch draws from its own seeded
-stream, so results are byte-identical at any thread count. The first batches
-that hold at least 1,000 replications also gate the run: output is emitted
-only when their pass rate lies in [0.02, 0.98], and they are reported with
-the rest, so no replication is drawn only to gate.
+Monte Carlo standard errors come from the labs' seeded batch frame
+(:func:`_threads.run_seeded`), which always splits the replications into 50
+contiguous batches; each batch draws from its own seeded stream, so results
+are byte-identical at any thread count. The first batches that hold at least
+1,000 replications also gate the run: output is emitted only when their pass
+rate lies in [0.02, 0.98], and they are reported with the rest, so no
+replication is drawn only to gate.
 
 A run is two stages, the head batches and then the rest, with the gate
-between them (:func:`_threads.run_stage`). A stage draws each of its batches
+between them (the frame's head gate). A stage draws each of its batches
 (on the worker pool, if any), then estimates once over all their draws (per
 4,096 replications in a larger stage): one covariance validation, whose
 Cholesky factor standardizes the checks, and one application of the rule,
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import _fixed_order
 from ._distributions import Z975, chi2_cdf, normal_cdf, normal_pdf
-from ._threads import batch_sizes, join, run_stage
+from ._threads import _N_BATCHES, batch_sizes, run_seeded
 from .dgps import BatchReplications, GaussianPairDGP, RctLinearDGP
 from .errors import ConfigError, DegenerateRule, DomainError
 
@@ -47,9 +48,6 @@ from .errors import ConfigError, DegenerateRule, DomainError
 PILOT_REPS = 1000
 PASS_RATE_FLOOR = 0.02
 PASS_RATE_CEILING = 0.98
-
-# Seeded batches of replications, which also give the Monte Carlo SEs.
-_N_BATCHES = 50
 
 # Budget guard on reps * (1 + p)^2, which a run's peak memory grows with, by
 # 22-36 bytes per unit at p = 1, 3 and 10: at the budget, 10,000,000 RCT
@@ -146,11 +144,13 @@ class SelectionConfig:
     n: int
     reps: int
     seed: int
-    oracle_sigma: bool = False
 
     def __post_init__(self):
         if self.reps < PILOT_REPS:
             raise ConfigError(f"reps must be at least {PILOT_REPS}, got {self.reps}")
+        # Sample sizes reach numpy's samplers as C longs.
+        if self.n >= 2**63:
+            raise ConfigError(f"n must be below 2**63, got {self.n}")
         if self.n < self.dgp.p_gamma + 2:
             raise ConfigError(f"n = {self.n} too small for p = {self.dgp.p_gamma}")
         cells = self.reps * (1 + self.dgp.p_gamma) ** 2
@@ -189,13 +189,9 @@ class ConditionalStats:
     estimators: dict[str, dict[str, ConditionSummary]] = field(default_factory=dict)
 
 
-def _standardize_checks(record: BatchReplications, n: int, oracle_chol: np.ndarray | None):
-    """T_n = sqrt(n) L^{-1} gamma_hat with L the Cholesky factor of Sigma_gg.
-
-    L is each replication's validated factor, or ``oracle_chol`` for all of them.
-    """
-    chol = record.chol_gg if oracle_chol is None else oracle_chol
-    return math.sqrt(n) * _fixed_order.solve_lower(chol, record.gamma_hat)
+def _standardize_checks(record: BatchReplications, n: int):
+    """T_n = sqrt(n) L^{-1} gamma_hat with L each replication's validated factor of Sigma_gg."""
+    return math.sqrt(n) * _fixed_order.solve_lower(record.chol_gg, record.gamma_hat)
 
 
 def simulate_replications(
@@ -203,41 +199,35 @@ def simulate_replications(
 ) -> BatchReplications:
     """Run the experiment and return one record of every replication, with t_stats and passed.
 
-    Batch b draws its generator from SeedSequence(seed).spawn, so results do
-    not depend on the worker count. The head batches, the fewest from the
-    start that hold at least PILOT_REPS replications, run first: when their
-    pass rate is outside [0.02, 0.98] the run aborts with DegenerateRule
-    before the remaining batches are drawn. Otherwise they are reported
-    with the rest, so every replication drawn is reported.
+    Batch b draws from its own stream spawned from the seed
+    (:func:`_threads.run_seeded`), so results do not depend on the worker
+    count. The head batches, the fewest from the start that hold at least
+    PILOT_REPS replications, run first: when their pass rate is outside
+    [0.02, 0.98] the run aborts with DegenerateRule before the remaining
+    batches are drawn. Otherwise they are reported with the rest, so every
+    replication drawn is reported.
     """
     dgp, n = config.dgp, config.n
-    sizes = batch_sizes(config.reps, _N_BATCHES)
-    children = np.random.SeedSequence(config.seed).spawn(len(sizes))
-    oracle_chol = None
-    if config.oracle_sigma:
-        oracle_chol = dgp.population_covariance(n).chol_gg
-
-    def draw_batch(b: int):
-        return dgp.draw_replications(np.random.default_rng(children[b]), n, sizes[b])
 
     def estimate(draws) -> BatchReplications:
         # Values that overflow surface as the validation errors, not numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             stage = dgp.estimate_replications(draws, n)
-            t_stats = _standardize_checks(stage, n, oracle_chol)
+            t_stats = _standardize_checks(stage, n)
             return replace(stage, t_stats=t_stats, passed=config.rule.passes(t_stats))
 
-    head = int(np.searchsorted(np.cumsum(sizes), PILOT_REPS)) + 1
-    stages = [run_stage(draw_batch, estimate, range(head), sizes, threads)]
-    head_rate = float(stages[0].passed.mean())
-    if not PASS_RATE_FLOOR <= head_rate <= PASS_RATE_CEILING:
-        raise DegenerateRule(
-            f"head pass rate {head_rate:.4f} outside "
-            f"[{PASS_RATE_FLOOR}, {PASS_RATE_CEILING}]; the rule is degenerate under this DGP"
-        )
-    if head < len(sizes):
-        stages.append(run_stage(draw_batch, estimate, range(head, len(sizes)), sizes, threads))
-    return join(stages)
+    def gate(head: BatchReplications) -> None:
+        head_rate = float(head.passed.mean())
+        if not PASS_RATE_FLOOR <= head_rate <= PASS_RATE_CEILING:
+            raise DegenerateRule(
+                f"head pass rate {head_rate:.4f} outside "
+                f"[{PASS_RATE_FLOOR}, {PASS_RATE_CEILING}]; the rule is degenerate under this DGP"
+            )
+
+    return run_seeded(
+        config.seed, config.reps, lambda rng, size: dgp.draw_replications(rng, n, size),
+        estimate, threads, gate, PILOT_REPS,
+    )
 
 
 def _with_batch_se(pooled: float, per_batch: np.ndarray, counts: np.ndarray, least: int):

@@ -6,6 +6,9 @@ bias split calibrated on rows, the DGPs' row draws, full-data estimators,
 influence evaluators and RCT coefficient limits, each a function of its DGP
 with the bits it had as a method, and the masked, fancy-index versions of the
 labs' Bartlett factor and perturbed draws, which the labs match bit for bit.
+The lambda profile (:func:`worst_case_bias_profile`) measures the bias of
+every fixed-lambda adjustment under its own worst case. Both runners draw
+through the labs' seeded batch frame (:func:`residcheck._threads.run_seeded`).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from residcheck import _fixed_order
-from residcheck._threads import batch_sizes
+from residcheck._threads import _N_BATCHES, batch_sizes, run_seeded
 from residcheck.dgps import _SCORE_BLOCK, PerturbedDraws, _times_columns, _times_lower_t
 from residcheck.errors import (
     ConfigError,
@@ -26,7 +29,7 @@ from residcheck.errors import (
     WeightUnderflow,
     ZeroInfluence,
 )
-from residcheck.misspec import _N_BATCHES, MAX_TOTAL_DRAWS, BiasMeasurement, _measure
+from residcheck.misspec import MAX_TOTAL_DRAWS, BiasMeasurement, _adjustment, _check_start
 from residcheck.rct import RctDataset
 
 Sampler = Callable[[np.random.Generator, int], np.ndarray]
@@ -41,8 +44,18 @@ def draw(dgp, rng: np.random.Generator, n: int) -> np.ndarray:
     return _times_lower_t(rng.standard_normal((n, 1 + dgp.p_gamma)), dgp._chol_full)
 
 
+# Influence evaluators on raw data points (population scale, mean zero).
+def influence_c(dgp, data: np.ndarray) -> np.ndarray:
+    return data[:, 0]
+
+
 def influence_gamma(dgp, data: np.ndarray) -> np.ndarray:
     return data[:, 1:]
+
+
+def influence_adjusted(dgp, lam) -> ScoreFn:
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    return lambda data: data[:, 0] - _fixed_order.dot(data[:, 1:], lam)
 
 
 # The exact-law draws as first written, with boolean-mask and fancy-index
@@ -272,7 +285,9 @@ def sample_perturbed(
 
 
 def measure_bias(
-    estimator,
+    dgp,
+    lam,
+    influence: ScoreFn,
     p0_sampler: Sampler,
     score: MisspecScore,
     n: int,
@@ -282,32 +297,124 @@ def measure_bias(
     threads: int | None = None,
     max_total_draws: int = MAX_TOTAL_DRAWS,
 ) -> BiasMeasurement:
-    """Measured sqrt(n)-scale bias under the perturbed law vs its prediction.
+    """Measured sqrt(n)-scale bias of the lam adjustment under the perturbed law vs a prediction.
 
-    sqrt_n_bias averages sqrt(n) (estimate - c_true) over independent
-    replications, each n exact draws from the perturbed law, estimated by
-    ``estimator.from_moments`` on the moments of its rows; predicted is the
-    calibration estimate of E0[psi s], on rows drawn from the child of
-    SeedSequence(seed) after the batches' own. Both carry MC standard errors.
+    ``lam`` is a ``--lambda`` value of the misspec lab, which picks the
+    estimator. sqrt_n_bias averages sqrt(n) (estimate - c_true) over
+    independent replications in the seeded batch frame, each n exact draws
+    from the perturbed law, estimated on the moments of its rows; predicted
+    is the calibration estimate of E0[influence s], on rows drawn from the
+    child of SeedSequence(seed) after the batches' own. Both carry MC
+    standard errors.
     """
+    name, _, from_moments = _adjustment(dgp, lam)
     spare = np.random.SeedSequence(seed).spawn(len(batch_sizes(reps, _N_BATCHES)) + 1)[-1]
     calib = p0_sampler(np.random.default_rng(spare), calibration_draws)
     with np.errstate(over="ignore", invalid="ignore"):
         scores = score(calib)
     check_weight_bound(scores, n)  # scores that overflowed fail too
-    products = np.asarray(estimator.influence(calib), dtype=float) * scores
+    products = np.asarray(influence(calib), dtype=float) * scores
+    if reps * n > max_total_draws:
+        raise ConfigError(
+            f"reps * n = {reps * n:.3g} exceeds the configured budget {max_total_draws:.3g}"
+        )
 
     def draw_estimates(rng: np.random.Generator, size: int) -> np.ndarray:
         # Each replication's rows are estimated as soon as they are drawn.
         return np.array([
-            estimator.from_moments(*sample_moments(_draw_accepted(rng, p0_sampler, score, n)))
+            from_moments(*sample_moments(_draw_accepted(rng, p0_sampler, score, n)))
             for _ in range(size)
         ])
 
-    return _measure(
-        estimator, score.mu, n, reps, seed, threads, max_total_draws,
-        float(products.mean()), float(products.std(ddof=1) / math.sqrt(len(products))),
-        draw_estimates, lambda estimates: estimates,
+    scaled = math.sqrt(n) * (
+        run_seeded(seed, reps, draw_estimates, lambda estimates: estimates, threads) - dgp.c_true
+    )
+    return BiasMeasurement(
+        sqrt_n_bias=float(scaled.mean()),
+        mc_se=float(scaled.std(ddof=1) / math.sqrt(reps)),
+        predicted=float(products.mean()),
+        predicted_se=float(products.std(ddof=1) / math.sqrt(len(products))),
+        n=n,
+        reps=reps,
+        mu=score.mu,
+        estimator=name,
+    )
+
+
+# The lambda profile of the Gaussian pair, on its exact-law perturbed draws.
+@dataclass(frozen=True)
+class BiasProfile:
+    """Worst-case bias and MSE of c_hat(lambda) under each lambda's own s*."""
+
+    lambdas: np.ndarray
+    mus: np.ndarray
+    bias: np.ndarray
+    bias_se: np.ndarray
+    mse: np.ndarray
+    mse_se: np.ndarray
+    predicted_bias: np.ndarray
+
+    def argmin_bias(self, mu_index: int) -> int:
+        return int(np.argmin(self.bias[mu_index]))
+
+    def argmin_mse(self, mu_index: int) -> int:
+        return int(np.argmin(self.mse[mu_index]))
+
+
+def worst_case_bias_profile(
+    dgp,
+    lambdas,
+    mus,
+    n: int,
+    reps: int,
+    seed: int,
+    threads: int | None = None,
+) -> BiasProfile:
+    """Measure bias of the fixed-lambda adjustment under its own worst case.
+
+    Each mu is one run of the seeded batch frame, with the same seed, so
+    each batch draws once per mu from a restarted stream, and every lambda
+    maps those same draws: all cells share their random numbers (which makes
+    the argmin over the lambda grid detectable at moderate rep counts), and
+    a cell's result does not depend on the rest of the grid. Each lambda maps
+    the joined draws once, to sample means only, as the fixed-lambda
+    estimate reads no covariance. predicted_bias is mu ||psi_lambda|| = mu
+    sd_u exactly. Scalar checks only.
+    """
+    if dgp.p_gamma != 1:
+        raise ConfigError("the profile runner supports scalar checks only")
+    lambdas = np.asarray(lambdas, dtype=float).reshape(-1)
+    mus = np.asarray(mus, dtype=float).reshape(-1)
+    if np.any(mus < 0):
+        raise NegativeMu("all mu values must be nonnegative")
+    coordinates = [dgp.score_coordinate(lam) for lam in lambdas]
+    # The largest mu gives the largest weights; fail before any replication.
+    _check_start(n, reps, float(mus.max()))
+    root_n = math.sqrt(n)
+
+    def estimate(draws) -> tuple[np.ndarray, ...]:
+        """The sqrt(n)-scale errors of the replications, one array per lambda."""
+        return tuple(
+            root_n * (dgp.fixed_from_moments(coord.perturbed_means(draws), None, n, coord.lam)
+                      - dgp.c_true)
+            for coord in coordinates
+        )
+
+    scaled = np.array([
+        run_seeded(
+            seed, reps, lambda rng, size: dgp.perturbed_draws(rng, n, size, mu), estimate, threads
+        )
+        for mu in mus
+    ])
+    squared = scaled**2
+    return BiasProfile(
+        lambdas=lambdas,
+        mus=mus,
+        bias=scaled.mean(axis=-1),
+        bias_se=scaled.std(axis=-1, ddof=1) / math.sqrt(reps),
+        mse=squared.mean(axis=-1),
+        mse_se=squared.std(axis=-1, ddof=1) / math.sqrt(reps),
+        predicted_bias=mus[:, None] * np.array([coord.sd_u for coord in coordinates]),
     )
 
 

@@ -22,12 +22,7 @@ from residcheck import (
     residualize,
 )
 from residcheck.dgps import GaussianPairDGP, RctLinearDGP
-from residcheck.misspec import (
-    measure_gaussian_bias,
-    plugin_residualized_of,
-    short_estimator_of,
-    worst_case_bias_profile,
-)
+from residcheck.misspec import measure_gaussian_bias
 from residcheck.selection import (
     ReportingRule,
     SelectionConfig,
@@ -42,6 +37,7 @@ from reference import (
     draw,
     estimate_fixed,
     estimate_plugin_residualized,
+    worst_case_bias_profile,
 )
 
 THREADS = 2
@@ -219,14 +215,8 @@ def test_criterion_5_variance_ordering():
 def test_criterion_6_minimax_bias():
     pair = GaussianPairDGP.from_rho(0.5)
     n, reps = 10_000, 10_000
-    m_resid = measure_gaussian_bias(
-        plugin_residualized_of(pair), pair, pair.lambda_opt, 1.0,
-        n=n, reps=reps, seed=62, threads=THREADS,
-    )
-    m_short = measure_gaussian_bias(
-        short_estimator_of(pair), pair, np.zeros(1), 1.0,
-        n=n, reps=reps, seed=64, threads=THREADS,
-    )
+    m_resid = measure_gaussian_bias(pair, "optimal", 1.0, n=n, reps=reps, seed=62, threads=THREADS)
+    m_short = measure_gaussian_bias(pair, "zero", 1.0, n=n, reps=reps, seed=64, threads=THREADS)
     target = math.sqrt(0.75)
     ok = (
         abs(m_resid.sqrt_n_bias - 0.8660) <= 3 * m_resid.mc_se

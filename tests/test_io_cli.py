@@ -855,6 +855,10 @@ class TestCli:
             (("--lab", "misspec", "--oversample", "0", *SIZES), None),
             (("--lab", "selection", "--threshold", "-1", *SIZES), None),
             (("--lab", "selection", "--n", "abc", "--reps", "1000", "--seed", "1"), None),
+            # numpy's samplers take n as a C long.
+            (("--lab", "selection", "--dgp", "rct", "--n", str(2**63), "--reps", "1000",
+              "--seed", "1"), None),
+            (("--lab", "selection", "--n", str(2**64), "--reps", "1000", "--seed", "1"), None),
             (("--lab", "selection", "--n", "100", "--reps", "1000"), None),
             (("--lab", "selection", "--n", "100", "--reps", "1000", "--seed", "-1"), None),
             (("--lab", "misspec", "--mu", "nan", *SIZES), None),
@@ -870,6 +874,8 @@ class TestCli:
             "oversample-0",
             "threshold-neg",
             "n-abc",
+            "n-2-63-rct",
+            "n-2-64-gaussian",
             "missing-seed",
             "seed-neg",
             "mu-nan",
@@ -1142,7 +1148,8 @@ def _grammar(csv_path, missing_path):
             ("--interaction", ("0", "0.4,0"), ("inf", "", "1e200", "1e308"), False),
             ("--pi", ("0.5", "0.3"), ("0", "1", "nan"), False),
             ("--noise-sd", ("1", "0"), ("-1", "inf", "1e200", "1e308"), False),
-            ("--n", ("50", "100", "200"), ("10", "0", "-5", "abc"), True),
+            ("--n", ("50", "100", "200"),
+             ("10", "0", "-5", "abc", "9223372036854775808", "100000000000000000000"), True),
             ("--reps", ("1000", "1100"), ("10", "-1", "x"), True),
             ("--seed", ("1", "7"), ("-1", "x"), True),
             ("--format", ("json", "csv"), ("text",), False),

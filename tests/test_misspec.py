@@ -10,7 +10,7 @@ from scipy.stats import kstest
 
 from residcheck.dgps import _SCORE_BLOCK, GaussianPairDGP, RctLinearDGP
 from residcheck import _threads
-from residcheck._threads import batch_sizes
+from residcheck._threads import _N_BATCHES, batch_sizes
 from residcheck.errors import (
     ConfigError,
     DegenerateResidualVariance,
@@ -20,16 +20,7 @@ from residcheck.errors import (
     ZeroInfluence,
 )
 from residcheck.io import GaussianDgpSpec, ScoreSpec, SimulateConfig
-from residcheck.misspec import (
-    MAX_TOTAL_DRAWS,
-    _check_start,
-    _measure,
-    fixed_lambda_estimator_of,
-    measure_gaussian_bias,
-    plugin_residualized_of,
-    short_estimator_of,
-    worst_case_bias_profile,
-)
+from residcheck.misspec import _adjustment, _check_start, measure_gaussian_bias
 from residcheck.core import JointCovariance
 from residcheck.report import run_simulate
 
@@ -41,6 +32,8 @@ from reference import (
     bias_decomposition_check,
     check_weight_bound,
     draw,
+    influence_adjusted,
+    influence_c,
     influence_gamma,
     measure_bias,
     perturbed_draws,
@@ -50,6 +43,7 @@ from reference import (
     sample_moments,
     sample_perturbed,
     structural_mean_shift_score,
+    worst_case_bias_profile,
     worst_case_score,
     zero_score,
 )
@@ -61,6 +55,7 @@ PAIR_P2 = GaussianPairDGP(
     sigma_gamma_gamma=np.array([[1.0, 0.3], [0.3, 2.0]]),
 )
 PAIR_ROWS = partial(draw, PAIR)
+PAIR_C = partial(influence_c, PAIR)
 
 
 def scalar_normal_sampler(rng, size):
@@ -69,7 +64,7 @@ def scalar_normal_sampler(rng, size):
 
 def exact_score(dgp, lam, mu):
     """psi_lam's worst-case score of size mu at the exact scale mu / sd_u, on rows."""
-    psi, scale = dgp.influence_adjusted(lam), mu / dgp.score_coordinate(lam).sd_u
+    psi, scale = influence_adjusted(dgp, lam), mu / dgp.score_coordinate(lam).sd_u
     return MisspecScore(fn=lambda d: scale * psi(d), mu=mu)
 
 
@@ -91,7 +86,7 @@ class TestWorstCaseScore:
     def test_fresh_sample_second_moment_matches_mu(self):
         for lam in (0.0, 0.5, 1.2):
             score = worst_case_score(
-                PAIR.influence_adjusted(lam), 1.5, PAIR_ROWS, calibration_draws=1_000_000
+                influence_adjusted(PAIR, lam), 1.5, PAIR_ROWS, calibration_draws=1_000_000
             )
             rng = np.random.default_rng(2)
             values = score(PAIR_ROWS(rng, 1_000_000))
@@ -146,7 +141,7 @@ class TestSamplePerturbed:
 
     def test_no_repeated_rows(self):
         # Rejection keeps distinct proposals; resampling a finite pool repeats them.
-        score = worst_case_score(PAIR.influence_adjusted(PAIR.lambda_opt), 1.0, PAIR_ROWS)
+        score = worst_case_score(influence_adjusted(PAIR, PAIR.lambda_opt), 1.0, PAIR_ROWS)
         data = sample_perturbed(PAIR_ROWS, score, 2000, seed=15)
         assert data.shape == (2000, 2)
         assert np.unique(data, axis=0).shape[0] == 2000
@@ -154,7 +149,7 @@ class TestSamplePerturbed:
     def test_reweighted_expectations_match_first_order(self):
         # E_{P_n}[g] = E0[g] + E0[g s] / sqrt(n) for bounded g.
         n = 2500
-        score = worst_case_score(PAIR.influence_adjusted(0.5), 1.0, PAIR_ROWS, seed=9)
+        score = worst_case_score(influence_adjusted(PAIR, 0.5), 1.0, PAIR_ROWS, seed=9)
         rng = np.random.default_rng(7)
         calib = PAIR_ROWS(rng, 400_000)
         for g in (lambda d: np.cos(d[:, 0]), lambda d: np.tanh(d[:, 1])):
@@ -170,7 +165,7 @@ class TestSamplePerturbed:
 class TestMeasureBias:
     def test_zero_score_is_unbiased(self):
         m = measure_bias(
-            short_estimator_of(PAIR), PAIR_ROWS, zero_score(), n=2000, reps=400,
+            PAIR, "zero", PAIR_C, PAIR_ROWS, zero_score(), n=2000, reps=400,
             seed=8, calibration_draws=100_000,
         )
         assert m.sqrt_n_bias == pytest.approx(0.0, abs=3 * m.mc_se)
@@ -180,12 +175,12 @@ class TestMeasureBias:
         # Project a quadratic direction against psi on a calibration sample.
         rng = np.random.default_rng(9)
         calib = PAIR_ROWS(rng, 1_000_000)
-        psi = PAIR.influence_adjusted(PAIR.lambda_opt)
+        psi = influence_adjusted(PAIR, PAIR.lambda_opt)
         h = lambda d: d[:, 0] ** 2 - 1.0
         coef = float((h(calib) * psi(calib)).mean() / (psi(calib) ** 2).mean())
         score = MisspecScore(fn=lambda d: h(d) - coef * psi(d), mu=2.0)
         m = measure_bias(
-            plugin_residualized_of(PAIR), PAIR_ROWS, score, n=2000, reps=600,
+            PAIR, "optimal", psi, PAIR_ROWS, score, n=2000, reps=600,
             seed=10, calibration_draws=200_000,
         )
         assert abs(m.predicted) <= 3 * m.predicted_se + 1e-3
@@ -194,31 +189,19 @@ class TestMeasureBias:
     def test_closed_form_biases(self):
         # Under its own worst case the residualized estimator's bias is
         # mu sigma_c sqrt(1 - I) and the short estimator's is mu sigma_c.
-        score_opt = worst_case_score(
-            PAIR.influence_adjusted(PAIR.lambda_opt), 1.0, PAIR_ROWS, seed=1
-        )
+        psi_opt = influence_adjusted(PAIR, PAIR.lambda_opt)
+        score_opt = worst_case_score(psi_opt, 1.0, PAIR_ROWS, seed=1)
         m_resid = measure_bias(
-            plugin_residualized_of(PAIR), PAIR_ROWS, score_opt, n=2500, reps=1500,
+            PAIR, "optimal", psi_opt, PAIR_ROWS, score_opt, n=2500, reps=1500,
             seed=11, calibration_draws=400_000,
         )
         assert m_resid.sqrt_n_bias == pytest.approx(math.sqrt(0.75), abs=3 * m_resid.mc_se)
-        score_zero = worst_case_score(PAIR.influence_c, 1.0, PAIR_ROWS, seed=2)
+        score_zero = worst_case_score(PAIR_C, 1.0, PAIR_ROWS, seed=2)
         m_short = measure_bias(
-            short_estimator_of(PAIR), PAIR_ROWS, score_zero, n=2500, reps=1500,
+            PAIR, "zero", PAIR_C, PAIR_ROWS, score_zero, n=2500, reps=1500,
             seed=12, calibration_draws=400_000,
         )
         assert m_short.sqrt_n_bias == pytest.approx(1.0, abs=3 * m_short.mc_se)
-
-    def test_gaussian_runner_needs_the_influence_it_calibrates(self):
-        # predicted = mu sd_u is the worst-case bias of psi_lambda alone;
-        # the plug-in's influence is psi at lambda*, not at 0.
-        counting = CountingSampler(PAIR)
-        with pytest.raises(ConfigError, match="psi_lambda"):
-            measure_gaussian_bias(
-                plugin_residualized_of(PAIR), counting, np.zeros(1), 1.0,
-                n=2000, reps=100, seed=1,
-            )
-        assert counting.sizes == []
 
     @pytest.mark.parametrize(
         "dgp, factor, seed",
@@ -228,12 +211,11 @@ class TestMeasureBias:
     def test_coordinate_calibration_matches_rows(self, dgp, factor, seed):
         # The exact predicted mu sd_u is the E0[psi s] that rows estimate.
         lam = factor * dgp.lambda_opt
-        estimator = (
-            plugin_residualized_of(dgp) if factor == 1.0 else fixed_lambda_estimator_of(dgp, lam)
+        m = measure_gaussian_bias(
+            dgp, "optimal" if factor == 1.0 else lam, 1.5, n=2000, reps=50, seed=seed
         )
-        m = measure_gaussian_bias(estimator, dgp, lam, 1.5, n=2000, reps=50, seed=seed)
         calib = draw(dgp, np.random.default_rng(seed), 400_000)
-        products = estimator.influence(calib) * exact_score(dgp, lam, 1.5)(calib)
+        products = influence_adjusted(dgp, lam)(calib) * exact_score(dgp, lam, 1.5)(calib)
         rows_se = products.std(ddof=1) / math.sqrt(len(products))
         assert m.predicted_se == 0.0
         assert m.predicted == pytest.approx(products.mean(), abs=4 * rows_se)
@@ -249,8 +231,7 @@ class TestMeasureBias:
         ids=["zero", "optimal", "p2-optimal"],
     )
     def test_predicted_is_the_exact_norm(self, dgp, lam, closed_form):
-        estimator = fixed_lambda_estimator_of(dgp, lam)
-        m = measure_gaussian_bias(estimator, dgp, lam, 1.5, n=200, reps=50, seed=1)
+        m = measure_gaussian_bias(dgp, lam, 1.5, n=200, reps=50, seed=1)
         assert m.predicted == 1.5 * dgp.score_coordinate(lam).sd_u
         assert m.predicted_se == 0.0
         assert m.predicted == pytest.approx(1.5 * closed_form, rel=1e-15, abs=0.0)
@@ -258,15 +239,14 @@ class TestMeasureBias:
     def test_budget_guard(self):
         with pytest.raises(ConfigError):
             measure_bias(
-                short_estimator_of(PAIR), PAIR_ROWS, zero_score(),
-                n=10**6, reps=10**6, seed=1,
+                PAIR, "zero", PAIR_C, PAIR_ROWS, zero_score(), n=10**6, reps=10**6, seed=1,
             )
 
     def test_deterministic_across_thread_counts(self):
-        score = worst_case_score(PAIR.influence_c, 1.0, PAIR_ROWS, seed=3)
+        score = worst_case_score(PAIR_C, 1.0, PAIR_ROWS, seed=3)
         kwargs = dict(n=500, reps=200, seed=13, calibration_draws=50_000)
-        a = measure_bias(short_estimator_of(PAIR), PAIR_ROWS, score, threads=1, **kwargs)
-        b = measure_bias(short_estimator_of(PAIR), PAIR_ROWS, score, threads=4, **kwargs)
+        a = measure_bias(PAIR, "zero", PAIR_C, PAIR_ROWS, score, threads=1, **kwargs)
+        b = measure_bias(PAIR, "zero", PAIR_C, PAIR_ROWS, score, threads=4, **kwargs)
         assert a == b
 
 
@@ -421,10 +401,10 @@ class TestWeightGate:
 
     def test_measure_bias_fails_before_any_replication(self):
         counting = CountingSampler(PAIR)
-        score = worst_case_score(PAIR.influence_c, 2.0, PAIR_ROWS)
+        score = worst_case_score(PAIR_C, 2.0, PAIR_ROWS)
         with pytest.raises(WeightUnderflow):
             measure_bias(
-                short_estimator_of(PAIR), counting.draw, score, n=16, reps=100,
+                PAIR, "zero", PAIR_C, counting.draw, score, n=16, reps=100,
                 seed=1, calibration_draws=50_000,
             )
         assert counting.sizes == [50_000]
@@ -432,9 +412,9 @@ class TestWeightGate:
     def test_gaussian_runner_fails_before_any_replication(self):
         counting = CountingSampler(PAIR)
         with pytest.raises(WeightUnderflow, match="72.8"):
-            measure_gaussian_bias(
-                short_estimator_of(PAIR), counting, np.zeros(1), 2.0, n=16, reps=100, seed=1,
-            )
+            measure_gaussian_bias(counting, "zero", 2.0, n=16, reps=100, seed=1)
+        with pytest.raises(ConfigError, match="'optimum'"):
+            measure_gaussian_bias(counting, "optimum", 1.0, n=2000, reps=100, seed=1)
         assert counting.sizes == []
 
     def test_profile_fails_before_any_replication(self):
@@ -518,20 +498,23 @@ class TestBiasProfile:
         assert counting.sizes == []
 
     def test_one_draw_per_mu_on_the_criterion_6_grid(self):
-        # 5 lambdas x 3 mus: each of the 50 batches draws once per mu, not per cell.
+        # 5 lambdas x 3 mus: each batch draws once per mu, not per cell.
         counting = CountingSampler(PAIR)
         lam = float(PAIR.lambda_opt[0])
         worst_case_bias_profile(
             counting, [0.0, lam / 2, lam, 1.5 * lam, 2 * lam], [0.5, 1.0, 2.0],
             n=200, reps=100, seed=1,
         )
-        assert counting.sizes == [2] * (3 * 50)
+        assert counting.sizes == batch_sizes(100, _N_BATCHES) * 3
 
 
 def batch_streams(seed, reps):
-    """(generator, size) of each of the 50 batches of a run."""
-    children = np.random.SeedSequence(seed).spawn(50)
-    return [(np.random.default_rng(c), size) for c, size in zip(children, batch_sizes(reps, 50))]
+    """(generator, size) of each batch of a run."""
+    children = np.random.SeedSequence(seed).spawn(_N_BATCHES)
+    return [
+        (np.random.default_rng(c), size)
+        for c, size in zip(children, batch_sizes(reps, _N_BATCHES))
+    ]
 
 
 class TestStagedFrame:
@@ -541,34 +524,34 @@ class TestStagedFrame:
     @pytest.mark.parametrize("stack_reps", [_threads._STACK_REPS, 100])
     @pytest.mark.parametrize("threads", [1, 4])
     @pytest.mark.parametrize(
-        "make, n, mu",
+        "lam, n, mu",
         # At n = 3 the Wishart(n - 2, I_2) factor has fewer degrees of freedom than p.
-        [(plugin_residualized_of, 60, 1.2), (short_estimator_of, 60, 1.2),
-         (lambda dgp: fixed_lambda_estimator_of(dgp, [0.3, -0.2]), 3, 0.1)],
+        [("optimal", 60, 1.2), ("zero", 60, 1.2), ([0.3, -0.2], 3, 0.1)],
         ids=["plugin", "short", "fixed-small-n"],
     )
-    def test_estimates_equal_batch_by_batch(self, make, n, mu, threads, stack_reps, monkeypatch):
+    def test_estimates_equal_batch_by_batch(self, lam, n, mu, threads, stack_reps, monkeypatch):
         monkeypatch.setattr(_threads, "_STACK_REPS", stack_reps)
-        estimator, reps, seed = make(PAIR_P2), 1003, 71
-        coordinate = PAIR_P2.score_coordinate(PAIR_P2.lambda_opt)
-
-        def draw(rng, size):
-            return PAIR_P2.perturbed_draws(rng, n, size, mu)
+        reps, seed = 1003, 71
+        _, lam_row, from_moments = _adjustment(PAIR_P2, lam)
+        coordinate = PAIR_P2.score_coordinate(lam_row)
 
         def estimate(draws):
-            return estimator.from_moments(*coordinate.perturbed_moments(draws), n)
+            return from_moments(*coordinate.perturbed_moments(draws), n)
 
-        stages = []
-        result = _measure(
-            estimator, mu, n, reps, seed, threads, MAX_TOTAL_DRAWS, 0.0, 0.0, draw,
-            lambda draws: stages.append(estimate(draws)) or stages[-1],
-        )
-        want = np.concatenate(
-            [estimate(draw(rng, size)) for rng, size in batch_streams(seed, reps)]
-        )
+        run_stage, stages = _threads.run_stage, []
+
+        def recording(draw, estimate, *args):
+            return run_stage(draw, lambda d: stages.append(estimate(d)) or stages[-1], *args)
+
+        monkeypatch.setattr(_threads, "run_stage", recording)
+        result = measure_gaussian_bias(PAIR_P2, lam, mu, n=n, reps=reps, seed=seed, threads=threads)
+        want = np.concatenate([
+            estimate(PAIR_P2.perturbed_draws(rng, n, size, mu))
+            for rng, size in batch_streams(seed, reps)
+        ])
         assert (len(stages) == 1) == (stack_reps >= reps)
         assert np.array_equal(np.concatenate(stages), want)
-        assert result.sqrt_n_bias == float(np.mean(math.sqrt(n) * (want - estimator.c_true)))
+        assert result.sqrt_n_bias == float(np.mean(math.sqrt(n) * (want - PAIR_P2.c_true)))
 
     @pytest.mark.parametrize("stack_reps", [_threads._STACK_REPS, 100])
     @pytest.mark.parametrize("threads", [1, 4])
@@ -649,20 +632,19 @@ class TestErrorsInBatchOrder:
     def test_first_failing_batch_decides(self, threads):
         # Batch 0 fails a late gate of validation, batch 1 the first, and batch 2 cannot be drawn.
         dgp = FaultyPair(PAIR, {0: _scatter_along_b, 1: _no_scatter, 2: _weight_outside})
-        estimator, n, mu, reps, seed = plugin_residualized_of(PAIR), 200, 0.5, 1000, 72
-        coordinate = PAIR.score_coordinate(PAIR.lambda_opt)
+        n, mu, reps, seed = 200, 0.5, 1000, 72
+        _, lam, from_moments = _adjustment(PAIR, "optimal")
+        coordinate = PAIR.score_coordinate(lam)
 
         def run_alone(rng, size):
             draws = dgp.perturbed_draws(rng, n, size, mu)
-            estimator.from_moments(*coordinate.perturbed_moments(draws), n)
+            from_moments(*coordinate.perturbed_moments(draws), n)
 
         with pytest.raises(DegenerateResidualVariance) as alone:
             for rng, size in batch_streams(seed, reps):
                 run_alone(rng, size)
         with pytest.raises(DegenerateResidualVariance) as run:
-            measure_gaussian_bias(
-                estimator, dgp, PAIR.lambda_opt, mu, n=n, reps=reps, seed=seed, threads=threads
-            )
+            measure_gaussian_bias(dgp, "optimal", mu, n=n, reps=reps, seed=seed, threads=threads)
         assert str(run.value) == str(alone.value)
         with pytest.raises(InvalidCovariance):  # batch 1 alone
             run_alone(*batch_streams(seed, reps)[1])
@@ -699,7 +681,7 @@ class TestBiasDecomposition:
             lambda d: np.zeros(d.shape[0]),
             zero_score(),
             PAIR.lambda_opt,
-            PAIR.influence_c,
+            PAIR_C,
             partial(influence_gamma, PAIR),
             PAIR_ROWS,
             calibration_draws=100_000,
@@ -742,12 +724,12 @@ class TestBiasDecomposition:
         results = {}
         for lam_val in (0.0, float(PAIR.lambda_opt[0])):
             lam = np.array([lam_val])
-            s_z = worst_case_score(PAIR.influence_adjusted(lam), 1.0, PAIR_ROWS, seed=5)
+            s_z = worst_case_score(influence_adjusted(PAIR, lam), 1.0, PAIR_ROWS, seed=5)
             check = bias_decomposition_check(
                 lambda d: np.zeros(d.shape[0]),
                 s_z,
                 lam,
-                PAIR.influence_c,
+                PAIR_C,
                 partial(influence_gamma, PAIR),
                 PAIR_ROWS,
                 calibration_draws=400_000,

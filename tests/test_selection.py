@@ -6,7 +6,7 @@ from scipy.stats import chi2, ks_2samp, kstest, norm
 
 from residcheck import JointCovariance, _fixed_order, _threads
 from residcheck._distributions import Z975
-from residcheck._threads import batch_sizes, join
+from residcheck._threads import _N_BATCHES, batch_sizes, join
 from residcheck.dgps import GaussianPairDGP, RctLinearDGP, _bartlett
 from residcheck.errors import (
     ConfigError,
@@ -126,6 +126,13 @@ class TestConditionalExperiment:
         with pytest.raises(ConfigError, match="budget"):
             SelectionConfig(dgp=dgp, rule=T_RULE, n=200, reps=most + 1, seed=1)
 
+    def test_n_fits_a_c_long(self):
+        # numpy's samplers take n as a C long; no replication is drawn here.
+        dgp = RctLinearDGP(beta=np.ones(3), interaction=np.zeros(3))
+        SelectionConfig(dgp=dgp, rule=T_RULE, n=2**63 - 1, reps=1000, seed=1)
+        with pytest.raises(ConfigError, match=r"below 2\*\*63"):
+            SelectionConfig(dgp=dgp, rule=T_RULE, n=2**63, reps=1000, seed=1)
+
     def test_independent_case_has_no_distortion(self):
         stats = run_conditional_experiment(scalar_config(0.0, reps=20_000))
         for cond in ("pass", "fail"):
@@ -195,10 +202,6 @@ class TestConditionalExperiment:
         a = run_conditional_experiment(config, threads=1)
         b = run_conditional_experiment(config, threads=4)
         assert a == b
-
-    def test_oracle_sigma_rule_option(self):
-        stats = run_conditional_experiment(scalar_config(0.5, reps=5000, oracle_sigma=True))
-        assert stats.pass_rate == pytest.approx(0.95, abs=0.02)
 
     def test_rct_dgp_end_to_end(self):
         dgp = RctLinearDGP(tau=0.5, beta=np.array([1.0]), interaction=np.array([0.0]))
@@ -296,21 +299,17 @@ class TestSufficientStatisticDraws:
         assert abs(second - 1.0) <= 4.0 * np.sqrt(2.0 / c_short.size)
 
 
-@pytest.mark.parametrize("oracle", [False, True])
-def test_standardized_checks_match_lapack_member_by_member(oracle):
+def test_standardized_checks_match_lapack_member_by_member():
     n = 60
     batch = replications(CORRELATED_PAIR, np.random.default_rng(5), n, 200)
-    oracle_chol = CORRELATED_PAIR.population_covariance(n).chol_gg if oracle else None
-    t = _standardize_checks(batch, n, oracle_chol)
+    t = _standardize_checks(batch, n)
     # The batch carries each Sigma_gg estimate as its factor L; L L' is the estimate.
     sigma_gg = batch.chol_gg @ np.swapaxes(batch.chol_gg, -1, -2)
-    if oracle:
-        sigma_gg = np.broadcast_to(CORRELATED_PAIR.sigma_gamma_gamma, sigma_gg.shape)
     chol = np.linalg.cholesky(sigma_gg)
     reference = np.sqrt(n) * np.linalg.solve(chol, batch.gamma_hat[..., None])[..., 0]
     np.testing.assert_allclose(t, reference, rtol=1e-12, atol=1e-12)
     one = dataclasses.replace(batch, gamma_hat=batch.gamma_hat[7:8], chol_gg=batch.chol_gg[7:8])
-    assert np.array_equal(_standardize_checks(one, n, oracle_chol), t[7:8])
+    assert np.array_equal(_standardize_checks(one, n), t[7:8])
 
 
 RCT_THREE_CHECKS = RctLinearDGP(
@@ -318,9 +317,8 @@ RCT_THREE_CHECKS = RctLinearDGP(
 )
 
 
-@pytest.mark.parametrize("oracle", [False, True])
 @pytest.mark.parametrize("dgp", [CORRELATED_PAIR, RCT_THREE_CHECKS], ids=["gaussian", "rct"])
-def test_check_block_factored_once_per_batch(dgp, oracle, monkeypatch):
+def test_check_block_factored_once_per_batch(dgp, monkeypatch):
     """The lab standardizes with the factor validation made: one factorization per stage.
 
     At 1,003 replications the head batches are all 50 batches, so the run is
@@ -342,18 +340,16 @@ def test_check_block_factored_once_per_batch(dgp, oracle, monkeypatch):
     monkeypatch.setattr(_fixed_order, "cholesky", counting_cholesky)
     monkeypatch.setattr(JointCovariance, "__post_init__", recording_validate)
     config = SelectionConfig(dgp=dgp, rule=WALD_2 if dgp is CORRELATED_PAIR else WALD_3,
-                             n=60, reps=1003, seed=23, oracle_sigma=oracle)
+                             n=60, reps=1003, seed=23)
     draws = simulate_replications(config)
     assert [block.shape[0] for block in blocks] == [1003]
     assert [sum(a is block for a in factored) for block in blocks] == [1]
     monkeypatch.undo()
 
-    oracle_gg = dgp.population_covariance(config.n).sigma_gamma_gamma
     start, reference = 0, []
     for block in blocks:
         stop = start + block.shape[0]
-        sigma_gg = np.broadcast_to(oracle_gg, block.shape) if oracle else block
-        chol = _fixed_order.cholesky(sigma_gg)
+        chol = _fixed_order.cholesky(block)
         gamma = draws.gamma_hat[start:stop]
         reference.append(np.sqrt(config.n) * _fixed_order.solve_lower(chol, gamma))
         start = stop
@@ -507,14 +503,14 @@ def batch_by_batch(config):
     Raises what the first failing batch raises, in batch order.
     """
     dgp, n = config.dgp, config.n
-    sizes = batch_sizes(config.reps, 50)
+    sizes = batch_sizes(config.reps, _N_BATCHES)
     children = np.random.SeedSequence(config.seed).spawn(len(sizes))
     parts = []
     for child, size in zip(children, sizes):
         record = dgp.estimate_replications(
             dgp.draw_replications(np.random.default_rng(child), n, size), n
         )
-        t_stats = _standardize_checks(record, n, None)
+        t_stats = _standardize_checks(record, n)
         passed = config.rule.passes(t_stats)
         parts.append(dataclasses.replace(record, t_stats=t_stats, passed=passed))
     return parts
@@ -560,7 +556,7 @@ class TestStagesAreInvisible:
                 assert np.array_equal(got, want), f.name
         if dgp is RCT_SMALL_ARMS:
             # The Bartlett factor's row branch: an arm with fewer than k - 1 degrees of freedom.
-            children = np.random.SeedSequence(61).spawn(50)
+            children = np.random.SeedSequence(61).spawn(_N_BATCHES)
             arms = dgp.draw_replications(np.random.default_rng(children[0]), n, 20)
             assert (np.minimum(arms[0].counts, arms[1].counts) - 1 < 11).any()
 
@@ -674,7 +670,7 @@ class TestErrorsInBatchOrder:
         assert expected[0] is want
         assert first_error(lambda: simulate_replications(config, threads=threads)) == expected
         # Estimated at once, the stage's draws would fail otherwise.
-        children = np.random.SeedSequence(63).spawn(50)
+        children = np.random.SeedSequence(63).spawn(_N_BATCHES)
         with pytest.raises(joined_error):
             draws = [config.dgp.draw_replications(np.random.default_rng(c), 200, 41)
                      for c in children[:4]]
