@@ -28,6 +28,9 @@ def normal_cdf(x: float) -> float:
 
 
 def normal_pdf(x: float) -> float:
+    # exp(-x^2 / 2) is 0.0 from |x| = 38.6 on; x**2 would overflow from 1.35e154.
+    if abs(x) > 40.0:
+        return 0.0
     return math.exp(-(x**2) / 2.0) / _SQRT_2PI
 
 

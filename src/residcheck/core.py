@@ -105,6 +105,8 @@ class JointCovariance:
                 f"sigma_c_gamma has shape {scg.shape} but "
                 f"sigma_gamma_gamma has shape {sgg.shape}"
             )
+        if not sgg.shape[-1]:
+            raise DimensionMismatch("a joint covariance needs at least one check, got p = 0")
         if not np.isfinite(sgg).all():
             raise InvalidCovariance("sigma_gamma_gamma contains non-finite entries")
         bad = ~(np.isfinite(scc) & (scc > 0.0))
@@ -154,6 +156,11 @@ class JointCovariance:
         lam.flags.writeable = False
         object.__setattr__(self, "_lambda", lam)
         object.__setattr__(self, "_explained", explained)
+
+    @classmethod
+    def from_matrix(cls, full: np.ndarray, n: int) -> "JointCovariance":
+        """The covariance whose :meth:`full_matrix` is ``full``, or a stack of them, validated."""
+        return cls(full[..., 0, 0], full[..., 0, 1:], full[..., 1:, 1:], n)
 
     @staticmethod
     def full_matrix_of(scc: float, scg: np.ndarray, sgg: np.ndarray) -> np.ndarray:

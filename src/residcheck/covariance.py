@@ -104,10 +104,4 @@ def joint_covariance(contrib: InfluenceContributions) -> JointCovariance:
     The usual validation errors of :class:`JointCovariance` propagate
     (singular check block, degenerate residual variance).
     """
-    sigma = covariance_matrix(contrib)
-    return JointCovariance(
-        sigma_c_sq=sigma[0, 0],
-        sigma_c_gamma=sigma[0, 1:],
-        sigma_gamma_gamma=sigma[1:, 1:],
-        n=contrib.n,
-    )
+    return JointCovariance.from_matrix(covariance_matrix(contrib), contrib.n)

@@ -23,15 +23,16 @@ at the random numbers:
 :class:`BatchReplications` record, every step elementwise over the
 replications. A lab thus draws per batch and estimates once per stage, or
 per bounded stack of a large stage (:func:`_threads.run_stage`), without
-caring which family drew. The record carries the check block's Cholesky
-factor from the stage's single covariance validation, not the block itself.
+caring which family drew. Both build it in ``_record``, from one
+:meth:`JointCovariance.from_matrix`, whose Cholesky factor of the check
+block it carries, not the block; the RCT adds its long estimator on top.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,6 +68,20 @@ class BatchReplications:
             out["long"] = (self.c_long, self.se_long)
         out["residualized"] = (self.c_resid, self.se_resid)
         return out
+
+
+def _record(c_short: np.ndarray, gamma: np.ndarray, cov: np.ndarray, n: int):
+    """The lab record of replications from c_short, gamma and 1/n covariances, and cov validated."""
+    sigma = JointCovariance.from_matrix(cov, n)
+    record = BatchReplications(
+        c_short=c_short,
+        c_resid=residualize(c_short, gamma, sigma.lam).c_r,
+        se_short=sigma.se_c,
+        se_resid=sigma.se_r,
+        gamma_hat=gamma,
+        chol_gg=sigma.chol_gg,
+    )
+    return record, sigma
 
 
 def _times_lower_t(z: np.ndarray, low: np.ndarray) -> np.ndarray:
@@ -268,7 +283,7 @@ class GaussianPairDGP:
         object.__setattr__(self, "_chol_full", _fixed_order.cholesky(full))
 
     @classmethod
-    def from_rho(cls, rho: float, c_true: float = 0.0) -> "GaussianPairDGP":
+    def from_rho(cls, rho: float) -> "GaussianPairDGP":
         """Scalar check with unit variances and correlation rho."""
         if not -1.0 < rho < 1.0:
             raise ConfigError(f"rho must lie strictly inside (-1, 1), got {rho}")
@@ -276,7 +291,6 @@ class GaussianPairDGP:
             sigma_c_sq=1.0,
             sigma_c_gamma=np.array([float(rho)]),
             sigma_gamma_gamma=np.eye(1),
-            c_true=c_true,
         )
 
     @property
@@ -290,21 +304,6 @@ class GaussianPairDGP:
     def lambda_opt(self) -> np.ndarray:
         return self.population_covariance(2).lam
 
-    # One map per estimator from a stack of sample moments (means, 1/n
-    # covariances, n) to estimates.
-    def short_from_moments(self, means: np.ndarray, cov: np.ndarray | None, n: int):
-        return self.c_true + means[..., 0]
-
-    def fixed_from_moments(self, means: np.ndarray, cov: np.ndarray | None, n: int, lam):
-        gamma = means[..., 1:]
-        lam = np.broadcast_to(np.asarray(lam, dtype=float), gamma.shape)
-        return residualize(self.short_from_moments(means, cov, n), gamma, lam).c_r
-
-    def plugin_from_moments(self, means: np.ndarray, cov: np.ndarray, n: int):
-        """Residualized at the sample coefficient row, through :class:`JointCovariance`."""
-        sigma = JointCovariance(cov[..., 0, 0], cov[..., 0, 1:], cov[..., 1:, 1:], n)
-        return residualize(self.short_from_moments(means, cov, n), means[..., 1:], sigma.lam).c_r
-
     def draw_replications(self, rng: np.random.Generator, n: int, size: int) -> NormalDraws:
         """The standard draws of size independent replications at sample size n."""
         return _draw_normal(rng, 1 + self.p_gamma, np.full(size, n))
@@ -316,18 +315,7 @@ class GaussianPairDGP:
         :class:`DegenerateResidualVariance`.
         """
         means, scatter = _normal_sums(draws, self._chol_full)
-        cov = scatter / n
-        sigma = JointCovariance(cov[:, 0, 0], cov[:, 0, 1:], cov[:, 1:, 1:], n)
-        c_short = self.c_true + means[:, 0]
-        gamma = means[:, 1:]
-        return BatchReplications(
-            c_short=c_short,
-            c_resid=residualize(c_short, gamma, sigma.lam).c_r,
-            se_short=sigma.se_c,
-            se_resid=sigma.se_r,
-            gamma_hat=gamma,
-            chol_gg=sigma.chol_gg,
-        )
+        return _record(self.c_true + means[:, 0], means[:, 1:], scatter / n, n)[0]
 
     def perturbed_draws(
         self, rng: np.random.Generator, n: int, size: int, mu: float
@@ -408,10 +396,10 @@ class RctLinearDGP:
     and the average treatment effect equals tau. ``interaction`` of zeros
     gives the homoskedastic linear case in which the long and residualized
     coefficients share the same probability limit beta; nonzero interaction
-    with pi != 1/2 separates them. Parameters under which an arm's second
-    moment of the outcome, (alpha + tau a)^2 + |beta + interaction a|^2 +
-    noise_sd^2, overflows are refused: the lab's sums and summary square
-    the outcome.
+    with pi != 1/2 separates them. An empty ``beta`` (no checks) is refused,
+    and so are parameters under which an arm's second moment of the outcome,
+    (alpha + tau a)^2 + |beta + interaction a|^2 + noise_sd^2, overflows:
+    the lab's sums and summary square the outcome.
     """
 
     tau: float = 1.0
@@ -426,6 +414,8 @@ class RctLinearDGP:
         inter = np.atleast_1d(np.asarray(self.interaction, dtype=float))
         if beta.shape != inter.shape:
             raise ConfigError("beta and interaction must have the same length")
+        if not beta.size:
+            raise ConfigError("beta needs at least one entry: each covariate is a check")
         if not 0.0 < self.pi < 1.0:
             raise ConfigError(f"treated share pi must lie in (0, 1), got {self.pi}")
         if not np.isfinite([self.tau, self.alpha, *beta, *inter]).all():
@@ -529,16 +519,11 @@ class RctLinearDGP:
         every replication.
         """
         slopes, cov, partialled, x_sq = arm_statistics(n, draws[0].counts, *self._arm_sums(draws))
-        sigma = JointCovariance(cov[:, 0, 0], cov[:, 0, 1:], cov[:, 1:, 1:], n)
         c_short, gamma = slopes[:, 0], slopes[:, 1:]
+        record, sigma = _record(c_short, gamma, cov, n)
         beta_long = long_coefficients(partialled, x_sq)
-        return BatchReplications(
-            c_short=c_short,
-            c_resid=residualize(c_short, gamma, sigma.lam).c_r,
-            se_short=sigma.se_c,
-            se_resid=sigma.se_r,
-            gamma_hat=gamma,
-            chol_gg=sigma.chol_gg,
+        return replace(
+            record,
             c_long=residualize(c_short, gamma, beta_long).c_r,
             se_long=np.sqrt(adjusted_variance(sigma, beta_long) / n),
         )

@@ -108,9 +108,5 @@ class DegenerateRule(EstimationError):
     """Reporting rule passes with probability too close to 0 or 1."""
 
 
-class ZeroInfluence(EstimationError):
-    pass
-
-
 class WeightUnderflow(EstimationError):
     """Perturbation weights 1 + s/sqrt(n) fall outside [0, 2] at this n."""

@@ -20,10 +20,10 @@ calibration sample. Its replications are the labs' seeded batch frame
 (:func:`_threads.run_seeded`) in one stage: each batch draws once, in
 standard units (:meth:`GaussianPairDGP.perturbed_draws`), and the batches'
 draws are joined and mapped once (:meth:`ScoreCoordinate.perturbed_moments`,
-then the estimator's moment map). Before any draw, it refuses a run in which
-n reps erfc(sqrt(n) / (mu sqrt(2))), the expected number of its draws whose
-weight leaves [0, 2], reaches 1: at mu = 2, n = 16 from 2 reps on, and
-every n at a huge mu.
+then the ``--lambda`` moment map, defined only in :func:`_adjustment`).
+Before any draw, it refuses a run in which n reps erfc(sqrt(n) / (mu
+sqrt(2))), the expected number of its draws whose weight leaves [0, 2],
+reaches 1: at mu = 2, n = 16 from 2 reps on, and every n at a huge mu.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from typing import Callable
 import numpy as np
 
 from ._threads import run_seeded
+from .core import JointCovariance, residualize
 from .errors import ConfigError, NegativeMu, WeightUnderflow
 
 # Budget guard on reps * n for a bias measurement run.
@@ -73,18 +74,25 @@ def _adjustment(dgp, lam) -> tuple[str, np.ndarray, Callable]:
 
     ``lam`` is "optimal" (the plug-in residualized estimator), "zero" (the
     short estimator) or numbers (the adjustment fixed at them). The moment
-    map takes a stack of (sample means, 1/n covariances, n) to estimates.
+    map takes a stack of (sample means, 1/n covariances, n) to estimates;
+    only the plug-in map reads cov, through :meth:`JointCovariance.from_matrix`.
     """
+
+    def short(means, cov, n):
+        return dgp.c_true + means[..., 0]
+
     if not isinstance(lam, str):
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        return (
-            f"fixed({np.array2string(lam, precision=4)})", lam,
-            lambda means, cov, n: dgp.fixed_from_moments(means, cov, n, lam),
-        )
+        name = f"fixed({np.array2string(lam, precision=4)})"
+        return name, lam, lambda means, cov, n: residualize(
+            short(means, cov, n), means[..., 1:], np.broadcast_to(lam, means[..., 1:].shape)
+        ).c_r
     if lam == "optimal":
-        return "residualized", dgp.lambda_opt, dgp.plugin_from_moments
+        return "residualized", dgp.lambda_opt, lambda means, cov, n: residualize(
+            short(means, cov, n), means[..., 1:], JointCovariance.from_matrix(cov, n).lam
+        ).c_r
     if lam == "zero":
-        return "short", np.zeros(dgp.p_gamma), dgp.short_from_moments
+        return "short", np.zeros(dgp.p_gamma), short
     raise ConfigError(f"lambda must be 'optimal', 'zero' or numbers, got {lam!r}")
 
 
@@ -96,7 +104,6 @@ def measure_gaussian_bias(
     reps: int,
     seed: int,
     threads: int | None = None,
-    max_total_draws: int = MAX_TOTAL_DRAWS,
 ) -> BiasMeasurement:
     """Measured sqrt(n)-scale bias of the lam adjustment on a :class:`GaussianPairDGP`.
 
@@ -114,9 +121,9 @@ def measure_gaussian_bias(
         raise NegativeMu(f"misspecification bound must be nonnegative, got {mu}")
     coordinate = dgp.score_coordinate(lam)
     _check_start(n, reps, mu)
-    if reps * n > max_total_draws:
+    if reps * n > MAX_TOTAL_DRAWS:
         raise ConfigError(
-            f"reps * n = {reps * n:.3g} exceeds the configured budget {max_total_draws:.3g}"
+            f"reps * n = {reps * n:.3g} exceeds the budget {MAX_TOTAL_DRAWS:.3g}"
         )
     estimates = run_seeded(
         seed, reps, lambda rng, size: dgp.perturbed_draws(rng, n, size, mu),

@@ -127,7 +127,8 @@ def truncated_oracle(rho: float, t: float) -> TruncatedOracle:
     if not t > 0.0 or not math.isfinite(t):
         raise DomainError(f"truncation point must be positive and finite, got {t}")
     mass = 2.0 * normal_cdf(t) - 1.0
-    var_zg = 1.0 - 2.0 * t * normal_pdf(t) / mass
+    # t phi(t) first: 2 t overflows at the largest t, where phi(t) is 0.
+    var_zg = 1.0 - 2.0 * (t * normal_pdf(t)) / mass
     return TruncatedOracle(
         cond_var_zgamma=float(var_zg),
         cond_var_zs=float((1.0 - rho**2) + rho**2 * var_zg),

@@ -15,12 +15,7 @@ def random_joint_covariance(seed: int, p: int, n: int = 500) -> JointCovariance:
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((1 + p, 1 + p))
     full = a @ a.T / (1 + p) + 0.1 * np.eye(1 + p)
-    return JointCovariance(
-        sigma_c_sq=full[0, 0],
-        sigma_c_gamma=full[0, 1:],
-        sigma_gamma_gamma=full[1:, 1:],
-        n=n,
-    )
+    return JointCovariance.from_matrix(full, n)
 
 
 @pytest.fixture

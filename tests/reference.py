@@ -2,7 +2,7 @@
 
 The rejection sampler from (1 + s(d)/sqrt(n)) dP0 with the envelope 2 dP0
 (:func:`sample_perturbed`, :func:`measure_bias`), worst-case scores and the
-bias split calibrated on rows, the DGPs' row draws, full-data estimators,
+bias split calibrated on rows, the DGPs' row draws and their sample moments,
 influence evaluators and RCT coefficient limits, each a function of its DGP
 with the bits it had as a method, and the masked, fancy-index versions of the
 labs' Bartlett factor and perturbed draws, which the labs match bit for bit.
@@ -24,10 +24,10 @@ from residcheck._threads import _N_BATCHES, batch_sizes, run_seeded
 from residcheck.dgps import _SCORE_BLOCK, PerturbedDraws, _times_columns, _times_lower_t
 from residcheck.errors import (
     ConfigError,
+    EstimationError,
     InvalidCovariance,
     NegativeMu,
     WeightUnderflow,
-    ZeroInfluence,
 )
 from residcheck.misspec import MAX_TOTAL_DRAWS, BiasMeasurement, _adjustment, _check_start
 from residcheck.rct import RctDataset
@@ -38,7 +38,11 @@ ScoreFn = Callable[[np.ndarray], np.ndarray]
 DEFAULT_CALIBRATION_DRAWS = 1_000_000
 
 
-# Gaussian pair: rows and full-data estimators.
+class ZeroInfluence(EstimationError):
+    """An influence evaluator is numerically zero on the calibration sample."""
+
+
+# Gaussian pair: rows.
 def draw(dgp, rng: np.random.Generator, n: int) -> np.ndarray:
     """n draws of the per-observation vector (d_c, d_g) under the base model."""
     return _times_lower_t(rng.standard_normal((n, 1 + dgp.p_gamma)), dgp._chol_full)
@@ -103,29 +107,12 @@ def perturbed_draws(
     return PerturbedDraws(n, z_mean, s_zz, z1, z2, bartlett(rng, p, np.full(size, n - 2)))
 
 
-def _sample_means(data: np.ndarray) -> np.ndarray:
-    """Sample mean of the rows of data, each column summed pairwise in one contiguous pass."""
-    return np.add.reduce(np.ascontiguousarray(data.T), axis=-1) / len(data)
-
-
 def sample_moments(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Sample mean, 1/n sample covariance and n of the rows of data, in a fixed order."""
     rows = np.ascontiguousarray(data.T)
     means = np.add.reduce(rows, axis=-1) / len(data)
     rows -= means[:, None]
     return means, _fixed_order.gram(rows) / len(data), len(data)
-
-
-def estimate_short(dgp, data: np.ndarray) -> float:
-    return float(dgp.short_from_moments(_sample_means(data), None, len(data)))
-
-
-def estimate_fixed(dgp, data: np.ndarray, lam) -> float:
-    return float(dgp.fixed_from_moments(_sample_means(data), None, len(data), lam))
-
-
-def estimate_plugin_residualized(dgp, data: np.ndarray) -> float:
-    return float(dgp.plugin_from_moments(*sample_moments(data)))
 
 
 # Linear RCT: the coefficients' probability limits, row datasets, influence
@@ -388,6 +375,7 @@ def worst_case_bias_profile(
     if np.any(mus < 0):
         raise NegativeMu("all mu values must be nonnegative")
     coordinates = [dgp.score_coordinate(lam) for lam in lambdas]
+    maps = [_adjustment(dgp, coord.lam)[2] for coord in coordinates]
     # The largest mu gives the largest weights; fail before any replication.
     _check_start(n, reps, float(mus.max()))
     root_n = math.sqrt(n)
@@ -395,9 +383,8 @@ def worst_case_bias_profile(
     def estimate(draws) -> tuple[np.ndarray, ...]:
         """The sqrt(n)-scale errors of the replications, one array per lambda."""
         return tuple(
-            root_n * (dgp.fixed_from_moments(coord.perturbed_means(draws), None, n, coord.lam)
-                      - dgp.c_true)
-            for coord in coordinates
+            root_n * (to_estimate(coord.perturbed_means(draws), None, n) - dgp.c_true)
+            for coord, to_estimate in zip(coordinates, maps)
         )
 
     scaled = np.array([

@@ -22,7 +22,7 @@ from residcheck import (
     residualize,
 )
 from residcheck.dgps import GaussianPairDGP, RctLinearDGP
-from residcheck.misspec import measure_gaussian_bias
+from residcheck.misspec import _adjustment, measure_gaussian_bias
 from residcheck.selection import (
     ReportingRule,
     SelectionConfig,
@@ -35,8 +35,7 @@ from reference import (
     beta_long_limit,
     beta_resid_limit,
     draw,
-    estimate_fixed,
-    estimate_plugin_residualized,
+    sample_moments,
     worst_case_bias_profile,
 )
 
@@ -266,17 +265,16 @@ def test_criterion_7_covariance_consistency():
 
 def test_criterion_8_plugin_negligibility():
     pair = GaussianPairDGP.from_rho(0.5)
-    lam = pair.lambda_opt
+    # The lab's moment maps: the plug-in estimator and the one fixed at the true Lambda.
+    plugin, oracle = _adjustment(pair, "optimal")[2], _adjustment(pair, pair.lambda_opt)[2]
     reps = 2000
     sds = {}
     for n, seed in ((2000, 81), (8000, 82)):
         rng = np.random.default_rng(seed)
         diffs = np.empty(reps)
         for r in range(reps):
-            data = draw(pair, rng, n)
-            plugin = estimate_plugin_residualized(pair, data)
-            oracle = estimate_fixed(pair, data, lam)
-            diffs[r] = math.sqrt(n) * (plugin - oracle)
+            means, cov, _ = sample_moments(draw(pair, rng, n))
+            diffs[r] = math.sqrt(n) * (plugin(means, cov, n) - oracle(means, None, n))
         sds[n] = float(diffs.std(ddof=1))
     ratio = sds[2000] / sds[8000]
     ok = ratio >= 1.7

@@ -52,6 +52,19 @@ class TestJointCovarianceValidation:
         with pytest.raises(DimensionMismatch):
             JointCovariance(1.0, np.array([0.1, 0.2]), np.eye(3), 50)
 
+    def test_no_checks_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            JointCovariance(1.0, np.zeros(0), np.zeros((0, 0)), 10)
+
+    def test_from_matrix_inverts_full_matrix(self):
+        members = [random_joint_covariance(seed, 3) for seed in range(4)]
+        full = np.stack([member.full_matrix() for member in members])
+        stack = JointCovariance.from_matrix(full, 500)
+        assert np.array_equal(stack.full_matrix(), full)
+        for b, member in enumerate(members):
+            assert np.array_equal(stack.lam[b], member.lam)
+            assert stack.se_r[b] == member.se_r
+
     @pytest.mark.parametrize(
         "scc, scg, sgg, error",
         [

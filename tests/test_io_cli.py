@@ -865,6 +865,10 @@ class TestCli:
             (("--lab", "misspec", "--mu", "inf", *SIZES), None),
             (("--lab", "misspec", "--mu", "-1", *SIZES), None),
             (("--lab", "misspec", "--lambda", "inf", *SIZES), None),
+            (("--lab", "selection", "--dgp", "rct", "--beta", "", "--interaction", "",
+              "--rule", "wald", "--threshold", "3", *SIZES), None),
+            (("--lab", "selection", "--dgp", "rct", "--beta", "", "--interaction", "",
+              "--rule", "max_abs", "--threshold", "3", *SIZES), None),
         ],
         ids=[
             "misspec-rct",
@@ -882,6 +886,8 @@ class TestCli:
             "mu-inf",
             "mu-neg",
             "lambda-inf",
+            "rct-no-checks-wald",
+            "rct-no-checks-max-abs",
         ],
     )
     def test_simulate_config_errors_are_json(self, args, env):
@@ -1185,17 +1191,8 @@ def _argv(draw, csv_path, missing_path):
     return [command, *(token for item in items for token in item), *extra]
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_any_command_line_ends_in_an_exit_code_and_at_most_one_json_line(
-    tmp_path_factory, data
-):
-    directory = tmp_path_factory.getbasetemp() / "cli_property"
-    directory.mkdir(exist_ok=True)
-    csv_path = directory / "data.csv"
-    csv_path.write_bytes(data.draw(_mutated_fixture()))
-    argv = data.draw(_argv(str(csv_path), str(directory / "missing.csv")))
-    threads = data.draw(st.sampled_from((None, "1", "2", "0", "-1", "x")))
+def _assert_exit_code_and_at_most_one_json_line(argv, threads=None):
+    """Run main(argv) in-process, RESID_THREADS at threads (None: unset); return its exit code."""
     out, err = io.BytesIO(), io.StringIO()
     saved = os.environ.pop("RESID_THREADS", None)
     try:
@@ -1218,3 +1215,39 @@ def test_any_command_line_ends_in_an_exit_code_and_at_most_one_json_line(
     else:
         assert len(lines) == 1, (argv, lines)
         assert set(json.loads(lines[0])) == {"error", "message"}, argv
+    return code
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_command_line_ends_in_an_exit_code_and_at_most_one_json_line(
+    tmp_path_factory, data
+):
+    directory = tmp_path_factory.getbasetemp() / "cli_property"
+    directory.mkdir(exist_ok=True)
+    csv_path = directory / "data.csv"
+    csv_path.write_bytes(data.draw(_mutated_fixture()))
+    argv = data.draw(_argv(str(csv_path), str(directory / "missing.csv")))
+    threads = data.draw(st.sampled_from((None, "1", "2", "0", "-1", "x")))
+    _assert_exit_code_and_at_most_one_json_line(argv, threads)
+
+
+# Flags whose invalid values are refused before any data is read or drawn.
+_REFUSED_UP_FRONT = ("--n", "--reps", "--seed", "--lab")
+
+
+def test_every_invalid_value_on_a_minimal_command_line(tmp_path):
+    """Each invalid value of the grammar, once, on its subcommand's minimal valid command line.
+
+    The minimal line gives each required flag its first valid value; the
+    property test above reaches a given invalid value only by chance.
+    """
+    for command, options in _grammar(str(FIXTURE_CSV), str(tmp_path / "missing.csv")).items():
+        minimal = {flag: valid[0] for flag, valid, _, required in options if required}
+        for flag, _, invalid, _ in options:
+            for token in invalid:
+                chosen = {**minimal, flag: token}
+                argv = [command, *(t for item in chosen.items() for t in item)]
+                code = _assert_exit_code_and_at_most_one_json_line(argv)
+                if command == "simulate" and flag in _REFUSED_UP_FRONT:
+                    assert code == 2, argv

@@ -17,7 +17,6 @@ from residcheck.errors import (
     InvalidCovariance,
     NegativeMu,
     WeightUnderflow,
-    ZeroInfluence,
 )
 from residcheck.io import GaussianDgpSpec, ScoreSpec, SimulateConfig
 from residcheck.misspec import _adjustment, _check_start, measure_gaussian_bias
@@ -27,6 +26,7 @@ from residcheck.report import run_simulate
 from conftest import moment_z_scores
 from reference import (
     MisspecScore,
+    ZeroInfluence,
     _draw_accepted,
     beta_resid_limit,
     bias_decomposition_check,
@@ -566,8 +566,8 @@ class TestStagedFrame:
         coordinates = [PAIR.score_coordinate(value) for value in lambdas]
         scaled = np.array([[
             np.concatenate([
-                math.sqrt(n) * (PAIR.fixed_from_moments(
-                    *coord.perturbed_moments(PAIR.perturbed_draws(rng, n, size, mu)), n, coord.lam
+                math.sqrt(n) * (_adjustment(PAIR, coord.lam)[2](
+                    *coord.perturbed_moments(PAIR.perturbed_draws(rng, n, size, mu)), n
                 ) - PAIR.c_true)
                 for rng, size in batch_streams(seed, reps)
             ])

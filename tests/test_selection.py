@@ -45,6 +45,11 @@ class TestTruncatedOracle:
         assert oracle.cond_var_zs == pytest.approx(1.0, abs=1e-10)
         assert oracle.cond_var_zgamma == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("t", [40.5, 1e200, 1e308])
+    def test_huge_threshold_is_the_untruncated_law(self, t):
+        oracle = truncated_oracle(0.5, t)
+        assert (oracle.cond_var_zgamma, oracle.cond_var_zs) == (1.0, 1.0)
+
     def test_closed_form_at_conventional_threshold(self):
         oracle = truncated_oracle(0.5, 1.96)
         assert oracle.cond_var_zgamma == pytest.approx(0.7590, abs=2e-4)
