@@ -6,8 +6,8 @@ bias split calibrated on rows, the DGPs' row draws and their sample moments,
 influence evaluators and RCT coefficient limits, each a function of its DGP
 with the bits it had as a method, and the masked, fancy-index versions of the
 labs' Bartlett factor and perturbed draws, which the labs match bit for bit.
-The lambda profile (:func:`worst_case_bias_profile`) measures the bias of
-every fixed-lambda adjustment under its own worst case. Both runners draw
+The cross-score matrix (:func:`cross_score_bias`) measures the bias of
+every fixed-lambda adjustment under every one's worst case. Both runners draw
 through the labs' seeded batch frame (:func:`residcheck._threads.run_seeded`).
 """
 
@@ -328,49 +328,33 @@ def measure_bias(
     )
 
 
-# The lambda profile of the Gaussian pair, on its exact-law perturbed draws.
+# The cross-score bias matrix of the Gaussian pair, on its exact-law perturbed draws.
 @dataclass(frozen=True)
-class BiasProfile:
-    """Worst-case bias and MSE of c_hat(lambda) under each lambda's own s*."""
+class CrossScoreBias:
+    """sqrt(n)-scale bias and MSE of c_hat(lambda_i) under lambda_j's s*, indexed [mu, i, j]."""
 
-    lambdas: np.ndarray
-    mus: np.ndarray
     bias: np.ndarray
     bias_se: np.ndarray
     mse: np.ndarray
     mse_se: np.ndarray
-    predicted_bias: np.ndarray
-
-    def argmin_bias(self, mu_index: int) -> int:
-        return int(np.argmin(self.bias[mu_index]))
-
-    def argmin_mse(self, mu_index: int) -> int:
-        return int(np.argmin(self.mse[mu_index]))
+    predicted: np.ndarray
 
 
-def worst_case_bias_profile(
-    dgp,
-    lambdas,
-    mus,
-    n: int,
-    reps: int,
-    seed: int,
-    threads: int | None = None,
-) -> BiasProfile:
-    """Measure bias of the fixed-lambda adjustment under its own worst case.
+def cross_score_bias(
+    dgp, lambdas, mus, n: int, reps: int, seed: int, threads: int | None = None
+) -> CrossScoreBias:
+    """Measure bias of every fixed-lambda adjustment i under every lambda_j's worst case.
 
     Each mu is one run of the seeded batch frame, with the same seed, so
-    each batch draws once per mu from a restarted stream, and every lambda
-    maps those same draws: all cells share their random numbers (which makes
-    the argmin over the lambda grid detectable at moderate rep counts), and
-    a cell's result does not depend on the rest of the grid. Each lambda maps
-    the joined draws once, to sample means only, as the fixed-lambda
-    estimate reads no covariance. predicted_bias is mu ||psi_lambda|| = mu
-    sd_u exactly. Scalar checks only.
+    each batch draws once per mu from a restarted stream. Each score
+    lambda_j maps those draws once, to sample means only, as fixed-lambda
+    estimates read no covariance, and every lambda_i's map reads them: all
+    cells share their random numbers, and a cell's result does not depend
+    on the rest of the grid. The diagonal is the lambda profile, each
+    adjustment under its own worst case. predicted is mu a_i' Sigma a_j /
+    sqrt(a_j' Sigma a_j), a = (1, -lambda), from the population covariance.
     """
-    if dgp.p_gamma != 1:
-        raise ConfigError("the profile runner supports scalar checks only")
-    lambdas = np.asarray(lambdas, dtype=float).reshape(-1)
+    lambdas = np.asarray(lambdas, dtype=float).reshape(-1, dgp.p_gamma)
     mus = np.asarray(mus, dtype=float).reshape(-1)
     if np.any(mus < 0):
         raise NegativeMu("all mu values must be nonnegative")
@@ -381,10 +365,11 @@ def worst_case_bias_profile(
     root_n = math.sqrt(n)
 
     def estimate(draws) -> tuple[np.ndarray, ...]:
-        """The sqrt(n)-scale errors of the replications, one array per lambda."""
+        """The sqrt(n)-scale errors of the replications, one array per (i, j), row by row."""
+        means = [coord.perturbed_means(draws) for coord in coordinates]
         return tuple(
-            root_n * (to_estimate(coord.perturbed_means(draws), None, n) - dgp.c_true)
-            for coord, to_estimate in zip(coordinates, maps)
+            root_n * (to_estimate(score_means, None, n) - dgp.c_true)
+            for to_estimate in maps for score_means in means
         )
 
     scaled = np.array([
@@ -392,16 +377,16 @@ def worst_case_bias_profile(
             seed, reps, lambda rng, size: dgp.perturbed_draws(rng, n, size, mu), estimate, threads
         )
         for mu in mus
-    ])
+    ]).reshape(mus.size, len(lambdas), len(lambdas), reps)
     squared = scaled**2
-    return BiasProfile(
-        lambdas=lambdas,
-        mus=mus,
+    a = np.column_stack([np.ones(len(lambdas)), -lambdas])
+    cross = a @ dgp.population_covariance(2).full_matrix() @ a.T
+    return CrossScoreBias(
         bias=scaled.mean(axis=-1),
         bias_se=scaled.std(axis=-1, ddof=1) / math.sqrt(reps),
         mse=squared.mean(axis=-1),
         mse_se=squared.std(axis=-1, ddof=1) / math.sqrt(reps),
-        predicted_bias=mus[:, None] * np.array([coord.sd_u for coord in coordinates]),
+        predicted=mus[:, None, None] * cross / np.sqrt(np.diag(cross)),
     )
 
 

@@ -739,6 +739,12 @@ class TestCli:
         payload = json.loads(result.stdout.decode())
         assert payload["cond_var_zs"] == pytest.approx(0.9398, abs=2e-4)
 
+    @pytest.mark.parametrize("threshold", ["1e-300", "1e-17", "5e-324"])
+    def test_oracle_tiny_threshold(self, threshold, capsys):
+        # 2 Phi(t) - 1 is 0.0 at these t; Var(Z_g | |Z_g| <= t) = t^2/3 is below 1e-33.
+        assert main(["oracle", "--rho", "0.5", "--threshold", threshold]) == 0
+        assert json.loads(capsys.readouterr().out)["cond_var_zs"] == 0.75
+
     def test_oracle_domain_error(self):
         result = run_cli("oracle", "--rho", "1.5", "--threshold", "1.96")
         assert result.returncode == 2
@@ -1162,7 +1168,7 @@ def _grammar(csv_path, missing_path):
         ],
         "oracle": [
             ("--rho", ("0.5", "-0.3"), numbers, True),
-            ("--threshold", ("1.96", "0.5"), numbers, True),
+            ("--threshold", ("1.96", "0.5", "1e-300", "1e-17", "5e-324"), numbers, True),
         ],
         "decompose": [
             ("--input", (str(GOLDEN_JSON),), (csv_path, missing_path), True),

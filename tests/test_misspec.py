@@ -23,7 +23,7 @@ from residcheck.misspec import _adjustment, _check_start, measure_gaussian_bias
 from residcheck.core import JointCovariance
 from residcheck.report import run_simulate
 
-from conftest import moment_z_scores
+from conftest import moment_z_scores, saddle_point_misses
 from reference import (
     MisspecScore,
     ZeroInfluence,
@@ -31,6 +31,7 @@ from reference import (
     beta_resid_limit,
     bias_decomposition_check,
     check_weight_bound,
+    cross_score_bias,
     draw,
     influence_adjusted,
     influence_c,
@@ -43,7 +44,6 @@ from reference import (
     sample_moments,
     sample_perturbed,
     structural_mean_shift_score,
-    worst_case_bias_profile,
     worst_case_score,
     zero_score,
 )
@@ -420,7 +420,7 @@ class TestWeightGate:
     def test_profile_fails_before_any_replication(self):
         counting = CountingSampler(PAIR)
         with pytest.raises(WeightUnderflow):
-            worst_case_bias_profile(
+            cross_score_bias(
                 counting, [0.0, float(PAIR.lambda_opt[0])], [0.5, 2.0], n=16, reps=100, seed=1,
             )
         assert counting.sizes == []
@@ -448,43 +448,46 @@ class TestWeightGate:
             check_weight_bound(np.array([0.0, np.nan]), 4)
 
 
-class TestBiasProfile:
-    def test_argmin_at_optimal_lambda_and_mse_factorization(self):
+class TestCrossScoreBias:
+    """B[i, j]: the bias of the lambda_i adjustment under lambda_j's worst-case score."""
+
+    def test_saddle_point_at_optimal_lambda(self):
+        # Each diagonal entry is sd_u(lambda_i) times one lambda-free average,
+        # so the diagonal's argmin sits at lambda* whatever direction the
+        # sampler gives the score; the off-diagonal entries read it.
         lam = float(PAIR.lambda_opt[0])
         lambdas = [0.0, lam / 2, lam, 1.5 * lam, 2 * lam]
         mus = [0.5, 1.0, 2.0]
-        profile = worst_case_bias_profile(PAIR, lambdas, mus, n=2000, reps=2500, seed=14)
-        opt_idx = lambdas.index(lam)
+        matrix = cross_score_bias(PAIR, lambdas, mus, n=2000, reps=2500, seed=14)
+        sigma_r = math.sqrt(PAIR.population_covariance(2).sigma_r_sq)
+        assert saddle_point_misses(matrix, mus, lambdas.index(lam), sigma_r) == []
         for a, mu in enumerate(mus):
-            assert profile.argmin_bias(a) == opt_idx
-            assert profile.argmin_mse(a) == opt_idx
+            bias, predicted = np.diagonal(matrix.bias[a]), np.diagonal(matrix.predicted[a])
             # Measured biases track mu ||psi_lambda||.
-            assert np.allclose(
-                profile.bias[a], profile.predicted_bias[a],
-                atol=3.5 * profile.bias_se[a].max(),
-            )
+            assert np.allclose(bias, predicted, atol=3.5 * np.diagonal(matrix.bias_se[a]).max())
             # sqrt(n)-scale MSE factorizes as (1 + mu^2) ||psi_lambda||^2.
-            predicted_mse = (1 + mu**2) * (profile.predicted_bias[a] / mu) ** 2
-            assert np.allclose(profile.mse[a], predicted_mse, rtol=0.05)
+            predicted_mse = (1 + mu**2) * (predicted / mu) ** 2
+            assert np.allclose(np.diagonal(matrix.mse[a]), predicted_mse, rtol=0.05)
 
     def test_single_cell_matches_full_grid(self):
         # Common random numbers per batch: every mu restarts its batch's
-        # stream and every lambda maps the same draws, so a cell's draws do
+        # stream and every score maps the same draws, so a cell's draws do
         # not depend on which other cells are in the grid.
         lam = float(PAIR.lambda_opt[0])
         lambdas = [0.0, lam / 2, lam, 1.5 * lam, 2 * lam]
         mus = [0.5, 1.0, 2.0]
         kwargs = dict(n=200, reps=1000, seed=16)
-        full = worst_case_bias_profile(PAIR, lambdas, mus, **kwargs)
-        single = worst_case_bias_profile(PAIR, [lambdas[3]], [mus[1]], **kwargs)
-        for name in ("bias", "bias_se", "mse", "mse_se", "predicted_bias"):
-            assert getattr(single, name)[0, 0] == getattr(full, name)[1, 3], name
+        full = cross_score_bias(PAIR, lambdas, mus, **kwargs)
+        part = cross_score_bias(PAIR, [lambdas[3], lambdas[1]], [mus[1]], **kwargs)
+        for field in dataclasses.fields(full):
+            got, want = getattr(part, field.name)[0], getattr(full, field.name)[1]
+            assert np.array_equal(got, want[np.ix_([3, 1], [3, 1])]), field.name
 
     def test_deterministic_across_thread_counts(self):
         lam = float(PAIR.lambda_opt[0])
         kwargs = dict(n=200, reps=1000, seed=17)
-        one = worst_case_bias_profile(PAIR, [0.0, lam], [0.5, 2.0], threads=1, **kwargs)
-        four = worst_case_bias_profile(PAIR, [0.0, lam], [0.5, 2.0], threads=4, **kwargs)
+        one = cross_score_bias(PAIR, [0.0, lam], [0.5, 2.0], threads=1, **kwargs)
+        four = cross_score_bias(PAIR, [0.0, lam], [0.5, 2.0], threads=4, **kwargs)
         for field in dataclasses.fields(one):
             assert np.array_equal(getattr(one, field.name), getattr(four, field.name)), field.name
 
@@ -494,14 +497,14 @@ class TestBiasProfile:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidCovariance):
-                worst_case_bias_profile(counting, [1e200], [1.0], n=200, reps=1000, seed=1)
+                cross_score_bias(counting, [1e200], [1.0], n=200, reps=1000, seed=1)
         assert counting.sizes == []
 
     def test_one_draw_per_mu_on_the_criterion_6_grid(self):
         # 5 lambdas x 3 mus: each batch draws once per mu, not per cell.
         counting = CountingSampler(PAIR)
         lam = float(PAIR.lambda_opt[0])
-        worst_case_bias_profile(
+        cross_score_bias(
             counting, [0.0, lam / 2, lam, 1.5 * lam, 2 * lam], [0.5, 1.0, 2.0],
             n=200, reps=100, seed=1,
         )
@@ -557,24 +560,28 @@ class TestStagedFrame:
     @pytest.mark.parametrize("threads", [1, 4])
     def test_profile_equals_batch_by_batch_moments(self, threads, stack_reps, monkeypatch):
         monkeypatch.setattr(_threads, "_STACK_REPS", stack_reps)
-        # The profile maps sample means only; the full moment map gives the same estimates.
+        # The matrix maps sample means only; the full moment map gives the same estimates.
         lam = float(PAIR.lambda_opt[0])
         lambdas, mus, n, reps, seed = [0.0, lam, 2 * lam], [0.5, 2.0], 200, 1003, 18
-        profile = worst_case_bias_profile(
-            PAIR, lambdas, mus, n=n, reps=reps, seed=seed, threads=threads
-        )
+        matrix = cross_score_bias(PAIR, lambdas, mus, n=n, reps=reps, seed=seed, threads=threads)
         coordinates = [PAIR.score_coordinate(value) for value in lambdas]
-        scaled = np.array([[
+        maps = [_adjustment(PAIR, coord.lam)[2] for coord in coordinates]
+
+        def errors(draws):  # [i, j, replication]
+            moments = [coord.perturbed_moments(draws) for coord in coordinates]
+            return [[math.sqrt(n) * (to_estimate(*m, n) - PAIR.c_true) for m in moments]
+                    for to_estimate in maps]
+
+        scaled = np.array([
             np.concatenate([
-                math.sqrt(n) * (_adjustment(PAIR, coord.lam)[2](
-                    *coord.perturbed_moments(PAIR.perturbed_draws(rng, n, size, mu)), n
-                ) - PAIR.c_true)
+                errors(PAIR.perturbed_draws(rng, n, size, mu))
                 for rng, size in batch_streams(seed, reps)
-            ])
-            for coord in coordinates] for mu in mus])
-        assert np.array_equal(profile.bias, scaled.mean(axis=-1))
-        assert np.array_equal(profile.mse, (scaled**2).mean(axis=-1))
-        assert np.array_equal(profile.bias_se, scaled.std(axis=-1, ddof=1) / math.sqrt(reps))
+            ], axis=-1)
+            for mu in mus
+        ])
+        assert np.array_equal(matrix.bias, scaled.mean(axis=-1))
+        assert np.array_equal(matrix.mse, (scaled**2).mean(axis=-1))
+        assert np.array_equal(matrix.bias_se, scaled.std(axis=-1, ddof=1) / math.sqrt(reps))
 
     def test_optimal_lambda_validates_one_stack(self, monkeypatch):
         validate, calls = JointCovariance.__post_init__, []
@@ -665,11 +672,10 @@ class TestPinnedBits:
         assert results["predicted"] == 0.5 * math.sqrt(0.75)
 
     def test_profile_bias(self):
+        # The diagonal of the cross-score matrix: each lambda under its own worst case.
         lam = float(PAIR.lambda_opt[0])
-        profile = worst_case_bias_profile(
-            PAIR, [0.0, lam, 2 * lam], [0.5, 2.0], n=200, reps=1000, seed=16
-        )
-        assert profile.bias.tolist() == [
+        matrix = cross_score_bias(PAIR, [0.0, lam, 2 * lam], [0.5, 2.0], n=200, reps=1000, seed=16)
+        assert np.diagonal(matrix.bias, axis1=1, axis2=2).tolist() == [
             [0.5555030446493437, 0.48107974854593294, 0.5555030446493436],
             [2.0241146258084872, 1.7529346861217827, 2.024114625808487],
         ]

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.stats import chi2, ks_2samp, kstest, norm
+from scipy.stats import chi2, ks_2samp, kstest, norm, truncnorm
 
 from residcheck import JointCovariance, _fixed_order, _threads
 from residcheck._distributions import Z975
@@ -49,6 +49,19 @@ class TestTruncatedOracle:
     def test_huge_threshold_is_the_untruncated_law(self, t):
         oracle = truncated_oracle(0.5, t)
         assert (oracle.cond_var_zgamma, oracle.cond_var_zs) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("t", [1e-9, 1e-17, 1e-300, 5e-324])
+    def test_tiny_threshold_is_the_series(self, t):
+        # Var(Z_g | |Z_g| <= t) = t^2/3 (1 - 2t^2/15 + O(t^4)), where 2 Phi(t) - 1 cancels.
+        oracle = truncated_oracle(0.5, t)
+        assert oracle.cond_var_zgamma == pytest.approx(t * t / 3.0, rel=1e-15)
+        assert oracle.cond_var_zs == pytest.approx(0.75, rel=1e-15)
+
+    @pytest.mark.parametrize("t", [0.0099, 0.01])
+    def test_both_sides_of_the_series_cutoff(self, t):
+        assert truncated_oracle(0.5, t).cond_var_zgamma == pytest.approx(
+            truncnorm.var(-t, t), rel=1e-9
+        )
 
     def test_closed_form_at_conventional_threshold(self):
         oracle = truncated_oracle(0.5, 1.96)
@@ -320,6 +333,27 @@ def test_standardized_checks_match_lapack_member_by_member():
 RCT_THREE_CHECKS = RctLinearDGP(
     beta=np.array([0.5, -0.25, 0.1]), interaction=np.array([0.4, 0.0, -0.2]), pi=0.4
 )
+
+
+@pytest.mark.parametrize(
+    "rule, seed",
+    [(WALD_3, 51), (ReportingRule(kind="max_abs", threshold=2.0), 52), (T_RULE, 53)],
+    ids=["wald", "max_abs", "two_sided_t"],
+)
+def test_residualized_ignores_every_rule_at_three_checks(rule, seed):
+    """Property (i) at p = 3: the residualized influence is uncorrelated with the checks.
+
+    So on either side of the rule, n Var(c_resid) is sigma_r^2 and the mean is tau,
+    with no truncation formula.
+    """
+    n = 2000
+    config = SelectionConfig(dgp=RCT_THREE_CHECKS, rule=rule, n=n, reps=20_000, seed=seed)
+    resid = run_conditional_experiment(config).estimators["residualized"]
+    sigma_r_sq = RCT_THREE_CHECKS.population_covariance(n).sigma_r_sq
+    for side in ("pass", "fail"):
+        variance, mean = resid[side].variance, resid[side].mean
+        assert abs(n * variance.value - sigma_r_sq) <= 4 * n * variance.mc_se, side
+        assert abs(mean.value - RCT_THREE_CHECKS.tau) <= 4 * mean.mc_se, side
 
 
 @pytest.mark.parametrize("dgp", [CORRELATED_PAIR, RCT_THREE_CHECKS], ids=["gaussian", "rct"])
