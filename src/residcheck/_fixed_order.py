@@ -6,10 +6,11 @@ machines, or between ``OPENBLAS_CORETYPE`` settings on one machine. Every
 number that ``analyze`` or ``simulate`` reports goes through the routines
 below instead, which makes the output bytes independent of the BLAS kernel:
 
-* ``dot`` and ``gram`` multiply element-wise into a contiguous array and sum
+* ``dot`` and ``gram`` multiply element-wise into a C-ordered array and sum
   each row with ``np.add.reduce``, numpy's pairwise summation, whose order
-  depends on the row length alone. ``gram(cols)[i, j]`` and
-  ``dot(cols[i], cols[j])`` give the same bits.
+  on a contiguous row depends on the row length alone (a strided row would
+  be summed in sequence), so the inputs' memory layout does not move a
+  bit. ``gram(cols)[i, j]`` and ``dot(cols[i], cols[j])`` give the same bits.
 * ``group_sums`` adds each row up within groups in row order
   (``np.bincount``), as ``np.add.at`` would, at a fraction of its cost;
   ``dense_codes`` gives it the group codes of any labels.
@@ -38,7 +39,7 @@ def scalar_or_stack(x):
 
 def dot(a: np.ndarray, b: np.ndarray):
     """sum_k a[..., k] b[..., k], summed pairwise; a float for 1-d input."""
-    return scalar_or_stack(np.add.reduce(np.multiply(a, b), axis=-1))
+    return scalar_or_stack(np.add.reduce(np.multiply(a, b, order="C"), axis=-1))
 
 
 def gram(cols: np.ndarray) -> np.ndarray:

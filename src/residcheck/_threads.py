@@ -9,15 +9,23 @@ the joined stack (:func:`run_stage`), or once per stack of at most
 _STACK_REPS replications in a larger stage. A run is one stage, or two when
 a head gate reads the first batches before the rest are drawn. Every step
 of an estimate is elementwise over the replication axis, so output is
-byte-identical at any worker count and any stack length. The RESID_THREADS
-environment variable caps the worker pool, which runs the draws only; the
-default is single threaded.
+byte-identical at any worker count and any stack length.
+
+The worker pool runs the draws only. A set RESID_THREADS environment
+variable, or a ``threads`` argument, fixes its size at that many workers
+(at most one per batch). Otherwise a lab that gives the random values one
+replication draws has each stage's pool sized by :func:`default_workers`,
+from the usable cores, the stage's batches and the values one batch draws;
+a lab that gives none, as the selection labs do, draws on one worker.
+Draws that need scratch memory get one set per worker, made once per run
+in the calling thread and reused by every batch.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
@@ -27,16 +35,62 @@ from .errors import ConfigError
 
 T = TypeVar("T")
 R = TypeVar("R")
+S = TypeVar("S")
+
+
+def _set_threads(threads: int | None) -> int | None:
+    """threads, else RESID_THREADS as an integer, else None when neither is set."""
+    if threads is not None:
+        return threads
+    raw = os.environ.get("RESID_THREADS")
+    if raw is None:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"RESID_THREADS must be an integer, got {raw!r}") from None
+
+
+def usable_cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    if threads is None:
-        raw = os.environ.get("RESID_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ConfigError(f"RESID_THREADS must be an integer, got {raw!r}") from None
-    return max(1, threads)
+    """The most workers a stage may use: threads, else RESID_THREADS, else the usable cores."""
+    count = _set_threads(threads)
+    return usable_cores() if count is None else max(1, count)
+
+
+# A worker beyond the first pays off only when a batch draws this many random
+# values per worker: drawing them runs outside the interpreter lock, and must
+# outweigh the steps of a batch that hold it. On a 2-core VM two workers made
+# the misspec lab 35-40% faster at 80,000 values per batch (n = 2,000) and
+# even to 25% faster at 40,000 (n = 1,000). The RCT selection lab's draws
+# hold the lock longer per value: two workers made it 3-9% slower at 58,000
+# (10^5 reps), so the selection labs give no values and stay on one worker.
+# Only one and two workers were measured; that the k-th worker pays off at
+# k times this many values on a larger host is extrapolated.
+_WORKER_VALUES = 32_768
+# The batches being drawn at once hold at most this many values (64 MiB of
+# doubles) when the pool has more than one worker, so memory does not grow
+# with the core count.
+_POOL_VALUES = 1 << 23
+
+
+def default_workers(cores: int, batches: int, batch_values: int) -> int:
+    """Workers of a stage's draw pool when no count is set.
+
+    One per _WORKER_VALUES random values that one batch draws, at most one per
+    core and per batch, and no more than keep _POOL_VALUES values in flight;
+    at least one.
+    """
+    return max(1, min(
+        cores, batches, batch_values // _WORKER_VALUES, _POOL_VALUES // max(1, batch_values)
+    ))
 
 
 def batch_sizes(total: int, n_batches: int) -> list[int]:
@@ -47,7 +101,10 @@ def batch_sizes(total: int, n_batches: int) -> list[int]:
 
 
 def map_batches(fn: Callable[[int], T], n_batches: int, threads: int | None = None) -> list[T]:
-    """Apply fn to batch indices 0..n_batches-1, results in index order."""
+    """Apply fn to batch indices 0..n_batches-1, results in index order.
+
+    On min(resolve_threads(threads), n_batches) workers.
+    """
     workers = resolve_threads(threads)
     if workers == 1 or n_batches <= 1:
         return [fn(i) for i in range(n_batches)]
@@ -140,11 +197,14 @@ _N_BATCHES = 50
 def run_seeded(
     seed: int,
     reps: int,
-    draw: Callable[[np.random.Generator, int], T],
+    draw: Callable[..., T],
     estimate: Callable[[T], R],
     threads: int | None = None,
     gate: Callable[[R], None] | None = None,
     gate_reps: int = 0,
+    *,
+    rep_values: int = 0,
+    scratch: Callable[[int], S] | None = None,
 ) -> R:
     """estimate of reps replications, drawn in _N_BATCHES seeded batches.
 
@@ -154,19 +214,47 @@ def run_seeded(
     (:func:`run_stage`). With one, the head batches, the fewest from the
     start that hold at least gate_reps replications, are a first stage whose
     result goes to ``gate`` before any other batch is drawn; gate raises to
-    stop the run, and otherwise the head is joined with the rest.
+    stop the run, and otherwise the head is joined with the rest. Each
+    stage's pool has ``threads`` workers, else RESID_THREADS, else
+    :func:`default_workers` for its batches, each drawing about
+    ``rep_values`` random values per replication; at the default 0, one.
+
+    With ``scratch``, a batch is drawn by ``draw(rng, size, buffers)``:
+    ``scratch(size)``, at the largest batch's size, makes one set of buffers
+    per worker, in this thread and once per run, and each batch borrows a
+    set no other batch holds meanwhile. Freed, the sets stay in this
+    thread's heap for the next run, not in a worker's.
     """
     sizes = batch_sizes(reps, _N_BATCHES)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
+    count = _set_threads(threads)  # a bad RESID_THREADS fails before any draw
+    made, free = 0, queue.SimpleQueue()
 
     def draw_batch(b: int) -> T:
-        return draw(np.random.default_rng(children[b]), sizes[b])
+        rng = np.random.default_rng(children[b])
+        if scratch is None:
+            return draw(rng, sizes[b])
+        buffers = free.get_nowait()  # as many sets as workers
+        try:
+            return draw(rng, sizes[b], buffers)
+        finally:
+            free.put(buffers)
+
+    def stage(batches: range) -> R:
+        nonlocal made
+        workers = max(1, count) if count is not None else default_workers(
+            usable_cores(), len(batches), rep_values * sizes[0]
+        )
+        while scratch is not None and made < min(workers, len(batches)):
+            free.put(scratch(sizes[0]))
+            made += 1
+        return run_stage(draw_batch, estimate, batches, sizes, workers)
 
     if gate is None:
-        return run_stage(draw_batch, estimate, range(len(sizes)), sizes, threads)
+        return stage(range(len(sizes)))
     head = int(np.searchsorted(np.cumsum(sizes), gate_reps)) + 1
-    stages = [run_stage(draw_batch, estimate, range(head), sizes, threads)]
+    stages = [stage(range(head))]
     gate(stages[0])
     if head < len(sizes):
-        stages.append(run_stage(draw_batch, estimate, range(head, len(sizes)), sizes, threads))
+        stages.append(stage(range(head, len(sizes))))
     return join(stages)

@@ -5,8 +5,11 @@ misspecification lab), ``oracle`` (direct truncated-normal queries), and
 ``decompose`` (decomposition table from a saved analyze report).
 
 Exit codes: 0 success, 2 input error, 3 numerical or statistical validation
-error. Errors are emitted as one-line JSON on stderr. RESID_THREADS caps lab
-parallelism; any thread count yields byte-identical output for a fixed seed.
+error. Errors are emitted as one-line JSON on stderr. RESID_THREADS fixes the
+labs' draw pool at that many workers; unset, the misspec lab sizes it from
+the usable cores and the random values one batch draws, and the selection
+lab draws on one worker. Any worker count yields byte-identical output for
+a fixed seed.
 """
 
 from __future__ import annotations

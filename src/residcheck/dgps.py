@@ -195,6 +195,15 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 _SCORE_BLOCK = 1 << 20
 
 
+def perturbed_scratch(n: int, size: int) -> np.ndarray:
+    """Buffers for |z|, the weights and the uniforms of :meth:`GaussianPairDGP.perturbed_draws`.
+
+    One (3, rows, n) array, rows the block of a batch of up to size
+    replications at n: 24 bytes per value that one block draws.
+    """
+    return np.empty((3, min(size, max(1, _SCORE_BLOCK // n)), n))
+
+
 @dataclass(frozen=True)
 class PerturbedDraws:
     """The part of a perturbed batch that no lam reads (:meth:`GaussianPairDGP.perturbed_draws`).
@@ -318,7 +327,8 @@ class GaussianPairDGP:
         return _record(self.c_true + means[:, 0], means[:, 1:], scatter / n, n)[0]
 
     def perturbed_draws(
-        self, rng: np.random.Generator, n: int, size: int, mu: float
+        self, rng: np.random.Generator, n: int, size: int, mu: float,
+        scratch: np.ndarray | None = None,
     ) -> PerturbedDraws:
         """size replications of n exact draws from (1 + s(d)/sqrt(n)) dP0, in standard units.
 
@@ -328,24 +338,32 @@ class GaussianPairDGP:
         weights at z and -z sum to 2, so rejection on the pair (|z|, -|z|)
         keeps +|z| with probability w(|z|) / 2: n values of |z| and n
         uniforms per replication, every weight through the [0, 2] gate of
-        :mod:`residcheck.misspec`, which the largest |z| decides.
+        :mod:`residcheck.misspec`, which the largest |z| decides. |z|, the
+        weights and the uniforms are written into ``scratch``, a
+        :func:`perturbed_scratch` for n and at least size replications that a
+        caller drawing many batches reuses; by default a fresh one.
         """
         slope = mu / math.sqrt(n)
-        z_mean, s_zz = np.empty(size), np.empty(size)
         step = max(1, _SCORE_BLOCK // n)
+        if scratch is None:
+            scratch = perturbed_scratch(n, size)
+        if scratch.shape[1] < min(step, size) or scratch.shape[2] != n:
+            raise ValueError(f"scratch of shape {scratch.shape} does not fit {size} x {n} draws")
+        z_mean, s_zz = np.empty(size), np.empty(size)
         for start in range(0, size, step):
-            z = rng.standard_normal((min(step, size - start), n))
+            z, weights, v = scratch[:, : min(step, size - start)]
+            rng.standard_normal(out=z)
             np.abs(z, out=z)
             if not 0.0 <= 1.0 + slope * z.max() <= 2.0:
                 raise WeightUnderflow(
                     f"a weight 1 + s/sqrt(n) falls outside [0, 2] at n = {n}; "
                     "n is too small for this mu"
                 )
-            weights = z * slope
+            np.multiply(z, slope, out=weights)
             weights += 1.0
             # Keep +|z| with probability w(|z|) / 2, else -|z|: -|z| where 2v >= w,
             # read off the sign of -(2v - w), which is -0.0 at a tie (w - 2v is +0.0).
-            v = rng.random(z.shape)
+            rng.random(out=v)
             v *= 2.0
             v -= weights
             np.negative(v, out=v)
@@ -358,6 +376,13 @@ class GaussianPairDGP:
         p = self.p_gamma
         z1, z2 = rng.standard_normal((size, p)), rng.standard_normal((size, p))
         return PerturbedDraws(n, z_mean, s_zz, z1, z2, _bartlett(rng, p, np.full(size, n - 2)))
+
+    def perturbed_values(self, n: int) -> int:
+        """Random values one replication of :meth:`perturbed_draws` draws at n: n normals,
+        n uniforms, then z1, z2 and a Bartlett factor's p chi-squares and p (p - 1) / 2
+        normals."""
+        p = self.p_gamma
+        return 2 * n + p * (p + 5) // 2
 
     def score_coordinate(self, lam) -> ScoreCoordinate:
         """The coordinate u = a'd, a = (1, -lam), that psi_lam and its worst-case score read.

@@ -18,9 +18,10 @@ runner :func:`measure_gaussian_bias`, behind ``simulate --lab misspec``,
 reports predicted = mu sqrt(a' Sigma a), with predicted_se 0, and draws no
 calibration sample. Its replications are the labs' seeded batch frame
 (:func:`_threads.run_seeded`) in one stage: each batch draws once, in
-standard units (:meth:`GaussianPairDGP.perturbed_draws`), and the batches'
-draws are joined and mapped once (:meth:`ScoreCoordinate.perturbed_moments`,
-then the ``--lambda`` moment map, defined only in :func:`_adjustment`).
+standard units (:meth:`GaussianPairDGP.perturbed_draws`), into one set of
+scratch buffers per worker made once per run, and the batches' draws are
+joined and mapped once (:meth:`ScoreCoordinate.perturbed_moments`, then the
+``--lambda`` moment map, defined only in :func:`_adjustment`).
 Before any draw, it refuses a run in which n reps erfc(sqrt(n) / (mu
 sqrt(2))), the expected number of its draws whose weight leaves [0, 2],
 reaches 1: at mu = 2, n = 16 from 2 reps on, and every n at a huge mu.
@@ -36,6 +37,7 @@ import numpy as np
 
 from ._threads import run_seeded
 from .core import JointCovariance, residualize
+from .dgps import perturbed_scratch
 from .errors import ConfigError, NegativeMu, WeightUnderflow
 
 # Budget guard on reps * n for a bias measurement run.
@@ -126,8 +128,9 @@ def measure_gaussian_bias(
             f"reps * n = {reps * n:.3g} exceeds the budget {MAX_TOTAL_DRAWS:.3g}"
         )
     estimates = run_seeded(
-        seed, reps, lambda rng, size: dgp.perturbed_draws(rng, n, size, mu),
+        seed, reps, lambda rng, size, buffers: dgp.perturbed_draws(rng, n, size, mu, buffers),
         lambda draws: from_moments(*coordinate.perturbed_moments(draws), n), threads,
+        rep_values=dgp.perturbed_values(n), scratch=lambda size: perturbed_scratch(n, size),
     )
     scaled = math.sqrt(n) * (estimates - dgp.c_true)
     return BiasMeasurement(

@@ -8,8 +8,6 @@ reference distribution throughout.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import dataclasses
 import io as _io
 import json
@@ -20,7 +18,6 @@ import numpy as np
 
 from . import core
 from ._distributions import Z975, two_sided_p
-from ._threads import resolve_threads
 from .dgps import GaussianPairDGP, RctLinearDGP
 from .errors import ConfigError
 from .io import AnalyzeConfig, GaussianDgpSpec, RctDgpSpec, SimulateConfig, load_dataset
@@ -203,19 +200,13 @@ def _dgp_from_spec(spec):
 
 
 def run_simulate(config: SimulateConfig, threads: int | None = None) -> dict:
-    """Dispatch to the requested lab; output embeds the full config and seed."""
-    threads = resolve_threads(threads)  # a bad RESID_THREADS fails before any draw
-    # Keep freed heap pages for the misspec lab, whose per-batch blocks of
-    # standard coordinates, uniforms and weights (reps/50 x n doubles each,
-    # 320 KB at n = 2,000 and 1,000 reps) exceed glibc's 128 KiB default
-    # trim threshold: freed memory above it goes back to the system and is
-    # faulted in again on reuse (about 10,100 minor faults per bench-sized
-    # misspec op without the call, 2 with it). The RCT selection lab draws
-    # sufficient statistics and faults as often without the call.
-    with contextlib.suppress(AttributeError, OSError, TypeError):  # no mallopt
-        mallopt = ctypes.CDLL(None).mallopt
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's dynamic maximum
-        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD, twice that, as glibc sets it
+    """Dispatch to the requested lab; output embeds the full config and seed.
+
+    ``threads``, else RESID_THREADS, fixes the labs' draw pool, and a bad
+    RESID_THREADS fails before any draw; with neither set, the misspec lab
+    sizes it (:func:`_threads.default_workers`) and the selection lab draws
+    on one worker. The output bytes do not depend on it.
+    """
     dgp = _dgp_from_spec(config.dgp)
     payload: dict = {"config": to_jsonable(config)}
     if config.lab == "selection":

@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from . import _fixed_order
-from ._distributions import Z975, chi2_cdf, normal_cdf, normal_pdf
+from ._distributions import SQRT1_2, Z975, chi2_cdf, normal_cdf, normal_pdf
 from ._threads import _N_BATCHES, batch_sizes, run_seeded
 from .dgps import BatchReplications, GaussianPairDGP, RctLinearDGP
 from .errors import ConfigError, DegenerateRule, DomainError
@@ -98,14 +98,18 @@ class ReportingRule:
         return self.q_values(t_stats) <= self.threshold
 
     def pass_probability(self, p_gamma: int) -> float | None:
-        """Exact pass probability under a N(0, I) limit; None for custom."""
+        """Exact pass probability under a N(0, I) limit; None for custom.
+
+        P(|Z| <= a) = erf(a / sqrt(2)), which keeps its relative precision at
+        small a, where 2 Phi(a) - 1 cancels.
+        """
         a = self.threshold
         if self.kind == "two_sided_t":
-            return 2.0 * normal_cdf(a) - 1.0
+            return math.erf(a * SQRT1_2)
         if self.kind == "wald":
             return chi2_cdf(a, p_gamma)
         if self.kind == "max_abs":
-            return (2.0 * normal_cdf(a) - 1.0) ** p_gamma
+            return math.erf(a * SQRT1_2) ** p_gamma
         return None
 
 

@@ -21,7 +21,13 @@ import numpy as np
 
 from residcheck import _fixed_order
 from residcheck._threads import _N_BATCHES, batch_sizes, run_seeded
-from residcheck.dgps import _SCORE_BLOCK, PerturbedDraws, _times_columns, _times_lower_t
+from residcheck.dgps import (
+    _SCORE_BLOCK,
+    PerturbedDraws,
+    _times_columns,
+    _times_lower_t,
+    perturbed_scratch,
+)
 from residcheck.errors import (
     ConfigError,
     EstimationError,
@@ -346,13 +352,14 @@ def cross_score_bias(
     """Measure bias of every fixed-lambda adjustment i under every lambda_j's worst case.
 
     Each mu is one run of the seeded batch frame, with the same seed, so
-    each batch draws once per mu from a restarted stream. Each score
-    lambda_j maps those draws once, to sample means only, as fixed-lambda
-    estimates read no covariance, and every lambda_i's map reads them: all
-    cells share their random numbers, and a cell's result does not depend
-    on the rest of the grid. The diagonal is the lambda profile, each
-    adjustment under its own worst case. predicted is mu a_i' Sigma a_j /
-    sqrt(a_j' Sigma a_j), a = (1, -lambda), from the population covariance.
+    each batch draws once per mu from a restarted stream, into the run's
+    per-worker scratch. Each score lambda_j maps those draws once, to sample
+    means only, as fixed-lambda estimates read no covariance, and every
+    lambda_i's map reads them: all cells share their random numbers, and a
+    cell's result does not depend on the rest of the grid. The diagonal is
+    the lambda profile, each adjustment under its own worst case. predicted
+    is mu a_i' Sigma a_j / sqrt(a_j' Sigma a_j), a = (1, -lambda), from the
+    population covariance.
     """
     lambdas = np.asarray(lambdas, dtype=float).reshape(-1, dgp.p_gamma)
     mus = np.asarray(mus, dtype=float).reshape(-1)
@@ -374,7 +381,10 @@ def cross_score_bias(
 
     scaled = np.array([
         run_seeded(
-            seed, reps, lambda rng, size: dgp.perturbed_draws(rng, n, size, mu), estimate, threads
+            seed, reps,
+            lambda rng, size, buffers: dgp.perturbed_draws(rng, n, size, mu, buffers),
+            estimate, threads, rep_values=dgp.perturbed_values(n),
+            scratch=lambda size: perturbed_scratch(n, size),
         )
         for mu in mus
     ]).reshape(mus.size, len(lambdas), len(lambdas), reps)

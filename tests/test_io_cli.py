@@ -5,7 +5,6 @@ import io
 import json
 import os
 import pathlib
-import platform
 import subprocess
 import sys
 import time
@@ -591,14 +590,32 @@ def run_cli(*args, env_extra=None, python_flags=()):
     )
 
 
-def blas_kernels():
-    """OPENBLAS_CORETYPE values to try: as inherited (normally unset), two
-    pre-AVX kernels, and Haswell where the CPU has AVX2."""
-    kernels = [None, "Prescott", "Nehalem"]
+def numpy_dispatch_off() -> str | None:
+    """NPY_DISABLE_CPU_FEATURES naming every feature numpy dispatches to that this CPU has.
+
+    None when there is none: numpy cannot switch off its baseline features.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    found = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    return " ".join(found) or None
+
+
+def kernel_envs() -> list[dict | None]:
+    """Child environments to compare: as inherited (normally unset), OPENBLAS_CORETYPE at
+    two pre-AVX kernels and at Haswell where the CPU has AVX2, and numpy's dispatched CPU
+    features switched off where any can be."""
+    cores = ["Prescott", "Nehalem"]
     cpuinfo = pathlib.Path("/proc/cpuinfo")
     if cpuinfo.exists() and "avx2" in cpuinfo.read_text().split():
-        kernels.append("Haswell")
-    return kernels
+        cores.append("Haswell")
+    envs = [None] + [{"OPENBLAS_CORETYPE": core} for core in cores]
+    off = numpy_dispatch_off()
+    if off is not None:
+        envs.append({"NPY_DISABLE_CPU_FEATURES": off})
+    return envs
 
 
 def stratified_cluster_csv(tmp_path):
@@ -620,24 +637,25 @@ def stratified_cluster_csv(tmp_path):
 
 class TestBlasKernelIndependence:
     """analyze bytes, and the bytes of every simulate lab, do not depend on
-    the BLAS kernel OpenBLAS dispatches to.
+    the BLAS kernel OpenBLAS dispatches to, nor on the CPU features numpy
+    dispatches to.
 
     The Gaussian simulate cases are the two thread-count determinism
     commands of the acceptance suite (criterion 9); the RCT case draws each
     arm's sufficient statistics and runs the covariance validation and the
-    long regression on them. OPENBLAS_CORETYPE is set only in the
-    environment of each child process.
+    long regression on them. OPENBLAS_CORETYPE and NPY_DISABLE_CPU_FEATURES
+    are set only in the environment of each child process.
     """
 
     def assert_same_bytes_across_kernels(self, *args):
         outputs = {}
-        for core in blas_kernels():
-            env = None if core is None else {"OPENBLAS_CORETYPE": core}
+        for env in kernel_envs():
+            key = str(env)
             result = run_cli(*args, env_extra=env)
-            assert result.returncode == 0, (core, result.stderr)
-            outputs[core] = result.stdout
+            assert result.returncode == 0, (key, result.stderr)
+            outputs[key] = result.stdout
         assert len(set(outputs.values())) == 1, {
-            core: hashlib.md5(out).hexdigest() for core, out in outputs.items()
+            key: hashlib.md5(out).hexdigest() for key, out in outputs.items()
         }
 
     def test_fixture_report(self):
@@ -982,30 +1000,6 @@ class TestCli:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
-
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
-    def test_simulate_keeps_freed_heap_pages(self):
-        # After a lab run, twenty freed 64 KiB arrays, more than glibc's
-        # default 128 KiB trim threshold, reuse freed pages instead of
-        # faulting them in.
-        code = """
-import resource
-import numpy as np
-from residcheck.io import RctDgpSpec, SimulateConfig
-from residcheck.report import run_simulate
-
-run_simulate(SimulateConfig(lab="selection", dgp=RctDgpSpec(), n=100, reps=1000, seed=1))
-def churn():
-    return [np.ones(8192) for _ in range(20)]
-churn()
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(100):
-    churn()
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
-        assert int(result.stdout) < 100
 
     def test_simulate_csv_format(self):
         result = run_cli(

@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from functools import partial
 
@@ -8,8 +11,8 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from residcheck import _threads, dgps, misspec
 from residcheck.dgps import _SCORE_BLOCK, GaussianPairDGP, RctLinearDGP
-from residcheck import _threads
 from residcheck._threads import _N_BATCHES, batch_sizes
 from residcheck.errors import (
     ConfigError,
@@ -327,14 +330,21 @@ class TieAtEveryDraw:
         self.rng = np.random.default_rng(seed)
         self.slope = slope
 
-    def standard_normal(self, shape):
-        self.z = self.rng.standard_normal(shape)
-        return self.z.copy()
+    def standard_normal(self, size=None, out=None):
+        self.z = self.rng.standard_normal(size if out is None else out.shape)
+        if out is None:
+            return self.z.copy()
+        out[...] = self.z
+        return out
 
-    def random(self, shape):
+    def random(self, size=None, out=None):
         weights = np.abs(self.z) * self.slope
         weights += 1.0
-        return weights / 2.0
+        weights /= 2.0
+        if out is None:
+            return weights
+        out[...] = weights
+        return out
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
@@ -373,6 +383,57 @@ class TestPerturbedDrawBits:
         )
 
 
+class TestDrawScratch:
+    """Each worker draws a run's perturbed batches into one scratch set."""
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_one_scratch_set_per_worker(self, threads, monkeypatch):
+        made = []
+
+        def counting(n, size):
+            made.append((n, size))
+            return dgps.perturbed_scratch(n, size)
+
+        monkeypatch.setattr(misspec, "perturbed_scratch", counting)
+        measure_gaussian_bias(PAIR, "optimal", 1.0, n=200, reps=1003, seed=5, threads=threads)
+        # The largest batch holds 21 replications.
+        assert 1 <= len(made) <= threads and set(made) == {(200, 21)}
+
+    @pytest.mark.parametrize("n, size", [(60, 39), (61, 40)])
+    def test_scratch_that_does_not_fit_is_refused(self, n, size):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="does not fit"):
+            PAIR.perturbed_draws(rng, 60, 40, 1.0, dgps.perturbed_scratch(n, size))
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    @pytest.mark.parametrize("threads", [None, "1"], ids=["default", "one-worker"])
+    def test_bench_sized_op_takes_few_page_faults(self, threads):
+        # n = 2,000 and 1,000 reps, in a fresh process. Three fresh 320 KB blocks per
+        # batch for |z|, the weights and the uniforms went back to the system when freed
+        # and were faulted in again: about 10,000 minor faults per op on one worker.
+        code = """
+import resource
+from residcheck.io import GaussianDgpSpec, ScoreSpec, SimulateConfig
+from residcheck.report import run_simulate
+
+config = SimulateConfig(lab="misspec", n=2000, reps=1000, seed=5, dgp=GaussianDgpSpec(rho=0.5),
+                        score=ScoreSpec(lam="optimal", mu=1.0))
+run_simulate(config)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    run_simulate(config)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+        env = {k: v for k, v in os.environ.items() if k != "RESID_THREADS"}
+        if threads is not None:
+            env["RESID_THREADS"] = threads
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert float(result.stdout) <= 1000
+
+
 class CountingSampler:
     """Delegates to a DGP and records the size of every row draw and perturbed batch."""
 
@@ -384,9 +445,9 @@ class CountingSampler:
         self.sizes.append(size)
         return draw(self.dgp, rng, size)
 
-    def perturbed_draws(self, rng, n, size, mu):
+    def perturbed_draws(self, rng, n, size, mu, scratch=None):
         self.sizes.append(size)
-        return self.dgp.perturbed_draws(rng, n, size, mu)
+        return self.dgp.perturbed_draws(rng, n, size, mu, scratch)
 
     def __getattr__(self, name):
         return getattr(self.dgp, name)
@@ -468,6 +529,20 @@ class TestCrossScoreBias:
             # sqrt(n)-scale MSE factorizes as (1 + mu^2) ||psi_lambda||^2.
             predicted_mse = (1 + mu**2) * (predicted / mu) ** 2
             assert np.allclose(np.diagonal(matrix.mse[a]), predicted_mse, rtol=0.05)
+
+    def test_saddle_point_at_optimal_lambda_p2(self):
+        # lambda* and lambda* +- delta e_k span R^2. For adjustments i and j,
+        # B[i, i] - B[i, j] = mu ||psi_i|| (1 - rho_ij) in the mean, with noise of sd
+        # ||psi_i|| sqrt(1 - rho_ij^2) / sqrt(reps): at delta = 0.4 the closest pair has
+        # tan(theta / 2) = 0.194, 7.5 sd at mu = 0.5 and 6,000 reps. Each step off
+        # lambda* raises ||psi||^2 above sigma_r^2 = 0.964 by delta^2 Sigma_gg[k, k].
+        lam, delta = PAIR_P2.lambda_opt, 0.4
+        steps = [delta * np.eye(2)[k] * sign for k in (0, 1) for sign in (1, -1)]
+        lambdas = [lam] + [lam + step for step in steps] + [np.zeros(2)]
+        mus = [0.5, 2.0]
+        matrix = cross_score_bias(PAIR_P2, lambdas, mus, n=2000, reps=6000, seed=26)
+        sigma_r = math.sqrt(PAIR_P2.population_covariance(2).sigma_r_sq)
+        assert saddle_point_misses(matrix, mus, 0, sigma_r) == []
 
     def test_single_cell_matches_full_grid(self):
         # Common random numbers per batch: every mu restarts its batch's
@@ -608,8 +683,8 @@ class FaultyPair:
     def __init__(self, dgp, faults):
         self.dgp, self.faults = dgp, faults
 
-    def perturbed_draws(self, rng, n, size, mu):
-        draws = self.dgp.perturbed_draws(rng, n, size, mu)
+    def perturbed_draws(self, rng, n, size, mu, scratch=None):
+        draws = self.dgp.perturbed_draws(rng, n, size, mu, scratch)
         fault = self.faults.get(rng.bit_generator.seed_seq.spawn_key[-1])
         return draws if fault is None else fault(draws)
 

@@ -465,6 +465,19 @@ class TestStackedDatasets:
         for view in (cols[..., 1:, :], cols[..., ::2]):  # rows in place; strided columns
             assert_same_bits(_fixed_order.gram(view), _fixed_order.gram(np.ascontiguousarray(view)))
 
+    @pytest.mark.parametrize("m", [8, 10, 16])
+    def test_dot_bits_do_not_depend_on_memory_layout(self, m):
+        # numpy sums a contiguous row of 8 or more pairwise, a strided one in sequence.
+        rows = np.random.default_rng(m).standard_normal((5000, m)) + 2.0
+        f_rows = np.asfortranarray(rows)
+        assert_same_bits(_fixed_order.dot(f_rows, f_rows), _fixed_order.dot(rows, rows))
+        assert_same_bits(_fixed_order.dot(f_rows, rows[0]), _fixed_order.dot(rows, rows[0]))
+        cols = np.asfortranarray(rows[:6].copy())  # each row strided
+        gram = _fixed_order.gram(cols)
+        for i in range(6):
+            for j in range(6):
+                assert gram[i, j] == _fixed_order.dot(cols[i], cols[j]), (i, j)
+
     def test_draw_matrix_keeps_the_single_draw_stream(self):
         dgp = RctLinearDGP(tau=1.0, beta=np.array([1.0, -0.5, 0.2]),
                            interaction=np.array([0.5, 0.0, 0.1]), pi=0.3, alpha=0.2)

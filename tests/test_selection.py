@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -105,6 +106,19 @@ class TestReportingRules:
         a = float(norm.ppf((1.0 + np.sqrt(0.95)) / 2.0))
         max_abs = ReportingRule(kind="max_abs", threshold=a)
         assert max_abs.pass_probability(2) == pytest.approx(0.95, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["two_sided_t", "max_abs"])
+    def test_pass_probability_at_tiny_thresholds(self, kind):
+        # 2 Phi(a) - 1 is 0.0 at a = 1e-17; P(|Z| <= a) = erf(a / sqrt(2)) ~ a sqrt(2 / pi).
+        tiny = ReportingRule(kind=kind, threshold=1e-17).pass_probability(1)
+        assert tiny > 0.0
+        assert tiny == pytest.approx(1e-17 * math.sqrt(2.0 / math.pi), rel=1e-15)
+        small = ReportingRule(kind=kind, threshold=1e-9)
+        want = math.erf(1e-9 / math.sqrt(2.0))
+        assert small.pass_probability(1) == pytest.approx(want, rel=1e-15)
+        # max_abs passes when every one of the p checks does; two_sided_t reads one.
+        power = 3 if kind == "max_abs" else 1
+        assert small.pass_probability(3) == pytest.approx(want**power, rel=1e-15)
 
     def test_q_values_shapes(self):
         t_stats = np.array([[0.5, -2.5], [1.0, 0.0]])
