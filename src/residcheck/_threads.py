@@ -11,14 +11,16 @@ a head gate reads the first batches before the rest are drawn. Every step
 of an estimate is elementwise over the replication axis, so output is
 byte-identical at any worker count and any stack length.
 
-The worker pool runs the draws only. A set RESID_THREADS environment
-variable, or a ``threads`` argument, fixes its size at that many workers
-(at most one per batch). Otherwise a lab that gives the random values one
-replication draws has each stage's pool sized by :func:`default_workers`,
-from the usable cores, the stage's batches and the values one batch draws;
-a lab that gives none, as the selection labs do, draws on one worker.
-Draws that need scratch memory get one set per worker, made once per run
-in the calling thread and reused by every batch.
+The workers run the draws only, and the calling thread is one of them:
+with w workers it drains the stage's batches beside w - 1 pooled helpers
+(:func:`map_batches`). A set RESID_THREADS environment variable, or a
+``threads`` argument, fixes w at that many (at most one per batch).
+Otherwise a lab that gives the random values one replication draws has each
+stage's w set by :func:`default_workers`, from the usable cores, the stage's
+batches and the values one batch draws; a lab that gives none, as the
+selection labs do, draws on one worker. Draws that need scratch memory get
+one set per worker, the calling thread's included, made once per run in the
+calling thread and reused by every batch.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
@@ -67,14 +70,16 @@ def resolve_threads(threads: int | None = None) -> int:
 
 # A worker beyond the first pays off only when a batch draws this many random
 # values per worker: drawing them runs outside the interpreter lock, and must
-# outweigh the steps of a batch that hold it. On a 2-core VM two workers made
-# the misspec lab 35-40% faster at 80,000 values per batch (n = 2,000) and
-# even to 25% faster at 40,000 (n = 1,000). The RCT selection lab's draws
-# hold the lock longer per value: two workers made it 3-9% slower at 58,000
-# (10^5 reps), so the selection labs give no values and stay on one worker.
-# Only one and two workers were measured; that the k-th worker pays off at
-# k times this many values on a larger host is extrapolated.
-_WORKER_VALUES = 32_768
+# outweigh the steps of a batch that hold it. On a 2-core VM, alternating one
+# and two workers in one process (36 pairs per size), two were faster in 36
+# pairs at 40,060 values per batch (misspec, n = 1,000), 29 at 20,060
+# (n = 500), 28 at 16,060 (n = 400), 23 at 12,060 (n = 300) and 14 at 8,060
+# (n = 200). The RCT selection lab's draws hold the lock longer per value: two
+# workers were faster in only 8 of 20 pairs at 58,000 (10^5 reps), so the
+# selection labs give no values and stay on one worker. Only one and two
+# workers were measured; that the k-th worker pays off at k times this many
+# values on a larger host is extrapolated.
+_WORKER_VALUES = 8_192
 # The batches being drawn at once hold at most this many values (64 MiB of
 # doubles) when the pool has more than one worker, so memory does not grow
 # with the core count.
@@ -103,13 +108,43 @@ def batch_sizes(total: int, n_batches: int) -> list[int]:
 def map_batches(fn: Callable[[int], T], n_batches: int, threads: int | None = None) -> list[T]:
     """Apply fn to batch indices 0..n_batches-1, results in index order.
 
-    On min(resolve_threads(threads), n_batches) workers.
+    On w = min(resolve_threads(threads), n_batches) workers: the calling
+    thread and w - 1 helpers, each a loop that takes the next index under
+    one lock and stores fn's result at it. Once a batch raises, no loop takes
+    a new index; every helper has stopped before this returns or raises, and
+    the error raised is the one met first.
     """
-    workers = resolve_threads(threads)
-    if workers == 1 or n_batches <= 1:
+    workers = min(resolve_threads(threads), n_batches)
+    if workers <= 1:
         return [fn(i) for i in range(n_batches)]
-    with ThreadPoolExecutor(max_workers=min(workers, n_batches)) as pool:
-        return list(pool.map(fn, range(n_batches)))
+    results: list = [None] * n_batches
+    lock = threading.Lock()
+    taken, failure = 0, None
+
+    def loop() -> None:
+        nonlocal taken, failure
+        while True:
+            with lock:
+                i = taken
+                if i == n_batches or failure is not None:
+                    return
+                taken += 1
+            try:
+                results[i] = fn(i)
+            except BaseException as exc:  # stops every loop, then raised in the caller
+                with lock:
+                    if failure is None:
+                        failure = exc
+                return
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helpers = [pool.submit(loop) for _ in range(workers - 1)]
+        loop()
+    for helper in helpers:
+        helper.result()
+    if failure is not None:
+        raise failure
+    return results
 
 
 # A stage estimates at most this many replications at once, unless one batch

@@ -24,7 +24,10 @@ joined and mapped once (:meth:`ScoreCoordinate.perturbed_moments`, then the
 ``--lambda`` moment map, defined only in :func:`_adjustment`).
 Before any draw, it refuses a run in which n reps erfc(sqrt(n) / (mu
 sqrt(2))), the expected number of its draws whose weight leaves [0, 2],
-reaches 1: at mu = 2, n = 16 from 2 reps on, and every n at a huge mu.
+reaches 1: at mu = 2, n = 16 from 2 reps on, and every n at a huge mu. It
+also refuses fewer than 2 replications, which give no MC standard error,
+and fewer than 2 draws per replication, or p + 2 for the plug-in lambda,
+whose residual variance needs them.
 """
 
 from __future__ import annotations
@@ -121,6 +124,14 @@ def measure_gaussian_bias(
     name, lam, from_moments = _adjustment(dgp, lam)
     if mu < 0:
         raise NegativeMu(f"misspecification bound must be nonnegative, got {mu}")
+    # The plug-in lambda needs a residual variance (n >= p + 2); the draws' Wishart
+    # factor has n - 2 degrees of freedom (n >= 2).
+    least_n = dgp.p_gamma + 2 if name == "residualized" else 2
+    if reps < 2 or n < least_n:
+        raise ConfigError(
+            f"the {name} misspec run needs reps >= 2 for its MC SE and n >= {least_n}, "
+            f"got reps = {reps} and n = {n}"
+        )
     coordinate = dgp.score_coordinate(lam)
     _check_start(n, reps, mu)
     if reps * n > MAX_TOTAL_DRAWS:

@@ -478,6 +478,20 @@ class TestWeightGate:
             measure_gaussian_bias(counting, "optimum", 1.0, n=2000, reps=100, seed=1)
         assert counting.sizes == []
 
+    @pytest.mark.parametrize("lam, n, reps", [
+        ("optimal", 2000, 0), ("optimal", 0, 100), ("optimal", 1, 100), ("optimal", 2, 100),
+        ("optimal", 2000, 1), ("zero", 1, 100),
+    ])
+    def test_gaussian_runner_refuses_too_few_draws(self, lam, n, reps):
+        # At p = 1 an MC SE needs 2 replications, the plug-in lambda's residual variance
+        # 3 draws in each, and any draw 2.
+        counting = CountingSampler(PAIR)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=f"got reps = {reps} and n = {n}$"):
+                measure_gaussian_bias(counting, lam, 1.0, n=n, reps=reps, seed=1)
+        assert counting.sizes == []
+
     def test_profile_fails_before_any_replication(self):
         counting = CountingSampler(PAIR)
         with pytest.raises(WeightUnderflow):

@@ -1,13 +1,14 @@
-"""The labs' draw pool: its default size, per-worker scratch, and bytes at any size."""
+"""The labs' draw pool: its map, default size, per-worker scratch, and bytes at any size."""
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from residcheck import _threads
-from residcheck._threads import _N_BATCHES, batch_sizes, default_workers, run_seeded
+from residcheck._threads import _N_BATCHES, batch_sizes, default_workers, map_batches, run_seeded
 from residcheck.dgps import GaussianPairDGP, perturbed_scratch
 from residcheck.io import GaussianDgpSpec, RctDgpSpec, RuleSpec, ScoreSpec, SimulateConfig
 from residcheck.report import json_bytes, run_simulate
@@ -20,10 +21,107 @@ def batch_values(rep_values: int, reps: int) -> int:
     return rep_values * batch_sizes(reps, _N_BATCHES)[0]
 
 
+class Boom(Exception):
+    pass
+
+
+class TestMapBatches:
+    """The calling thread and w - 1 helpers drain the batches; none outlives the call."""
+
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    def test_results_in_index_order(self, workers):
+        def uneven(i):
+            time.sleep(0.001 * ((7 * i) % 5))
+            return i * i
+
+        assert map_batches(uneven, 20, workers) == [i * i for i in range(20)]
+
+    def test_each_index_runs_once_under_stress(self):
+        # More workers than cores, switching threads as often as the interpreter allows.
+        calls, lock = [], threading.Lock()
+
+        def fn(i):
+            time.sleep(0)  # lets another loop run
+            with lock:
+                calls.append(i)
+            return -i
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [map_batches(fn, 2000, 16) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(switch)
+        assert got == [[-i for i in range(2000)]] * 5
+        assert sorted(calls) == sorted(list(range(2000)) * 5)
+
+    def test_calling_thread_draws(self):
+        seen = []
+
+        def record(i):
+            seen.append(threading.get_ident())
+            time.sleep(0.005)
+            return i
+
+        assert map_batches(record, 10, 2) == list(range(10))
+        assert threading.get_ident() in seen and len(set(seen)) <= 2
+
+    @pytest.mark.parametrize("raiser", ["helper", "caller"])
+    def test_error_propagates_and_no_thread_outlives_it(self, raiser):
+        caller, helper_entered = threading.get_ident(), threading.Event()
+        before = threading.active_count()
+
+        def fn(i):
+            in_caller = threading.get_ident() == caller
+            if not in_caller:
+                helper_entered.set()
+            if in_caller == (raiser == "caller"):
+                raise Boom(i)
+            if in_caller:
+                assert helper_entered.wait(5)  # the helper raises meanwhile
+            time.sleep(0.005)
+            return i
+
+        with pytest.raises(Boom):
+            map_batches(fn, 20, 2)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    def test_no_batch_starts_after_a_failure(self, workers):
+        # Batch 0 raises at once, while every other batch takes 20 ms: each other loop
+        # finishes the one batch it may hold, and none takes another.
+        started = []
+
+        def fn(i):
+            started.append(i)
+            if i == 0:
+                raise Boom(i)
+            time.sleep(0.02)
+            return i
+
+        with pytest.raises(Boom):
+            map_batches(fn, 50, workers)
+        assert 0 in started and len(started) <= workers
+
+    @pytest.mark.parametrize("n_batches, threads, helpers", [
+        (0, 8, None), (1, 8, None), (1, 1, None), (5, 1, None), (3, 8, 2), (20, 4, 3),
+    ])
+    def test_pool_holds_the_helpers_only(self, monkeypatch, n_batches, threads, helpers):
+        made, pool = [], _threads.ThreadPoolExecutor
+
+        def recording(max_workers):
+            made.append(max_workers)
+            return pool(max_workers)
+
+        monkeypatch.setattr(_threads, "ThreadPoolExecutor", recording)
+        assert map_batches(lambda i: -i, n_batches, threads) == [-i for i in range(n_batches)]
+        assert made == ([] if helpers is None else [helpers])
+
+
 class TestDefaultWorkers:
     """The default pool size is a function of cores, batches and values per batch alone."""
 
-    @pytest.mark.parametrize("cores, want", [(1, 1), (2, 2), (64, 2)])
+    @pytest.mark.parametrize("cores, want", [(1, 1), (2, 2), (64, 9)])
     def test_bench_misspec_stage(self, cores, want):
         # n = 2,000 and 1,000 reps: one stage of 50 batches, each 20 x 4,003 values.
         values = batch_values(PAIR.perturbed_values(2000), 1000)
@@ -31,10 +129,20 @@ class TestDefaultWorkers:
         assert default_workers(cores, 50, values) == want
 
     @pytest.mark.parametrize("cores", [1, 2, 64])
-    @pytest.mark.parametrize("n", [200, 500, 1000])
+    @pytest.mark.parametrize("n", [200, 300, 400])
     def test_smaller_misspec_batches_stay_on_one_worker(self, cores, n):
-        # 20 x (2n + 3) values per batch: two workers were slower at n = 200.
+        # 20 x (2n + 3) values per batch, under 16,384: two workers were faster in only
+        # 14 of 36 in-process pairs at n = 200.
         assert default_workers(cores, 50, batch_values(PAIR.perturbed_values(n), 1000)) == 1
+
+    @pytest.mark.parametrize("cores", [1, 2, 64])
+    @pytest.mark.parametrize("n, want", [(410, 2), (500, 2), (1000, 4)])
+    def test_misspec_batches_from_16_384_values_share_the_cores(self, cores, n, want):
+        # Two workers were faster in 29 of 36 pairs at n = 500 (20,060 values per batch)
+        # and in 36 of 36 at n = 1,000.
+        assert default_workers(cores, 50, batch_values(PAIR.perturbed_values(n), 1000)) == min(
+            cores, want
+        )
 
     def test_pool_scratch_is_bounded_at_criterion_6_size(self):
         # n = 10,000 and 10,000 reps: 200 replications per batch, 25 MB of scratch per
@@ -83,7 +191,7 @@ class TestStageWorkers:
         self.run(4003, gate_reps=100)  # a head stage of 5 batches
         self.run(403)
         self.run()  # no values given: one worker
-        assert stages == [(50, 2), (5, 2), (45, 2), (50, 1), (50, 1)]
+        assert stages == [(50, 9), (5, 5), (45, 9), (50, 1), (50, 1)]
 
     @pytest.mark.parametrize("dgp", [
         # The selection_rct benchmark workload: p = 3, n = 2,000, 2,000 reps.
@@ -109,8 +217,8 @@ class TestStageWorkers:
 
 
 def test_default_bytes_equal_one_worker(monkeypatch):
-    # simulate output with RESID_THREADS unset, on a pool of two workers (20 x 4,003
-    # values per batch), equals its output at RESID_THREADS=1.
+    # simulate output with RESID_THREADS unset, on a pool of four workers (20 x 4,003
+    # values per batch at 4 patched cores), equals its output at RESID_THREADS=1.
     config = SimulateConfig(lab="misspec", n=2000, reps=1000, seed=9,
                             dgp=GaussianDgpSpec(rho=0.5), score=ScoreSpec(lam="optimal", mu=1.0))
     monkeypatch.setattr(_threads, "usable_cores", lambda: 4)
