@@ -129,11 +129,15 @@ class TestDefaultWorkers:
         assert default_workers(cores, 50, values) == want
 
     @pytest.mark.parametrize("cores", [1, 2, 64])
-    @pytest.mark.parametrize("n", [200, 300, 400])
+    @pytest.mark.parametrize("n", [200, 300, 400, 500, 1000])
     def test_smaller_misspec_batches_stay_on_one_worker(self, cores, n):
-        # 20 x (2n + 3) values per batch, under 16,384: two workers were faster in only
-        # 14 of 36 in-process pairs at n = 200.
-        assert default_workers(cores, 50, batch_values(PAIR.perturbed_values(n), 1000)) == 1
+        # Batches under 16,384 values: 20 x (2n + 3) at 1,000 reps up to n = 400 (two workers
+        # were faster in only 14 of 36 in-process pairs at n = 200), and at n = 500 and
+        # 1,000 the largest batches that stay under, at 800 and 400 reps (16 x 1,003 and
+        # 8 x 2,003 values).
+        values = batch_values(PAIR.perturbed_values(n), {500: 800, 1000: 400}.get(n, 1000))
+        assert values < 16_384
+        assert default_workers(cores, 50, values) == 1
 
     @pytest.mark.parametrize("cores", [1, 2, 64])
     @pytest.mark.parametrize("n, want", [(410, 2), (500, 2), (1000, 4)])
