@@ -11,6 +11,10 @@ below instead, which makes the output bytes independent of the BLAS kernel:
   on a contiguous row depends on the row length alone (a strided row would
   be summed in sequence), so the inputs' memory layout does not move a
   bit. ``gram(cols)[i, j]`` and ``dot(cols[i], cols[j])`` give the same bits.
+* ``sum_rows`` adds a stack of rows in that same order, each step one
+  elementwise pass over whole rows: for a (m, R) array it gives the bits of
+  ``np.add.reduce`` over each length-m column, without a reduction over
+  short rows, whose per-row cost dominates when m is small and R large.
 * ``group_sums`` adds each row up within groups in row order
   (``np.bincount``), as ``np.add.at`` would, at a fraction of its cost;
   ``dense_codes`` gives it the group codes of any labels.
@@ -18,11 +22,12 @@ below instead, which makes the output bytes independent of the BLAS kernel:
   p x p systems (the check block, the long regression's normal equations),
   each inner product summed left to right.
 
-Every routine but ``group_sums`` and ``dense_codes`` works over the last
-axis (or last two) and takes any leading batch axes, so a stack of B
-problems is one call whose member b has the bits of a call on member b
-alone: the loops above run over the p or k entries of one member, each step
-elementwise over the stack.
+Every routine but ``sum_rows``, ``group_sums`` and ``dense_codes`` works
+over the last axis (or last two) and takes any leading batch axes, so a
+stack of B problems is one call whose member b has the bits of a call on
+member b alone: the loops above run over the p or k entries of one member,
+each step elementwise over the stack. ``sum_rows`` works over the first
+axis and takes any trailing axes the same way.
 """
 
 from __future__ import annotations
@@ -61,6 +66,53 @@ def gram(cols: np.ndarray) -> np.ndarray:
             np.multiply(rows[i], rows[j], out=product)
             out[..., i, j] = out[..., j, i] = np.add.reduce(product, axis=-1)
     return out
+
+
+# What np.add.reduce adds its pairwise sum to: +0.0, or -0.0 where numpy
+# starts a reduction at the sign-keeping identity. Either way only the sign
+# of an all-zero sum depends on it.
+_REDUCE_START = float(np.add.reduce(np.array([-0.0])))
+
+
+def sum_rows(rows: np.ndarray) -> np.ndarray:
+    """sum over the first axis of rows, in np.add.reduce's order for a contiguous row.
+
+    numpy adds a row of m < 8 terms left to right; from 8 terms on, into 8
+    accumulators, which it combines pairwise and then adds the last m % 8
+    terms to, and above 128 terms it splits the row at m // 2 rounded down to
+    a multiple of 8 and adds the two halves' sums. So
+    ``sum_rows(x.T)`` has the bits of ``np.add.reduce(x, axis=-1)`` for any
+    C-ordered (R, m) array x, each step here a pass over R values.
+    """
+    return _pairwise_rows(rows, _REDUCE_START)
+
+
+def _pairwise_rows(rows: np.ndarray, start: float) -> np.ndarray:
+    """numpy's pairwise sum over the first axis, start added to its first terms.
+
+    A sum is -0.0 only where every term is, so adding +0.0 to some terms
+    changes it only there, to +0.0, as adding +0.0 to the sum would; adding
+    -0.0 changes nothing.
+    """
+    m = rows.shape[0]
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        return _pairwise_rows(rows[:half], start) + _pairwise_rows(rows[half:], -0.0)
+    if m < 8:
+        acc = start + rows[0]
+        for row in rows[1:]:
+            acc += row
+        return acc
+    acc8 = start + rows[:8]
+    tail = m - m % 8
+    for i in range(8, tail, 8):
+        acc8 += rows[i : i + 8]
+    acc = acc8[0] + acc8[1]
+    acc += acc8[2] + acc8[3]
+    acc += (acc8[4] + acc8[5]) + (acc8[6] + acc8[7])
+    for row in rows[tail:]:
+        acc += row
+    return acc
 
 
 def dense_codes(labels) -> np.ndarray:

@@ -55,6 +55,17 @@ def _first(values, bad) -> float:
     return float(np.asarray(values)[bad].flat[0])
 
 
+def _rcond_bound(sgg: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """1 / (tr(S) ||L^-1||_F^2) per member of a stack of S = L L', at most its rcond.
+
+    0 or NaN where a step overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = _fixed_order.solve_lower(chol[..., None, :, :], np.eye(sgg.shape[-1]))
+        inv *= inv
+        return 1.0 / (np.trace(sgg, axis1=-2, axis2=-1) * inv.sum(axis=(-2, -1)))
+
+
 def _sqrt(x):
     """Square root of a float or of a stack, correctly rounded either way."""
     return _fixed_order.scalar_or_stack(np.sqrt(x))
@@ -68,7 +79,10 @@ class JointCovariance:
     reciprocal condition number of at least RCOND_MIN, and a residual
     variance (the Schur complement of the check block) above RCOND_MIN of
     sigma_c^2; together these make the assembled (1+p) x (1+p) matrix
-    positive definite. Validation computes the Cholesky factor of the check
+    positive definite. The factor clears a block whose rcond lower bound
+    1 / (tr(Sigma_gg) ||L^-1||_F^2) is at least 2 RCOND_MIN; only if some
+    block's is not does ``np.linalg.eigvalsh`` decide, with the error it
+    always gave. Validation computes the Cholesky factor of the check
     block, the coefficient row Lambda and the explained variance once, in
     the fixed summation order of :mod:`residcheck._fixed_order`, and keeps
     them; the properties below read the variance side of residualization
@@ -126,16 +140,23 @@ class JointCovariance:
 
         # Strict positive definiteness of the check block: Cholesky must
         # succeed and the eigenvalue-based reciprocal condition number must
-        # clear RCOND_MIN (collinear checks are a hard error).
+        # clear RCOND_MIN (collinear checks are a hard error). The factor
+        # bounds rcond from below, as lambda_max <= tr(S) and 1 / lambda_min
+        # <= tr(S^-1) = ||L^-1||_F^2 (Higham, Accuracy and Stability of
+        # Numerical Algorithms, 2nd ed., ch. 4 and 10), so eigvalsh runs only
+        # when some member's bound is below 2 RCOND_MIN. A factor 2 is far
+        # more than the rounding of the bound or of eigvalsh (about p eps of
+        # the largest eigenvalue): no member the bound clears would fail.
         chol = _fixed_order.cholesky(sgg)
-        eigs = np.linalg.eigvalsh(sgg)
-        rcond = eigs[..., 0] / eigs[..., -1]
-        bad = (eigs[..., 0] <= 0.0) | (rcond < RCOND_MIN)
-        if bad.any():
-            raise SingularCheckCovariance(
-                f"check covariance reciprocal condition {_first(rcond, bad):.3e} "
-                f"below {RCOND_MIN:g}; diagnostic checks are collinear"
-            )
+        if not (_rcond_bound(sgg, chol) >= 2.0 * RCOND_MIN).all():  # NaN too
+            eigs = np.linalg.eigvalsh(sgg)
+            rcond = eigs[..., 0] / eigs[..., -1]
+            bad = (eigs[..., 0] <= 0.0) | (rcond < RCOND_MIN)
+            if bad.any():
+                raise SingularCheckCovariance(
+                    f"check covariance reciprocal condition {_first(rcond, bad):.3e} "
+                    f"below {RCOND_MIN:g}; diagnostic checks are collinear"
+                )
 
         lam = _fixed_order.cho_solve(chol, scg)
         explained = _fixed_order.dot(scg, lam)

@@ -125,7 +125,7 @@ def _normal_sums(draws: NormalDraws, low: np.ndarray):
     """
     means = _times_lower_t(draws.z.copy(), low)
     means /= np.sqrt(draws.counts)[:, None]
-    return means, _scatter(draws.bartlett.copy(), low)
+    return means, _scatter(draws.bartlett, low)
 
 
 def _bartlett(rng: np.random.Generator, k: int, dof: np.ndarray) -> np.ndarray:
@@ -171,11 +171,21 @@ def _bartlett_layout(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _scatter(a_t: np.ndarray, low: np.ndarray) -> np.ndarray:
     """The Wishart(dof, L L') matrices (L A)(L A)' of Bartlett factors A' (:func:`_bartlett`).
 
-    Overwrites a_t. L is never factored: it may be singular.
+    a_t is left unchanged, and L is never factored: it may be singular. The
+    replications go on the last axis of one (k, k, R) copy of A, so that
+    every step is a pass over R values: L A in place, then each entry (i, j)
+    as the sum over m of (L A)[i, m] (L A)[j, m], added up in the order of
+    :func:`_fixed_order.gram` over the rows of L A (:func:`_fixed_order.sum_rows`).
     """
-    # A' L' = (L A)', so the scatter L A A' L' is the Gram matrix of its columns.
-    la_t = _times_lower_t(a_t, low)
-    return _fixed_order.gram(np.swapaxes(la_t, -1, -2))
+    k, size = a_t.shape[-1], a_t.shape[0]
+    la = np.transpose(a_t, (2, 1, 0)).copy()  # la[i, m] = A[i, m] over the replications
+    # With its first axis last, la holds A' row by row; A' L' = (L A)' in place.
+    _times_lower_t(np.moveaxis(la, 0, -1), low)
+    out = np.empty((size, k, k))
+    for i in range(k):
+        for j in range(i, k):
+            out[:, i, j] = out[:, j, i] = _fixed_order.sum_rows(la[i] * la[j])
+    return out
 
 
 def _times_columns(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -261,7 +271,7 @@ class ScoreCoordinate:
         b, low_w, n = self.b, self.low_w, draws.n
         s_uu = (self.sd_u * self.sd_u) * draws.s_zz
         cross = _times_lower_t(draws.z2.copy(), low_w)
-        w_scatter = _scatter(draws.bartlett.copy(), low_w) + _outer(cross, cross)
+        w_scatter = _scatter(draws.bartlett, low_w) + _outer(cross, cross)
         cross *= np.sqrt(s_uu)[:, None]
         cross = self._lift(cross)
         scatter = s_uu[:, None, None] * _outer(b, b)

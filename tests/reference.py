@@ -5,7 +5,10 @@ The rejection sampler from (1 + s(d)/sqrt(n)) dP0 with the envelope 2 dP0
 bias split calibrated on rows, the DGPs' row draws and their sample moments,
 influence evaluators and RCT coefficient limits, each a function of its DGP
 with the bits it had as a method, and the masked, fancy-index versions of the
-labs' Bartlett factor and perturbed draws, which the labs match bit for bit.
+labs' Bartlett factor and perturbed draws, which the labs match bit for bit,
+and the Wishart scatter as a Gram matrix of short rows, which they match too.
+The check block's rcond gate by eigvalsh alone (:func:`rcond_gate`) is the
+outcome every :class:`residcheck.JointCovariance` validation must give.
 The cross-score matrix (:func:`cross_score_bias`) measures the bias of
 every fixed-lambda adjustment under every one's worst case. Both runners draw
 through the labs' seeded batch frame (:func:`residcheck._threads.run_seeded`).
@@ -21,6 +24,7 @@ import numpy as np
 
 from residcheck import _fixed_order
 from residcheck._threads import _N_BATCHES, batch_sizes, run_seeded
+from residcheck.core import RCOND_MIN
 from residcheck.dgps import (
     _SCORE_BLOCK,
     PerturbedDraws,
@@ -33,6 +37,7 @@ from residcheck.errors import (
     EstimationError,
     InvalidCovariance,
     NegativeMu,
+    SingularCheckCovariance,
     WeightUnderflow,
 )
 from residcheck.misspec import MAX_TOTAL_DRAWS, BiasMeasurement, _adjustment, _check_start
@@ -82,6 +87,35 @@ def bartlett(rng: np.random.Generator, k: int, dof: np.ndarray) -> np.ndarray:
     for b in np.flatnonzero(dof < k):
         a_t[b, : dof[b]] = rng.standard_normal((dof[b], k))
     return a_t
+
+
+def scatter(a_t: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """The Wishart(dof, L L') matrices (L A)(L A)' of Bartlett factors A', for each b.
+
+    A' L' = (L A)', so the scatter L A A' L' is the Gram matrix of its
+    columns, each entry summed over a row of k products.
+    """
+    la_t = _times_lower_t(a_t.copy(), low)
+    return _fixed_order.gram(np.swapaxes(la_t, -1, -2))
+
+
+def rcond_gate(sgg: np.ndarray) -> np.ndarray:
+    """The Cholesky factor of a (stack of) check block(s) that clears the rcond gate.
+
+    Raises SingularCheckCovariance as the factor does, or for the first
+    member whose eigenvalue-based reciprocal condition number is below
+    RCOND_MIN.
+    """
+    chol = _fixed_order.cholesky(sgg)
+    eigs = np.linalg.eigvalsh(sgg)
+    rcond = eigs[..., 0] / eigs[..., -1]
+    bad = (eigs[..., 0] <= 0.0) | (rcond < RCOND_MIN)
+    if bad.any():
+        raise SingularCheckCovariance(
+            f"check covariance reciprocal condition {float(rcond[bad].flat[0]):.3e} "
+            f"below {RCOND_MIN:g}; diagnostic checks are collinear"
+        )
+    return chol
 
 
 def perturbed_draws(

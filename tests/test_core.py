@@ -13,6 +13,9 @@ from residcheck import (
     residualize,
     worst_case_bias,
 )
+from residcheck.cli import main
+from residcheck.core import RCOND_MIN
+from residcheck.dgps import RctLinearDGP
 from residcheck.errors import (
     DegenerateResidualVariance,
     DimensionMismatch,
@@ -20,7 +23,10 @@ from residcheck.errors import (
     NegativeMu,
     SingularCheckCovariance,
 )
+from residcheck.selection import ReportingRule, SelectionConfig, run_conditional_experiment
+
 from conftest import random_joint_covariance
+from reference import rcond_gate
 
 
 class TestJointCovarianceValidation:
@@ -91,6 +97,136 @@ class TestJointCovarianceValidation:
         sigma = random_joint_covariance(seed, p)
         eigs = np.linalg.eigvalsh(sigma.full_matrix())
         assert eigs[0] > 0
+
+
+def conditioned_block(p: int, rcond: float, seed: int) -> np.ndarray:
+    """A symmetric p x p block with eigenvalues geometric from 1 down to rcond.
+
+    At p = 1 the block is [rcond], whose rcond is 1.
+    """
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    eigs = np.geomspace(1.0, rcond, p) if p > 1 else np.array([rcond])
+    block = (q * eigs) @ q.T
+    return 0.5 * (block + block.T)
+
+
+def well_conditioned_stack(p: int, size: int, seed: int) -> np.ndarray:
+    a = np.random.default_rng(seed).standard_normal((size, p, p + 5))
+    stack = np.einsum("bij,bkj->bik", a, a) / (p + 5) + 0.1 * np.eye(p)
+    return 0.5 * (stack + np.swapaxes(stack, -1, -2))
+
+
+def gate_outcome(validate):
+    """None when validate passes, else its error's class and message."""
+    try:
+        validate()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+RCOND_CASES = [f * RCOND_MIN for f in (0.5, 0.999, 1.001, 1.5, 2.0, 2.5, 10.0)] + [1e-3]
+
+
+class TestRcondGate:
+    """The Cholesky bound and the eigvalsh fallback decide as eigvalsh alone did.
+
+    The check blocks come with sigma_c_gamma = 0, so nothing but the check
+    block's gates can fail.
+    """
+
+    @staticmethod
+    def assert_same_outcome(sgg):
+        batch = sgg.shape[:-2]
+        ours = gate_outcome(lambda: JointCovariance(
+            np.ones(batch) if batch else 1.0, np.zeros(sgg.shape[:-1]), sgg, 50
+        ))
+        assert ours == gate_outcome(lambda: rcond_gate(sgg))
+        return ours
+
+    @pytest.mark.parametrize("rcond", RCOND_CASES)
+    @pytest.mark.parametrize("p", [1, 3, 10])
+    def test_block_alone_and_in_a_stack(self, p, rcond):
+        block = conditioned_block(p, rcond, seed=p)
+        alone = self.assert_same_outcome(block)
+        if p > 1 and rcond < RCOND_MIN:
+            assert alone is not None and alone[0] is SingularCheckCovariance
+        if p == 1 or rcond >= 1.5 * RCOND_MIN:
+            assert alone is None
+        for position in (0, 999):
+            stack = well_conditioned_stack(p, 1000, seed=p + 1)
+            stack[position] = block
+            assert self.assert_same_outcome(stack) == alone
+
+    def test_two_failing_members_report_the_first(self):
+        stack = well_conditioned_stack(3, 1000, seed=4)
+        stack[10] = conditioned_block(3, 0.5 * RCOND_MIN, seed=5)
+        stack[20] = conditioned_block(3, 1e-14, seed=6)
+        outcome = self.assert_same_outcome(stack)
+        assert outcome[0] is SingularCheckCovariance
+        assert outcome == self.assert_same_outcome(stack[10])
+
+    @pytest.mark.parametrize(
+        "p, rcond, runs",
+        [(3, 1e-3, False), (3, 2.5 * RCOND_MIN, False), (3, 2.0 * RCOND_MIN, True),
+         (10, 2.5 * RCOND_MIN, False), (10, 2.0 * RCOND_MIN, True),
+         (10, 0.5 * RCOND_MIN, True)],
+    )
+    def test_eigvalsh_runs_only_where_the_bound_is_below_twice_the_floor(
+        self, p, rcond, runs, monkeypatch
+    ):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        stack = well_conditioned_stack(p, 1000, seed=7)
+        stack[500] = conditioned_block(p, rcond, seed=8)
+        gate_outcome(lambda: JointCovariance(np.ones(1000), np.zeros((1000, p)), stack, 50))
+        assert calls == ([stack.shape] if runs else [])
+
+    def test_labs_run_without_eigvalsh(self, monkeypatch, capsys):
+        """The bench's RCT selection run and criterion 9's commands never reach eigvalsh."""
+        rct = SelectionConfig(
+            dgp=RctLinearDGP(beta=np.array([0.5, -0.25, 0.1]),
+                             interaction=np.array([0.4, 0.0, -0.2]), pi=0.4),
+            rule=ReportingRule(kind="wald", threshold=7.815), n=2000, reps=2000, seed=29,
+        )
+        commands = [
+            ["simulate", "--lab", "selection", "--rho", "0.5", "--rule", "wald",
+             "--threshold", "3.841", "--n", "200", "--reps", "1000", "--seed", "7"],
+            ["simulate", "--lab", "misspec", "--rho", "0.5", "--mu", "0.5",
+             "--lambda", "optimal", "--n", "400", "--reps", "1000", "--seed", "3"],
+        ]
+
+        def run():
+            outputs = [run_conditional_experiment(rct)]
+            for argv in commands:
+                assert main(argv) == 0
+                outputs.append(capsys.readouterr().out)
+            return outputs
+
+        def refuse(a):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        without = run()
+        monkeypatch.undo()
+        assert without == run()
+
+    @pytest.mark.parametrize(
+        "sgg",
+        [1e-300 * conditioned_block(3, 1e-3, seed=9), 1e300 * conditioned_block(3, 1e-3, seed=9),
+         np.diag([8e307] * 3), np.diag([1e-320] * 2)],
+        ids=["tiny", "huge", "trace-overflows", "inverse-overflows"],
+    )
+    def test_extreme_scales(self, sgg):
+        # The last two bounds overflow to 0; eigvalsh then passes their rcond of 1.
+        assert self.assert_same_outcome(sgg) is None
 
 
 class TestComputeLambda:

@@ -833,6 +833,19 @@ class TestCli:
         assert one.stdout == four.stdout
         assert json.loads(one.stdout.decode())["results"]["n_reps"] == 1003
 
+    def test_simulate_rct_selection_at_ten_checks_keeps_its_bytes(self):
+        # k = 11 per arm, so each scatter entry sums a row of 11 products:
+        # the pairwise branch of numpy's sum order, which no p <= 5 pin reaches.
+        result = run_cli(
+            "simulate", "--lab", "selection", "--dgp", "rct",
+            "--beta", "0.5,-0.25,0.1,0.3,-0.2,0.15,0.05,-0.1,0.25,-0.05",
+            "--interaction", "0.4,0,-0.2,0.1,0,0.3,-0.1,0,0.2,0", "--pi", "0.4",
+            "--rule", "wald", "--threshold", "18.307",
+            "--n", "2000", "--reps", "3000", "--seed", "7",
+        )
+        assert result.returncode == 0, result.stderr
+        assert hashlib.md5(result.stdout).hexdigest() == "3d7173b963e7e3745bcb894e507e8289"
+
     def test_simulate_misspec_zero_mu(self):
         result = run_cli(
             "simulate", "--lab", "misspec", "--rho", "0.5", "--mu", "0",

@@ -8,7 +8,7 @@ from scipy.stats import chi2, ks_2samp, kstest, norm, truncnorm
 from residcheck import JointCovariance, _fixed_order, _threads
 from residcheck._distributions import Z975
 from residcheck._threads import _N_BATCHES, batch_sizes, join
-from residcheck.dgps import GaussianPairDGP, RctLinearDGP, _bartlett
+from residcheck.dgps import GaussianPairDGP, RctLinearDGP, _bartlett, _scatter
 from residcheck.errors import (
     ConfigError,
     DegenerateResidualVariance,
@@ -30,7 +30,7 @@ from residcheck.selection import (
 )
 
 from conftest import replications
-from reference import bartlett
+from reference import bartlett, scatter
 
 T_RULE = ReportingRule(kind="two_sided_t", threshold=1.96)
 WALD_2 = ReportingRule(kind="wald", threshold=5.99)
@@ -296,6 +296,70 @@ class TestBartlettBits:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_mixed_dof(self, k):
         self.assert_same_draws(k, np.array([0, 1, k - 1, k, 1998, k - 1, 1998]))
+
+
+class TestSumRows:
+    """sum_rows adds over the first axis in np.add.reduce's order for a contiguous row."""
+
+    @staticmethod
+    def rows(rng, size, m):
+        x = rng.standard_normal((size, m)) * 10.0 ** rng.uniform(-6.0, 6.0, (size, m))
+        x[:4], x[4:8] = 0.0, -0.0
+        x[8:12] = np.where(rng.random((4, m)) < 0.5, 0.0, -0.0)
+        x[12, 0] = -0.0  # one signed zero among nonzero terms
+        return x
+
+    def test_every_row_length_to_300(self):
+        rng = np.random.default_rng(29)
+        for m in range(1, 301):
+            x = self.rows(rng, 40, m)
+            got = _fixed_order.sum_rows(np.ascontiguousarray(x.T))
+            assert got.tobytes() == np.add.reduce(x, axis=-1).tobytes(), m
+
+    def test_trailing_axes_and_the_input_left_alone(self):
+        x = self.rows(np.random.default_rng(30), 60, 21).reshape(3, 20, 21)
+        rows = np.moveaxis(x, -1, 0).copy()
+        before = rows.copy()
+        got = _fixed_order.sum_rows(rows)
+        assert got.tobytes() == np.add.reduce(x, axis=-1).tobytes()
+        assert rows.tobytes() == before.tobytes()
+
+
+class TestScatterBits:
+    """The replications-last scatter has the bits of the Gram matrix of L A's rows."""
+
+    @staticmethod
+    def assert_same_scatter(k, dof, seed):
+        rng = np.random.default_rng(seed)
+        a_t = _bartlett(rng, k, dof)
+        low = np.tril(rng.standard_normal((k, k)))
+        low[np.diag_indices(k)] = np.abs(low.diagonal()) + 0.1
+        before = a_t.tobytes()
+        for factor in (low, np.eye(k), np.tril(np.ones((k, k)))):
+            got = _scatter(a_t, factor)
+            assert a_t.tobytes() == before
+            assert got.shape == (dof.size, k, k)
+            assert got.tobytes() == scatter(a_t, factor).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8, 9, 16])
+    def test_every_dof_at_least_k(self, k):
+        self.assert_same_scatter(k, np.array([k, k + 1, 7 + k, 1998]), k)
+        self.assert_same_scatter(k, np.full(300, 1998), 100 + k)
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8, 9, 16])
+    def test_members_below_k_degrees_of_freedom(self, k):
+        self.assert_same_scatter(k, np.array([0, 1, k - 1, k, 1998, k - 1, 1998]), 200 + k)
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_more_than_a_stack(self, k):
+        self.assert_same_scatter(k, np.full(_threads._STACK_REPS + 7, 2000 - k), 300 + k)
+
+    def test_singular_factor(self):
+        rng = np.random.default_rng(31)
+        a_t = _bartlett(rng, 4, np.full(50, 100))
+        low = np.tril(rng.standard_normal((4, 4)))
+        low[2, 2] = 0.0
+        assert _scatter(a_t, low).tobytes() == scatter(a_t, low).tobytes()
 
 
 class TestSufficientStatisticDraws:
