@@ -9,11 +9,9 @@ and minimax under bounded local misspecification among linear adjustments.
 
 from .core import (
     JointCovariance,
-    MisspecBounds,
     OrthogonalityCheck,
     ResidualizationResult,
     adjusted_variance,
-    misspec_bounds,
     orthogonality_stat,
     residualize,
     worst_case_bias,
@@ -32,7 +30,6 @@ __version__ = "0.1.0"
 __all__ = [
     "InfluenceContributions",
     "JointCovariance",
-    "MisspecBounds",
     "OrthogonalityCheck",
     "RctDataset",
     "ResidualizationResult",
@@ -40,7 +37,6 @@ __all__ = [
     "balance_stats",
     "joint_covariance",
     "long_regression",
-    "misspec_bounds",
     "orthogonality_stat",
     "residualize",
     "residualized_estimator",

@@ -13,14 +13,15 @@ byte-identical at any worker count and any stack length.
 
 The workers run the draws only, and the calling thread is one of them:
 with w workers it drains the stage's batches beside w - 1 pooled helpers
-(:func:`map_batches`). A set RESID_THREADS environment variable, or a
-``threads`` argument, fixes w at that many (at most one per batch).
-Otherwise a lab that gives the random values one replication draws has each
-stage's w set by :func:`default_workers`, from the usable cores, the stage's
-batches and the values one batch draws; a lab that gives none, as the
-selection labs do, draws on one worker. Draws that need scratch memory get
-one set per worker, the calling thread's included, made once per run in the
-calling thread and reused by every batch.
+(:func:`map_batches`). :func:`run_seeded` decides w once per stage and
+passes it down: a set RESID_THREADS environment variable, the one worker
+setting, fixes w at that many (at most one per batch). Otherwise a lab that
+gives the random values one replication draws has each stage's w set by
+:func:`default_workers`, from the usable cores, the stage's batches and the
+values one batch draws; a lab that gives none, as the selection labs do,
+draws on one worker. Draws that need scratch memory get one set per worker,
+the calling thread's included, made once per run in the calling thread and
+reused by every batch.
 """
 
 from __future__ import annotations
@@ -41,15 +42,13 @@ R = TypeVar("R")
 S = TypeVar("S")
 
 
-def _set_threads(threads: int | None) -> int | None:
-    """threads, else RESID_THREADS as an integer, else None when neither is set."""
-    if threads is not None:
-        return threads
+def _env_threads() -> int | None:
+    """RESID_THREADS as a worker count of at least one, or None when it is unset."""
     raw = os.environ.get("RESID_THREADS")
     if raw is None:
         return None
     try:
-        return int(raw)
+        return max(1, int(raw))
     except ValueError:
         raise ConfigError(f"RESID_THREADS must be an integer, got {raw!r}") from None
 
@@ -62,23 +61,17 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """The most workers a stage may use: threads, else RESID_THREADS, else the usable cores."""
-    count = _set_threads(threads)
-    return usable_cores() if count is None else max(1, count)
+def resolve_threads() -> int:
+    """The most workers a stage may use: RESID_THREADS, else the usable cores."""
+    count = _env_threads()
+    return usable_cores() if count is None else count
 
 
 # A worker beyond the first pays off only when a batch draws this many random
 # values per worker: drawing them runs outside the interpreter lock, and must
-# outweigh the steps of a batch that hold it. On a 2-core VM, alternating one
-# and two workers in one process (36 pairs per size), two were faster in 36
-# pairs at 40,060 values per batch (misspec, n = 1,000), 29 at 20,060
-# (n = 500), 28 at 16,060 (n = 400), 23 at 12,060 (n = 300) and 14 at 8,060
-# (n = 200). The RCT selection lab's draws hold the lock longer per value: two
-# workers were faster in only 8 of 20 pairs at 58,000 (10^5 reps), so the
-# selection labs give no values and stay on one worker. Only one and two
-# workers were measured; that the k-th worker pays off at k times this many
-# values on a larger host is extrapolated.
+# outweigh the steps of a batch that hold it. The selection labs' draws hold
+# the lock longer per value, so they give no values and stay on one worker.
+# The timings behind the rule (one and two workers only) are in CHANGES.md.
 _WORKER_VALUES = 8_192
 # The batches being drawn at once hold at most this many values (64 MiB of
 # doubles) when the pool has more than one worker, so memory does not grow
@@ -105,16 +98,16 @@ def batch_sizes(total: int, n_batches: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(n_batches)]
 
 
-def map_batches(fn: Callable[[int], T], n_batches: int, threads: int | None = None) -> list[T]:
+def map_batches(fn: Callable[[int], T], n_batches: int, workers: int) -> list[T]:
     """Apply fn to batch indices 0..n_batches-1, results in index order.
 
-    On w = min(resolve_threads(threads), n_batches) workers: the calling
-    thread and w - 1 helpers, each a loop that takes the next index under
-    one lock and stores fn's result at it. Once a batch raises, no loop takes
+    On w = min(workers, n_batches) workers: the calling thread and w - 1
+    helpers, each a loop that takes the next index under one lock and
+    stores fn's result at it. Once a batch raises, no loop takes
     a new index; every helper has stopped before this returns or raises, and
     the error raised is the one met first.
     """
-    workers = min(resolve_threads(threads), n_batches)
+    workers = min(workers, n_batches)
     if workers <= 1:
         return [fn(i) for i in range(n_batches)]
     results: list = [None] * n_batches
@@ -188,11 +181,11 @@ def _stacks(batches: Sequence[int], sizes: Sequence[int]) -> list[list[int]]:
     return stacks
 
 
-def _estimate_stack(draw, estimate, stack: list[int], threads: int | None):
+def _estimate_stack(draw, estimate, stack: list[int], workers: int):
     """estimate of the joined draws of one stack of batches (:func:`run_stage`)."""
     try:
         # The per-batch parts are freed once joined, before the estimate runs.
-        return estimate(join(map_batches(lambda i: draw(stack[i]), len(stack), threads)))
+        return estimate(join(map_batches(lambda i: draw(stack[i]), len(stack), workers)))
     except Exception as exc:  # any error: replayed, then raised
         failure = exc
     for b in stack:
@@ -205,9 +198,9 @@ def run_stage(
     estimate: Callable[[T], R],
     batches: Sequence[int],
     sizes: Sequence[int],
-    threads: int | None = None,
+    workers: int,
 ) -> R:
-    """estimate of the joined draws of the batches: draws on the worker pool, few estimates.
+    """estimate of the joined draws of the batches: draws on ``workers`` workers, few estimates.
 
     ``draw(b)`` makes the draws of batch b, of ``sizes[b]`` replications,
     from its own stream; ``estimate`` maps draws to results elementwise over
@@ -221,7 +214,7 @@ def run_stage(
     fails alone does the stack's own error propagate.
     """
     return join([
-        _estimate_stack(draw, estimate, stack, threads) for stack in _stacks(batches, sizes)
+        _estimate_stack(draw, estimate, stack, workers) for stack in _stacks(batches, sizes)
     ])
 
 
@@ -234,7 +227,6 @@ def run_seeded(
     reps: int,
     draw: Callable[..., T],
     estimate: Callable[[T], R],
-    threads: int | None = None,
     gate: Callable[[R], None] | None = None,
     gate_reps: int = 0,
     *,
@@ -250,9 +242,9 @@ def run_seeded(
     start that hold at least gate_reps replications, are a first stage whose
     result goes to ``gate`` before any other batch is drawn; gate raises to
     stop the run, and otherwise the head is joined with the rest. Each
-    stage's pool has ``threads`` workers, else RESID_THREADS, else
-    :func:`default_workers` for its batches, each drawing about
-    ``rep_values`` random values per replication; at the default 0, one.
+    stage's pool has RESID_THREADS workers, else :func:`default_workers`
+    for its batches, each drawing about ``rep_values`` random values per
+    replication; at the default 0, one.
 
     With ``scratch``, a batch is drawn by ``draw(rng, size, buffers)``:
     ``scratch(size)``, at the largest batch's size, makes one set of buffers
@@ -262,7 +254,7 @@ def run_seeded(
     """
     sizes = batch_sizes(reps, _N_BATCHES)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-    count = _set_threads(threads)  # a bad RESID_THREADS fails before any draw
+    count = _env_threads()  # a bad RESID_THREADS fails before any draw
     made, free = 0, queue.SimpleQueue()
 
     def draw_batch(b: int) -> T:
@@ -277,7 +269,7 @@ def run_seeded(
 
     def stage(batches: range) -> R:
         nonlocal made
-        workers = max(1, count) if count is not None else default_workers(
+        workers = count if count is not None else default_workers(
             usable_cores(), len(batches), rep_values * sizes[0]
         )
         while scratch is not None and made < min(workers, len(batches)):

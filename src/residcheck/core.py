@@ -48,6 +48,8 @@ from .errors import (
 SYMMETRY_RTOL = 1e-10
 RCOND_MIN = 1e-12
 INFORMATIVENESS_CAP = 1.0 - 1e-15
+# orthogonality_stat flags a baseline whose checks explain more than this share of its variance.
+ORTHOGONALITY_THRESHOLD = 0.01
 
 
 def _first(values, bad) -> float:
@@ -268,22 +270,6 @@ class ResidualizationResult:
 
 
 @dataclass(frozen=True)
-class MisspecBounds:
-    """Worst-case bias over the score ball of radius mu, per adjustment row.
-
-    ``lambdas`` always contains the optimal row Lambda (appended last when
-    not supplied); ``worst_case_bias`` is aligned with it.
-    """
-
-    mu: float
-    lambdas: tuple[np.ndarray, ...]
-    worst_case_bias: np.ndarray
-    minimax_bias: float
-    minimax_mse: float
-    argmin_lambda: np.ndarray
-
-
-@dataclass(frozen=True)
 class OrthogonalityCheck:
     wald_stat: float
     dof: int
@@ -345,40 +331,13 @@ def worst_case_bias(sigma: JointCovariance, lam, mu: float) -> float:
     return float(mu) * float(np.sqrt(max(adjusted_variance(sigma, lam), 0.0)))
 
 
-def misspec_bounds(sigma: JointCovariance, mu: float, lambdas=None) -> MisspecBounds:
-    """Evaluate the worst-case bias map and its minimax value.
-
-    The optimal row Lambda is always appended to the evaluation set, so the
-    argmin over the returned grid is Lambda by construction of the bound
-    mu ||psi_lambda||, minimized at the variance-minimizing adjustment.
-    """
-    if mu < 0:
-        raise NegativeMu(f"misspecification bound must be nonnegative, got {mu}")
-    rows = [np.atleast_1d(np.asarray(l, dtype=float)) for l in (lambdas or [])]
-    rows.append(sigma.lam)
-    biases = np.array([worst_case_bias(sigma, l, mu) for l in rows])
-    return MisspecBounds(
-        mu=float(mu),
-        lambdas=tuple(rows),
-        worst_case_bias=biases,
-        minimax_bias=float(mu) * math.sqrt(sigma.sigma_c_sq) * sigma.bias_reduction_factor,
-        minimax_mse=(1.0 + mu * mu) * sigma.sigma_r_sq,
-        argmin_lambda=rows[int(np.argmin(biases))],
-    )
-
-
-def orthogonality_stat(
-    sigma_hat: JointCovariance,
-    c_hat: float,
-    gamma_hat,
-    flag_threshold: float = 0.01,
-) -> OrthogonalityCheck:
+def orthogonality_stat(sigma_hat: JointCovariance, c_hat: float, gamma_hat) -> OrthogonalityCheck:
     """Hausman-style orthogonality diagnostic: is Sigma_cg close to zero?
 
     Reports the Wald statistic n * gamma_hat' Sigma_gg^{-1} gamma_hat for the
     check itself (chi-squared with p degrees of freedom under the base
     model), the norm of the estimated cross block, and a flag when the
-    informativeness exceeds ``flag_threshold``.
+    informativeness exceeds ORTHOGONALITY_THRESHOLD.
     """
     gamma_hat = np.atleast_1d(np.asarray(gamma_hat, dtype=float))
     if gamma_hat.shape[0] != sigma_hat.p_gamma:
@@ -388,11 +347,11 @@ def orthogonality_stat(
     wald = sigma_hat.n * _fixed_order.dot(gamma_hat, sigma_hat.solve_gg(gamma_hat))
     dof = sigma_hat.p_gamma
     info = sigma_hat.informativeness
-    flagged = info > flag_threshold
+    flagged = info > ORTHOGONALITY_THRESHOLD
     if flagged:
         note = (
             f"baseline estimator leaves precision on the table: informativeness "
-            f"{info:.4f} exceeds {flag_threshold:g} (baseline estimate {c_hat:.6g})"
+            f"{info:.4f} exceeds {ORTHOGONALITY_THRESHOLD:g} (baseline estimate {c_hat:.6g})"
         )
     else:
         note = "baseline estimator is first-order orthogonal to the checks at this threshold"

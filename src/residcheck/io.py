@@ -399,6 +399,8 @@ def _load_dataset(config: AnalyzeConfig) -> LoadedDataset:
         if name is not None:
             if name not in header:
                 raise MissingColumn(name)
+            if header.count(name) > 1:
+                raise InputDataError(f"column {name!r} appears more than once in the CSV header")
             index[name] = header.index(name)
 
     numeric = [index[name] for name in (config.outcome, config.treatment, *config.covariates)]

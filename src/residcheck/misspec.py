@@ -108,7 +108,6 @@ def measure_gaussian_bias(
     n: int,
     reps: int,
     seed: int,
-    threads: int | None = None,
 ) -> BiasMeasurement:
     """Measured sqrt(n)-scale bias of the lam adjustment on a :class:`GaussianPairDGP`.
 
@@ -140,7 +139,7 @@ def measure_gaussian_bias(
         )
     estimates = run_seeded(
         seed, reps, lambda rng, size, buffers: dgp.perturbed_draws(rng, n, size, mu, buffers),
-        lambda draws: from_moments(*coordinate.perturbed_moments(draws), n), threads,
+        lambda draws: from_moments(*coordinate.perturbed_moments(draws), n),
         rep_values=dgp.perturbed_values(n), scratch=lambda size: perturbed_scratch(n, size),
     )
     scaled = math.sqrt(n) * (estimates - dgp.c_true)

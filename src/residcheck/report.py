@@ -199,13 +199,13 @@ def _dgp_from_spec(spec):
     raise ConfigError(f"unknown DGP spec {spec!r}")
 
 
-def run_simulate(config: SimulateConfig, threads: int | None = None) -> dict:
+def run_simulate(config: SimulateConfig) -> dict:
     """Dispatch to the requested lab; output embeds the full config and seed.
 
-    ``threads``, else RESID_THREADS, fixes the labs' draw pool, and a bad
-    RESID_THREADS fails before any draw; with neither set, the misspec lab
-    sizes it (:func:`_threads.default_workers`) and the selection lab draws
-    on one worker. The output bytes do not depend on it.
+    RESID_THREADS fixes the labs' draw pool, and a bad value fails before
+    any draw; unset, the misspec lab sizes it
+    (:func:`_threads.default_workers`) and the selection lab draws on one
+    worker. The output bytes do not depend on it.
     """
     dgp = _dgp_from_spec(config.dgp)
     payload: dict = {"config": to_jsonable(config)}
@@ -214,10 +214,7 @@ def run_simulate(config: SimulateConfig, threads: int | None = None) -> dict:
             kind=config.rule.kind, threshold=config.rule.threshold, coord=config.rule.coord
         )
         stats = run_conditional_experiment(
-            SelectionConfig(
-                dgp=dgp, rule=rule, n=config.n, reps=config.reps, seed=config.seed
-            ),
-            threads=threads,
+            SelectionConfig(dgp=dgp, rule=rule, n=config.n, reps=config.reps, seed=config.seed)
         )
         payload["results"] = to_jsonable(stats)
         if isinstance(config.dgp, GaussianDgpSpec) and rule.kind == "two_sided_t":
@@ -230,7 +227,6 @@ def run_simulate(config: SimulateConfig, threads: int | None = None) -> dict:
             n=config.n,
             reps=config.reps,
             seed=config.seed,
-            threads=threads,
         )
         payload["results"] = to_jsonable(measurement)
     return payload

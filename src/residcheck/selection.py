@@ -205,9 +205,7 @@ def _standardize_checks(record: BatchReplications, n: int):
     return math.sqrt(n) * _fixed_order.solve_lower(record.chol_gg, record.gamma_hat)
 
 
-def simulate_replications(
-    config: SelectionConfig, threads: int | None = None
-) -> BatchReplications:
+def simulate_replications(config: SelectionConfig) -> BatchReplications:
     """Run the experiment and return one record of every replication, with t_stats and passed.
 
     Batch b draws from its own stream spawned from the seed
@@ -237,7 +235,7 @@ def simulate_replications(
 
     return run_seeded(
         config.seed, config.reps, lambda rng, size: dgp.draw_replications(rng, n, size),
-        estimate, threads, gate, PILOT_REPS,
+        estimate, gate, PILOT_REPS,
     )
 
 
@@ -307,8 +305,6 @@ def summarize(draws: BatchReplications, c_true: float) -> ConditionalStats:
     )
 
 
-def run_conditional_experiment(
-    config: SelectionConfig, threads: int | None = None
-) -> ConditionalStats:
+def run_conditional_experiment(config: SelectionConfig) -> ConditionalStats:
     """Simulate, apply the rule, and summarize; deterministic given the seed."""
-    return summarize(simulate_replications(config, threads=threads), config.dgp.c_true)
+    return summarize(simulate_replications(config), config.dgp.c_true)

@@ -12,6 +12,7 @@ outcome every :class:`residcheck.JointCovariance` validation must give.
 The cross-score matrix (:func:`cross_score_bias`) measures the bias of
 every fixed-lambda adjustment under every one's worst case. Both runners draw
 through the labs' seeded batch frame (:func:`residcheck._threads.run_seeded`).
+A clustered RCT row draw (:func:`draw_clustered`) feeds the small-m coverage test.
 """
 
 from __future__ import annotations
@@ -171,6 +172,25 @@ def draw_dataset(dgp, rng: np.random.Generator, n: int) -> RctDataset:
     return RctDataset(outcome=rows[:, 0], treatment=rows[:, 1], covariates=rows[:, 2:])
 
 
+def draw_clustered(
+    rng: np.random.Generator, n: int, groups: int, beta=(0.5, -0.3, 0.2)
+) -> tuple[RctDataset, np.ndarray]:
+    """n rows in ``groups`` equal clusters, half the clusters treated, and the cluster ids.
+
+    x = 0.7 u_g + e with u_g ~ N(0, I_p) per cluster, and y = t + x'beta + v_g + e
+    with v_g ~ N(0, 1) per cluster; every e is N(0, 1). The effect is 1.
+    """
+    beta = np.asarray(beta, dtype=float)
+    ids = np.repeat(np.arange(groups), n // groups)
+    treated = np.zeros(groups)
+    treated[rng.permutation(groups)[: groups // 2]] = 1.0
+    shared = 0.7 * rng.standard_normal((groups, beta.size))[ids]
+    x = shared + rng.standard_normal((ids.size, beta.size))
+    t = treated[ids]
+    y = t + x @ beta + rng.standard_normal(groups)[ids] + rng.standard_normal(ids.size)
+    return RctDataset(outcome=y, treatment=t, covariates=x), ids
+
+
 def rct_influence_c(dgp, data: np.ndarray) -> np.ndarray:
     y, t = data[:, 0], data[:, 1]
     mu1 = dgp.alpha + dgp.tau
@@ -321,7 +341,6 @@ def measure_bias(
     reps: int,
     seed: int,
     calibration_draws: int = DEFAULT_CALIBRATION_DRAWS,
-    threads: int | None = None,
     max_total_draws: int = MAX_TOTAL_DRAWS,
 ) -> BiasMeasurement:
     """Measured sqrt(n)-scale bias of the lam adjustment under the perturbed law vs a prediction.
@@ -354,7 +373,7 @@ def measure_bias(
         ])
 
     scaled = math.sqrt(n) * (
-        run_seeded(seed, reps, draw_estimates, lambda estimates: estimates, threads) - dgp.c_true
+        run_seeded(seed, reps, draw_estimates, lambda estimates: estimates) - dgp.c_true
     )
     return BiasMeasurement(
         sqrt_n_bias=float(scaled.mean()),
@@ -380,9 +399,7 @@ class CrossScoreBias:
     predicted: np.ndarray
 
 
-def cross_score_bias(
-    dgp, lambdas, mus, n: int, reps: int, seed: int, threads: int | None = None
-) -> CrossScoreBias:
+def cross_score_bias(dgp, lambdas, mus, n: int, reps: int, seed: int) -> CrossScoreBias:
     """Measure bias of every fixed-lambda adjustment i under every lambda_j's worst case.
 
     Each mu is one run of the seeded batch frame, with the same seed, so
@@ -417,7 +434,7 @@ def cross_score_bias(
         run_seeded(
             seed, reps,
             lambda rng, size, buffers: dgp.perturbed_draws(rng, n, size, mu, buffers),
-            estimate, threads, rep_values=dgp.perturbed_values(n),
+            estimate, rep_values=dgp.perturbed_values(n),
             scratch=lambda size: perturbed_scratch(n, size),
         )
         for mu in mus

@@ -2,8 +2,8 @@
 
 One test per exit criterion; each prints a single pass/fail line (run pytest
 with -s to see them inline). Heavy Monte Carlo runs are shared through
-module-scoped fixtures and use two worker threads, which does not affect any
-output byte.
+module-scoped fixtures and use two worker threads (``RESID_THREADS=2``),
+which does not affect any output byte.
 """
 
 import json
@@ -46,6 +46,13 @@ SELECTION_N = 400
 SELECTION_REPS = 100_000
 
 
+@pytest.fixture(scope="module", autouse=True)
+def two_workers():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("RESID_THREADS", str(THREADS))
+        yield
+
+
 def criterion(num: int, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail}")
     assert ok, f"criterion {num}: {detail}"
@@ -62,7 +69,7 @@ def selection_runs():
             reps=SELECTION_REPS,
             seed=52980 + i,
         )
-        runs[rho] = run_conditional_experiment(config, threads=THREADS)
+        runs[rho] = run_conditional_experiment(config)
     return runs
 
 
@@ -215,8 +222,8 @@ def test_criterion_5_variance_ordering():
 def test_criterion_6_minimax_bias():
     pair = GaussianPairDGP.from_rho(0.5)
     n, reps = 10_000, 10_000
-    m_resid = measure_gaussian_bias(pair, "optimal", 1.0, n=n, reps=reps, seed=62, threads=THREADS)
-    m_short = measure_gaussian_bias(pair, "zero", 1.0, n=n, reps=reps, seed=64, threads=THREADS)
+    m_resid = measure_gaussian_bias(pair, "optimal", 1.0, n=n, reps=reps, seed=62)
+    m_short = measure_gaussian_bias(pair, "zero", 1.0, n=n, reps=reps, seed=64)
     target = math.sqrt(0.75)
     ok = (
         abs(m_resid.sqrt_n_bias - 0.8660) <= 3 * m_resid.mc_se
@@ -226,7 +233,7 @@ def test_criterion_6_minimax_bias():
     lam = float(pair.lambda_opt[0])
     grid = [0.0, lam / 2, lam, 1.5 * lam, 2 * lam]
     mus = [0.5, 1.0, 2.0]
-    matrix = cross_score_bias(pair, grid, mus, n=2000, reps=2500, seed=65, threads=THREADS)
+    matrix = cross_score_bias(pair, grid, mus, n=2000, reps=2500, seed=65)
     misses = saddle_point_misses(matrix, mus, grid.index(lam), target)
     ok = ok and not misses
     criterion(

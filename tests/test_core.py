@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from residcheck import (
     JointCovariance,
     adjusted_variance,
-    misspec_bounds,
     orthogonality_stat,
     residualize,
     worst_case_bias,
@@ -348,11 +347,11 @@ class TestAdjustedVariancePenaltyIdentity:
 
 
 class TestMisspecBounds:
+    """The worst-case bias bound mu ||psi_lambda|| (worst_case_bias) and its minimax value."""
+
     def test_mu_zero(self, scalar_sigma):
-        b = misspec_bounds(scalar_sigma, 0.0)
-        assert np.all(b.worst_case_bias == 0.0)
-        assert b.minimax_bias == 0.0
-        assert b.minimax_mse == pytest.approx(scalar_sigma.sigma_r_sq, rel=1e-14)
+        assert worst_case_bias(scalar_sigma, [0.0], 0.0) == 0.0
+        assert worst_case_bias(scalar_sigma, scalar_sigma.lam, 0.0) == 0.0
 
     def test_unadjusted_gets_full_influence_length(self, scalar_sigma):
         mu = 1.5
@@ -361,14 +360,14 @@ class TestMisspecBounds:
         )
 
     def test_scalar_closed_forms(self, scalar_sigma):
-        # rho = 0.5, sigma_c = 1, mu = 2.
-        b = misspec_bounds(scalar_sigma, 2.0)
-        assert b.minimax_bias == pytest.approx(2.0 * math.sqrt(0.75), abs=1e-12)
-        assert b.minimax_mse == pytest.approx(5.0 * 0.75, abs=1e-12)
+        # rho = 0.5, sigma_c = 1, mu = 2: minimax bias mu sigma_r, MSE (1 + mu^2) sigma_r^2.
+        bias = worst_case_bias(scalar_sigma, scalar_sigma.lam, 2.0)
+        assert bias == pytest.approx(2.0 * math.sqrt(0.75), abs=1e-12)
+        assert bias**2 + scalar_sigma.sigma_r_sq == pytest.approx(5.0 * 0.75, abs=1e-12)
 
     def test_negative_mu_rejected(self, scalar_sigma):
         with pytest.raises(NegativeMu):
-            misspec_bounds(scalar_sigma, -0.5)
+            worst_case_bias(scalar_sigma, scalar_sigma.lam, -0.5)
 
     @given(st.integers(0, 10_000), st.integers(1, 4))
     @settings(max_examples=50, deadline=None)
@@ -376,16 +375,18 @@ class TestMisspecBounds:
         sigma = random_joint_covariance(seed, p)
         rng = np.random.default_rng(seed + 2)
         grid = [rng.standard_normal(p) for _ in range(4)]
-        b = misspec_bounds(sigma, 1.0, lambdas=grid)
-        assert np.all(b.worst_case_bias >= b.minimax_bias - 1e-12)
-        assert np.allclose(b.argmin_lambda, sigma.lam)
+        minimax = worst_case_bias(sigma, sigma.lam, 1.0)
+        assert minimax == pytest.approx(
+            math.sqrt(sigma.sigma_c_sq) * sigma.bias_reduction_factor, rel=1e-10
+        )
+        assert all(worst_case_bias(sigma, lam, 1.0) >= minimax - 1e-12 for lam in grid)
 
     @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 2.0, 10.0])
     def test_mse_factorization_on_mu_grid(self, mu):
         sigma = random_joint_covariance(17, 3)
         sigma_r_sq = sigma.sigma_r_sq
-        b = misspec_bounds(sigma, mu)
-        assert b.minimax_mse / sigma_r_sq == pytest.approx(1.0 + mu**2, rel=1e-12)
+        mse = worst_case_bias(sigma, sigma.lam, mu) ** 2 + sigma_r_sq
+        assert mse / sigma_r_sq == pytest.approx(1.0 + mu**2, rel=1e-12)
 
 
 class TestScaleEquivariance:

@@ -122,23 +122,6 @@ class TestJointCovarianceEstimation:
         cl = joint_covariance(InfluenceContributions(values, cluster_ids=clusters))
         assert cl.sigma_c_sq > iid.sigma_c_sq
 
-    def test_monte_carlo_consistency_rate(self):
-        # ||Sigma_hat - Sigma|| should shrink like n^(-1/2).
-        rng = np.random.default_rng(8)
-        truth = np.array([[1.0, 0.4, 0.1], [0.4, 1.0, 0.2], [0.1, 0.2, 1.0]])
-        chol = np.linalg.cholesky(truth)
-        ns = [500, 2000, 8000]
-        errors = []
-        for n in ns:
-            errs = []
-            for _ in range(200):
-                values = rng.standard_normal((n, 3)) @ chol.T
-                sigma = joint_covariance(InfluenceContributions(values))
-                errs.append(np.linalg.norm(sigma.full_matrix() - truth))
-            errors.append(np.mean(errs))
-        slope = np.polyfit(np.log(ns), np.log(errors), 1)[0]
-        assert -0.7 < slope < -0.3
-
 
 class TestStandardErrors:
     def test_baseline_hand_value(self):

@@ -84,6 +84,20 @@ class TestLoadDataset:
             load_dataset(config_for(write(tmp_path, bad)))
         assert err.value.column == "t"
 
+    @pytest.mark.parametrize("header, column", [
+        ("y,t,x1,x2,y", "y"), ("y,t,x1,x2, x1", "x1"), ("y,t,x1,x2,t ", "t"),
+    ], ids=["outcome", "covariate-spaced", "treatment-spaced"])
+    def test_role_column_named_twice(self, tmp_path, header, column):
+        head, *rows = WELL_FORMED.splitlines()
+        text = "\n".join([header] + [row + ",0.0" for row in rows]) + "\n"
+        with pytest.raises(InputDataError, match=f"column {column!r} appears more than once"):
+            load_dataset(config_for(write(tmp_path, text)))
+
+    def test_repeats_among_unnamed_columns_are_allowed(self, tmp_path):
+        head, *rows = WELL_FORMED.splitlines()
+        text = "\n".join([head + ",z,z"] + [row + ",a,b" for row in rows]) + "\n"
+        assert load_dataset(config_for(write(tmp_path, text))).data.n == 6
+
     def test_non_binary_treatment_row_index(self, tmp_path):
         bad = WELL_FORMED.replace("0.5,0,0.2,0.3", "0.5,2,0.2,0.3")
         with pytest.raises(NonBinaryTreatment) as err:
@@ -725,6 +739,18 @@ class TestCli:
         assert result.returncode == 2
         error = json.loads(result.stderr.decode())
         assert error["error"] == "MissingColumn"
+
+    def test_duplicate_header_name_is_an_input_error(self, tmp_path):
+        head, *rows = WELL_FORMED.splitlines()
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(["y,t,x1,y"] + [r.rsplit(",", 1)[0] + ",0.0" for r in rows]))
+        result = run_cli("analyze", "--input", str(path), "--covariates", "x1")
+        assert result.returncode == 2
+        lines = result.stderr.decode().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "InputDataError"
+        assert "'y' appears more than once" in error["message"]
 
     def test_token_numpy_rejects_is_an_input_error(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -245,11 +245,13 @@ class TestMeasureBias:
                 PAIR, "zero", PAIR_C, PAIR_ROWS, zero_score(), n=10**6, reps=10**6, seed=1,
             )
 
-    def test_deterministic_across_thread_counts(self):
+    def test_deterministic_across_thread_counts(self, monkeypatch):
         score = worst_case_score(PAIR_C, 1.0, PAIR_ROWS, seed=3)
         kwargs = dict(n=500, reps=200, seed=13, calibration_draws=50_000)
-        a = measure_bias(PAIR, "zero", PAIR_C, PAIR_ROWS, score, threads=1, **kwargs)
-        b = measure_bias(PAIR, "zero", PAIR_C, PAIR_ROWS, score, threads=4, **kwargs)
+        monkeypatch.setenv("RESID_THREADS", "1")
+        a = measure_bias(PAIR, "zero", PAIR_C, PAIR_ROWS, score, **kwargs)
+        monkeypatch.setenv("RESID_THREADS", "4")
+        b = measure_bias(PAIR, "zero", PAIR_C, PAIR_ROWS, score, **kwargs)
         assert a == b
 
 
@@ -395,7 +397,8 @@ class TestDrawScratch:
             return dgps.perturbed_scratch(n, size)
 
         monkeypatch.setattr(misspec, "perturbed_scratch", counting)
-        measure_gaussian_bias(PAIR, "optimal", 1.0, n=200, reps=1003, seed=5, threads=threads)
+        monkeypatch.setenv("RESID_THREADS", str(threads))
+        measure_gaussian_bias(PAIR, "optimal", 1.0, n=200, reps=1003, seed=5)
         # The largest batch holds 21 replications.
         assert 1 <= len(made) <= threads and set(made) == {(200, 21)}
 
@@ -572,11 +575,13 @@ class TestCrossScoreBias:
             got, want = getattr(part, field.name)[0], getattr(full, field.name)[1]
             assert np.array_equal(got, want[np.ix_([3, 1], [3, 1])]), field.name
 
-    def test_deterministic_across_thread_counts(self):
+    def test_deterministic_across_thread_counts(self, monkeypatch):
         lam = float(PAIR.lambda_opt[0])
         kwargs = dict(n=200, reps=1000, seed=17)
-        one = cross_score_bias(PAIR, [0.0, lam], [0.5, 2.0], threads=1, **kwargs)
-        four = cross_score_bias(PAIR, [0.0, lam], [0.5, 2.0], threads=4, **kwargs)
+        monkeypatch.setenv("RESID_THREADS", "1")
+        one = cross_score_bias(PAIR, [0.0, lam], [0.5, 2.0], **kwargs)
+        monkeypatch.setenv("RESID_THREADS", "4")
+        four = cross_score_bias(PAIR, [0.0, lam], [0.5, 2.0], **kwargs)
         for field in dataclasses.fields(one):
             assert np.array_equal(getattr(one, field.name), getattr(four, field.name)), field.name
 
@@ -636,7 +641,8 @@ class TestStagedFrame:
             return run_stage(draw, lambda d: stages.append(estimate(d)) or stages[-1], *args)
 
         monkeypatch.setattr(_threads, "run_stage", recording)
-        result = measure_gaussian_bias(PAIR_P2, lam, mu, n=n, reps=reps, seed=seed, threads=threads)
+        monkeypatch.setenv("RESID_THREADS", str(threads))
+        result = measure_gaussian_bias(PAIR_P2, lam, mu, n=n, reps=reps, seed=seed)
         want = np.concatenate([
             estimate(PAIR_P2.perturbed_draws(rng, n, size, mu))
             for rng, size in batch_streams(seed, reps)
@@ -652,7 +658,8 @@ class TestStagedFrame:
         # The matrix maps sample means only; the full moment map gives the same estimates.
         lam = float(PAIR.lambda_opt[0])
         lambdas, mus, n, reps, seed = [0.0, lam, 2 * lam], [0.5, 2.0], 200, 1003, 18
-        matrix = cross_score_bias(PAIR, lambdas, mus, n=n, reps=reps, seed=seed, threads=threads)
+        monkeypatch.setenv("RESID_THREADS", str(threads))
+        matrix = cross_score_bias(PAIR, lambdas, mus, n=n, reps=reps, seed=seed)
         coordinates = [PAIR.score_coordinate(value) for value in lambdas]
         maps = [_adjustment(PAIR, coord.lam)[2] for coord in coordinates]
 
@@ -725,7 +732,7 @@ def _weight_outside(draws):
 
 class TestErrorsInBatchOrder:
     @pytest.mark.parametrize("threads", [1, 4])
-    def test_first_failing_batch_decides(self, threads):
+    def test_first_failing_batch_decides(self, threads, monkeypatch):
         # Batch 0 fails a late gate of validation, batch 1 the first, and batch 2 cannot be drawn.
         dgp = FaultyPair(PAIR, {0: _scatter_along_b, 1: _no_scatter, 2: _weight_outside})
         n, mu, reps, seed = 200, 0.5, 1000, 72
@@ -739,8 +746,9 @@ class TestErrorsInBatchOrder:
         with pytest.raises(DegenerateResidualVariance) as alone:
             for rng, size in batch_streams(seed, reps):
                 run_alone(rng, size)
+        monkeypatch.setenv("RESID_THREADS", str(threads))
         with pytest.raises(DegenerateResidualVariance) as run:
-            measure_gaussian_bias(dgp, "optimal", mu, n=n, reps=reps, seed=seed, threads=threads)
+            measure_gaussian_bias(dgp, "optimal", mu, n=n, reps=reps, seed=seed)
         assert str(run.value) == str(alone.value)
         with pytest.raises(InvalidCovariance):  # batch 1 alone
             run_alone(*batch_streams(seed, reps)[1])

@@ -229,10 +229,12 @@ class TestConditionalExperiment:
                 b.variance.value, abs=3 * np.hypot(a.variance.mc_se, b.variance.mc_se)
             )
 
-    def test_deterministic_across_thread_counts(self):
+    def test_deterministic_across_thread_counts(self, monkeypatch):
         config = scalar_config(0.5, reps=5000)
-        a = run_conditional_experiment(config, threads=1)
-        b = run_conditional_experiment(config, threads=4)
+        monkeypatch.setenv("RESID_THREADS", "1")
+        a = run_conditional_experiment(config)
+        monkeypatch.setenv("RESID_THREADS", "4")
+        b = run_conditional_experiment(config)
         assert a == b
 
     def test_rct_dgp_end_to_end(self):
@@ -495,10 +497,11 @@ class TestPassRateGate:
     """The gate reads the first reported replications; nothing is drawn only to gate."""
 
     @pytest.mark.parametrize("threads", [1, 4])
-    def test_draws_exactly_reps(self, threads):
+    def test_draws_exactly_reps(self, threads, monkeypatch):
         dgp = CountingDGP(GaussianPairDGP.from_rho(0.5))
         config = SelectionConfig(dgp=dgp, rule=T_RULE, n=100, reps=2050, seed=3)
-        draws = simulate_replications(config, threads=threads)
+        monkeypatch.setenv("RESID_THREADS", str(threads))
+        draws = simulate_replications(config)
         assert sum(dgp.sizes) == 2050 == draws.c_short.shape[0]
 
     @pytest.mark.parametrize("threads", [1, 4])
@@ -509,17 +512,22 @@ class TestPassRateGate:
         # hold 1025.
         [(1003, 1003), (2000, 1000), (2050, 1025)],
     )
-    def test_degenerate_rule_stops_after_the_head_batches(self, reps, head_reps, threads):
+    def test_degenerate_rule_stops_after_the_head_batches(
+        self, reps, head_reps, threads, monkeypatch
+    ):
         dgp = CountingDGP(GaussianPairDGP.from_rho(0.5))
         config = SelectionConfig(dgp=dgp, rule=ALWAYS_PASSES, n=100, reps=reps, seed=3)
+        monkeypatch.setenv("RESID_THREADS", str(threads))
         with pytest.raises(DegenerateRule, match="pass rate 1.0000"):
-            simulate_replications(config, threads=threads)
+            simulate_replications(config)
         assert sum(dgp.sizes) == head_reps
 
-    def test_same_at_any_thread_count_when_the_gate_ends_inside_a_batch(self):
+    def test_same_at_any_thread_count_when_the_gate_ends_inside_a_batch(self, monkeypatch):
         config = scalar_config(0.5, reps=1003, n=200, seed=19)
-        one = simulate_replications(config, threads=1)
-        four = simulate_replications(config, threads=4)
+        monkeypatch.setenv("RESID_THREADS", "1")
+        one = simulate_replications(config)
+        monkeypatch.setenv("RESID_THREADS", "4")
+        four = simulate_replications(config)
         for name in ("c_short", "c_resid", "se_short", "se_resid", "gamma_hat", "t_stats", "passed"):
             assert np.array_equal(getattr(one, name), getattr(four, name)), name
         assert summarize(one, config.dgp.c_true) == summarize(four, config.dgp.c_true)
@@ -662,7 +670,8 @@ class TestStagesAreInvisible:
     ):
         monkeypatch.setattr(_threads, "_STACK_REPS", stack_reps)
         config = SelectionConfig(dgp=dgp, rule=rule, n=n, reps=reps, seed=61)
-        record = simulate_replications(config, threads=threads)
+        monkeypatch.setenv("RESID_THREADS", str(threads))
+        record = simulate_replications(config)
         parts = batch_by_batch(config)
         for f in dataclasses.fields(record):
             got = getattr(record, f.name)
@@ -706,7 +715,8 @@ class TestOneValidationPerStage:
         monkeypatch.setattr(JointCovariance, "__post_init__", counting)
         config = SelectionConfig(dgp=dgp, rule=WALD_2 if dgp is CORRELATED_PAIR else WALD_3,
                                  n=200, reps=reps, seed=62)
-        simulate_replications(config, threads=threads)
+        monkeypatch.setenv("RESID_THREADS", str(threads))
+        simulate_replications(config)
         return calls
 
 
@@ -781,11 +791,14 @@ class TestErrorsInBatchOrder:
         ],
         ids=["gaussian", "rct"],
     )
-    def test_first_failing_batch_decides(self, dgp, faults, joined_error, want, threads):
+    def test_first_failing_batch_decides(
+        self, dgp, faults, joined_error, want, threads, monkeypatch
+    ):
         config = SelectionConfig(dgp=FaultyDGP(dgp, faults), rule=WALD_3, n=200, reps=2050, seed=63)
         expected = first_error(lambda: batch_by_batch(config))
         assert expected[0] is want
-        assert first_error(lambda: simulate_replications(config, threads=threads)) == expected
+        monkeypatch.setenv("RESID_THREADS", str(threads))
+        assert first_error(lambda: simulate_replications(config)) == expected
         # Estimated at once, the stage's draws would fail otherwise.
         children = np.random.SeedSequence(63).spawn(_N_BATCHES)
         with pytest.raises(joined_error):

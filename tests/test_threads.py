@@ -103,10 +103,10 @@ class TestMapBatches:
             map_batches(fn, 50, workers)
         assert 0 in started and len(started) <= workers
 
-    @pytest.mark.parametrize("n_batches, threads, helpers", [
+    @pytest.mark.parametrize("n_batches, workers, helpers", [
         (0, 8, None), (1, 8, None), (1, 1, None), (5, 1, None), (3, 8, 2), (20, 4, 3),
     ])
-    def test_pool_holds_the_helpers_only(self, monkeypatch, n_batches, threads, helpers):
+    def test_pool_holds_the_helpers_only(self, monkeypatch, n_batches, workers, helpers):
         made, pool = [], _threads.ThreadPoolExecutor
 
         def recording(max_workers):
@@ -114,7 +114,7 @@ class TestMapBatches:
             return pool(max_workers)
 
         monkeypatch.setattr(_threads, "ThreadPoolExecutor", recording)
-        assert map_batches(lambda i: -i, n_batches, threads) == [-i for i in range(n_batches)]
+        assert map_batches(lambda i: -i, n_batches, workers) == [-i for i in range(n_batches)]
         assert made == ([] if helpers is None else [helpers])
 
 
@@ -165,7 +165,7 @@ class TestDefaultWorkers:
 
 
 class TestStageWorkers:
-    """run_seeded sizes each stage's pool; a set count keeps its meaning."""
+    """run_seeded sizes each stage's pool; a set RESID_THREADS keeps its meaning."""
 
     @pytest.fixture
     def stages(self, monkeypatch):
@@ -174,20 +174,19 @@ class TestStageWorkers:
         monkeypatch.delenv("RESID_THREADS", raising=False)
         run_stage, seen = _threads.run_stage, []
 
-        def recording(draw, estimate, batches, sizes, threads):
-            seen.append((len(batches), threads))
-            return run_stage(draw, estimate, batches, sizes, threads)
+        def recording(draw, estimate, batches, sizes, workers):
+            seen.append((len(batches), workers))
+            return run_stage(draw, estimate, batches, sizes, workers)
 
         monkeypatch.setattr(_threads, "run_stage", recording)
         return seen
 
     @staticmethod
-    def run(rep_values=None, threads=None, gate_reps=0):
+    def run(rep_values=None, gate_reps=0):
         gate = (lambda head: None) if gate_reps else None
         values = {} if rep_values is None else {"rep_values": rep_values}
         return run_seeded(
-            5, 1000, lambda rng, size: rng.random(size), lambda x: x, threads, gate, gate_reps,
-            **values,
+            5, 1000, lambda rng, size: rng.random(size), lambda x: x, gate, gate_reps, **values
         )
 
     def test_default_per_stage(self, stages):
@@ -213,10 +212,12 @@ class TestStageWorkers:
         assert stages == [(25, 1), (25, 1)]  # the pass-rate gate's head stage, then the rest
 
     def test_set_count_is_kept(self, stages, monkeypatch):
-        self.run(403, threads=8)
+        monkeypatch.setenv("RESID_THREADS", "8")
+        self.run(403)
         monkeypatch.setenv("RESID_THREADS", "3")
         self.run(4003)
-        self.run(4003, threads=0)
+        monkeypatch.setenv("RESID_THREADS", "0")
+        self.run(4003)
         assert stages == [(50, 8), (50, 3), (50, 1)]
 
 
@@ -235,7 +236,7 @@ def test_default_bytes_equal_one_worker(monkeypatch):
 class TestScratch:
     """Each worker's batches draw into one scratch set, made in the calling thread."""
 
-    def test_sets_are_never_shared(self):
+    def test_sets_are_never_shared(self, monkeypatch):
         # More workers than cores, switching threads as often as the interpreter allows.
         made, held, lock = [], set(), threading.Lock()
 
@@ -252,20 +253,22 @@ class TestScratch:
                 held.remove(id(buffers))
             return np.full(size, values[0])
 
+        monkeypatch.setenv("RESID_THREADS", "16")
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            drawn = run_seeded(3, 1003, draw, lambda x: x, 16, rep_values=1, scratch=make)
+            drawn = run_seeded(3, 1003, draw, lambda x: x, rep_values=1, scratch=make)
         finally:
             sys.setswitchinterval(switch)
         assert drawn.shape == (1003,) and not held
         # 16 sets for 16 workers, each for the largest batch, all made in this thread.
         assert made == [(threading.get_ident(), 21)] * 16
 
-    def test_one_set_per_run_across_stages(self):
+    def test_one_set_per_run_across_stages(self, monkeypatch):
         made = []
+        monkeypatch.setenv("RESID_THREADS", "4")
         run_seeded(
-            3, 1003, lambda rng, size, buffers: rng.random(size), lambda x: x, 4,
+            3, 1003, lambda rng, size, buffers: rng.random(size), lambda x: x,
             lambda head: None, 100, rep_values=1, scratch=made.append,
         )
         # The head stage's 5 batches take 4 workers, the rest reuse them.
