@@ -21,9 +21,9 @@ at the random numbers:
 ``draw_replications`` makes a batch's draws from its stream, and
 ``estimate_replications`` maps any number of batches' joined draws to one
 :class:`BatchReplications` record, every step elementwise over the
-replications. A lab thus draws per batch and estimates once per stage, or
-per bounded stack of a large stage (:func:`_threads.run_stage`), without
-caring which family drew. Both build it in ``_record``, from one
+replications. A lab thus draws per batch and estimates once per bounded
+stack of batches (:func:`_threads.run_seeded`), without caring which family
+drew. Both build it in ``_record``, from one
 :meth:`JointCovariance.from_matrix`, whose Cholesky factor of the check
 block it carries, not the block; the RCT adds its long estimator on top.
 """
@@ -44,9 +44,9 @@ from .rct import arm_statistics, long_coefficients
 
 @dataclass(frozen=True)
 class BatchReplications:
-    """Aligned per-replication arrays of a lab stage or, joined, of a lab run.
+    """Aligned per-replication arrays of a lab stack or, joined, of a lab run.
 
-    ``chol_gg`` is the Sigma_gg factor from the stage's covariance validation;
+    ``chol_gg`` is the Sigma_gg factor from the stack's covariance validation;
     the long estimator is RCT only; the selection lab sets ``t_stats`` and ``passed``.
     """
 

@@ -17,10 +17,10 @@ On the Gaussian pair ||psi_lambda|| = sqrt(a' Sigma a) exactly, so its
 runner :func:`measure_gaussian_bias`, behind ``simulate --lab misspec``,
 reports predicted = mu sqrt(a' Sigma a), with predicted_se 0, and draws no
 calibration sample. Its replications are the labs' seeded batch frame
-(:func:`_threads.run_seeded`) in one stage: each batch draws once, in
-standard units (:meth:`GaussianPairDGP.perturbed_draws`), into one set of
-scratch buffers per worker made once per run, and the batches' draws are
-joined and mapped once (:meth:`ScoreCoordinate.perturbed_moments`, then the
+(:func:`_threads.run_seeded`): each batch draws once, in standard units
+(:meth:`GaussianPairDGP.perturbed_draws`), into one set of scratch buffers
+per worker made once per run, and each stack of batches' draws is joined
+and mapped once (:meth:`ScoreCoordinate.perturbed_moments`, then the
 ``--lambda`` moment map, defined only in :func:`_adjustment`).
 Before any draw, it refuses a run in which n reps erfc(sqrt(n) / (mu
 sqrt(2))), the expected number of its draws whose weight leaves [0, 2],
@@ -115,8 +115,8 @@ def measure_gaussian_bias(
     psi_lam's worst case of size mu. sqrt_n_bias averages sqrt(n) (estimate
     - c_true) over reps independent replications of n exact draws from the
     perturbed law, with its MC standard error. The replications are the
-    seeded batch frame in one stage: each batch draws in standard units, and
-    the joined draws of every batch are mapped to sample moments and through
+    seeded batch frame: each batch draws in standard units, and the joined
+    draws of each stack of batches are mapped to sample moments and through
     the estimator's moment map once. predicted is mu ||psi_lam|| = mu sd_u
     exactly, with predicted_se 0.
     """

@@ -18,12 +18,12 @@ are byte-identical at any thread count. The first batches that hold at least
 rate lies in [0.02, 0.98], and they are reported with the rest, so no
 replication is drawn only to gate.
 
-A run is two stages, the head batches and then the rest, with the gate
-between them (the frame's head gate). A stage draws each of its batches
-(on the worker pool, if any), then estimates once over all their draws (per
-4,096 replications in a larger stage): one covariance validation, whose
-Cholesky factor standardizes the checks, and one application of the rule,
-recording T_n and the pass indicator in one :class:`dgps.BatchReplications`.
+A run draws its batches in stacks of at most 4,096 replications, and
+estimates once per stack: one covariance validation, whose Cholesky factor
+standardizes the checks, and one application of the rule, recording T_n
+and the pass indicator in one :class:`dgps.BatchReplications`. The head
+batches end a stack, and the gate reads them before any later batch is
+drawn (the frame's head gate).
 The summary computes every batch's count, mean, variance, coverage and
 rejection rate in one pass over the batch axis (``np.add.reduceat`` over the
 batch starts), and pools over all replications.
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -59,25 +58,20 @@ MAX_REP_CELLS = 40_000_000
 class ReportingRule:
     """Pass/fail rule q(T_n) <= threshold on the standardized check.
 
-    Built-in kinds: ``two_sided_t`` (|T_j| for coordinate ``coord``),
-    ``wald`` (T'T), ``max_abs`` (max_j |T_j|), and ``custom`` with a
-    user-supplied vectorized q. Built-ins are validated analytically: the
-    pass probability under a standard normal limit must be strictly inside
-    (0, 1), which holds exactly when the threshold is positive and finite.
+    Kinds: ``two_sided_t`` (|T_j| for coordinate ``coord``), ``wald``
+    (T'T) and ``max_abs`` (max_j |T_j|). A rule is validated analytically:
+    the pass probability under a standard normal limit must be strictly
+    inside (0, 1), which holds exactly when the threshold is positive and
+    finite.
     """
 
     kind: str
     threshold: float
     coord: int = 0
-    q: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("two_sided_t", "wald", "max_abs", "custom"):
+        if self.kind not in ("two_sided_t", "wald", "max_abs"):
             raise ConfigError(f"unknown rule kind {self.kind!r}")
-        if self.kind == "custom":
-            if self.q is None:
-                raise ConfigError("custom rules require a q callable")
-            return
         a = float(self.threshold)
         if not math.isfinite(a) or a <= 0.0:
             raise DegenerateRule(
@@ -90,15 +84,13 @@ class ReportingRule:
             return np.abs(t_stats[:, self.coord])
         if self.kind == "wald":
             return np.einsum("bj,bj->b", t_stats, t_stats)
-        if self.kind == "max_abs":
-            return np.abs(t_stats).max(axis=1)
-        return np.asarray(self.q(t_stats), dtype=float)
+        return np.abs(t_stats).max(axis=1)
 
     def passes(self, t_stats: np.ndarray) -> np.ndarray:
         return self.q_values(t_stats) <= self.threshold
 
-    def pass_probability(self, p_gamma: int) -> float | None:
-        """Exact pass probability under a N(0, I) limit; None for custom.
+    def pass_probability(self, p_gamma: int) -> float:
+        """Exact pass probability under a N(0, I) limit.
 
         P(|Z| <= a) = erf(a / sqrt(2)), which keeps its relative precision at
         small a, where 2 Phi(a) - 1 cancels.
@@ -108,9 +100,7 @@ class ReportingRule:
             return math.erf(a * SQRT1_2)
         if self.kind == "wald":
             return chi2_cdf(a, p_gamma)
-        if self.kind == "max_abs":
-            return math.erf(a * SQRT1_2) ** p_gamma
-        return None
+        return math.erf(a * SQRT1_2) ** p_gamma
 
 
 @dataclass(frozen=True)
@@ -221,9 +211,9 @@ def simulate_replications(config: SelectionConfig) -> BatchReplications:
     def estimate(draws) -> BatchReplications:
         # Values that overflow surface as the validation errors, not numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            stage = dgp.estimate_replications(draws, n)
-            t_stats = _standardize_checks(stage, n)
-            return replace(stage, t_stats=t_stats, passed=config.rule.passes(t_stats))
+            stack = dgp.estimate_replications(draws, n)
+            t_stats = _standardize_checks(stack, n)
+            return replace(stack, t_stats=t_stats, passed=config.rule.passes(t_stats))
 
     def gate(head: BatchReplications) -> None:
         head_rate = float(head.passed.mean())

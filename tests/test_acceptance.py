@@ -188,7 +188,7 @@ def test_criterion_5_variance_ordering():
     sizes = batch_sizes(reps, n_batches)
     children = np.random.SeedSequence(411200).spawn(n_batches)
 
-    def run_batch(b):
+    def run_batch(b, slot):
         draws = dgp.draw_replications(np.random.default_rng(children[b]), n, sizes[b])
         reps = dgp.estimate_replications(draws, n)
         return np.column_stack([reps.c_short, reps.c_long, reps.c_resid])

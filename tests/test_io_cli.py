@@ -1032,9 +1032,11 @@ class TestCli:
         assert result.stdout.startswith(b"usage: residcheck simulate")
 
     def test_import_leaves_scipy_unloaded(self):
+        # Nor the thread-pool, queue and logging modules, which the labs' draws do not need.
         code = (
             "import sys, residcheck.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m in ('concurrent.futures', 'queue', 'logging')))"
         )
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr

@@ -57,6 +57,13 @@ PAIR_P2 = GaussianPairDGP(
     sigma_c_gamma=np.array([0.6, -0.4]),
     sigma_gamma_gamma=np.array([[1.0, 0.3], [0.3, 2.0]]),
 )
+# Three correlated checks: w_g, the part of the checks independent of a score's
+# coordinate u, has off-diagonal covariance under every lambda of the p = 3 grid.
+PAIR_P3 = GaussianPairDGP(
+    sigma_c_sq=2.0,
+    sigma_c_gamma=np.array([0.7, -0.5, 0.4]),
+    sigma_gamma_gamma=np.array([[1.0, 0.5, 0.3], [0.5, 1.5, -0.4], [0.3, -0.4, 1.2]]),
+)
 PAIR_ROWS = partial(draw, PAIR)
 PAIR_C = partial(influence_c, PAIR)
 
@@ -526,6 +533,26 @@ class TestWeightGate:
             check_weight_bound(np.array([0.0, np.nan]), 4)
 
 
+def cross_mse_misses(matrix, dgp, lambdas, mus) -> list[str]:
+    """The cells of a cross-score matrix whose MSE is beyond 4 MC SE of its closed form.
+
+    Adjustment i under lambda_j's worst case has sqrt(n)-scale MSE a_i' Sigma
+    a_i + (mu a_i' Sigma a_j)^2 / (a_j' Sigma a_j), a = (1, -lambda). Off the
+    diagonal its variance term reads the law of w = d - b u_j, the part of d
+    independent of u_j, which no bias reads.
+    """
+    a = np.column_stack([np.ones(len(lambdas)), -np.reshape(lambdas, (len(lambdas), -1))])
+    cross = a @ dgp.population_covariance(2).full_matrix() @ a.T
+    norm_sq = np.diagonal(cross)
+    misses = []
+    for k, mu in enumerate(mus):
+        want = norm_sq[:, None] + (mu * cross) ** 2 / norm_sq[None, :]
+        bad = np.abs(matrix.mse[k] - want) > 4 * matrix.mse_se[k]
+        if np.any(bad):
+            misses.append(f"mu={mu}: MSE beyond 4 MC SE at {np.argwhere(bad).tolist()}")
+    return misses
+
+
 class TestCrossScoreBias:
     """B[i, j]: the bias of the lambda_i adjustment under lambda_j's worst-case score."""
 
@@ -560,6 +587,25 @@ class TestCrossScoreBias:
         matrix = cross_score_bias(PAIR_P2, lambdas, mus, n=2000, reps=6000, seed=26)
         sigma_r = math.sqrt(PAIR_P2.population_covariance(2).sigma_r_sq)
         assert saddle_point_misses(matrix, mus, 0, sigma_r) == []
+        # A w_g covariance without its off-diagonal moves the MSE of lambda* - delta e_2
+        # under lambda = 0's score by 17.7 MC SE at mu = 0.5 (closed form).
+        assert cross_mse_misses(matrix, PAIR_P2, lambdas, mus) == []
+
+    def test_saddle_point_at_optimal_lambda_p3(self):
+        # As at p = 2, over lambda*, lambda* +- delta e_k (k = 1, 2, 3) and 0. Each row's
+        # diagonal leads its closest entry by mu sqrt((1 - rho_ij) / 2) sqrt(reps) sd in
+        # the mean: at least 7.6 at mu = 0.5, delta = 0.5 and 4,000 reps. Off the diagonal
+        # the MSE reads w_g's law: with its covariance's off-diagonal dropped, 14 cells at
+        # mu = 0.5 (12 at mu = 2) move by more than 8 MC SE, the largest, lambda* - delta
+        # e_2 under lambda = 0's score, by 75 (closed form).
+        lam, delta = PAIR_P3.lambda_opt, 0.5
+        steps = [delta * np.eye(3)[k] * sign for k in range(3) for sign in (1, -1)]
+        lambdas = [lam] + [lam + step for step in steps] + [np.zeros(3)]
+        mus = [0.5, 2.0]
+        matrix = cross_score_bias(PAIR_P3, lambdas, mus, n=2000, reps=4000, seed=33)
+        sigma_r = math.sqrt(PAIR_P3.population_covariance(2).sigma_r_sq)
+        assert saddle_point_misses(matrix, mus, 0, sigma_r) == []
+        assert cross_mse_misses(matrix, PAIR_P3, lambdas, mus) == []
 
     def test_single_cell_matches_full_grid(self):
         # Common random numbers per batch: every mu restarts its batch's
@@ -635,12 +681,12 @@ class TestStagedFrame:
         def estimate(draws):
             return from_moments(*coordinate.perturbed_moments(draws), n)
 
-        run_stage, stages = _threads.run_stage, []
+        estimate_stack, stages = _threads._estimate_stack, []
 
         def recording(draw, estimate, *args):
-            return run_stage(draw, lambda d: stages.append(estimate(d)) or stages[-1], *args)
+            return estimate_stack(draw, lambda d: stages.append(estimate(d)) or stages[-1], *args)
 
-        monkeypatch.setattr(_threads, "run_stage", recording)
+        monkeypatch.setattr(_threads, "_estimate_stack", recording)
         monkeypatch.setenv("RESID_THREADS", str(threads))
         result = measure_gaussian_bias(PAIR_P2, lam, mu, n=n, reps=reps, seed=seed)
         want = np.concatenate([

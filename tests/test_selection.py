@@ -95,10 +95,6 @@ class TestReportingRules:
         with pytest.raises(DegenerateRule):
             ReportingRule(kind="max_abs", threshold=float("inf"))
 
-    def test_custom_rule_requires_q(self):
-        with pytest.raises(ConfigError):
-            ReportingRule(kind="custom", threshold=1.0)
-
     def test_pass_probability_formulas(self):
         assert T_RULE.pass_probability(1) == pytest.approx(0.95, abs=1e-4)
         wald = ReportingRule(kind="wald", threshold=5.991464547107979)
@@ -490,7 +486,7 @@ class CountingDGP:
         return getattr(self.dgp, name)
 
 
-ALWAYS_PASSES = ReportingRule(kind="custom", threshold=0.0, q=lambda t: np.zeros(t.shape[0]))
+ALWAYS_PASSES = ReportingRule("wald", 1e300)
 
 
 class TestPassRateGate:
@@ -645,8 +641,8 @@ def batch_by_batch(config):
 RCT_SMALL_ARMS = RctLinearDGP(
     beta=np.linspace(1.0, -1.0, 10), interaction=np.linspace(0.5, 0.0, 10), pi=0.5
 )
-# Passes about half of all replications, whatever the DGP.
-FIRST_CHECK_NEGATIVE = ReportingRule(kind="custom", threshold=0.0, q=lambda t: t[:, 0])
+# |T_1| at most its median under N(0, 1): passes about half of all replications.
+FIRST_CHECK_HALF = ReportingRule("two_sided_t", 0.6745)
 
 
 class TestStagesAreInvisible:
@@ -662,7 +658,7 @@ class TestStagesAreInvisible:
         [(CORRELATED_PAIR, 60, WALD_2, 1003), (CORRELATED_PAIR, 60, WALD_2, 2050),
          (RCT_THREE_CHECKS, 200, WALD_3, 1003),
          (RCT_THREE_CHECKS, 200, WALD_3, 2050),
-         (RCT_SMALL_ARMS, 30, FIRST_CHECK_NEGATIVE, 1003)],
+         (RCT_SMALL_ARMS, 30, FIRST_CHECK_HALF, 1003)],
         ids=["gaussian-1003", "gaussian-2050", "rct-1003", "rct-2050", "rct-small-arms-1003"],
     )
     def test_record_equals_batch_by_batch(

@@ -30,7 +30,7 @@ class TestMapBatches:
 
     @pytest.mark.parametrize("workers", [2, 3, 8])
     def test_results_in_index_order(self, workers):
-        def uneven(i):
+        def uneven(i, slot):
             time.sleep(0.001 * ((7 * i) % 5))
             return i * i
 
@@ -40,7 +40,7 @@ class TestMapBatches:
         # More workers than cores, switching threads as often as the interpreter allows.
         calls, lock = [], threading.Lock()
 
-        def fn(i):
+        def fn(i, slot):
             time.sleep(0)  # lets another loop run
             with lock:
                 calls.append(i)
@@ -58,7 +58,7 @@ class TestMapBatches:
     def test_calling_thread_draws(self):
         seen = []
 
-        def record(i):
+        def record(i, slot):
             seen.append(threading.get_ident())
             time.sleep(0.005)
             return i
@@ -71,7 +71,7 @@ class TestMapBatches:
         caller, helper_entered = threading.get_ident(), threading.Event()
         before = threading.active_count()
 
-        def fn(i):
+        def fn(i, slot):
             in_caller = threading.get_ident() == caller
             if not in_caller:
                 helper_entered.set()
@@ -92,7 +92,7 @@ class TestMapBatches:
         # finishes the one batch it may hold, and none takes another.
         started = []
 
-        def fn(i):
+        def fn(i, slot):
             started.append(i)
             if i == 0:
                 raise Boom(i)
@@ -107,15 +107,18 @@ class TestMapBatches:
         (0, 8, None), (1, 8, None), (1, 1, None), (5, 1, None), (3, 8, 2), (20, 4, 3),
     ])
     def test_pool_holds_the_helpers_only(self, monkeypatch, n_batches, workers, helpers):
-        made, pool = [], _threads.ThreadPoolExecutor
+        made = []
 
-        def recording(max_workers):
-            made.append(max_workers)
-            return pool(max_workers)
+        class Recording(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(_threads, "ThreadPoolExecutor", recording)
-        assert map_batches(lambda i: -i, n_batches, workers) == [-i for i in range(n_batches)]
-        assert made == ([] if helpers is None else [helpers])
+        monkeypatch.setattr(threading, "Thread", Recording)
+        assert map_batches(lambda i, slot: -i, n_batches, workers) == [
+            -i for i in range(n_batches)
+        ]
+        assert len(made) == (0 if helpers is None else helpers)
 
 
 class TestDefaultWorkers:
@@ -123,7 +126,7 @@ class TestDefaultWorkers:
 
     @pytest.mark.parametrize("cores, want", [(1, 1), (2, 2), (64, 9)])
     def test_bench_misspec_stage(self, cores, want):
-        # n = 2,000 and 1,000 reps: one stage of 50 batches, each 20 x 4,003 values.
+        # n = 2,000 and 1,000 reps: one stack of 50 batches, each 20 x 4,003 values.
         values = batch_values(PAIR.perturbed_values(2000), 1000)
         assert values == 80_060
         assert default_workers(cores, 50, values) == want
@@ -165,20 +168,20 @@ class TestDefaultWorkers:
 
 
 class TestStageWorkers:
-    """run_seeded sizes each stage's pool; a set RESID_THREADS keeps its meaning."""
+    """run_seeded sizes each stack's pool; a set RESID_THREADS keeps its meaning."""
 
     @pytest.fixture
     def stages(self, monkeypatch):
-        """(batches, workers) of every stage run, at 64 usable cores."""
+        """(batches, workers) of every stack run, at 64 usable cores."""
         monkeypatch.setattr(_threads, "usable_cores", lambda: 64)
         monkeypatch.delenv("RESID_THREADS", raising=False)
-        run_stage, seen = _threads.run_stage, []
+        estimate_stack, seen = _threads._estimate_stack, []
 
-        def recording(draw, estimate, batches, sizes, workers):
-            seen.append((len(batches), workers))
-            return run_stage(draw, estimate, batches, sizes, workers)
+        def recording(draw, estimate, stack, workers):
+            seen.append((len(stack), workers))
+            return estimate_stack(draw, estimate, stack, workers)
 
-        monkeypatch.setattr(_threads, "run_stage", recording)
+        monkeypatch.setattr(_threads, "_estimate_stack", recording)
         return seen
 
     @staticmethod
@@ -191,7 +194,7 @@ class TestStageWorkers:
 
     def test_default_per_stage(self, stages):
         self.run(4003)
-        self.run(4003, gate_reps=100)  # a head stage of 5 batches
+        self.run(4003, gate_reps=100)  # a head stack of 5 batches
         self.run(403)
         self.run()  # no values given: one worker
         assert stages == [(50, 9), (5, 5), (45, 9), (50, 1), (50, 1)]
@@ -209,7 +212,7 @@ class TestStageWorkers:
         rule = RuleSpec(kind="wald", threshold=7.815) if isinstance(dgp, RctDgpSpec) else RuleSpec()
         run_simulate(SimulateConfig(lab="selection", n=2000, reps=2000, seed=3, dgp=dgp,
                                     rule=rule))
-        assert stages == [(25, 1), (25, 1)]  # the pass-rate gate's head stage, then the rest
+        assert stages == [(25, 1), (25, 1)]  # the pass-rate gate's head stack, then the rest
 
     def test_set_count_is_kept(self, stages, monkeypatch):
         monkeypatch.setenv("RESID_THREADS", "8")
@@ -271,5 +274,58 @@ class TestScratch:
             3, 1003, lambda rng, size, buffers: rng.random(size), lambda x: x,
             lambda head: None, 100, rep_values=1, scratch=made.append,
         )
-        # The head stage's 5 batches take 4 workers, the rest reuse them.
+        # The head stack's 5 batches take 4 workers, the rest reuse them.
         assert made == [21] * 4
+
+
+class TestHeadGate:
+    """The gate reads the whole head once, before any later batch, when it spans stacks too."""
+
+    SEED, REPS, HEAD = 5, 2050, 25  # 50 batches of 41; the first 25 hold 1,025 >= 1,000
+
+    def run(self, monkeypatch, threads, gate, drawn):
+        """run_seeded at two batches per stack; drawn gets each batch's first value as drawn.
+
+        ``gate(head, drawn_then)`` sees the head and the values drawn until then.
+        """
+        monkeypatch.setattr(_threads, "_STACK_REPS", 100)
+        monkeypatch.setenv("RESID_THREADS", str(threads))
+        lock = threading.Lock()
+
+        def draw(rng, size):
+            values = rng.random(size)
+            with lock:
+                drawn.append(values[0])
+            return values
+
+        return run_seeded(
+            self.SEED, self.REPS, draw, lambda x: x, lambda head: gate(head, list(drawn)), 1000
+        )
+
+    def head_firsts(self):
+        children = np.random.SeedSequence(self.SEED).spawn(_N_BATCHES)
+        batches = [np.random.default_rng(child).random(41) for child in children]
+        return batches, sorted(batch[0] for batch in batches[: self.HEAD])
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_gate_reads_the_head_once(self, monkeypatch, threads):
+        gated = []
+        result = self.run(
+            monkeypatch, threads, lambda head, drawn: gated.append((head, drawn)), []
+        )
+        batches, head_firsts = self.head_firsts()
+        assert len(gated) == 1
+        head, drawn = gated[0]
+        assert np.array_equal(head, np.concatenate(batches[: self.HEAD]))  # in batch order
+        assert sorted(drawn) == head_firsts
+        assert np.array_equal(result, np.concatenate(batches))
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_raising_gate_stops_the_run(self, monkeypatch, threads):
+        def gate(head, drawn_then):
+            raise Boom(head.size)
+
+        drawn = []
+        with pytest.raises(Boom, match="1025"):
+            self.run(monkeypatch, threads, gate, drawn)
+        assert sorted(drawn) == self.head_firsts()[1]
