@@ -1,9 +1,10 @@
 """Deterministic batch parallelism for the labs' draws: one seeded batch frame.
 
 Every lab splits its replications into _N_BATCHES contiguous batches
-(:func:`run_seeded`), which also give its Monte Carlo standard errors. Batch
-b draws from the b-th stream spawned from the seed, so its random numbers
-depend on the seed and b alone. A run is one loop over stacks of
+(:func:`run_seeded`), which only seed the streams and split the work; the
+Monte Carlo SEs are i.i.d. over the replications. Batch b draws from the
+b-th stream spawned from the seed, so its random numbers depend on the seed
+and b alone. A run is one loop over stacks of
 consecutive batches, of at most _STACK_REPS replications each: a stack's
 batches are drawn, possibly on several workers, joined in batch order and
 estimated once. When a head gate reads the first batches, the head ends a
@@ -205,7 +206,7 @@ def _estimate_stack(draw, estimate, stack: list[int], workers: int):
     raise failure
 
 
-# Seeded batches of every lab's replications, which also give its Monte Carlo SEs.
+# Seeded batches of every lab's replications: they seed the streams and split the work.
 _N_BATCHES = 50
 
 

@@ -10,13 +10,14 @@ truncated-normal oracle available in the scalar Gaussian case:
     Var(Z_g | |Z_g| <= t) = 1 - 2 t phi(t) / (2 Phi(t) - 1)
     Var(Z_s | |Z_g| <= t) = (1 - rho^2) + rho^2 Var(Z_g | |Z_g| <= t)
 
-Monte Carlo standard errors come from the labs' seeded batch frame
-(:func:`_threads.run_seeded`), which always splits the replications into 50
-contiguous batches; each batch draws from its own seeded stream, so results
-are byte-identical at any thread count. The first batches that hold at least
-1,000 replications also gate the run: output is emitted only when their pass
-rate lies in [0.02, 0.98], and they are reported with the rest, so no
-replication is drawn only to gate.
+Replications are drawn in the labs' seeded batch frame
+(:func:`_threads.run_seeded`), which always splits them into 50 contiguous
+batches; each batch draws from its own seeded stream, so results are
+byte-identical at any thread count. The batches only seed the streams and
+split the work. The first batches that hold at least 1,000 replications
+also gate the run: output is emitted only when their pass rate lies in
+[0.02, 0.98], and they are reported with the rest, so no replication is
+drawn only to gate.
 
 A run draws its batches in stacks of at most 4,096 replications, and
 estimates once per stack: one covariance validation, whose Cholesky factor
@@ -24,9 +25,12 @@ standardizes the checks, and one application of the rule, recording T_n
 and the pass indicator in one :class:`dgps.BatchReplications`. The head
 batches end a stack, and the gate reads them before any later batch is
 drawn (the frame's head gate).
-The summary computes every batch's count, mean, variance, coverage and
-rejection rate in one pass over the batch axis (``np.add.reduceat`` over the
-batch starts), and pools over all replications.
+
+The summary pools each side of the rule over its m replications, with
+Monte Carlo SEs i.i.d. over them (Morris, White & Crowther 2019, Stat. Med.
+38): sqrt(var / m) for the mean, sqrt((m4 - var^2 (m - 3)/(m - 1)) / m) for
+the variance, with m4 the mean fourth central power, and sqrt(r (1 - r) / m)
+for a rate r; each is NaN below m = 2.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 
 from . import _fixed_order
 from ._distributions import SQRT1_2, Z975, chi2_cdf, normal_cdf, normal_pdf
-from ._threads import _N_BATCHES, batch_sizes, run_seeded
+from ._threads import run_seeded
 from .dgps import BatchReplications, GaussianPairDGP, RctLinearDGP
 from .errors import ConfigError, DegenerateRule, DomainError
 
@@ -229,62 +233,53 @@ def simulate_replications(config: SelectionConfig) -> BatchReplications:
     )
 
 
-def _with_batch_se(pooled: float, per_batch: np.ndarray, counts: np.ndarray, least: int):
-    """pooled, with an MC SE from the spread of per_batch over the batches.
-
-    A batch holding fewer than ``least`` masked values does not count.
-    """
-    vals = per_batch[counts >= least]
-    vals = vals[np.isfinite(vals)]
-    se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size >= 2 else float("nan")
-    return MetricWithSE(value=pooled, mc_se=se)
-
-
 def _condition_summary(
-    est: np.ndarray, se: np.ndarray, mask: np.ndarray, c_true: float, starts: np.ndarray
+    est: np.ndarray, se: np.ndarray, mask: np.ndarray, c_true: float
 ) -> ConditionSummary:
-    """Pooled moments of the masked replications; each batch's at once, over the batch axis."""
-    count = int(mask.sum())
-    if count == 0:
-        nan = MetricWithSE(float("nan"), float("nan"))
-        return ConditionSummary(count=0, mean=nan, variance=nan, coverage=nan, rejection_rate=nan)
-    err = np.abs(est - c_true)
-    covered, rejected = err <= Z975 * se, err > Z975 * se
-    counts = np.add.reduceat(mask, starts, dtype=float)
-
-    def batch_sums(values):
-        return np.add.reduceat(np.where(mask, values, 0.0), starts)
-
-    # A batch with too few masked values gives NaN or inf here and is then left out.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        means = batch_sums(est) / counts
-        dev = est - np.repeat(means, np.diff(starts, append=mask.size))
-        variances = batch_sums(dev * dev) / (counts - 1.0)
-        coverage, rejection = batch_sums(covered) / counts, batch_sums(rejected) / counts
+    """Pooled moments of the m masked replications, with i.i.d. MC SEs (NaN below m = 2)."""
+    m = int(mask.sum())
+    nan = float("nan")
+    if m == 0:
+        none = MetricWithSE(nan, nan)
+        return ConditionSummary(count=0, mean=none, variance=none, coverage=none, rejection_rate=none)
     kept = est[mask]
+    err, bound = np.abs(kept - c_true), Z975 * se[mask]
+    mean = float(kept.mean())
+    var = var_se = nan
+    if m >= 2:
+        # kept.var(ddof=1) bit for bit; squared again, the fourth central powers.
+        sq = kept - mean
+        sq *= sq
+        var = float(np.add.reduce(sq) / (m - 1))
+        sq *= sq
+        m4 = float(np.add.reduce(sq) / m)
+        # The max absorbs rounding only.
+        var_se = math.sqrt(max(m4 - var * var * (m - 3) / (m - 1), 0.0) / m)
+
+    def rate(flags: np.ndarray) -> MetricWithSE:
+        r = float(flags.mean())
+        return MetricWithSE(r, math.sqrt(r * (1.0 - r) / m) if m >= 2 else nan)
+
     return ConditionSummary(
-        count=count,
-        mean=_with_batch_se(float(kept.mean()), means, counts, 1),
-        variance=_with_batch_se(
-            float(kept.var(ddof=1)) if count >= 2 else float("nan"), variances, counts, 2
-        ),
-        coverage=_with_batch_se(float(covered[mask].mean()), coverage, counts, 1),
-        rejection_rate=_with_batch_se(float(rejected[mask].mean()), rejection, counts, 1),
+        count=m,
+        mean=MetricWithSE(mean, math.sqrt(var) / math.sqrt(m)),
+        variance=MetricWithSE(var, var_se),
+        coverage=rate(err <= bound),
+        rejection_rate=rate(err > bound),
     )
 
 
 def summarize(draws: BatchReplications, c_true: float) -> ConditionalStats:
-    """Pool conditional moments, coverage, and test size with batch MC SEs."""
+    """Pool conditional moments, coverage, and test size with i.i.d. MC SEs."""
     passed = draws.passed
     reps = passed.size
-    starts = np.cumsum([0] + batch_sizes(reps, _N_BATCHES)[:-1])
     pass_rate = float(passed.mean())
     estimators: dict[str, dict[str, ConditionSummary]] = {}
     for name, (est, se) in draws.estimators().items():
         estimators[name] = {
-            "all": _condition_summary(est, se, np.ones_like(passed), c_true, starts),
-            "pass": _condition_summary(est, se, passed, c_true, starts),
-            "fail": _condition_summary(est, se, ~passed, c_true, starts),
+            "all": _condition_summary(est, se, np.ones_like(passed), c_true),
+            "pass": _condition_summary(est, se, passed, c_true),
+            "fail": _condition_summary(est, se, ~passed, c_true),
         }
     return ConditionalStats(
         n_reps=reps,

@@ -29,7 +29,7 @@ BANDS = 4.0
 IID_P, IID_REPS = 10, 5000
 IID_N_SEEDS = {100: 1701, 200: 1702, 2000: 1703}
 CLUSTER_N, CLUSTER_P, CLUSTER_REPS = 2000, 3, 1500
-CLUSTER_G_SEEDS = {20: 1711, 200: 1712}
+CLUSTER_G_SEEDS = {20: 1711, 50: 1713, 200: 1712}
 
 
 def small_m_factor(m: int, p: int) -> float:

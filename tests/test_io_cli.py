@@ -870,7 +870,7 @@ class TestCli:
             "--n", "2000", "--reps", "3000", "--seed", "7",
         )
         assert result.returncode == 0, result.stderr
-        assert hashlib.md5(result.stdout).hexdigest() == "3d7173b963e7e3745bcb894e507e8289"
+        assert hashlib.md5(result.stdout).hexdigest() == "decd1ee10a7a71e5fb98c4b488028eb3"
 
     def test_simulate_misspec_zero_mu(self):
         result = run_cli(

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chi2, ks_2samp, kstest, norm, truncnorm
+from scipy.stats import chi2, ks_2samp, kstest, moment, norm, truncnorm
 
 from residcheck import JointCovariance, _fixed_order, _threads
 from residcheck._distributions import Z975
@@ -529,33 +529,36 @@ class TestPassRateGate:
         assert summarize(one, config.dgp.c_true) == summarize(four, config.dgp.c_true)
 
 
-def per_slice_summary(draws, c_true, n_batches=50):
-    """The summary computed one batch slice at a time, with numpy's own mean and var.
+def reference_summary(draws, c_true):
+    """The summary from numpy's own mean and var per side, and the i.i.d. MC SE formulas.
 
-    The reference for ``summarize``, which computes each batch's values at once
-    over the batch axis: the same pooled values and counts, and MC SEs from the
-    same per-batch values up to summation order.
+    The reference for ``summarize``: the same pooled values and counts bit for
+    bit, and SEs computed here by another route: scipy's fourth central moment
+    and numpy's std.
     """
-    sizes = batch_sizes(draws.passed.size, n_batches)
-    bounds = np.cumsum([0] + sizes)
-    slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
-    def metric(values, mask, stat, least=1):
-        vals = np.array([stat(values[s][mask[s]]) for s in slices if mask[s].sum() >= least])
-        vals = vals[np.isfinite(vals)]
-        se = vals.std(ddof=1) / np.sqrt(vals.size) if vals.size >= 2 else np.nan
-        pooled = stat(values[mask]) if mask.sum() >= least else np.nan
-        return float(pooled), float(se)
+    def rate(flags):
+        r = flags.mean()
+        return r, np.sqrt(r * (1.0 - r) / flags.size) if flags.size >= 2 else np.nan
 
     def condition(est, se, mask):
-        if not mask.any():
+        m = int(mask.sum())
+        if m == 0:
             return 0, [(np.nan, np.nan)] * 4
-        err = np.abs(est - c_true)
-        return int(mask.sum()), [
-            metric(est, mask, np.mean),
-            metric(est, mask, lambda v: v.var(ddof=1), least=2),
-            metric(err <= Z975 * se, mask, np.mean),
-            metric(err > Z975 * se, mask, np.mean),
+        kept = est[mask]
+        err = np.abs(kept - c_true)
+        if m >= 2:
+            var = kept.var(ddof=1)
+            m4 = moment(kept, 4)
+            variance = var, np.sqrt((m4 - var**2 * (m - 3) / (m - 1)) / m)
+            mean_se = kept.std(ddof=1) / np.sqrt(m)
+        else:
+            variance, mean_se = (np.nan, np.nan), np.nan
+        return m, [
+            (kept.mean(), mean_se),
+            variance,
+            rate(err <= Z975 * se[mask]),
+            rate(err > Z975 * se[mask]),
         ]
 
     passed = draws.passed
@@ -566,9 +569,9 @@ def per_slice_summary(draws, c_true, n_batches=50):
     return float(passed.mean()), out
 
 
-def assert_matches_per_slice(draws, c_true):
+def assert_matches_reference(draws, c_true):
     stats = summarize(draws, c_true)
-    pass_rate, reference = per_slice_summary(draws, c_true)
+    pass_rate, reference = reference_summary(draws, c_true)
     assert stats.n_reps == draws.passed.size
     assert np.array_equal(stats.pass_rate, pass_rate)
     assert set(stats.estimators) == {name for name, _ in reference}
@@ -581,41 +584,75 @@ def assert_matches_per_slice(draws, c_true):
             np.testing.assert_allclose(metric.mc_se, mc_se, rtol=1e-12, err_msg=f"{name} {cond}")
 
 
+def with_failures(draws, failures):
+    """draws with only the replications at the indices ``failures`` failing the rule."""
+    passed = np.ones(draws.passed.size, dtype=bool)
+    passed[failures] = False
+    return dataclasses.replace(draws, passed=passed)
+
+
 class TestSummaryOverTheBatchAxis:
-    """summarize gives the per-slice computation's values, counts and (nearly) MC SEs."""
+    """summarize pools over every batch's replications: numpy's values and counts, i.i.d. SEs."""
 
     def test_gaussian_run(self):
         config = SelectionConfig(dgp=CORRELATED_PAIR, rule=WALD_2, n=200, reps=2050, seed=41)
-        assert_matches_per_slice(simulate_replications(config), CORRELATED_PAIR.c_true)
+        assert_matches_reference(simulate_replications(config), CORRELATED_PAIR.c_true)
 
     def test_rct_run(self):
         rule = ReportingRule(kind="max_abs", threshold=2.24)
         config = SelectionConfig(dgp=RCT_THREE_CHECKS, rule=rule, n=2000, reps=2000, seed=42)
         draws = simulate_replications(config)
         assert draws.c_long is not None
-        assert_matches_per_slice(draws, RCT_THREE_CHECKS.c_true)
+        assert_matches_reference(draws, RCT_THREE_CHECKS.c_true)
 
-    def test_batches_with_fewer_than_two_failures(self):
-        # 50 batches of 20 at a 95% pass rate: about one failure per batch.
-        config = scalar_config(0.5, reps=1000, n=100, seed=43)
-        draws = simulate_replications(config)
-        fails = np.add.reduceat(~draws.passed, np.arange(0, 1000, 20))
-        assert (fails < 2).any() and (fails >= 2).any()
-        assert_matches_per_slice(draws, 0.0)
+    @pytest.mark.parametrize("failures", [1, 2, 3])
+    def test_fail_side_counts(self, failures):
+        # At m = 3 the variance SE's var^2 term vanishes.
+        draws = simulate_replications(scalar_config(0.5, reps=1000, n=100, seed=43))
+        draws = with_failures(draws, [5, 11, 760][:failures])
+        assert_matches_reference(draws, 0.0)
+        fail = summarize(draws, 0.0).estimators["residualized"]["fail"]
+        assert fail.count == failures
+        se = [fail.mean.mc_se, fail.variance.mc_se, fail.coverage.mc_se, fail.rejection_rate.mc_se]
+        assert np.isnan(se).all() if failures == 1 else np.isfinite(se).all()
 
     @pytest.mark.parametrize("failures", [0, 1, 2])
     def test_too_few_values(self, failures):
         # No failure gives the all-NaN summary; one gives a NaN pooled variance.
         draws = simulate_replications(scalar_config(0.5, reps=1000, n=100, seed=44))
-        passed = np.ones(1000, dtype=bool)
-        passed[[3, 517][:failures]] = False
-        draws = dataclasses.replace(draws, passed=passed)
-        assert_matches_per_slice(draws, 0.0)
+        draws = with_failures(draws, [3, 517][:failures])
+        assert_matches_reference(draws, 0.0)
         fail = summarize(draws, 0.0).estimators["short"]["fail"]
         assert fail.count == failures
         assert np.isnan(fail.variance.value) == (failures < 2)
         assert np.isnan(fail.mean.value) == (failures == 0)
         assert np.isnan(fail.mean.mc_se) == (failures < 2)
+
+
+# A standard deviation over k seeds has relative SE about 1/sqrt(2 (k - 1)); the band is 4 of them.
+CALIBRATION_SEEDS = range(1000, 1300)
+CALIBRATION_BAND = 4.0 / math.sqrt(2 * (len(CALIBRATION_SEEDS) - 1))
+
+
+def test_mc_se_matches_the_spread_across_seeds():
+    """On every side of the rule, each metric's spread across seeds is its mean reported MC SE.
+
+    Sizes and seeds are fixed; the fail side holds about 5% of the replications.
+    """
+    metrics = ("mean", "variance", "coverage", "rejection_rate")
+    values, ses = {}, {}
+    for seed in CALIBRATION_SEEDS:
+        stats = run_conditional_experiment(scalar_config(0.5, reps=2000, n=200, seed=seed))
+        for name, sides in stats.estimators.items():
+            for side, summary in sides.items():
+                for metric in metrics:
+                    got = getattr(summary, metric)
+                    values.setdefault((name, side, metric), []).append(got.value)
+                    ses.setdefault((name, side, metric), []).append(got.mc_se)
+    assert len(values) == 24
+    ratios = {cell: np.std(values[cell], ddof=1) / np.mean(ses[cell]) for cell in values}
+    off = {cell: round(r, 3) for cell, r in ratios.items() if abs(r - 1.0) > CALIBRATION_BAND}
+    assert not off, off
 
 
 def batch_by_batch(config):
