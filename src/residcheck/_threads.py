@@ -16,12 +16,13 @@ The workers run the draws only, and the calling thread is one of them:
 with w workers it drains the stack's batches beside w - 1 helper threads
 (:func:`map_batches`). :func:`run_seeded` decides w per stack: a set
 RESID_THREADS environment variable, the one worker setting, fixes w at that
-many (at most one per batch). Otherwise a lab that gives the random values
-one replication draws has w set by :func:`default_workers`, from the usable
-cores, the stack's batches and the values one batch draws; a lab that
-gives none, as the selection labs do, draws on one worker. Draws that need
-scratch memory get one set per worker slot, the calling thread's included,
-made once per run in the calling thread and reused by every batch.
+many (at most one per batch). Otherwise a lab whose draws need scratch
+memory has w set by :func:`default_workers`, from the usable cores, the
+stack's batches and the bytes of one worker's scratch set; a lab that needs
+none, as the selection labs do, draws on one worker. Each worker slot, the
+calling thread's included, gets one scratch set, made once per run in the
+calling thread (slot 0's first, which sizes the pool) and reused by every
+batch.
 """
 
 from __future__ import annotations
@@ -65,27 +66,26 @@ def resolve_threads() -> int:
     return usable_cores() if count is None else count
 
 
-# A worker beyond the first pays off only when a batch draws this many random
-# values per worker: drawing them runs outside the interpreter lock, and must
-# outweigh the steps of a batch that hold it. The selection labs' draws hold
-# the lock longer per value, so they give no values and stay on one worker.
-# The timings behind the rule (one and two workers only) are in CHANGES.md.
-_WORKER_VALUES = 8_192
-# The batches being drawn at once hold at most this many values (64 MiB of
-# doubles) when the pool has more than one worker, so memory does not grow
-# with the core count.
-_POOL_VALUES = 1 << 23
+# A worker beyond the first pays off only when its scratch set holds this many
+# bytes (4,096 cells of 24 bytes, each a drawn normal and uniform): drawing
+# them runs outside the interpreter lock, and must outweigh the steps of a
+# batch that hold it. The selection labs' draws hold the lock longer per
+# value and need no scratch, so they stay on one worker. The timings behind
+# the rule (one and two workers only) are in CHANGES.md.
+_WORKER_BYTES = 98_304
+# The workers' scratch sets hold at most this many bytes together, so memory
+# does not grow with the core count; a single larger set gets one worker.
+_POOL_BYTES = 64 << 20
 
 
-def default_workers(cores: int, batches: int, batch_values: int) -> int:
+def default_workers(cores: int, batches: int, scratch_bytes: int) -> int:
     """Workers of a stack's draw pool when no count is set.
 
-    One per _WORKER_VALUES random values that one batch draws, at most one per
-    core and per batch, and no more than keep _POOL_VALUES values in flight;
-    at least one.
+    One per _WORKER_BYTES of one worker's scratch set, at most one per core
+    and per batch, and no more than keep _POOL_BYTES of scratch; at least one.
     """
     return max(1, min(
-        cores, batches, batch_values // _WORKER_VALUES, _POOL_VALUES // max(1, batch_values)
+        cores, batches, scratch_bytes // _WORKER_BYTES, _POOL_BYTES // max(1, scratch_bytes)
     ))
 
 
@@ -218,7 +218,6 @@ def run_seeded(
     gate: Callable[[R], None] | None = None,
     gate_reps: int = 0,
     *,
-    rep_values: int = 0,
     scratch: Callable[[int], S] | None = None,
 ) -> R:
     """estimate of reps replications, drawn in _N_BATCHES seeded batches.
@@ -227,7 +226,8 @@ def run_seeded(
     by ``draw(default_rng(child), size)`` with child the b-th child of
     SeedSequence(seed), or by ``draw(rng, size, buffers)`` with a worker's
     own set of ``scratch(size)`` buffers, made here at the largest batch's
-    size. ``estimate`` maps joined draws to results elementwise over the
+    size; slot 0's set, made first, sizes the pool (:func:`default_workers`).
+    ``estimate`` maps joined draws to results elementwise over the
     replication axis, so each replication has the bits its batch alone
     gives it. With a gate, the head batches, the fewest from the start that
     hold at least gate_reps replications, go to ``gate`` before any other
@@ -237,15 +237,16 @@ def run_seeded(
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     count = _env_threads()  # a bad RESID_THREADS fails before any draw
     head = len(sizes) if gate is None else int(np.searchsorted(np.cumsum(sizes), gate_reps)) + 1
-    sets, results = [], []
+    sets = [] if scratch is None else [scratch(sizes[0])]
+    results = []
 
     def draw_batch(b: int, slot: int) -> T:
         rng = np.random.default_rng(children[b])
         return draw(rng, sizes[b]) if scratch is None else draw(rng, sizes[b], sets[slot])
 
     for stack in _stacks(range(head), sizes) + _stacks(range(head, len(sizes)), sizes):
-        workers = min(len(stack), count or default_workers(
-            usable_cores(), len(stack), rep_values * sizes[0]
+        workers = min(len(stack), count or (
+            default_workers(usable_cores(), len(stack), sets[0].nbytes) if sets else 1
         ))
         while scratch is not None and len(sets) < workers:
             sets.append(scratch(sizes[0]))

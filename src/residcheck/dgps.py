@@ -201,7 +201,8 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # A perturbed batch draws its standard coordinates in blocks of at most
-# this many (8 MB per array of doubles), so its memory stays bounded at large n.
+# this many (8 MB per array of doubles), so its memory stays bounded at large
+# n up to n = 2^20: a block holds at least one replication, n values.
 _SCORE_BLOCK = 1 << 20
 
 
@@ -209,7 +210,8 @@ def perturbed_scratch(n: int, size: int) -> np.ndarray:
     """Buffers for |z|, the weights and the uniforms of :meth:`GaussianPairDGP.perturbed_draws`.
 
     One (3, rows, n) array, rows the block of a batch of up to size
-    replications at n: 24 bytes per value that one block draws.
+    replications at n: 24 bytes per value that one block draws. Its bytes
+    size the misspec lab's draw pool (:func:`_threads.default_workers`).
     """
     return np.empty((3, min(size, max(1, _SCORE_BLOCK // n)), n))
 
@@ -386,13 +388,6 @@ class GaussianPairDGP:
         p = self.p_gamma
         z1, z2 = rng.standard_normal((size, p)), rng.standard_normal((size, p))
         return PerturbedDraws(n, z_mean, s_zz, z1, z2, _bartlett(rng, p, np.full(size, n - 2)))
-
-    def perturbed_values(self, n: int) -> int:
-        """Random values one replication of :meth:`perturbed_draws` draws at n: n normals,
-        n uniforms, then z1, z2 and a Bartlett factor's p chi-squares and p (p - 1) / 2
-        normals."""
-        p = self.p_gamma
-        return 2 * n + p * (p + 5) // 2
 
     def score_coordinate(self, lam) -> ScoreCoordinate:
         """The coordinate u = a'd, a = (1, -lam), that psi_lam and its worst-case score read.

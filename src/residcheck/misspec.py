@@ -19,7 +19,8 @@ reports predicted = mu sqrt(a' Sigma a), with predicted_se 0, and draws no
 calibration sample. Its replications are the labs' seeded batch frame
 (:func:`_threads.run_seeded`): each batch draws once, in standard units
 (:meth:`GaussianPairDGP.perturbed_draws`), into one set of scratch buffers
-per worker made once per run, and each stack of batches' draws is joined
+per worker made once per run, whose bytes set the default worker count
+(:func:`_threads.default_workers`), and each stack of batches' draws is joined
 and mapped once (:meth:`ScoreCoordinate.perturbed_moments`, then the
 ``--lambda`` moment map, defined only in :func:`_adjustment`).
 Before any draw, it refuses a run in which n reps erfc(sqrt(n) / (mu
@@ -140,7 +141,7 @@ def measure_gaussian_bias(
     estimates = run_seeded(
         seed, reps, lambda rng, size, buffers: dgp.perturbed_draws(rng, n, size, mu, buffers),
         lambda draws: from_moments(*coordinate.perturbed_moments(draws), n),
-        rep_values=dgp.perturbed_values(n), scratch=lambda size: perturbed_scratch(n, size),
+        scratch=lambda size: perturbed_scratch(n, size),
     )
     scaled = math.sqrt(n) * (estimates - dgp.c_true)
     return BiasMeasurement(

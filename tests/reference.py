@@ -434,8 +434,7 @@ def cross_score_bias(dgp, lambdas, mus, n: int, reps: int, seed: int) -> CrossSc
         run_seeded(
             seed, reps,
             lambda rng, size, buffers: dgp.perturbed_draws(rng, n, size, mu, buffers),
-            estimate, rep_values=dgp.perturbed_values(n),
-            scratch=lambda size: perturbed_scratch(n, size),
+            estimate, scratch=lambda size: perturbed_scratch(n, size),
         )
         for mu in mus
     ]).reshape(mus.size, len(lambdas), len(lambdas), reps)

@@ -7,18 +7,18 @@ import time
 import numpy as np
 import pytest
 
-from residcheck import _threads
-from residcheck._threads import _N_BATCHES, batch_sizes, default_workers, map_batches, run_seeded
+from residcheck import _threads, misspec
+from residcheck._threads import (
+    _N_BATCHES, _POOL_BYTES, _WORKER_BYTES, batch_sizes, default_workers, map_batches, run_seeded,
+)
 from residcheck.dgps import GaussianPairDGP, perturbed_scratch
 from residcheck.io import GaussianDgpSpec, RctDgpSpec, RuleSpec, ScoreSpec, SimulateConfig
 from residcheck.report import json_bytes, run_simulate
 
-PAIR = GaussianPairDGP.from_rho(0.5)
 
-
-def batch_values(rep_values: int, reps: int) -> int:
-    """Random values that the largest batch of a run of reps draws."""
-    return rep_values * batch_sizes(reps, _N_BATCHES)[0]
+def scratch_bytes(n: int, reps: int) -> int:
+    """Bytes of one worker's misspec scratch set in a run of reps at n."""
+    return perturbed_scratch(n, batch_sizes(reps, _N_BATCHES)[0]).nbytes
 
 
 class Boom(Exception):
@@ -122,42 +122,39 @@ class TestMapBatches:
 
 
 class TestDefaultWorkers:
-    """The default pool size is a function of cores, batches and values per batch alone."""
+    """The default pool size is a function of cores, batches and scratch bytes per worker alone."""
 
     @pytest.mark.parametrize("cores, want", [(1, 1), (2, 2), (64, 9)])
     def test_bench_misspec_stage(self, cores, want):
-        # n = 2,000 and 1,000 reps: one stack of 50 batches, each 20 x 4,003 values.
-        values = batch_values(PAIR.perturbed_values(2000), 1000)
-        assert values == 80_060
-        assert default_workers(cores, 50, values) == want
+        # n = 2,000 and 1,000 reps: one stack of 50 batches, each a 3 x 20 x 2,000 scratch set.
+        scratch = scratch_bytes(2000, 1000)
+        assert scratch == 960_000
+        assert default_workers(cores, 50, scratch) == want
 
     @pytest.mark.parametrize("cores", [1, 2, 64])
     @pytest.mark.parametrize("n", [200, 300, 400, 500, 1000])
     def test_smaller_misspec_batches_stay_on_one_worker(self, cores, n):
-        # Batches under 16,384 values: 20 x (2n + 3) at 1,000 reps up to n = 400 (two workers
+        # Sets under 2 x 98,304 bytes: 24 x 20 x n at 1,000 reps up to n = 400 (two workers
         # were faster in only 14 of 36 in-process pairs at n = 200), and at n = 500 and
-        # 1,000 the largest batches that stay under, at 800 and 400 reps (16 x 1,003 and
-        # 8 x 2,003 values).
-        values = batch_values(PAIR.perturbed_values(n), {500: 800, 1000: 400}.get(n, 1000))
-        assert values < 16_384
-        assert default_workers(cores, 50, values) == 1
+        # 1,000 the largest batches that stay under, at 800 and 400 reps (24 x 16 x 500 and
+        # 24 x 8 x 1,000 bytes).
+        scratch = scratch_bytes(n, {500: 800, 1000: 400}.get(n, 1000))
+        assert scratch < 2 * _WORKER_BYTES
+        assert default_workers(cores, 50, scratch) == 1
 
     @pytest.mark.parametrize("cores", [1, 2, 64])
     @pytest.mark.parametrize("n, want", [(410, 2), (500, 2), (1000, 4)])
     def test_misspec_batches_from_16_384_values_share_the_cores(self, cores, n, want):
-        # Two workers were faster in 29 of 36 pairs at n = 500 (20,060 values per batch)
+        # Two workers were faster in 29 of 36 pairs at n = 500 (240,000 bytes per set)
         # and in 36 of 36 at n = 1,000.
-        assert default_workers(cores, 50, batch_values(PAIR.perturbed_values(n), 1000)) == min(
-            cores, want
-        )
+        assert default_workers(cores, 50, scratch_bytes(n, 1000)) == min(cores, want)
 
     def test_pool_scratch_is_bounded_at_criterion_6_size(self):
         # n = 10,000 and 10,000 reps: 200 replications per batch, 25 MB of scratch per
         # worker, so one worker per batch at 64 cores would hold 50 x 25 MB.
-        n, largest = 10_000, batch_sizes(10_000, _N_BATCHES)[0]
-        scratch = perturbed_scratch(n, largest).nbytes
-        assert scratch == 3 * 104 * n * 8
-        workers = default_workers(64, _N_BATCHES, PAIR.perturbed_values(n) * largest)
+        scratch = scratch_bytes(10_000, 10_000)
+        assert scratch == 3 * 104 * 10_000 * 8
+        workers = default_workers(64, _N_BATCHES, scratch)
         assert 1 < workers and workers * scratch <= 64 << 20
 
     def test_every_argument_caps_the_pool(self):
@@ -165,6 +162,46 @@ class TestDefaultWorkers:
         assert default_workers(64, 2, 10**6) == 2
         assert default_workers(64, 50, 0) == 1
         assert default_workers(64, 50, 10**9) == 1
+
+
+def test_misspec_pool_over_a_grid_of_runs(monkeypatch):
+    # measure_gaussian_bias with no draws: each scratch set is a zero-strided stand-in with
+    # perturbed_scratch's shape, and each stack only records its workers.
+    monkeypatch.delenv("RESID_THREADS", raising=False)
+    sets, stacks = [], []
+
+    def stand_in(n, size):
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "empty", lambda shape: np.broadcast_to(0.0, shape))
+            sets.append(perturbed_scratch(n, size))
+        return sets[-1]
+
+    def record(draw, estimate, stack, workers):
+        stacks.append((len(stack), workers))
+        return np.zeros(len(stack))
+
+    monkeypatch.setattr(misspec, "perturbed_scratch", stand_in)
+    monkeypatch.setattr(_threads, "_estimate_stack", record)
+    failures = []
+    for p in (1, 2, 3):
+        dgp = GaussianPairDGP(sigma_c_gamma=np.full(p, 0.3), sigma_gamma_gamma=np.eye(p))
+        for n in (50, 400, 410, 2_000, 3_000, 5_000, 10_000, 50_000, 200_000):
+            for reps in (1_000, 1_003, 4_000, 10_000, 100_000):
+                if n * reps > misspec.MAX_TOTAL_DRAWS:
+                    continue
+                for cores in (2, 4, 64):
+                    monkeypatch.setattr(_threads, "usable_cores", lambda: cores)
+                    sets.clear()
+                    stacks.clear()
+                    misspec.measure_gaussian_bias(dgp, "optimal", 0.0, n, reps, 1)
+                    one, held = sets[0].nbytes, sum(s.nbytes for s in sets)
+                    if held > max(_POOL_BYTES, one):
+                        failures.append((p, n, reps, cores, f"holds {held} bytes"))
+                    if 2 * _WORKER_BYTES <= one <= _POOL_BYTES // 2 and any(
+                        batches > 1 and workers < 2 for batches, workers in stacks
+                    ):
+                        failures.append((p, n, reps, cores, f"one worker at {one} bytes"))
+    assert not failures
 
 
 class TestStageWorkers:
@@ -185,18 +222,22 @@ class TestStageWorkers:
         return seen
 
     @staticmethod
-    def run(rep_values=None, gate_reps=0):
+    def run(n=None, gate_reps=0):
+        """1,000 reps, with the misspec scratch sets at n if n is given."""
         gate = (lambda head: None) if gate_reps else None
-        values = {} if rep_values is None else {"rep_values": rep_values}
+        if n is None:
+            return run_seeded(5, 1000, lambda rng, size: rng.random(size), lambda x: x, gate,
+                              gate_reps)
         return run_seeded(
-            5, 1000, lambda rng, size: rng.random(size), lambda x: x, gate, gate_reps, **values
+            5, 1000, lambda rng, size, buffers: rng.random(size), lambda x: x, gate, gate_reps,
+            scratch=lambda size: perturbed_scratch(n, size),
         )
 
     def test_default_per_stage(self, stages):
-        self.run(4003)
-        self.run(4003, gate_reps=100)  # a head stack of 5 batches
-        self.run(403)
-        self.run()  # no values given: one worker
+        self.run(2000)
+        self.run(2000, gate_reps=100)  # a head stack of 5 batches
+        self.run(200)
+        self.run()  # no scratch: one worker
         assert stages == [(50, 9), (5, 5), (45, 9), (50, 1), (50, 1)]
 
     @pytest.mark.parametrize("dgp", [
@@ -216,17 +257,17 @@ class TestStageWorkers:
 
     def test_set_count_is_kept(self, stages, monkeypatch):
         monkeypatch.setenv("RESID_THREADS", "8")
-        self.run(403)
+        self.run(200)
         monkeypatch.setenv("RESID_THREADS", "3")
-        self.run(4003)
+        self.run(2000)
         monkeypatch.setenv("RESID_THREADS", "0")
-        self.run(4003)
+        self.run(2000)
         assert stages == [(50, 8), (50, 3), (50, 1)]
 
 
 def test_default_bytes_equal_one_worker(monkeypatch):
-    # simulate output with RESID_THREADS unset, on a pool of four workers (20 x 4,003
-    # values per batch at 4 patched cores), equals its output at RESID_THREADS=1.
+    # simulate output with RESID_THREADS unset, on a pool of four workers (960,000 bytes of
+    # scratch per worker at 4 patched cores), equals its output at RESID_THREADS=1.
     config = SimulateConfig(lab="misspec", n=2000, reps=1000, seed=9,
                             dgp=GaussianDgpSpec(rho=0.5), score=ScoreSpec(lam="optimal", mu=1.0))
     monkeypatch.setattr(_threads, "usable_cores", lambda: 4)
@@ -260,7 +301,7 @@ class TestScratch:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            drawn = run_seeded(3, 1003, draw, lambda x: x, rep_values=1, scratch=make)
+            drawn = run_seeded(3, 1003, draw, lambda x: x, scratch=make)
         finally:
             sys.setswitchinterval(switch)
         assert drawn.shape == (1003,) and not held
@@ -272,7 +313,7 @@ class TestScratch:
         monkeypatch.setenv("RESID_THREADS", "4")
         run_seeded(
             3, 1003, lambda rng, size, buffers: rng.random(size), lambda x: x,
-            lambda head: None, 100, rep_values=1, scratch=made.append,
+            lambda head: None, 100, scratch=made.append,
         )
         # The head stack's 5 batches take 4 workers, the rest reuse them.
         assert made == [21] * 4
