@@ -168,7 +168,7 @@ def join(parts: Sequence):
     if dataclasses.is_dataclass(first):
         return dataclasses.replace(first, **{
             f.name: join([getattr(part, f.name) for part in parts])
-            for f in dataclasses.fields(first) if f.init
+            for f in dataclasses.fields(first)
         })
     return first
 

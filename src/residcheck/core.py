@@ -101,7 +101,7 @@ class JointCovariance:
     sigma_c_gamma: np.ndarray
     sigma_gamma_gamma: np.ndarray
     n: int
-    _chol_gg: np.ndarray = field(init=False, repr=False, compare=False)
+    _low_gg: np.ndarray = field(init=False, repr=False, compare=False)
     _lambda: np.ndarray = field(init=False, repr=False, compare=False)
     _explained: float = field(init=False, repr=False, compare=False)
 
@@ -175,7 +175,7 @@ class JointCovariance:
         object.__setattr__(self, "sigma_c_sq", _fixed_order.scalar_or_stack(scc))
         object.__setattr__(self, "n", int(self.n))
         chol.flags.writeable = False
-        object.__setattr__(self, "_chol_gg", chol)
+        object.__setattr__(self, "_low_gg", chol)
         lam.flags.writeable = False
         object.__setattr__(self, "_lambda", lam)
         object.__setattr__(self, "_explained", explained)
@@ -202,14 +202,13 @@ class JointCovariance:
     def full_matrix(self) -> np.ndarray:
         return self.full_matrix_of(self.sigma_c_sq, self.sigma_c_gamma, self.sigma_gamma_gamma)
 
-    @property
-    def chol_gg(self) -> np.ndarray:
-        """Lower Cholesky factor of Sigma_gg that validation computed (read-only)."""
-        return self._chol_gg
-
     def solve_gg(self, rhs: np.ndarray) -> np.ndarray:
         """Solve Sigma_gg x = rhs for p-vectors through the cached Cholesky factor."""
-        return _fixed_order.cho_solve(self._chol_gg, rhs)
+        return _fixed_order.cho_solve(self._low_gg, rhs)
+
+    def standardize(self, gamma: np.ndarray) -> np.ndarray:
+        """T_n = sqrt(n) L^{-1} gamma for p-vectors, L the cached Cholesky factor of Sigma_gg."""
+        return math.sqrt(self.n) * _fixed_order.solve_lower(self._low_gg, gamma)
 
     @property
     def lam(self) -> np.ndarray:

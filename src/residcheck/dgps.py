@@ -25,7 +25,8 @@ replications. A lab thus draws per batch and estimates once per bounded
 stack of batches (:func:`_threads.run_seeded`), without caring which family
 drew. Both build it in ``_record``, from one
 :meth:`JointCovariance.from_matrix`, whose Cholesky factor of the check
-block it carries, not the block; the RCT adds its long estimator on top.
+block standardizes the checks there: the record carries T_n, not the
+factor. The RCT adds its long estimator on top.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .rct import arm_statistics, long_coefficients
 class BatchReplications:
     """Aligned per-replication arrays of a lab stack or, joined, of a lab run.
 
-    ``chol_gg`` is the Sigma_gg factor from the stack's covariance validation;
-    the long estimator is RCT only; the selection lab sets ``t_stats`` and ``passed``.
+    ``t_stats`` is the standardized check vector T_n; the long estimator is
+    RCT only; the selection lab sets ``passed``.
     """
 
     c_short: np.ndarray
@@ -55,10 +56,9 @@ class BatchReplications:
     se_short: np.ndarray
     se_resid: np.ndarray
     gamma_hat: np.ndarray
-    chol_gg: np.ndarray
+    t_stats: np.ndarray
     c_long: np.ndarray | None = None
     se_long: np.ndarray | None = None
-    t_stats: np.ndarray | None = None
     passed: np.ndarray | None = None
 
     def estimators(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -71,7 +71,7 @@ class BatchReplications:
 
 
 def _record(c_short: np.ndarray, gamma: np.ndarray, cov: np.ndarray, n: int):
-    """The lab record of replications from c_short, gamma and 1/n covariances, and cov validated."""
+    """The lab record, with T_n, from c_short, gamma and 1/n covariances, and cov validated."""
     sigma = JointCovariance.from_matrix(cov, n)
     record = BatchReplications(
         c_short=c_short,
@@ -79,7 +79,7 @@ def _record(c_short: np.ndarray, gamma: np.ndarray, cov: np.ndarray, n: int):
         se_short=sigma.se_c,
         se_resid=sigma.se_r,
         gamma_hat=gamma,
-        chol_gg=sigma.chol_gg,
+        t_stats=sigma.standardize(gamma),
     )
     return record, sigma
 

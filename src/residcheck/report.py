@@ -8,6 +8,7 @@ reference distribution throughout.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import io as _io
 import json
@@ -158,13 +159,15 @@ def analyze_report_text(report: dict) -> str:
 
 
 def decomposition_csv(report: dict) -> str:
-    lines = ["covariate,lambda_k,gamma_k,contribution"]
+    """The decomposition table, a covariate name quoted where csv needs it."""
+    out = _io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["covariate", "lambda_k", "gamma_k", "contribution"])
     for row in report["decomposition"]:
-        lines.append(
-            f"{row['covariate']},{row['lambda_k']!r},{row['gamma_k']!r},{row['contribution']!r}"
-        )
-    lines.append(f"total,,,{report['diagnostics']['correction']!r}")
-    return "\n".join(lines) + "\n"
+        writer.writerow([row["covariate"], repr(row["lambda_k"]), repr(row["gamma_k"]),
+                         repr(row["contribution"])])
+    writer.writerow(["total", "", "", repr(report["diagnostics"]["correction"])])
+    return out.getvalue()
 
 
 def analyze_report_csv(report: dict) -> str:

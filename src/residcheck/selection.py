@@ -21,10 +21,11 @@ drawn only to gate.
 
 A run draws its batches in stacks of at most 4,096 replications, and
 estimates once per stack: one covariance validation, whose Cholesky factor
-standardizes the checks, and one application of the rule, recording T_n
-and the pass indicator in one :class:`dgps.BatchReplications`. The head
-batches end a stack, and the gate reads them before any later batch is
-drawn (the frame's head gate).
+standardizes the checks where it is made, so the stack's
+:class:`dgps.BatchReplications` carries T_n, and one application of the
+rule to T_n, recording the pass indicator. The head batches end a stack,
+and the gate reads them before any later batch is drawn (the frame's head
+gate).
 
 The summary pools each side of the rule over its m replications, with
 Monte Carlo SEs i.i.d. over them (Morris, White & Crowther 2019, Stat. Med.
@@ -40,7 +41,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _fixed_order
 from ._distributions import SQRT1_2, Z975, chi2_cdf, normal_cdf, normal_pdf
 from ._threads import run_seeded
 from .dgps import BatchReplications, GaussianPairDGP, RctLinearDGP
@@ -52,9 +52,9 @@ PILOT_REPS = 1000
 PASS_RATE_FLOOR = 0.02
 PASS_RATE_CEILING = 0.98
 
-# Budget guard on reps * (1 + p)^2, which a run's peak memory grows with, by
-# 22-36 bytes per unit at p = 1, 3 and 10: at the budget, 10,000,000 RCT
-# replications at p = 1 peaked at 1.5 GB.
+# Budget guard on reps * (1 + p)^2. At the budget, RCT runs at p = 1, 3 and 10
+# (10,000,000, 2,500,000 and 330,578 replications) peaked at 1,375, 554 and
+# 203 MiB, 36, 15 and 5 bytes per unit.
 MAX_REP_CELLS = 40_000_000
 
 
@@ -194,13 +194,8 @@ class ConditionalStats:
     estimators: dict[str, dict[str, ConditionSummary]] = field(default_factory=dict)
 
 
-def _standardize_checks(record: BatchReplications, n: int):
-    """T_n = sqrt(n) L^{-1} gamma_hat with L each replication's validated factor of Sigma_gg."""
-    return math.sqrt(n) * _fixed_order.solve_lower(record.chol_gg, record.gamma_hat)
-
-
 def simulate_replications(config: SelectionConfig) -> BatchReplications:
-    """Run the experiment and return one record of every replication, with t_stats and passed.
+    """Run the experiment and return one record of every replication, with passed.
 
     Batch b draws from its own stream spawned from the seed
     (:func:`_threads.run_seeded`), so results do not depend on the worker
@@ -216,8 +211,7 @@ def simulate_replications(config: SelectionConfig) -> BatchReplications:
         # Values that overflow surface as the validation errors, not numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             stack = dgp.estimate_replications(draws, n)
-            t_stats = _standardize_checks(stack, n)
-            return replace(stack, t_stats=t_stats, passed=config.rule.passes(t_stats))
+            return replace(stack, passed=config.rule.passes(stack.t_stats))
 
     def gate(head: BatchReplications) -> None:
         head_rate = float(head.passed.mean())

@@ -29,7 +29,7 @@ from residcheck.errors import (
     WrongFieldCount,
 )
 from residcheck.io import AnalyzeConfig, load_dataset
-from residcheck.report import build_analyze_report, json_bytes
+from residcheck.report import analyze_report_csv, build_analyze_report, json_bytes
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 FIXTURE_CSV = DATA_DIR / "rct_fixture.csv"
@@ -1058,6 +1058,22 @@ class TestCli:
         assert lines[-1].startswith("total")
         text = run_cli("decompose", "--input", str(GOLDEN_JSON), "--format", "text")
         assert b"total" in text.stdout
+
+    def test_csv_keeps_covariate_names_whole(self, tmp_path):
+        """A name holding a comma, a quote or a line break reads back through csv.reader."""
+        names = ["age, years", 'say "hi"', "two\nlines"]
+        report = json.loads(GOLDEN_JSON.read_text())
+        for row, name in zip(report["decomposition"], names):
+            row["covariate"] = name
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        result = run_cli("decompose", "--input", str(path))
+        assert result.returncode == 0, result.stderr
+        for text in (result.stdout.decode(), analyze_report_csv(report)):
+            rows = list(csv.reader(io.StringIO(text)))
+            table = rows[[row[0] for row in rows].index("covariate"):]
+            assert [row[0] for row in table[1:-1]] == names
+            assert all(len(row) == 4 for row in table)
 
     def test_decompose_missing_file(self, tmp_path):
         result = run_cli("decompose", "--input", str(tmp_path / "nope.json"))

@@ -517,11 +517,13 @@ class TestArmStatisticDraws:
             alpha=0.1,
         )
         seed = 100 + 10 * p + int(100 * pi)
-        batch = replications(dgp, np.random.default_rng(seed), n, size)
+        draws = dgp.draw_replications(np.random.default_rng(seed), n, size)
+        batch = dgp.estimate_replications(draws, n)
         reference = full_data_replications(dgp, np.random.default_rng(seed + 1), n, size)
-        # The lab carries each Sigma_gg estimate as its factor L: compare L L'.
+        # Each Sigma_gg estimate is the check block of the O(n) half on the same draws.
         lab_fields = {name: getattr(batch, name) for name in FIELDS if name != "sigma_gg"}
-        lab_fields["sigma_gg"] = batch.chol_gg @ np.swapaxes(batch.chol_gg, -1, -2)
+        cov = arm_statistics(n, draws[0].counts, *dgp._arm_sums(draws))[1]
+        lab_fields["sigma_gg"] = cov[:, 1:, 1:]
         for name in FIELDS:
             lab, full = (np.reshape(v, (size, -1)) for v in (lab_fields[name], reference[name]))
             z_mean, z_var = moment_z_scores(lab, full)

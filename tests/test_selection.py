@@ -8,7 +8,14 @@ from scipy.stats import chi2, ks_2samp, kstest, moment, norm, truncnorm
 from residcheck import JointCovariance, _fixed_order, _threads
 from residcheck._distributions import Z975
 from residcheck._threads import _N_BATCHES, batch_sizes, join
-from residcheck.dgps import GaussianPairDGP, RctLinearDGP, _bartlett, _scatter
+from residcheck.dgps import (
+    GaussianPairDGP,
+    NormalDraws,
+    RctLinearDGP,
+    _bartlett,
+    _normal_sums,
+    _scatter,
+)
 from residcheck.errors import (
     ConfigError,
     DegenerateResidualVariance,
@@ -22,7 +29,6 @@ from residcheck.selection import (
     MAX_REP_CELLS,
     ReportingRule,
     SelectionConfig,
-    _standardize_checks,
     run_conditional_experiment,
     simulate_replications,
     summarize,
@@ -395,15 +401,16 @@ class TestSufficientStatisticDraws:
 
 def test_standardized_checks_match_lapack_member_by_member():
     n = 60
-    batch = replications(CORRELATED_PAIR, np.random.default_rng(5), n, 200)
-    t = _standardize_checks(batch, n)
-    # The batch carries each Sigma_gg estimate as its factor L; L L' is the estimate.
-    sigma_gg = batch.chol_gg @ np.swapaxes(batch.chol_gg, -1, -2)
+    draws = CORRELATED_PAIR.draw_replications(np.random.default_rng(5), n, 200)
+    batch = CORRELATED_PAIR.estimate_replications(draws, n)
+    t = batch.t_stats
+    # Each Sigma_gg estimate is the check block of the same draws' scatter over n.
+    sigma_gg = _normal_sums(draws, CORRELATED_PAIR._chol_full)[1][:, 1:, 1:] / n
     chol = np.linalg.cholesky(sigma_gg)
     reference = np.sqrt(n) * np.linalg.solve(chol, batch.gamma_hat[..., None])[..., 0]
     np.testing.assert_allclose(t, reference, rtol=1e-12, atol=1e-12)
-    one = dataclasses.replace(batch, gamma_hat=batch.gamma_hat[7:8], chol_gg=batch.chol_gg[7:8])
-    assert np.array_equal(_standardize_checks(one, n), t[7:8])
+    one = NormalDraws(draws.counts[7:8], draws.z[7:8], draws.bartlett[7:8])
+    assert np.array_equal(CORRELATED_PAIR.estimate_replications(one, n).t_stats, t[7:8])
 
 
 RCT_THREE_CHECKS = RctLinearDGP(
@@ -469,6 +476,22 @@ def test_check_block_factored_once_per_batch(dgp, monkeypatch):
         reference.append(np.sqrt(config.n) * _fixed_order.solve_lower(chol, gamma))
         start = stop
     assert np.array_equal(draws.t_stats, np.concatenate(reference))
+
+
+@pytest.mark.parametrize("dgp", [CORRELATED_PAIR, RCT_THREE_CHECKS], ids=["gaussian", "rct"])
+def test_record_holds_no_matrix_per_replication(dgp, monkeypatch):
+    """The joined record keeps at most a p-vector per replication, nothing p x p.
+
+    At most 100 replications per estimate, so the record is joined over stacks.
+    """
+    monkeypatch.setattr(_threads, "_STACK_REPS", 100)
+    config = SelectionConfig(dgp=dgp, rule=WALD_2 if dgp is CORRELATED_PAIR else WALD_3,
+                             n=60, reps=1003, seed=29)
+    record = simulate_replications(config)
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if value is not None:
+            assert value.shape[0] == config.reps and value.ndim <= 2, (f.name, value.shape)
 
 
 class CountingDGP:
@@ -656,7 +679,7 @@ def test_mc_se_matches_the_spread_across_seeds():
 
 
 def batch_by_batch(config):
-    """The run's record as the batches give it one by one: each drawn, estimated, standardized.
+    """The run's record as the batches give it one by one: each drawn, estimated, ruled.
 
     Raises what the first failing batch raises, in batch order.
     """
@@ -668,9 +691,7 @@ def batch_by_batch(config):
         record = dgp.estimate_replications(
             dgp.draw_replications(np.random.default_rng(child), n, size), n
         )
-        t_stats = _standardize_checks(record, n)
-        passed = config.rule.passes(t_stats)
-        parts.append(dataclasses.replace(record, t_stats=t_stats, passed=passed))
+        parts.append(dataclasses.replace(record, passed=config.rule.passes(record.t_stats)))
     return parts
 
 
