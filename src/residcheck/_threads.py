@@ -16,13 +16,11 @@ The workers run the draws only, and the calling thread is one of them:
 with w workers it drains the stack's batches beside w - 1 helper threads
 (:func:`map_batches`). :func:`run_seeded` decides w per stack: a set
 RESID_THREADS environment variable, the one worker setting, fixes w at that
-many (at most one per batch). Otherwise a lab whose draws need scratch
-memory has w set by :func:`default_workers`, from the usable cores, the
-stack's batches and the bytes of one worker's scratch set; a lab that needs
-none, as the selection labs do, draws on one worker. Each worker slot, the
-calling thread's included, gets one scratch set, made once per run in the
-calling thread (slot 0's first, which sizes the pool) and reused by every
-batch.
+many (at most one per batch); unset, :func:`default_workers` sets w from the
+usable cores, the stack's batches and the bytes of one worker's scratch set.
+Each worker slot, the calling thread's included, gets one scratch set, made
+once per run in the calling thread (slot 0's first, which sizes the pool)
+and reused by every batch.
 """
 
 from __future__ import annotations
@@ -69,9 +67,9 @@ def resolve_threads() -> int:
 # A worker beyond the first pays off only when its scratch set holds this many
 # bytes (4,096 cells of 24 bytes, each a drawn normal and uniform): drawing
 # them runs outside the interpreter lock, and must outweigh the steps of a
-# batch that hold it. The selection labs' draws hold the lock longer per
-# value and need no scratch, so they stay on one worker. The timings behind
-# the rule (one and two workers only) are in CHANGES.md.
+# batch that hold it. A set of no bytes, as the selection labs' draws take,
+# gives one worker. The timings behind the rule (one and two workers only)
+# are in CHANGES.md.
 _WORKER_BYTES = 98_304
 # The workers' scratch sets hold at most this many bytes together, so memory
 # does not grow with the core count; a single larger set gets one worker.
@@ -106,9 +104,6 @@ def map_batches(fn: Callable[[int, int], T], n_batches: int, workers: int) -> li
     helper has stopped before this returns or raises, and the error raised
     is the one met first.
     """
-    workers = min(workers, n_batches)
-    if workers <= 1:
-        return [fn(i, 0) for i in range(n_batches)]
     results: list = [None] * n_batches
     lock = threading.Lock()
     taken, failure = 0, None
@@ -131,7 +126,7 @@ def map_batches(fn: Callable[[int, int], T], n_batches: int, workers: int) -> li
 
     helpers = []
     try:
-        for slot in range(1, workers):
+        for slot in range(1, min(workers, n_batches)):
             helper = threading.Thread(target=loop, args=(slot,))
             helper.start()
             helpers.append(helper)
@@ -213,20 +208,20 @@ _N_BATCHES = 50
 def run_seeded(
     seed: int,
     reps: int,
-    draw: Callable[..., T],
+    draw: Callable[[np.random.Generator, int, S], T],
     estimate: Callable[[T], R],
     gate: Callable[[R], None] | None = None,
     gate_reps: int = 0,
     *,
-    scratch: Callable[[int], S] | None = None,
+    scratch: Callable[[int], S],
 ) -> R:
     """estimate of reps replications, drawn in _N_BATCHES seeded batches.
 
     Batch b holds ``batch_sizes(reps, _N_BATCHES)[b]`` replications, drawn
-    by ``draw(default_rng(child), size)`` with child the b-th child of
-    SeedSequence(seed), or by ``draw(rng, size, buffers)`` with a worker's
-    own set of ``scratch(size)`` buffers, made here at the largest batch's
-    size; slot 0's set, made first, sizes the pool (:func:`default_workers`).
+    by ``draw(default_rng(child), size, buffers)`` with child the b-th child
+    of SeedSequence(seed) and buffers the worker's own ``scratch(size)`` set,
+    made here at the largest batch's size; slot 0's set, made first, sizes
+    the pool (:func:`default_workers`).
     ``estimate`` maps joined draws to results elementwise over the
     replication axis, so each replication has the bits its batch alone
     gives it. With a gate, the head batches, the fewest from the start that
@@ -237,18 +232,17 @@ def run_seeded(
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     count = _env_threads()  # a bad RESID_THREADS fails before any draw
     head = len(sizes) if gate is None else int(np.searchsorted(np.cumsum(sizes), gate_reps)) + 1
-    sets = [] if scratch is None else [scratch(sizes[0])]
+    sets = [scratch(sizes[0])]
     results = []
 
     def draw_batch(b: int, slot: int) -> T:
-        rng = np.random.default_rng(children[b])
-        return draw(rng, sizes[b]) if scratch is None else draw(rng, sizes[b], sets[slot])
+        return draw(np.random.default_rng(children[b]), sizes[b], sets[slot])
 
     for stack in _stacks(range(head), sizes) + _stacks(range(head, len(sizes)), sizes):
-        workers = min(len(stack), count or (
-            default_workers(usable_cores(), len(stack), sets[0].nbytes) if sets else 1
+        workers = min(len(stack), count or default_workers(
+            usable_cores(), len(stack), sets[0].nbytes
         ))
-        while scratch is not None and len(sets) < workers:
+        while len(sets) < workers:
             sets.append(scratch(sizes[0]))
         results.append(_estimate_stack(draw_batch, estimate, stack, workers))
         if gate is not None and stack[-1] == head - 1:

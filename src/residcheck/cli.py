@@ -6,10 +6,9 @@ misspecification lab), ``oracle`` (direct truncated-normal queries), and
 
 Exit codes: 0 success, 2 input error, 3 numerical or statistical validation
 error. Errors are emitted as one-line JSON on stderr. RESID_THREADS fixes the
-labs' draw pool at that many workers; unset, the misspec lab sizes it from
-the usable cores and the bytes of one worker's scratch set, and the selection
-lab draws on one worker. Any worker count yields byte-identical output for
-a fixed seed.
+labs' draw pool at that many workers; unset, the pool is sized from the
+usable cores and the bytes of one worker's scratch set. Any worker count
+yields byte-identical output for a fixed seed.
 """
 
 from __future__ import annotations

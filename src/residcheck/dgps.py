@@ -442,10 +442,10 @@ class RctLinearDGP:
     def __post_init__(self):
         beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
         inter = np.atleast_1d(np.asarray(self.interaction, dtype=float))
-        if beta.shape != inter.shape:
-            raise ConfigError("beta and interaction must have the same length")
         if not beta.size:
             raise ConfigError("beta needs at least one entry: each covariate is a check")
+        if beta.shape != inter.shape:
+            raise ConfigError("beta and interaction must have the same length")
         if not 0.0 < self.pi < 1.0:
             raise ConfigError(f"treated share pi must lie in (0, 1), got {self.pi}")
         if not np.isfinite([self.tau, self.alpha, *beta, *inter]).all():

@@ -141,12 +141,13 @@ def load_dataset(config: AnalyzeConfig) -> LoadedDataset:
     r"""Read the CSV named in the config into a validated RctDataset.
 
     ``np.loadtxt`` parses the file: RFC-4180 quoting, no comment lines,
-    float columns for the outcome, treatment and covariates, and strings for
-    the rest. Stratum and cluster labels come back as integer codes in sorted
-    label order. A large file is cut at line ends into one byte range per
-    usable core (CPU affinity, at least ``_MIN_RANGE_BYTES`` each); this
-    process parses the first range and a forked child each other one, which
-    yields the same bits as one pass. The file is read as one range when it
+    float columns for the outcome, treatment and covariates, strings for the
+    stratum and cluster labels, and zero-width strings for the rest. Stratum
+    and cluster labels come back as integer codes in sorted label order. A
+    large file is cut at line ends into one byte range per usable core (CPU
+    affinity, at least ``_MIN_RANGE_BYTES`` each); this process parses the
+    first range and a forked child each other one, which yields the same
+    bits as one pass. The file is read as one range when it
     holds a ``"`` or a ``\r`` not followed by ``\n`` (a quoted cell may
     hold a line break, and a lone ``\r`` ends a line), or when forking is
     unavailable or would warn. Any parse or value error is located by
@@ -192,7 +193,7 @@ def _parse(
         first_seen = {label: code for code, label in enumerate(dict.fromkeys(column))}
         codes = np.fromiter(map(first_seen.__getitem__, column), np.intp, len(column))
         coded[name] = (list(first_seen), codes)
-    for j in set(range(len(dtype))) - set(numeric):
+    for j in labels.values():
         table[f"c{j}"] = None  # free the label strings before the numbers are copied
     block = np.empty((len(numeric), table.shape[0]))
     for row, j in zip(block, numeric):
@@ -404,10 +405,13 @@ def _load_dataset(config: AnalyzeConfig) -> LoadedDataset:
             index[name] = header.index(name)
 
     numeric = [index[name] for name in (config.outcome, config.treatment, *config.covariates)]
-    dtype = np.dtype(
-        [(f"c{j}", "f8" if j in numeric else "O") for j in range(len(header))]
-    )
     labels = {name: index[name] for name in (config.strata, config.cluster) if name is not None}
+    # A column that no role names parses to a zero-width string: it still counts
+    # for the row's field count, but holds no bytes.
+    dtype = np.dtype([
+        (f"c{j}", "f8" if j in numeric else "O" if j in labels.values() else "U0")
+        for j in range(len(header))
+    ])
     parse = functools.partial(_parse, dtype=dtype, numeric=numeric, labels=labels)
 
     ranges = _byte_ranges(config.input_path, header_lines)

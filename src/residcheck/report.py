@@ -206,9 +206,8 @@ def run_simulate(config: SimulateConfig) -> dict:
     """Dispatch to the requested lab; output embeds the full config and seed.
 
     RESID_THREADS fixes the labs' draw pool, and a bad value fails before
-    any draw; unset, the misspec lab sizes it
-    (:func:`_threads.default_workers`) and the selection lab draws on one
-    worker. The output bytes do not depend on it.
+    any draw; unset, :func:`_threads.default_workers` sizes it. The output
+    bytes do not depend on it.
     """
     dgp = _dgp_from_spec(config.dgp)
     payload: dict = {"config": to_jsonable(config)}

@@ -222,8 +222,8 @@ def simulate_replications(config: SelectionConfig) -> BatchReplications:
             )
 
     return run_seeded(
-        config.seed, config.reps, lambda rng, size: dgp.draw_replications(rng, n, size),
-        estimate, gate, PILOT_REPS,
+        config.seed, config.reps, lambda rng, size, _: dgp.draw_replications(rng, n, size),
+        estimate, gate, PILOT_REPS, scratch=lambda size: np.empty(0),
     )
 
 

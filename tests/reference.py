@@ -365,7 +365,7 @@ def measure_bias(
             f"reps * n = {reps * n:.3g} exceeds the configured budget {max_total_draws:.3g}"
         )
 
-    def draw_estimates(rng: np.random.Generator, size: int) -> np.ndarray:
+    def draw_estimates(rng: np.random.Generator, size: int, _) -> np.ndarray:
         # Each replication's rows are estimated as soon as they are drawn.
         return np.array([
             from_moments(*sample_moments(_draw_accepted(rng, p0_sampler, score, n)))
@@ -373,7 +373,10 @@ def measure_bias(
         ])
 
     scaled = math.sqrt(n) * (
-        run_seeded(seed, reps, draw_estimates, lambda estimates: estimates) - dgp.c_true
+        run_seeded(
+            seed, reps, draw_estimates, lambda estimates: estimates,
+            scratch=lambda size: np.empty(0),
+        ) - dgp.c_true
     )
     return BiasMeasurement(
         sqrt_n_bias=float(scaled.mean()),

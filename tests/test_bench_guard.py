@@ -36,10 +36,11 @@ def test_tiny_operation_is_repeatable_and_passes_its_check(workloads, name, tmp_
 @pytest.mark.parametrize("name", DECLARED)
 def test_tiny_operation_bytes_do_not_depend_on_the_worker_count(workloads, name, tmp_path,
                                                                 monkeypatch):
-    # The benchmark runs with RESID_THREADS unset; two workers take each stage's pool path.
+    # The benchmark runs with RESID_THREADS unset; one worker and two give its bytes.
     op = workloads.operation(workloads.prepare(name, 7202, "tiny", tmp_path))
     monkeypatch.delenv("RESID_THREADS", raising=False)
     _, default = op()
-    monkeypatch.setenv("RESID_THREADS", "2")
-    _, two = op()
-    assert two == default
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RESID_THREADS", threads)
+        _, fixed = op()
+        assert fixed == default, threads

@@ -196,6 +196,21 @@ class TestLoadDataset:
             load_dataset(config_for(write(tmp_path, bad)))
         assert (err.value.row, err.value.expected, err.value.actual) == (3, 4, 5)
 
+    def test_unused_column_parses_to_zero_width(self, tmp_path, monkeypatch):
+        # Its cells hold no bytes, whatever they hold; the cluster labels keep theirs.
+        tables, loadtxt = [], np.loadtxt
+
+        def recording(*args, **kwargs):
+            tables.append(loadtxt(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(np, "loadtxt", recording)
+        head, *rows = WELL_FORMED.splitlines()
+        text = "\n".join([head + ",note,g"] + [row + ",some words,a" for row in rows]) + "\n"
+        assert load_dataset(config_for(write(tmp_path, text), cluster="g")).data.n == 6
+        (table,) = tables
+        assert table.dtype["c4"].itemsize == 0 and table.dtype["c5"] == object
+
     def test_labels_are_compared_as_written(self, tmp_path):
         text = labelled_csv(["01", "1", " a", "a", "01", "a"])
         # Sorted label order: ' a' < '01' < '1' < 'a'.
@@ -960,6 +975,17 @@ class TestCli:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ConfigError"
 
+    def test_simulate_rct_empty_beta_names_itself(self, capsys):
+        # With the default --interaction 0 the lengths differ too; the empty beta is named.
+        code = main(["simulate", "--lab", "selection", "--dgp", "rct", "--beta", "", *SIZES])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error == {
+            "error": "ConfigError",
+            "message": "beta needs at least one entry: each covariate is a check",
+        }
+
     @pytest.mark.parametrize("flag", ["--mu", "--lambda"])
     def test_simulate_misspec_overflow_is_one_json_line(self, flag):
         result = run_cli("simulate", "--lab", "misspec", flag, "1e308", *SIZES)
@@ -1138,6 +1164,48 @@ def test_named_file_failures_are_one_json_line(tmp_path, make_args):
     assert len(lines) == 1
     error = json.loads(lines[0])
     assert error["error"] == "InputDataError" and str(tmp_path) in error["message"]
+
+
+def fixture_with_unused_column(path, cell, fields=None):
+    """The fixture CSV with a column after t that no role names, each cell ``cell``.
+
+    Row ``fields[0]`` (numbered from 1), if given, keeps only ``fields[1]`` fields.
+    """
+    with open(FIXTURE_CSV, newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    rows = [row[:2] + [cell] + row[2:] for row in rows]
+    if fields is not None:
+        row, width = fields
+        rows[row - 1] = (rows[row - 1] + ["0"])[:width]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header[:2] + ["note"] + header[2:])
+        writer.writerows(rows)
+
+
+@pytest.mark.parametrize("cell", ["two\nlines", "ünïcødé €"], ids=["line-break", "non-ascii"])
+def test_analyze_reads_past_an_unused_column(tmp_path, cell):
+    wide = tmp_path / "wide.csv"
+    fixture_with_unused_column(wide, cell)
+    reports = []
+    for i, source in enumerate((wide, FIXTURE_CSV)):
+        out = tmp_path / f"report{i}.json"
+        assert main(["analyze", "--input", str(source), "--covariates", "x1,x2,x3",
+                     "--output", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+# Rows of the file with the unused column hold 6 fields.
+@pytest.mark.parametrize("width", [5, 7], ids=["one-field-short", "one-field-long"])
+def test_unused_column_still_counts_for_the_field_count(tmp_path, capsys, width):
+    path = tmp_path / "wide.csv"
+    fixture_with_unused_column(path, "note", fields=(3, width))
+    assert main(["analyze", "--input", str(path), "--covariates", "x1,x2,x3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "WrongFieldCount" and "row 3" in error["message"]
 
 
 @pytest.mark.parametrize("column", ["y", "x2"])

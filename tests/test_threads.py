@@ -163,6 +163,11 @@ class TestDefaultWorkers:
         assert default_workers(64, 50, 0) == 1
         assert default_workers(64, 50, 10**9) == 1
 
+    @pytest.mark.parametrize("cores", [1, 2, 4, 64])
+    def test_a_set_of_no_bytes_gets_one_worker(self, cores):
+        # The selection labs' sets hold no bytes, at any stack length.
+        assert [default_workers(cores, b, 0) for b in range(1, 51)] == [1] * 50
+
 
 def test_misspec_pool_over_a_grid_of_runs(monkeypatch):
     # measure_gaussian_bias with no draws: each scratch set is a zero-strided stand-in with
@@ -223,21 +228,18 @@ class TestStageWorkers:
 
     @staticmethod
     def run(n=None, gate_reps=0):
-        """1,000 reps, with the misspec scratch sets at n if n is given."""
+        """1,000 reps, with the misspec scratch sets at n, or sets of no bytes if n is None."""
         gate = (lambda head: None) if gate_reps else None
-        if n is None:
-            return run_seeded(5, 1000, lambda rng, size: rng.random(size), lambda x: x, gate,
-                              gate_reps)
         return run_seeded(
             5, 1000, lambda rng, size, buffers: rng.random(size), lambda x: x, gate, gate_reps,
-            scratch=lambda size: perturbed_scratch(n, size),
+            scratch=lambda size: np.empty(0) if n is None else perturbed_scratch(n, size),
         )
 
     def test_default_per_stage(self, stages):
         self.run(2000)
         self.run(2000, gate_reps=100)  # a head stack of 5 batches
         self.run(200)
-        self.run()  # no scratch: one worker
+        self.run()  # sets of no bytes: one worker
         assert stages == [(50, 9), (5, 5), (45, 9), (50, 1), (50, 1)]
 
     @pytest.mark.parametrize("dgp", [
@@ -333,14 +335,15 @@ class TestHeadGate:
         monkeypatch.setenv("RESID_THREADS", str(threads))
         lock = threading.Lock()
 
-        def draw(rng, size):
+        def draw(rng, size, _):
             values = rng.random(size)
             with lock:
                 drawn.append(values[0])
             return values
 
         return run_seeded(
-            self.SEED, self.REPS, draw, lambda x: x, lambda head: gate(head, list(drawn)), 1000
+            self.SEED, self.REPS, draw, lambda x: x, lambda head: gate(head, list(drawn)), 1000,
+            scratch=lambda size: np.empty(0),
         )
 
     def head_firsts(self):
