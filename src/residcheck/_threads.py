@@ -14,10 +14,10 @@ byte-identical at any worker count and any stack length.
 
 The workers run the draws only, and the calling thread is one of them:
 with w workers it drains the stack's batches beside w - 1 helper threads
-(:func:`map_batches`). :func:`run_seeded` decides w per stack: a set
-RESID_THREADS environment variable, the one worker setting, fixes w at that
-many (at most one per batch); unset, :func:`default_workers` sets w from the
-usable cores, the stack's batches and the bytes of one worker's scratch set.
+(:func:`map_batches`). Nothing sets w: per stack, :func:`default_workers`
+derives it from the cores in the process's affinity mask, the stack's
+batches and the bytes of one worker's scratch set. Fewer workers come from a
+narrower mask (``taskset``, a cpuset), which :func:`resolve_threads` reads.
 Each worker slot, the calling thread's included, gets one scratch set, made
 once per run in the calling thread (slot 0's first, which sizes the pool)
 and reused by every batch.
@@ -32,36 +32,17 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import ConfigError
-
 T = TypeVar("T")
 R = TypeVar("R")
 S = TypeVar("S")
 
 
-def _env_threads() -> int | None:
-    """RESID_THREADS as a worker count of at least one, or None when it is unset."""
-    raw = os.environ.get("RESID_THREADS")
-    if raw is None:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"RESID_THREADS must be an integer, got {raw!r}") from None
-
-
-def usable_cores() -> int:
-    """The cores this process may run on."""
+def resolve_threads() -> int:
+    """The most workers a stack may use: the cores in this process's affinity mask."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def resolve_threads() -> int:
-    """The most workers a stack may use: RESID_THREADS, else the usable cores."""
-    count = _env_threads()
-    return usable_cores() if count is None else count
 
 
 # A worker beyond the first pays off only when its scratch set holds this many
@@ -77,7 +58,7 @@ _POOL_BYTES = 64 << 20
 
 
 def default_workers(cores: int, batches: int, scratch_bytes: int) -> int:
-    """Workers of a stack's draw pool when no count is set.
+    """Workers of a stack's draw pool.
 
     One per _WORKER_BYTES of one worker's scratch set, at most one per core
     and per batch, and no more than keep _POOL_BYTES of scratch; at least one.
@@ -230,7 +211,6 @@ def run_seeded(
     """
     sizes = batch_sizes(reps, _N_BATCHES)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-    count = _env_threads()  # a bad RESID_THREADS fails before any draw
     head = len(sizes) if gate is None else int(np.searchsorted(np.cumsum(sizes), gate_reps)) + 1
     sets = [scratch(sizes[0])]
     results = []
@@ -239,9 +219,7 @@ def run_seeded(
         return draw(np.random.default_rng(children[b]), sizes[b], sets[slot])
 
     for stack in _stacks(range(head), sizes) + _stacks(range(head, len(sizes)), sizes):
-        workers = min(len(stack), count or default_workers(
-            usable_cores(), len(stack), sets[0].nbytes
-        ))
+        workers = default_workers(resolve_threads(), len(stack), sets[0].nbytes)
         while len(sets) < workers:
             sets.append(scratch(sizes[0]))
         results.append(_estimate_stack(draw_batch, estimate, stack, workers))

@@ -5,10 +5,11 @@ misspecification lab), ``oracle`` (direct truncated-normal queries), and
 ``decompose`` (decomposition table from a saved analyze report).
 
 Exit codes: 0 success, 2 input error, 3 numerical or statistical validation
-error. Errors are emitted as one-line JSON on stderr. RESID_THREADS fixes the
-labs' draw pool at that many workers; unset, the pool is sized from the
-usable cores and the bytes of one worker's scratch set. Any worker count
-yields byte-identical output for a fixed seed.
+error. Errors are emitted as one-line JSON on stderr. The labs' draw pool is
+sized from the cores in the process's affinity mask and the bytes of one
+worker's scratch set; no option sets it, and a narrower mask (``taskset``)
+gives fewer workers. Any worker count yields byte-identical output for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from .selection import truncated_oracle
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    """Every comma-separated token as a float, so an empty one is refused; blank text is ()."""
+    return tuple(float(tok) for tok in text.split(",")) if text.strip() else ()
 
 
 class _Parser(argparse.ArgumentParser):

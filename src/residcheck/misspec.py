@@ -19,7 +19,7 @@ reports predicted = mu sqrt(a' Sigma a), with predicted_se 0, and draws no
 calibration sample. Its replications are the labs' seeded batch frame
 (:func:`_threads.run_seeded`): each batch draws once, in standard units
 (:meth:`GaussianPairDGP.perturbed_draws`), into one set of scratch buffers
-per worker made once per run, whose bytes set the default worker count
+per worker made once per run, whose bytes set the worker count
 (:func:`_threads.default_workers`), and each stack of batches' draws is joined
 and mapped once (:meth:`ScoreCoordinate.perturbed_moments`, then the
 ``--lambda`` moment map, defined only in :func:`_adjustment`).

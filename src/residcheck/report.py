@@ -205,9 +205,8 @@ def _dgp_from_spec(spec):
 def run_simulate(config: SimulateConfig) -> dict:
     """Dispatch to the requested lab; output embeds the full config and seed.
 
-    RESID_THREADS fixes the labs' draw pool, and a bad value fails before
-    any draw; unset, :func:`_threads.default_workers` sizes it. The output
-    bytes do not depend on it.
+    :func:`_threads.default_workers` sizes the labs' draw pool from the
+    cores in the affinity mask; the output bytes do not depend on it.
     """
     dgp = _dgp_from_spec(config.dgp)
     payload: dict = {"config": to_jsonable(config)}

@@ -1,8 +1,10 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from residcheck import JointCovariance
+from residcheck import JointCovariance, _threads
 
 # Property tests draw their numpy seeds through hypothesis; derandomizing
 # keeps every run of the suite byte-for-byte repeatable.
@@ -16,6 +18,57 @@ def random_joint_covariance(seed: int, p: int, n: int = 500) -> JointCovariance:
     a = rng.standard_normal((1 + p, 1 + p))
     full = a @ a.T / (1 + p) + 0.1 * np.eye(1 + p)
     return JointCovariance.from_matrix(full, n)
+
+
+# The frame's own pool rule and map, kept before any test patches them.
+_DERIVED_WORKERS, _MAP_BATCHES = _threads.default_workers, _threads.map_batches
+
+
+class ForcedWorkers:
+    """``force(k)`` gives every stack of the labs' seeded frame min(k, its batches) workers.
+
+    ``force(None)`` derives the count again. Every count that a stack's
+    map_batches gets is recorded: :meth:`check` fails when a k > 1 was
+    forced and no stack ran on more than one worker, since a test of the
+    worker count would then pass on one worker alone.
+    """
+
+    def __init__(self, patch: pytest.MonkeyPatch):
+        self.patch, self.k = patch, None
+        self.forced_many = self.ran_many = False
+        patch.setattr(_threads, "map_batches", self._recording)
+
+    def __call__(self, k: int | None) -> None:
+        self.k = k
+        forced = _DERIVED_WORKERS if k is None else lambda cores, batches, nbytes: min(k, batches)
+        self.patch.setattr(_threads, "default_workers", forced)
+        self.forced_many |= k is not None and k > 1
+
+    def _recording(self, fn, n_batches, workers):
+        if self.k is not None and self.k > 1 and min(workers, n_batches) > 1:
+            self.ran_many = True
+        return _MAP_BATCHES(fn, n_batches, workers)
+
+    def check(self) -> None:
+        assert self.ran_many or not self.forced_many, (
+            "a count above one was forced, but no stack ran on more than one worker"
+        )
+
+
+@contextlib.contextmanager
+def forcing_workers():
+    """A :class:`ForcedWorkers`, undone and checked on exit."""
+    with pytest.MonkeyPatch.context() as patch:
+        force = ForcedWorkers(patch)
+        yield force
+    force.check()
+
+
+@pytest.fixture
+def workers():
+    """Force the labs' worker count within one test: ``workers(k)``."""
+    with forcing_workers() as force:
+        yield force
 
 
 @pytest.fixture

@@ -2,15 +2,12 @@
 
 One test per exit criterion; each prints a single pass/fail line (run pytest
 with -s to see them inline). Heavy Monte Carlo runs are shared through
-module-scoped fixtures and use two worker threads (``RESID_THREADS=2``),
-which does not affect any output byte.
+module-scoped fixtures and draw on two forced workers (``workers(2)`` for the
+whole module), which does not affect any output byte.
 """
 
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -30,8 +27,9 @@ from residcheck.selection import (
     truncated_oracle,
 )
 from residcheck._threads import batch_sizes, map_batches
+from residcheck.cli import main
 
-from conftest import saddle_point_misses
+from conftest import forcing_workers, saddle_point_misses
 from reference import (
     beta_long_limit,
     beta_resid_limit,
@@ -48,8 +46,8 @@ SELECTION_REPS = 100_000
 
 @pytest.fixture(scope="module", autouse=True)
 def two_workers():
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("RESID_THREADS", str(THREADS))
+    with forcing_workers() as workers:
+        workers(THREADS)
         yield
 
 
@@ -292,19 +290,13 @@ def test_criterion_8_plugin_negligibility():
     )
 
 
-def _run_simulate(threads: int, *args) -> bytes:
-    env = dict(os.environ)
-    env["RESID_THREADS"] = str(threads)
-    result = subprocess.run(
-        [sys.executable, "-m", "residcheck.cli", "simulate", *args],
-        capture_output=True,
-        env=env,
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout
+def _run_simulate(workers, threads: int, out, *args) -> bytes:
+    workers(threads)
+    assert main(["simulate", *args, "--output", str(out)]) == 0
+    return out.read_bytes()
 
 
-def test_criterion_9_determinism_across_thread_counts():
+def test_criterion_9_determinism_across_thread_counts(workers, tmp_path):
     commands = {
         "selection": (
             "--lab", "selection", "--rho", "0.5", "--rule", "wald",
@@ -318,7 +310,8 @@ def test_criterion_9_determinism_across_thread_counts():
     ok = True
     details = []
     for name, args in commands.items():
-        outputs = [_run_simulate(t, *args) for t in (1, 4, 8)]
+        out = tmp_path / f"{name}.json"
+        outputs = [_run_simulate(workers, t, out, *args) for t in (1, 4, 8)]
         same = outputs[0] == outputs[1] == outputs[2]
         ok &= same
         payload = json.loads(outputs[0].decode())

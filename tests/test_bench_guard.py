@@ -35,12 +35,12 @@ def test_tiny_operation_is_repeatable_and_passes_its_check(workloads, name, tmp_
 
 @pytest.mark.parametrize("name", DECLARED)
 def test_tiny_operation_bytes_do_not_depend_on_the_worker_count(workloads, name, tmp_path,
-                                                                monkeypatch):
-    # The benchmark runs with RESID_THREADS unset; one worker and two give its bytes.
+                                                                workers):
+    # The benchmark runs at the derived worker count; one forced worker and two give its
+    # bytes. analyze draws no lab stack, so two workers could not run there.
     op = workloads.operation(workloads.prepare(name, 7202, "tiny", tmp_path))
-    monkeypatch.delenv("RESID_THREADS", raising=False)
     _, default = op()
-    for threads in ("1", "2"):
-        monkeypatch.setenv("RESID_THREADS", threads)
+    for threads in (1,) if name == "analyze_large" else (1, 2):
+        workers(threads)
         _, fixed = op()
         assert fixed == default, threads

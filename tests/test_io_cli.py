@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -859,20 +859,36 @@ class TestCli:
         assert to_file.stdout == b""
         assert out.read_bytes() == to_stdout.stdout
 
-    def test_simulate_rct_selection_same_at_any_thread_count(self):
+    def test_simulate_rct_selection_same_at_any_thread_count(self, workers, tmp_path):
         # 1,003 replications in 50 batches of 20 or 21, each drawn from per-arm
         # sufficient statistics; criterion 9 covers the Gaussian labs only.
-        args = (
+        out = tmp_path / "simulate.json"
+        args = [
             "simulate", "--lab", "selection", "--dgp", "rct",
             "--beta", "1.0,-0.5", "--interaction", "0.5,0.0", "--pi", "0.3",
             "--rule", "wald", "--threshold", "5.99",
-            "--n", "200", "--reps", "1003", "--seed", "11",
-        )
-        one = run_cli(*args, env_extra={"RESID_THREADS": "1"})
-        four = run_cli(*args, env_extra={"RESID_THREADS": "4"})
-        assert one.returncode == 0, one.stderr
-        assert one.stdout == four.stdout
-        assert json.loads(one.stdout.decode())["results"]["n_reps"] == 1003
+            "--n", "200", "--reps", "1003", "--seed", "11", "--output", str(out),
+        ]
+        workers(1)
+        assert main(args) == 0
+        one = out.read_bytes()
+        workers(4)
+        assert main(args) == 0
+        assert one == out.read_bytes()
+        assert json.loads(one.decode())["results"]["n_reps"] == 1003
+
+    def test_the_worker_variable_is_ignored(self, monkeypatch, tmp_path):
+        # No environment variable sets the labs' workers: RESID_THREADS changes no byte.
+        out = tmp_path / "simulate.json"
+        args = ["simulate", "--lab", "misspec", "--rho", "0.5", "--n", "400", "--reps", "1000",
+                "--seed", "3", "--output", str(out)]
+        monkeypatch.delenv("RESID_THREADS", raising=False)
+        assert main(args) == 0
+        unset = out.read_bytes()
+        for value in ("x", "1"):
+            monkeypatch.setenv("RESID_THREADS", value)
+            assert main(args) == 0, value
+            assert out.read_bytes() == unset, value
 
     def test_simulate_rct_selection_at_ten_checks_keeps_its_bytes(self):
         # k = 11 per arm, so each scatter entry sums a row of 11 products:
@@ -924,35 +940,33 @@ class TestCli:
         assert result.returncode == 2
 
     @pytest.mark.parametrize(
-        "args, env",
+        "args",
         [
-            (("--lab", "misspec", "--dgp", "rct", *SIZES), None),
-            (("--lab", "misspec", "--lambda", "abc", *SIZES), None),
-            (("--lab", "selection", "--coord", "3", *SIZES), None),
-            (("--lab", "selection", *SIZES), {"RESID_THREADS": "x"}),
-            (("--lab", "misspec", "--oversample", "0", *SIZES), None),
-            (("--lab", "selection", "--threshold", "-1", *SIZES), None),
-            (("--lab", "selection", "--n", "abc", "--reps", "1000", "--seed", "1"), None),
+            ("--lab", "misspec", "--dgp", "rct", *SIZES),
+            ("--lab", "misspec", "--lambda", "abc", *SIZES),
+            ("--lab", "selection", "--coord", "3", *SIZES),
+            ("--lab", "misspec", "--oversample", "0", *SIZES),
+            ("--lab", "selection", "--threshold", "-1", *SIZES),
+            ("--lab", "selection", "--n", "abc", "--reps", "1000", "--seed", "1"),
             # numpy's samplers take n as a C long.
-            (("--lab", "selection", "--dgp", "rct", "--n", str(2**63), "--reps", "1000",
-              "--seed", "1"), None),
-            (("--lab", "selection", "--n", str(2**64), "--reps", "1000", "--seed", "1"), None),
-            (("--lab", "selection", "--n", "100", "--reps", "1000"), None),
-            (("--lab", "selection", "--n", "100", "--reps", "1000", "--seed", "-1"), None),
-            (("--lab", "misspec", "--mu", "nan", *SIZES), None),
-            (("--lab", "misspec", "--mu", "inf", *SIZES), None),
-            (("--lab", "misspec", "--mu", "-1", *SIZES), None),
-            (("--lab", "misspec", "--lambda", "inf", *SIZES), None),
-            (("--lab", "selection", "--dgp", "rct", "--beta", "", "--interaction", "",
-              "--rule", "wald", "--threshold", "3", *SIZES), None),
-            (("--lab", "selection", "--dgp", "rct", "--beta", "", "--interaction", "",
-              "--rule", "max_abs", "--threshold", "3", *SIZES), None),
+            ("--lab", "selection", "--dgp", "rct", "--n", str(2**63), "--reps", "1000",
+             "--seed", "1"),
+            ("--lab", "selection", "--n", str(2**64), "--reps", "1000", "--seed", "1"),
+            ("--lab", "selection", "--n", "100", "--reps", "1000"),
+            ("--lab", "selection", "--n", "100", "--reps", "1000", "--seed", "-1"),
+            ("--lab", "misspec", "--mu", "nan", *SIZES),
+            ("--lab", "misspec", "--mu", "inf", *SIZES),
+            ("--lab", "misspec", "--mu", "-1", *SIZES),
+            ("--lab", "misspec", "--lambda", "inf", *SIZES),
+            ("--lab", "selection", "--dgp", "rct", "--beta", "", "--interaction", "",
+             "--rule", "wald", "--threshold", "3", *SIZES),
+            ("--lab", "selection", "--dgp", "rct", "--beta", "", "--interaction", "",
+             "--rule", "max_abs", "--threshold", "3", *SIZES),
         ],
         ids=[
             "misspec-rct",
             "lambda-abc",
             "coord-out-of-range",
-            "threads-x",
             "oversample-0",
             "threshold-neg",
             "n-abc",
@@ -968,12 +982,24 @@ class TestCli:
             "rct-no-checks-max-abs",
         ],
     )
-    def test_simulate_config_errors_are_json(self, args, env):
-        result = run_cli("simulate", *args, env_extra=env)
+    def test_simulate_config_errors_are_json(self, args):
+        result = run_cli("simulate", *args)
         assert result.returncode == 2, result.stderr
         lines = result.stderr.decode().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("flag, beta, interaction", [
+        ("--beta", "1,,2", "0,0"), ("--beta", "1,", "0"), ("--interaction", "1,2", "0,,0"),
+    ])
+    def test_simulate_rct_empty_entry_is_refused(self, capsys, flag, beta, interaction):
+        # Every comma-separated entry is a number: an empty one is not dropped.
+        code = main(["simulate", "--lab", "selection", "--dgp", "rct", "--beta", beta,
+                     "--interaction", interaction, *SIZES])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "ConfigError" and flag in error["message"]
 
     def test_simulate_rct_empty_beta_names_itself(self, capsys):
         # With the default --interaction 0 the lengths differ too; the empty beta is named.
@@ -1227,7 +1253,7 @@ def test_analyze_overflow_is_one_json_line(tmp_path, column):
 
 
 # Property test over the command-line grammar (in-process, small sizes only:
-# --n and --reps stay at most 200 and 1,100, and RESID_THREADS at most 2).
+# --n and --reps stay at most 200 and 1,100, and at most 2 forced workers).
 _FIXTURE_BYTES = FIXTURE_CSV.read_bytes()
 
 
@@ -1275,8 +1301,9 @@ def _grammar(csv_path, missing_path):
             ("--threshold", ("1.96", "3.841"), ("20", "0", "-1", "inf", "nan"), False),
             ("--coord", ("0",), ("1", "-1", "x"), False),
             ("--tau", ("1",), ("nan", "inf", "1e200", "1e308"), False),
-            ("--beta", ("1", "0.5,-0.25"), ("nan", "", "a", "1e200", "1e308"), False),
-            ("--interaction", ("0", "0.4,0"), ("inf", "", "1e200", "1e308"), False),
+            ("--beta", ("1", "0.5,-0.25"), ("nan", "", "a", "1e200", "1e308", "1,,2", "1,"),
+             False),
+            ("--interaction", ("0", "0.4,0"), ("inf", "", "1e200", "1e308", "1,,2", "1,"), False),
             ("--pi", ("0.5", "0.3"), ("0", "1", "nan"), False),
             ("--noise-sd", ("1", "0"), ("-1", "inf", "1e200", "1e308"), False),
             ("--n", ("50", "100", "200"),
@@ -1316,22 +1343,14 @@ def _argv(draw, csv_path, missing_path):
     return [command, *(token for item in items for token in item), *extra]
 
 
-def _assert_exit_code_and_at_most_one_json_line(argv, threads=None):
-    """Run main(argv) in-process, RESID_THREADS at threads (None: unset); return its exit code."""
+def _assert_exit_code_and_at_most_one_json_line(argv):
+    """Run main(argv) in-process; return its exit code."""
     out, err = io.BytesIO(), io.StringIO()
-    saved = os.environ.pop("RESID_THREADS", None)
-    try:
-        if threads is not None:
-            os.environ["RESID_THREADS"] = threads
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(io.TextIOWrapper(out, encoding="utf-8")), \
-                contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = main(argv)
-    finally:
-        os.environ.pop("RESID_THREADS", None)
-        if saved is not None:
-            os.environ["RESID_THREADS"] = saved
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.TextIOWrapper(out, encoding="utf-8")), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
     assert code in (0, 2, 3), argv
     assert [str(w.message) for w in caught] == [], argv
     lines = err.getvalue().splitlines()
@@ -1343,18 +1362,20 @@ def _assert_exit_code_and_at_most_one_json_line(argv, threads=None):
     return code
 
 
-@settings(max_examples=200, deadline=None)
+# Each example forces its own worker count, so the fixture is safe to share.
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_any_command_line_ends_in_an_exit_code_and_at_most_one_json_line(
-    tmp_path_factory, data
+    tmp_path_factory, workers, data
 ):
     directory = tmp_path_factory.getbasetemp() / "cli_property"
     directory.mkdir(exist_ok=True)
     csv_path = directory / "data.csv"
     csv_path.write_bytes(data.draw(_mutated_fixture()))
     argv = data.draw(_argv(str(csv_path), str(directory / "missing.csv")))
-    threads = data.draw(st.sampled_from((None, "1", "2", "0", "-1", "x")))
-    _assert_exit_code_and_at_most_one_json_line(argv, threads)
+    workers(data.draw(st.sampled_from((None, 1, 2))))
+    _assert_exit_code_and_at_most_one_json_line(argv)
 
 
 # Flags whose invalid values are refused before any data is read or drawn.

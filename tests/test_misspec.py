@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import os
 import re
 import subprocess
 import sys
@@ -252,12 +251,12 @@ class TestMeasureBias:
                 PAIR, "zero", PAIR_C, PAIR_ROWS, zero_score(), n=10**6, reps=10**6, seed=1,
             )
 
-    def test_deterministic_across_thread_counts(self, monkeypatch):
+    def test_deterministic_across_thread_counts(self, workers):
         score = worst_case_score(PAIR_C, 1.0, PAIR_ROWS, seed=3)
         kwargs = dict(n=500, reps=200, seed=13, calibration_draws=50_000)
-        monkeypatch.setenv("RESID_THREADS", "1")
+        workers(1)
         a = measure_bias(PAIR, "zero", PAIR_C, PAIR_ROWS, score, **kwargs)
-        monkeypatch.setenv("RESID_THREADS", "4")
+        workers(4)
         b = measure_bias(PAIR, "zero", PAIR_C, PAIR_ROWS, score, **kwargs)
         assert a == b
 
@@ -396,7 +395,7 @@ class TestDrawScratch:
     """Each worker draws a run's perturbed batches into one scratch set."""
 
     @pytest.mark.parametrize("threads", [1, 4])
-    def test_one_scratch_set_per_worker(self, threads, monkeypatch):
+    def test_one_scratch_set_per_worker(self, threads, monkeypatch, workers):
         made = []
 
         def counting(n, size):
@@ -404,7 +403,7 @@ class TestDrawScratch:
             return dgps.perturbed_scratch(n, size)
 
         monkeypatch.setattr(misspec, "perturbed_scratch", counting)
-        monkeypatch.setenv("RESID_THREADS", str(threads))
+        workers(threads)
         measure_gaussian_bias(PAIR, "optimal", 1.0, n=200, reps=1003, seed=5)
         # The largest batch holds 21 replications.
         assert 1 <= len(made) <= threads and set(made) == {(200, 21)}
@@ -416,16 +415,20 @@ class TestDrawScratch:
             PAIR.perturbed_draws(rng, 60, 40, 1.0, dgps.perturbed_scratch(n, size))
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
-    @pytest.mark.parametrize("threads", [None, "1"], ids=["default", "one-worker"])
-    def test_bench_sized_op_takes_few_page_faults(self, threads):
+    @pytest.mark.parametrize("one_cpu", [False, True], ids=["default", "one-worker"])
+    def test_bench_sized_op_takes_few_page_faults(self, one_cpu):
         # n = 2,000 and 1,000 reps, in a fresh process. Three fresh 320 KB blocks per
         # batch for |z|, the weights and the uniforms went back to the system when freed
         # and were faulted in again: about 10,000 minor faults per op on one worker.
-        code = """
+        # The one-worker child pins itself to one CPU of its mask before any run.
+        pin = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})" if one_cpu else ""
+        code = f"""
+import os
 import resource
 from residcheck.io import GaussianDgpSpec, ScoreSpec, SimulateConfig
 from residcheck.report import run_simulate
 
+{pin}
 config = SimulateConfig(lab="misspec", n=2000, reps=1000, seed=5, dgp=GaussianDgpSpec(rho=0.5),
                         score=ScoreSpec(lam="optimal", mu=1.0))
 run_simulate(config)
@@ -434,11 +437,8 @@ for _ in range(5):
     run_simulate(config)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
 """
-        env = {k: v for k, v in os.environ.items() if k != "RESID_THREADS"}
-        if threads is not None:
-            env["RESID_THREADS"] = threads
         result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
         )
         assert result.returncode == 0, result.stderr
         assert float(result.stdout) <= 1000
@@ -621,12 +621,12 @@ class TestCrossScoreBias:
             got, want = getattr(part, field.name)[0], getattr(full, field.name)[1]
             assert np.array_equal(got, want[np.ix_([3, 1], [3, 1])]), field.name
 
-    def test_deterministic_across_thread_counts(self, monkeypatch):
+    def test_deterministic_across_thread_counts(self, workers):
         lam = float(PAIR.lambda_opt[0])
         kwargs = dict(n=200, reps=1000, seed=17)
-        monkeypatch.setenv("RESID_THREADS", "1")
+        workers(1)
         one = cross_score_bias(PAIR, [0.0, lam], [0.5, 2.0], **kwargs)
-        monkeypatch.setenv("RESID_THREADS", "4")
+        workers(4)
         four = cross_score_bias(PAIR, [0.0, lam], [0.5, 2.0], **kwargs)
         for field in dataclasses.fields(one):
             assert np.array_equal(getattr(one, field.name), getattr(four, field.name)), field.name
@@ -672,7 +672,9 @@ class TestStagedFrame:
         [("optimal", 60, 1.2), ("zero", 60, 1.2), ([0.3, -0.2], 3, 0.1)],
         ids=["plugin", "short", "fixed-small-n"],
     )
-    def test_estimates_equal_batch_by_batch(self, lam, n, mu, threads, stack_reps, monkeypatch):
+    def test_estimates_equal_batch_by_batch(
+        self, lam, n, mu, threads, stack_reps, monkeypatch, workers
+    ):
         monkeypatch.setattr(_threads, "_STACK_REPS", stack_reps)
         reps, seed = 1003, 71
         _, lam_row, from_moments = _adjustment(PAIR_P2, lam)
@@ -687,7 +689,7 @@ class TestStagedFrame:
             return estimate_stack(draw, lambda d: stages.append(estimate(d)) or stages[-1], *args)
 
         monkeypatch.setattr(_threads, "_estimate_stack", recording)
-        monkeypatch.setenv("RESID_THREADS", str(threads))
+        workers(threads)
         result = measure_gaussian_bias(PAIR_P2, lam, mu, n=n, reps=reps, seed=seed)
         want = np.concatenate([
             estimate(PAIR_P2.perturbed_draws(rng, n, size, mu))
@@ -699,12 +701,14 @@ class TestStagedFrame:
 
     @pytest.mark.parametrize("stack_reps", [_threads._STACK_REPS, 100])
     @pytest.mark.parametrize("threads", [1, 4])
-    def test_profile_equals_batch_by_batch_moments(self, threads, stack_reps, monkeypatch):
+    def test_profile_equals_batch_by_batch_moments(
+        self, threads, stack_reps, monkeypatch, workers
+    ):
         monkeypatch.setattr(_threads, "_STACK_REPS", stack_reps)
         # The matrix maps sample means only; the full moment map gives the same estimates.
         lam = float(PAIR.lambda_opt[0])
         lambdas, mus, n, reps, seed = [0.0, lam, 2 * lam], [0.5, 2.0], 200, 1003, 18
-        monkeypatch.setenv("RESID_THREADS", str(threads))
+        workers(threads)
         matrix = cross_score_bias(PAIR, lambdas, mus, n=n, reps=reps, seed=seed)
         coordinates = [PAIR.score_coordinate(value) for value in lambdas]
         maps = [_adjustment(PAIR, coord.lam)[2] for coord in coordinates]
@@ -778,7 +782,7 @@ def _weight_outside(draws):
 
 class TestErrorsInBatchOrder:
     @pytest.mark.parametrize("threads", [1, 4])
-    def test_first_failing_batch_decides(self, threads, monkeypatch):
+    def test_first_failing_batch_decides(self, threads, workers):
         # Batch 0 fails a late gate of validation, batch 1 the first, and batch 2 cannot be drawn.
         dgp = FaultyPair(PAIR, {0: _scatter_along_b, 1: _no_scatter, 2: _weight_outside})
         n, mu, reps, seed = 200, 0.5, 1000, 72
@@ -792,7 +796,7 @@ class TestErrorsInBatchOrder:
         with pytest.raises(DegenerateResidualVariance) as alone:
             for rng, size in batch_streams(seed, reps):
                 run_alone(rng, size)
-        monkeypatch.setenv("RESID_THREADS", str(threads))
+        workers(threads)
         with pytest.raises(DegenerateResidualVariance) as run:
             measure_gaussian_bias(dgp, "optimal", mu, n=n, reps=reps, seed=seed)
         assert str(run.value) == str(alone.value)

@@ -231,11 +231,11 @@ class TestConditionalExperiment:
                 b.variance.value, abs=3 * np.hypot(a.variance.mc_se, b.variance.mc_se)
             )
 
-    def test_deterministic_across_thread_counts(self, monkeypatch):
+    def test_deterministic_across_thread_counts(self, workers):
         config = scalar_config(0.5, reps=5000)
-        monkeypatch.setenv("RESID_THREADS", "1")
+        workers(1)
         a = run_conditional_experiment(config)
-        monkeypatch.setenv("RESID_THREADS", "4")
+        workers(4)
         b = run_conditional_experiment(config)
         assert a == b
 
@@ -516,10 +516,10 @@ class TestPassRateGate:
     """The gate reads the first reported replications; nothing is drawn only to gate."""
 
     @pytest.mark.parametrize("threads", [1, 4])
-    def test_draws_exactly_reps(self, threads, monkeypatch):
+    def test_draws_exactly_reps(self, threads, workers):
         dgp = CountingDGP(GaussianPairDGP.from_rho(0.5))
         config = SelectionConfig(dgp=dgp, rule=T_RULE, n=100, reps=2050, seed=3)
-        monkeypatch.setenv("RESID_THREADS", str(threads))
+        workers(threads)
         draws = simulate_replications(config)
         assert sum(dgp.sizes) == 2050 == draws.c_short.shape[0]
 
@@ -532,20 +532,20 @@ class TestPassRateGate:
         [(1003, 1003), (2000, 1000), (2050, 1025)],
     )
     def test_degenerate_rule_stops_after_the_head_batches(
-        self, reps, head_reps, threads, monkeypatch
+        self, reps, head_reps, threads, workers
     ):
         dgp = CountingDGP(GaussianPairDGP.from_rho(0.5))
         config = SelectionConfig(dgp=dgp, rule=ALWAYS_PASSES, n=100, reps=reps, seed=3)
-        monkeypatch.setenv("RESID_THREADS", str(threads))
+        workers(threads)
         with pytest.raises(DegenerateRule, match="pass rate 1.0000"):
             simulate_replications(config)
         assert sum(dgp.sizes) == head_reps
 
-    def test_same_at_any_thread_count_when_the_gate_ends_inside_a_batch(self, monkeypatch):
+    def test_same_at_any_thread_count_when_the_gate_ends_inside_a_batch(self, workers):
         config = scalar_config(0.5, reps=1003, n=200, seed=19)
-        monkeypatch.setenv("RESID_THREADS", "1")
+        workers(1)
         one = simulate_replications(config)
-        monkeypatch.setenv("RESID_THREADS", "4")
+        workers(4)
         four = simulate_replications(config)
         for name in ("c_short", "c_resid", "se_short", "se_resid", "gamma_hat", "t_stats", "passed"):
             assert np.array_equal(getattr(one, name), getattr(four, name)), name
@@ -720,11 +720,11 @@ class TestStagesAreInvisible:
         ids=["gaussian-1003", "gaussian-2050", "rct-1003", "rct-2050", "rct-small-arms-1003"],
     )
     def test_record_equals_batch_by_batch(
-        self, dgp, n, rule, reps, threads, stack_reps, monkeypatch
+        self, dgp, n, rule, reps, threads, stack_reps, monkeypatch, workers
     ):
         monkeypatch.setattr(_threads, "_STACK_REPS", stack_reps)
         config = SelectionConfig(dgp=dgp, rule=rule, n=n, reps=reps, seed=61)
-        monkeypatch.setenv("RESID_THREADS", str(threads))
+        workers(threads)
         record = simulate_replications(config)
         parts = batch_by_batch(config)
         for f in dataclasses.fields(record):
@@ -746,19 +746,19 @@ class TestOneValidationPerStage:
     @pytest.mark.parametrize("dgp", [CORRELATED_PAIR, RCT_THREE_CHECKS], ids=["gaussian", "rct"])
     # 50 batches: 2050 -> 41 each, 25 batches hold 1025; 3000 -> 60 each, 17 hold 1020.
     @pytest.mark.parametrize("reps, head_reps", [(2050, 1025), (3000, 1020)])
-    def test_head_stack_then_the_rest(self, dgp, reps, head_reps, threads, monkeypatch):
-        calls = self.validations(dgp, reps, threads, monkeypatch)
+    def test_head_stack_then_the_rest(self, dgp, reps, head_reps, threads, monkeypatch, workers):
+        calls = self.validations(dgp, reps, threads, monkeypatch, workers)
         assert calls == [(head_reps,), (reps - head_reps,)]
 
     @pytest.mark.parametrize("threads", [1, 4])
-    def test_large_stage_in_bounded_stacks(self, threads, monkeypatch):
+    def test_large_stage_in_bounded_stacks(self, threads, monkeypatch, workers):
         # 50 batches of 200: the head holds 5; the other 45 are estimated
         # 20, 20 and 5 batches at a time, at most _STACK_REPS = 4096 replications.
-        calls = self.validations(CORRELATED_PAIR, 10_000, threads, monkeypatch)
+        calls = self.validations(CORRELATED_PAIR, 10_000, threads, monkeypatch, workers)
         assert calls == [(1000,), (4000,), (4000,), (1000,)]
 
     @staticmethod
-    def validations(dgp, reps, threads, monkeypatch):
+    def validations(dgp, reps, threads, monkeypatch, workers):
         """The stack shapes that a run validates, in order."""
         validate, calls = JointCovariance.__post_init__, []
 
@@ -769,7 +769,7 @@ class TestOneValidationPerStage:
         monkeypatch.setattr(JointCovariance, "__post_init__", counting)
         config = SelectionConfig(dgp=dgp, rule=WALD_2 if dgp is CORRELATED_PAIR else WALD_3,
                                  n=200, reps=reps, seed=62)
-        monkeypatch.setenv("RESID_THREADS", str(threads))
+        workers(threads)
         simulate_replications(config)
         return calls
 
@@ -846,12 +846,12 @@ class TestErrorsInBatchOrder:
         ids=["gaussian", "rct"],
     )
     def test_first_failing_batch_decides(
-        self, dgp, faults, joined_error, want, threads, monkeypatch
+        self, dgp, faults, joined_error, want, threads, workers
     ):
         config = SelectionConfig(dgp=FaultyDGP(dgp, faults), rule=WALD_3, n=200, reps=2050, seed=63)
         expected = first_error(lambda: batch_by_batch(config))
         assert expected[0] is want
-        monkeypatch.setenv("RESID_THREADS", str(threads))
+        workers(threads)
         assert first_error(lambda: simulate_replications(config)) == expected
         # Estimated at once, the stage's draws would fail otherwise.
         children = np.random.SeedSequence(63).spawn(_N_BATCHES)

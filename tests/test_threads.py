@@ -1,5 +1,6 @@
 """The labs' draw pool: its map, default size, per-worker scratch, and bytes at any size."""
 
+import os
 import sys
 import threading
 import time
@@ -9,7 +10,8 @@ import pytest
 
 from residcheck import _threads, misspec
 from residcheck._threads import (
-    _N_BATCHES, _POOL_BYTES, _WORKER_BYTES, batch_sizes, default_workers, map_batches, run_seeded,
+    _N_BATCHES, _POOL_BYTES, _WORKER_BYTES, batch_sizes, default_workers, map_batches,
+    resolve_threads, run_seeded,
 )
 from residcheck.dgps import GaussianPairDGP, perturbed_scratch
 from residcheck.io import GaussianDgpSpec, RctDgpSpec, RuleSpec, ScoreSpec, SimulateConfig
@@ -172,7 +174,6 @@ class TestDefaultWorkers:
 def test_misspec_pool_over_a_grid_of_runs(monkeypatch):
     # measure_gaussian_bias with no draws: each scratch set is a zero-strided stand-in with
     # perturbed_scratch's shape, and each stack only records its workers.
-    monkeypatch.delenv("RESID_THREADS", raising=False)
     sets, stacks = [], []
 
     def stand_in(n, size):
@@ -195,7 +196,7 @@ def test_misspec_pool_over_a_grid_of_runs(monkeypatch):
                 if n * reps > misspec.MAX_TOTAL_DRAWS:
                     continue
                 for cores in (2, 4, 64):
-                    monkeypatch.setattr(_threads, "usable_cores", lambda: cores)
+                    monkeypatch.setattr(_threads, "resolve_threads", lambda: cores)
                     sets.clear()
                     stacks.clear()
                     misspec.measure_gaussian_bias(dgp, "optimal", 0.0, n, reps, 1)
@@ -210,13 +211,12 @@ def test_misspec_pool_over_a_grid_of_runs(monkeypatch):
 
 
 class TestStageWorkers:
-    """run_seeded sizes each stack's pool; a set RESID_THREADS keeps its meaning."""
+    """run_seeded sizes each stack's pool from the cores, its batches and its scratch bytes."""
 
     @pytest.fixture
     def stages(self, monkeypatch):
         """(batches, workers) of every stack run, at 64 usable cores."""
-        monkeypatch.setattr(_threads, "usable_cores", lambda: 64)
-        monkeypatch.delenv("RESID_THREADS", raising=False)
+        monkeypatch.setattr(_threads, "resolve_threads", lambda: 64)
         estimate_stack, seen = _threads._estimate_stack, []
 
         def recording(draw, estimate, stack, workers):
@@ -257,32 +257,37 @@ class TestStageWorkers:
                                     rule=rule))
         assert stages == [(25, 1), (25, 1)]  # the pass-rate gate's head stack, then the rest
 
-    def test_set_count_is_kept(self, stages, monkeypatch):
-        monkeypatch.setenv("RESID_THREADS", "8")
-        self.run(200)
-        monkeypatch.setenv("RESID_THREADS", "3")
-        self.run(2000)
-        monkeypatch.setenv("RESID_THREADS", "0")
-        self.run(2000)
-        assert stages == [(50, 8), (50, 3), (50, 1)]
+    @pytest.mark.parametrize("cores", [1, 4])
+    def test_the_affinity_mask_caps_the_pool(self, stages, monkeypatch, cores):
+        # The bench-sized misspec run takes one worker per core in the mask; the
+        # selection lab's sets of no bytes keep it on one.
+        monkeypatch.setattr(_threads, "resolve_threads", resolve_threads)  # not 64 cores
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        run_simulate(SimulateConfig(lab="misspec", n=2000, reps=1000, seed=7,
+                                    dgp=GaussianDgpSpec(rho=0.5),
+                                    score=ScoreSpec(lam="optimal", mu=1.0)))
+        assert stages == [(50, cores)]
+        stages.clear()
+        run_simulate(SimulateConfig(lab="selection", n=400, reps=2000, seed=11,
+                                    dgp=GaussianDgpSpec(rho=0.5)))
+        assert stages == [(25, 1), (25, 1)]
 
 
-def test_default_bytes_equal_one_worker(monkeypatch):
-    # simulate output with RESID_THREADS unset, on a pool of four workers (960,000 bytes of
-    # scratch per worker at 4 patched cores), equals its output at RESID_THREADS=1.
+def test_default_bytes_equal_one_worker(monkeypatch, workers):
+    # simulate output at the derived count, on a pool of four workers (960,000 bytes of
+    # scratch per worker at 4 patched cores), equals its output on one forced worker.
     config = SimulateConfig(lab="misspec", n=2000, reps=1000, seed=9,
                             dgp=GaussianDgpSpec(rho=0.5), score=ScoreSpec(lam="optimal", mu=1.0))
-    monkeypatch.setattr(_threads, "usable_cores", lambda: 4)
-    monkeypatch.delenv("RESID_THREADS", raising=False)
+    monkeypatch.setattr(_threads, "resolve_threads", lambda: 4)
     default = json_bytes(run_simulate(config))
-    monkeypatch.setenv("RESID_THREADS", "1")
+    workers(1)
     assert json_bytes(run_simulate(config)) == default
 
 
 class TestScratch:
     """Each worker's batches draw into one scratch set, made in the calling thread."""
 
-    def test_sets_are_never_shared(self, monkeypatch):
+    def test_sets_are_never_shared(self, workers):
         # More workers than cores, switching threads as often as the interpreter allows.
         made, held, lock = [], set(), threading.Lock()
 
@@ -299,7 +304,7 @@ class TestScratch:
                 held.remove(id(buffers))
             return np.full(size, values[0])
 
-        monkeypatch.setenv("RESID_THREADS", "16")
+        workers(16)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -310,12 +315,12 @@ class TestScratch:
         # 16 sets for 16 workers, each for the largest batch, all made in this thread.
         assert made == [(threading.get_ident(), 21)] * 16
 
-    def test_one_set_per_run_across_stages(self, monkeypatch):
+    def test_one_set_per_run_across_stages(self, workers):
         made = []
-        monkeypatch.setenv("RESID_THREADS", "4")
+        workers(4)
         run_seeded(
             3, 1003, lambda rng, size, buffers: rng.random(size), lambda x: x,
-            lambda head: None, 100, scratch=made.append,
+            lambda head: None, 100, scratch=lambda size: made.append(size) or np.empty(0),
         )
         # The head stack's 5 batches take 4 workers, the rest reuse them.
         assert made == [21] * 4
@@ -326,13 +331,13 @@ class TestHeadGate:
 
     SEED, REPS, HEAD = 5, 2050, 25  # 50 batches of 41; the first 25 hold 1,025 >= 1,000
 
-    def run(self, monkeypatch, threads, gate, drawn):
+    def run(self, monkeypatch, workers, threads, gate, drawn):
         """run_seeded at two batches per stack; drawn gets each batch's first value as drawn.
 
         ``gate(head, drawn_then)`` sees the head and the values drawn until then.
         """
         monkeypatch.setattr(_threads, "_STACK_REPS", 100)
-        monkeypatch.setenv("RESID_THREADS", str(threads))
+        workers(threads)
         lock = threading.Lock()
 
         def draw(rng, size, _):
@@ -352,10 +357,10 @@ class TestHeadGate:
         return batches, sorted(batch[0] for batch in batches[: self.HEAD])
 
     @pytest.mark.parametrize("threads", [1, 4])
-    def test_gate_reads_the_head_once(self, monkeypatch, threads):
+    def test_gate_reads_the_head_once(self, monkeypatch, workers, threads):
         gated = []
         result = self.run(
-            monkeypatch, threads, lambda head, drawn: gated.append((head, drawn)), []
+            monkeypatch, workers, threads, lambda head, drawn: gated.append((head, drawn)), []
         )
         batches, head_firsts = self.head_firsts()
         assert len(gated) == 1
@@ -365,11 +370,11 @@ class TestHeadGate:
         assert np.array_equal(result, np.concatenate(batches))
 
     @pytest.mark.parametrize("threads", [1, 4])
-    def test_raising_gate_stops_the_run(self, monkeypatch, threads):
+    def test_raising_gate_stops_the_run(self, monkeypatch, workers, threads):
         def gate(head, drawn_then):
             raise Boom(head.size)
 
         drawn = []
         with pytest.raises(Boom, match="1025"):
-            self.run(monkeypatch, threads, gate, drawn)
+            self.run(monkeypatch, workers, threads, gate, drawn)
         assert sorted(drawn) == self.head_firsts()[1]
